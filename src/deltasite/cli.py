@@ -23,12 +23,15 @@ from .roofs import RoofCategory, build_structural_roof_topology, verify_roof_cat
 USAGE_EXIT = 2
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("DELTASITE_SEED", "0")
+def _path_count(text: str) -> int:
+    """--paths of the sampling commands: an integer of at least 1."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return 0
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model description file")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        # argparse converts a string default with `type`, so a malformed
+        # DELTASITE_SEED is a usage error rather than a silent seed 0.
+        p.add_argument("--seed", type=int, default=os.environ.get("DELTASITE_SEED", "0"))
 
     p = sub.add_parser("check-site", help="verify Grothendieck topology axioms")
     p.add_argument("--topology", required=True,
@@ -64,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--paths", type=int, default=1)
+    p.add_argument("--paths", type=_path_count, default=1)
     common(p)
 
     p = sub.add_parser("verify-ito", help="delta-calculus identity and limit checks")
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--paths", type=int, default=200)
+    p.add_argument("--paths", type=_path_count, default=200)
     common(p)
 
     p = sub.add_parser("tropicalize", help="tropical value of the log-SDE")
@@ -93,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations ----------------------------------------------------
 
 
-def _copy_site_records(report: Report, axiom_report: sites.SiteAxiomReport):
-    for r in axiom_report.records:
-        report.add(r.check_id, r.instance, r.status == "pass", r.witness)
-
-
 def cmd_check_site(args, model: ModelDescription, file_hash: str) -> Report:
     report = Report("check-site", file_hash,
                     {"topology": args.topology, "seed": args.seed})
@@ -105,19 +105,16 @@ def cmd_check_site(args, model: ModelDescription, file_hash: str) -> Report:
         report.add("category-axioms", violation, False)
     if args.topology == "structural":
         site = sites.build_tau_structural(model.category)
-        _copy_site_records(report, sites.verify_grothendieck(site))
+        report.extend(sites.verify_grothendieck(site))
         return report
     F = model.require_filtration()
     if args.topology == "operadic":
-        action = check_operad_action(F)
-        for v in action.violations:
-            report.add("operad-action", v, False)
-        report.add("operad-coverage", f"{action.coverage:.4f}", None)
+        report.extend(check_operad_action(F))
         filtered = sites.build_tau_operadic(F, model.category)
     else:
         P = model.require_measure()
         filtered = sites.build_tau_P(F, P, model.category)
-    _copy_site_records(report, sites.verify_filtered(filtered))
+    report.extend(sites.verify_filtered(filtered))
     return report
 
 
@@ -127,14 +124,11 @@ def cmd_check_roofs(args, model: ModelDescription, file_hash: str) -> Report:
         report.add("category-axioms", violation, False)
     rc = RoofCategory(model.category)
     try:
-        axiom = verify_roof_category(rc)
+        report.extend(verify_roof_category(rc))
     except ClosureError as exc:
         report.add("roof-axioms", "composition closure", False, str(exc))
         return report
-    for check, instance, status in axiom.records:
-        report.add(check, instance, status == "pass")
-    roof_site = build_structural_roof_topology(rc)
-    _copy_site_records(report, sites.verify_grothendieck(roof_site))
+    report.extend(sites.verify_grothendieck(build_structural_roof_topology(rc)))
     return report
 
 
@@ -149,12 +143,7 @@ def cmd_check_sheaf(args, model: ModelDescription, file_hash: str) -> Report:
             targets.extend(filtered.site_at(p) for p in model.filtration.index)
         for site in targets:
             presheaf = sheaves.constant_presheaf(site, values=(0.0, 1.0))
-            glue = sheaves.check_sheaf_condition(presheaf)
-            for rec in glue.records:
-                report.add("gluing", f"{site.label}: {rec.family}",
-                           rec.status == "pass", rec.witness)
-            for note in glue.notes:
-                report.add("gluing-note", f"{site.label}: {note}", None)
+            report.extend(sheaves.check_sheaf_condition(presheaf), prefix=f"{site.label}: ")
         return report
     F = model.filtration
     if F is not None and len(F.index.base_times) >= 2:

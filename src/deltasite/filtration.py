@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, StructuralError
 from .events import SimplicialEvent
+from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,11 @@ def _atoms_of(e) -> frozenset[str]:
     return e.atoms if isinstance(e, SimplicialEvent) else frozenset(e)
 
 
+def _by_size(s: frozenset[str]):
+    """Sort key: smaller atom sets first, then lexicographic."""
+    return len(s), sorted(s)
+
+
 def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
     """Saturate the level under complement and pairwise union and report
     every atom set in the closure that the level lacks.
@@ -202,7 +208,9 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
             raise PreconditionError(f"event atoms {sorted(s)} outside the ground set")
 
     present = set(sets)
-    closure = set(present) or {frozenset()}
+    # Insertion-ordered, so the witness chosen for each missing set does not
+    # depend on string hashing.
+    closure = dict.fromkeys(sorted(present, key=_by_size) or [frozenset()])
     reason: dict[frozenset[str], str] = {}
     changed = True
     while changed:
@@ -210,19 +218,19 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
         for s in list(closure):
             c = ground_set - s
             if c not in closure:
-                closure.add(c)
+                closure[c] = None
                 reason[c] = f"complement of {{{','.join(sorted(s))}}}"
                 changed = True
         for s in list(closure):
             for t in list(closure):
                 u = s | t
                 if u not in closure:
-                    closure.add(u)
+                    closure[u] = None
                     reason[u] = (f"union of {{{','.join(sorted(s))}}} "
                                  f"and {{{','.join(sorted(t))}}}")
                     changed = True
     report = SigmaLevelReport(ground_set)
-    for s in sorted(closure - present, key=lambda x: (len(x), sorted(x))):
+    for s in sorted(closure.keys() - present, key=_by_size):
         report.missing.append((s, reason.get(s, "required")))
     return report
 
@@ -240,7 +248,7 @@ class SubHomReport:
 def check_sub_homomorphism(P: ProbabilityMeasure, level, tol: float = 1e-12) -> SubHomReport:
     """Verify measure behaviour on assemblies: equality on disjoint unions,
     sub-additivity on all pairs and triples of level events."""
-    sets = sorted({_atoms_of(e) for e in level}, key=lambda s: (len(s), sorted(s)))
+    sets = sorted({_atoms_of(e) for e in level}, key=_by_size)
     report = SubHomReport()
 
     def label(s):
@@ -303,30 +311,20 @@ def pushforward(P: ProbabilityMeasure, variable) -> dict[float, float]:
     return out
 
 
-@dataclass
-class OperadActionReport:
-    violations: list[str] = field(default_factory=list)
-    coverage: float = 1.0
-    checked: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_operad_action(F: FilteredSigmaAlgebra) -> OperadActionReport:
+def check_operad_action(F: FilteredSigmaAlgebra) -> Report:
     """Every generator must act inside its own level: all inputs and the
-    output measurable at the generator's index.  Also reports coverage: the
-    fraction of (point, event) pairs whose event is assembled (is the output
-    of a generator available at that point)."""
-    report = OperadActionReport()
+    output measurable at the generator's index (one `operad-action` fail
+    record per stray event).  Closes with an `operad-coverage` info record:
+    the fraction of (point, event) pairs whose event is assembled (is the
+    output of a generator available at that point)."""
+    report = Report()
     for g in F.operad:
         level = F.level(g.at)
-        report.checked += 1
         for ev in (*g.inputs, g.output):
             if ev not in level:
-                report.violations.append(
-                    f"generator {g.name!r} at {g.at!r}: event {ev!r} not in level")
+                report.add("operad-action",
+                           f"generator {g.name!r} at {g.at!r}: event {ev!r} not in level",
+                           False)
     pairs = 0
     covered = 0
     for p in F.index:
@@ -335,5 +333,5 @@ def check_operad_action(F: FilteredSigmaAlgebra) -> OperadActionReport:
             pairs += 1
             if ev in available:
                 covered += 1
-    report.coverage = covered / pairs if pairs else 1.0
+    report.add("operad-coverage", f"{covered / pairs if pairs else 1.0:.4f}", None)
     return report

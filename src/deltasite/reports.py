@@ -1,5 +1,8 @@
-"""Machine-readable command reports: deterministic given (model, command,
-flags, seed), rendered as canonical JSON or stable plain text."""
+"""The one result type of deltasite: every verifier returns a `Report`, a
+list of `Record`s (check id, instance, status, witness).  CLI commands add
+their own records and nest verifier reports with `extend`.  A command report
+is deterministic given (model, command, flags, seed), rendered as canonical
+JSON or stable plain text."""
 from __future__ import annotations
 
 import json
@@ -8,26 +11,38 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Record:
-    check: str
+    check_id: str
     instance: str
     status: str  # "pass" | "fail" | "info"
     witness: str = ""
 
     def as_doc(self) -> dict:
-        return {"check": self.check, "instance": self.instance,
+        return {"check": self.check_id, "instance": self.instance,
                 "status": self.status, "witness": self.witness}
 
 
 @dataclass
 class Report:
-    command: str
+    """Records in order.  Verifiers fill only `records`; a CLI command also
+    sets the header fields that rendering shows."""
+
+    command: str = ""
     model_hash: str | None = None
     params: dict = field(default_factory=dict)
     records: list[Record] = field(default_factory=list)
 
-    def add(self, check: str, instance: str, ok: bool | None, witness: str = ""):
+    def add(self, check_id: str, instance: str, ok: bool | None, witness: str = ""):
         status = "info" if ok is None else ("pass" if ok else "fail")
-        self.records.append(Record(check, instance, status, witness))
+        self.records.append(Record(check_id, instance, status, witness))
+
+    def extend(self, other: "Report", prefix: str = ""):
+        """Append other's records, each instance prefixed with prefix."""
+        self.records.extend(
+            (Record(r.check_id, prefix + r.instance, r.status, r.witness)
+             for r in other.records) if prefix else other.records)
+
+    def failures(self) -> list[Record]:
+        return [r for r in self.records if r.status == "fail"]
 
     @property
     def passed(self) -> bool:
@@ -62,7 +77,7 @@ class Report:
             lines.append("params: " + " ".join(
                 f"{k}={self.params[k]}" for k in sorted(self.params)))
         for r in self.records:
-            entry = f"[{r.status}] {r.check} {r.instance}"
+            entry = f"[{r.status}] {r.check_id} {r.instance}"
             if r.witness:
                 entry += f" :: {r.witness}"
             lines.append(entry)

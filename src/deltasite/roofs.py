@@ -8,12 +8,13 @@ reports and invariant checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .categories import FiniteCategory, forward_cone
 from .errors import ClosureError, PreconditionError
 from .events import (EventMap, SimplicialEvent, compose_event_maps,
                      coproduct_event, product_legs)
+from .reports import Report
 from .sites import CoveringFamily, GrothendieckSite
 
 
@@ -89,26 +90,11 @@ class RoofCategory:
         return apex, p1, pi_b
 
 
-@dataclass
-class RoofAxiomReport:
-    records: list[tuple[str, str, str]] = field(default_factory=list)  # (check, instance, status)
-
-    @property
-    def passed(self) -> bool:
-        return all(status == "pass" for _, _, status in self.records)
-
-    def add(self, check, instance, ok):
-        self.records.append((check, instance, "pass" if ok else "fail"))
-
-    def failures(self):
-        return [r for r in self.records if r[2] != "pass"]
-
-
-def verify_roof_category(rc: RoofCategory) -> RoofAxiomReport:
+def verify_roof_category(rc: RoofCategory) -> Report:
     """Unit laws and associativity over all composable roofs, plus
     functoriality of f |-> roof(f).  Raises ClosureError if the fragment
     lacks a needed composite."""
-    report = RoofAxiomReport()
+    report = Report()
     frag = rc.fragment
     roofs = [rc.roofs[name] for name in sorted(rc.roofs)]
 

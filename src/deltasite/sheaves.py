@@ -5,13 +5,14 @@ the filtered sheaf of Brownian values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from numbers import Real
 
 from .categories import FiniteCategory, minimal_outgoing
 from .errors import PreconditionError, StructuralError, UnsupportedValueError
 from .filtration import FramedIndex, FramedPoint
+from .reports import Report
 from .sites import GrothendieckSite
 from .stochastic import normal_cdf, normal_samples
 
@@ -75,33 +76,15 @@ def constant_presheaf(site: GrothendieckSite, values=(0.0,)) -> Presheaf:
     return Presheaf(site, spaces, restrictions)
 
 
-@dataclass
-class GluingRecord:
-    family: str
-    status: str
-    witness: str = ""
-
-
-@dataclass
-class SheafReport:
-    records: list[GluingRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
-
-    def failures(self):
-        return [r for r in self.records if r.status != "pass"]
-
-
-def check_sheaf_condition(F: Presheaf) -> SheafReport:
+def check_sheaf_condition(F: Presheaf) -> Report:
     """Gluing over every stored covering family: sections over the target
     must biject with families over the sources that agree on all declared
-    fiber products.  Undeclared overlaps are noted, not failed."""
+    fiber products.  Undeclared overlaps are noted, not failed: one
+    `gluing-note` info record each, after all `gluing` records."""
     site = F.site
     cat = site.category
-    report = SheafReport()
+    report = Report()
+    notes = []
     for obj in sorted(cat.objects):
         for fam in site.families(obj):
             members = list(fam.morphisms)
@@ -112,7 +95,7 @@ def check_sheaf_condition(F: Presheaf) -> SheafReport:
                 for j in range(i, len(members)):
                     sq = cat.pullback_of(members[i], members[j])
                     if sq is None:
-                        report.notes.append(
+                        notes.append(
                             f"{fam!r}: overlap of ({members[i]}, {members[j]}) undeclared")
                         continue
                     constraints.append((i, j, sq.to_left_source, sq.to_right_source))
@@ -125,22 +108,18 @@ def check_sheaf_condition(F: Presheaf) -> SheafReport:
                         break
                 if ok:
                     matching.append(combo)
-            images = {}
-            for s in F.spaces[obj]:
-                images[s] = tuple(F.restrict(m, s) for m in members)
-            injective = len(set(images.values())) == len(images)
-            surjective = set(matching) <= set(images.values())
-            missing = [c for c in matching if c not in set(images.values())]
-            extra = not injective
-            if injective and surjective:
-                report.records.append(GluingRecord(repr(fam), "pass"))
-            else:
-                why = []
-                if extra:
-                    why.append("sections collide under restriction")
-                if missing:
-                    why.append(f"unglued matching family {missing[0]!r}")
-                report.records.append(GluingRecord(repr(fam), "fail", "; ".join(why)))
+            sections = F.spaces[obj]
+            images = {tuple(F.restrict(m, s) for m in members) for s in sections}
+            injective = len(images) == len(set(sections))
+            missing = [c for c in matching if c not in images]
+            why = []
+            if not injective:
+                why.append("sections collide under restriction")
+            if missing:
+                why.append(f"unglued matching family {missing[0]!r}")
+            report.add("gluing", repr(fam), injective and not missing, "; ".join(why))
+    for note in notes:
+        report.add("gluing-note", note, None)
     return report
 
 

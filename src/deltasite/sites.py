@@ -10,13 +10,13 @@ change, composition -- instance by instance and reports every failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .categories import (ComponentPartition, FiniteCategory,
                          connected_components)
 from .errors import PreconditionError
-from .events import product as event_product
 from .filtration import (FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure)
+from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -146,48 +146,20 @@ def build_tau_structural(category: FiniteCategory) -> GrothendieckSite:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass
-class AxiomRecord:
-    check_id: str
-    instance: str
-    status: str  # "pass" | "fail"
-    witness: str = ""
-
-
-@dataclass
-class SiteAxiomReport:
-    label: str
-    records: list[AxiomRecord] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
-
-    def failures(self):
-        return [r for r in self.records if r.status != "pass"]
-
-    def add(self, check_id, instance, ok, witness=""):
-        self.records.append(AxiomRecord(check_id, instance, "pass" if ok else "fail", witness))
-
-    def extend(self, other: "SiteAxiomReport"):
-        self.records.extend(other.records)
-
-
 def _measure_chain(site: GrothendieckSite, cover_src: str, gamma: str,
                    apex: str) -> tuple[bool, str]:
     """The inequality chain P(w_i x_w gamma) <= P(w_i x gamma) <= P(gamma),
-    evaluated on atom sets (products intersect atoms)."""
+    evaluated on atom sets: the product's atoms are the intersection."""
     P = site.measure
     cat = site.category
     p_apex = P(cat.event(apex))
-    prod = event_product(cat.event(cover_src), cat.event(gamma))
-    p_prod = P(prod)
+    p_prod = P(cat.event(cover_src).atoms & cat.event(gamma).atoms)
     p_gamma = P(cat.event(gamma))
     ok = p_apex <= p_prod <= p_gamma
     return ok, f"P={p_apex}<=P(product)={p_prod}<=P({gamma})={p_gamma}"
 
 
-def verify_grothendieck(site: GrothendieckSite) -> SiteAxiomReport:
+def verify_grothendieck(site: GrothendieckSite) -> Report:
     """Exhaustive check of the three covering axioms on one site.
 
     (a) every isomorphism forms a covering family of its target;
@@ -199,7 +171,7 @@ def verify_grothendieck(site: GrothendieckSite) -> SiteAxiomReport:
     base-change and composition instance.
     """
     cat = site.category
-    report = SiteAxiomReport(site.label)
+    report = Report()
 
     for name in sorted(cat.morphisms):
         if cat.is_isomorphism(name):
@@ -254,16 +226,13 @@ def verify_grothendieck(site: GrothendieckSite) -> SiteAxiomReport:
     return report
 
 
-def verify_filtered(site: FilteredSite) -> SiteAxiomReport:
+def verify_filtered(site: FilteredSite) -> Report:
     """Per-level axiom verification plus level-monotonicity of validity:
     a cover at s whose data survives to t >= s must still cover at t."""
-    report = SiteAxiomReport(site.label)
+    report = Report()
     points = list(site.filtration.index)
     for p in points:
-        level_report = verify_grothendieck(site.site_at(p))
-        for r in level_report.records:
-            report.records.append(AxiomRecord(
-                r.check_id, f"level {p!r}: {r.instance}", r.status, r.witness))
+        report.extend(verify_grothendieck(site.site_at(p)), prefix=f"level {p!r}: ")
     for earlier, later in zip(points, points[1:]):
         s_site, t_site = site.site_at(earlier), site.site_at(later)
         for obj in sorted(s_site.valid):

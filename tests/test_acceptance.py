@@ -175,8 +175,8 @@ def test_criterion_8_roof_category_axioms():
         report = verify_roof_category(rc)
         if not report.passed:
             ok = False
-        pairs_checked += sum(1 for check, _, _ in report.records
-                             if check == "base-functorial")
+        pairs_checked += sum(1 for r in report.records
+                             if r.check_id == "base-functorial")
         site = build_structural_roof_topology(rc)
         if not sites.verify_grothendieck(site).passed:
             ok = False
@@ -203,10 +203,10 @@ def test_criterion_9_sheaf_gluing():
              "h": {0: 0}}
     bad = check_sheaf_condition(Presheaf(planted, spaces, restr))
     named = (not bad.passed and bad.failures()
-             and "f1" in bad.failures()[0].family)
+             and "f1" in bad.failures()[0].instance)
     _report(9, "sheaf gluing", ok and named,
             "constant presheaf glues everywhere; planted defect named "
-            f"{bad.failures()[0].family}")
+            f"{bad.failures()[0].instance}")
 
 
 def test_criterion_10_transversal_cones():

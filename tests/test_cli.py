@@ -150,3 +150,22 @@ def test_env_seed_default_and_flag_override(capsys, monkeypatch):
     _, with_flag, _ = run(capsys, "simulate", "--alpha", "0.1", "--sigma", "0.2",
                           "--seed", "4")
     assert "seed=4" in with_flag
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-ito"])
+def test_sampling_commands_reject_paths_below_one(capsys, command):
+    for paths in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--paths", paths])
+        assert exc.value.code == 2
+        assert "--paths" in capsys.readouterr().err
+
+
+def test_malformed_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DELTASITE_SEED", "12x")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate"])
+    assert exc.value.code == 2
+    assert "invalid int value: '12x'" in capsys.readouterr().err
+    code, out, _ = run(capsys, "simulate", "--seed", "4")
+    assert code == 0 and "seed=4" in out

@@ -1,11 +1,17 @@
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import deltasite
 from deltasite.errors import PreconditionError, StructuralError
 from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
@@ -93,6 +99,27 @@ def test_sigma_report_matches_saturation_oracle(family):
     expected_missing = closure_oracle(family, ground) - set(family)
     assert {s for s, _ in report.missing} == expected_missing
     assert report.passed == (not expected_missing)
+
+
+SIGMA_REASONS = """
+import json
+from deltasite.filtration import check_sigma_level
+atoms = "abcdefghi"
+report = check_sigma_level([frozenset(a) for a in atoms], ground_set=frozenset(atoms))
+print(json.dumps([[sorted(s), why] for s, why in report.missing]))
+"""
+
+
+def test_sigma_level_reasons_do_not_depend_on_hash_seed():
+    src = str(pathlib.Path(deltasite.__file__).parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", SIGMA_REASONS], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert len(runs[0]) == 2 ** 9 - 9
+    assert runs[0] == runs[1]
 
 
 # -- measures -----------------------------------------------------------------------
@@ -278,8 +305,8 @@ def test_operad_action_flags_out_of_level_generator():
         MultiArrow("bad", ("e_a",), "e_ab", FramedPoint(Fraction(0), 1))])
     report = check_operad_action(F)
     assert not report.passed
-    assert "(0,1)" in report.violations[0]
-    assert "e_a" in report.violations[0]
+    assert "(0,1)" in report.failures()[0].instance
+    assert "e_a" in report.failures()[0].instance
 
 
 def test_operad_action_saturated_coverage_is_total():
@@ -303,7 +330,8 @@ def test_operad_action_saturated_coverage_is_total():
                              OperadFragment(gens))
     report = check_operad_action(F)
     assert report.passed
-    assert report.coverage == 1.0
+    coverage = [r for r in report.records if r.check_id == "operad-coverage"]
+    assert float(coverage[0].instance) == 1.0
 
 
 def test_generator_availability_is_cumulative():

@@ -70,7 +70,7 @@ def test_triple_composites_agree_both_ways():
 def test_verify_single_chain_passes():
     report = verify_roof_category(RoofCategory(chain_category(3)))
     assert report.passed
-    assert any(check == "associativity" for check, _, _ in report.records)
+    assert any(r.check_id == "associativity" for r in report.records)
 
 
 def test_verify_raises_closure_error_naming_the_pair():
@@ -96,7 +96,7 @@ def test_verify_commutative_square_enumerates_all_triples():
 
 def test_roof_functoriality_records_present():
     report = verify_roof_category(RoofCategory(chain_category(3)))
-    assert any(check == "base-functorial" for check, _, _ in report.records)
+    assert any(r.check_id == "base-functorial" for r in report.records)
 
 
 def test_roof_equality_is_canonical_by_base():

@@ -46,7 +46,7 @@ def test_two_element_covering_matches_brute_force_enumeration():
                 if restr["g1"][s1] == restr["g2"][s2]]
     images = {(restr["f1"][s], restr["f2"][s]) for s in spaces["U"]}
     glues = set(matching) == images and len(images) == len(spaces["U"])
-    rec = [r for r in report.records if r.family == repr(fam)]
+    rec = [r for r in report.records if r.instance == repr(fam)]
     assert rec and (rec[0].status == "pass") == glues
     # here every pair matches (W forgets the branch), so gluing must fail
     assert len(matching) == 4 and not glues
@@ -65,7 +65,7 @@ def test_planted_non_gluing_presheaf_fails_naming_covering():
     report = check_sheaf_condition(F)
     assert not report.passed
     bad = report.failures()[0]
-    assert "f1" in bad.family and "f2" in bad.family and "U" in bad.family
+    assert "f1" in bad.instance and "f2" in bad.instance and "U" in bad.instance
     assert "unglued matching family" in bad.witness
 
 
@@ -86,8 +86,9 @@ def test_undeclared_overlaps_are_noted_not_failed():
     site = GrothendieckSite(cat, {"U": [CoveringFamily("U", ("f1", "f2"))]},
                             label="gap")
     report = check_sheaf_condition(constant_presheaf(site, (0.0,)))
-    assert report.notes, "missing overlap declarations should be noted"
-    assert any("undeclared" in n for n in report.notes)
+    notes = [r.instance for r in report.records if r.check_id == "gluing-note"]
+    assert notes, "missing overlap declarations should be noted"
+    assert any("undeclared" in n for n in notes)
 
 
 def test_presheaf_validation_catches_non_functorial_restrictions():
