@@ -5,6 +5,10 @@ composition and declared pullbacks are explicit tables.  Axioms (unit laws,
 associativity, totality of composition, commuting pullback squares) are
 verified by enumeration, report-style, so that deliberately broken fragments
 can be constructed for tests.
+
+The tables are fixed once a category is constructed.  Hom lookups (the
+morphisms into and out of an object) are indexed once, at construction, and
+every lookup and axiom walk reads that index instead of scanning the table.
 """
 from __future__ import annotations
 
@@ -42,8 +46,9 @@ class FiniteCategory:
 
     Construction checks referential integrity and synthesizes identity
     morphisms (named ``id:<object>``) together with their unit composition
-    rules.  Everything else -- totality and associativity of composition,
-    pullback squares commuting -- is checked by `check_axioms`.
+    rules, then indexes the morphism names into and out of each object, in
+    sorted order.  Everything else -- totality and associativity of
+    composition, pullback squares commuting -- is checked by `check_axioms`.
     """
 
     def __init__(self, objects, morphisms, composition=None, pullbacks=None):
@@ -110,6 +115,13 @@ class FiniteCategory:
                         f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}")
             self.pullbacks[(sq.left, sq.right)] = sq
 
+        self._into: dict[str, list[str]] = {o: [] for o in self.objects}
+        self._out: dict[str, list[str]] = {o: [] for o in self.objects}
+        for name in sorted(self.morphisms):
+            m = self.morphisms[name]
+            self._into[m.target].append(name)
+            self._out[m.source].append(name)
+
     # -- lookups ------------------------------------------------------------
 
     def morphism(self, name: str) -> Morphism:
@@ -126,28 +138,30 @@ class FiniteCategory:
         return ev
 
     def is_identity(self, name: str) -> bool:
-        return name in self.identities.values()
+        m = self.morphisms.get(name)
+        return m is not None and self.identities[m.source] == name
 
     def compose(self, g: str, f: str) -> str:
         """Name of g o f, or raise KeyError if the table lacks it."""
         return self.composition[(g, f)]
 
-    def morphisms_into(self, obj: str):
-        return [m for m in sorted(self.morphisms) if self.morphisms[m].target == obj]
+    def morphisms_into(self, obj: str) -> list[str]:
+        """Sorted names of the morphisms ending at obj (the shared index:
+        read it, do not modify it)."""
+        return self._into.get(obj, [])
 
-    def morphisms_from(self, obj: str):
-        return [m for m in sorted(self.morphisms) if self.morphisms[m].source == obj]
+    def morphisms_from(self, obj: str) -> list[str]:
+        """Sorted names of the morphisms starting at obj (the shared index)."""
+        return self._out.get(obj, [])
 
     def is_isomorphism(self, name: str) -> bool:
+        """An identity, or some arrow out of the target inverts it (a
+        composite equal to id:source already forces the arrow to end there)."""
         m = self.morphism(name)
-        if self.is_identity(name):
-            return True
-        for other, mo in self.morphisms.items():
-            if mo.source == m.target and mo.target == m.source:
-                if (self.composition.get((other, name)) == self.identities[m.source]
-                        and self.composition.get((name, other)) == self.identities[m.target]):
-                    return True
-        return False
+        return self.is_identity(name) or any(
+            self.composition.get((other, name)) == self.identities[m.source]
+            and self.composition.get((name, other)) == self.identities[m.target]
+            for other in self._out[m.target])
 
     def is_structural(self, name: str) -> bool:
         """Monomorphism test on the attached simplicial map."""
@@ -182,12 +196,14 @@ class FiniteCategory:
     # -- axiom report ---------------------------------------------------------
 
     def check_axioms(self) -> list[str]:
-        """Enumerate category axioms; returns a list of violations (empty = pass)."""
+        """Enumerate category axioms; returns a list of violations (empty = pass).
+
+        Composable pairs and triples are walked through the out-index, so
+        the work grows with their number rather than with M^2 and M^3."""
         bad = []
-        for f in sorted(self.morphisms):
-            for g in sorted(self.morphisms):
-                if self.morphisms[f].target != self.morphisms[g].source:
-                    continue
+        names = sorted(self.morphisms)
+        for f in names:
+            for g in self._out[self.morphisms[f].target]:
                 if (g, f) not in self.composition:
                     bad.append(f"composition undefined for ({g}, {f})")
         for name, m in self.morphisms.items():
@@ -195,16 +211,12 @@ class FiniteCategory:
                 bad.append(f"left unit fails for {name}")
             if self.composition.get((name, self.identities[m.source])) != name:
                 bad.append(f"right unit fails for {name}")
-        for f in sorted(self.morphisms):
-            for g in sorted(self.morphisms):
-                if self.morphisms[f].target != self.morphisms[g].source:
-                    continue
+        for f in names:
+            for g in self._out[self.morphisms[f].target]:
                 gf = self.composition.get((g, f))
                 if gf is None:
                     continue
-                for h in sorted(self.morphisms):
-                    if self.morphisms[g].target != self.morphisms[h].source:
-                        continue
+                for h in self._out[self.morphisms[g].target]:
                     hg = self.composition.get((h, g))
                     left = self.composition.get((h, gf))
                     right = self.composition.get((hg, f)) if hg else None
@@ -281,11 +293,11 @@ def forward_cone(cat: FiniteCategory, obj: str) -> frozenset[str]:
     closed, so this is the reachability cone); contains obj via its identity."""
     if obj not in cat.objects:
         raise KeyError(f"unknown object {obj!r}")
-    return frozenset(m.target for m in cat.morphisms.values() if m.source == obj)
+    return frozenset(cat.morphisms[n].target for n in cat.morphisms_from(obj))
 
 
 def minimal_outgoing(cat: FiniteCategory, obj: str, mode: str = "factor") -> frozenset[str]:
-    """Non-identity morphisms out of obj that are minimal inside its component.
+    """Non-identity morphisms out of obj that are minimal.
 
     mode="factor" (default): psi: obj -> b is excluded when it factors as a
     composite obj -> w -> b through some third object w.
@@ -296,37 +308,16 @@ def minimal_outgoing(cat: FiniteCategory, obj: str, mode: str = "factor") -> fro
         raise KeyError(f"unknown object {obj!r}")
     if mode not in ("factor", "literal"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    comp = connected_components(cat)
-    outgoing = [m for m in cat.morphisms.values()
-                if m.source == obj and not cat.is_identity(m.name)
-                and comp.same_component(obj, m.target)]
+    outgoing = [n for n in cat.morphisms_from(obj) if not cat.is_identity(n)]
     if mode == "literal":
-        for w in cat.objects:
-            if w == obj or not comp.same_component(obj, w):
-                continue
-            there = any(m.source == obj and m.target == w for m in cat.morphisms.values())
-            back = any(m.source == w and m.target == obj for m in cat.morphisms.values())
-            if there and back:
-                return frozenset()
-        return frozenset(m.name for m in outgoing)
-
-    minimal = set()
-    for psi in outgoing:
-        factors = False
-        for g in cat.morphisms.values():
-            if g.source != obj or cat.is_identity(g.name):
-                continue
-            w = g.target
-            if w in (obj, psi.target):
-                continue
-            for h in cat.morphisms.values():
-                if h.source != w or h.target != psi.target:
-                    continue
-                if cat.composition.get((h.name, g.name)) == psi.name:
-                    factors = True
-                    break
-            if factors:
-                break
-        if not factors:
-            minimal.add(psi.name)
-    return frozenset(minimal)
+        thirds = {cat.morphisms[n].target for n in outgoing} - {obj}
+        if any(cat.morphisms[n].target == obj for w in thirds for n in cat.morphisms_from(w)):
+            return frozenset()
+        return frozenset(outgoing)
+    # a composite h o g names psi only when h ends where psi does
+    return frozenset(
+        psi for psi in outgoing
+        if not any(cat.composition.get((h, g)) == psi
+                   for g in outgoing
+                   if cat.morphisms[g].target not in (obj, cat.morphisms[psi].target)
+                   for h in cat.morphisms_from(cat.morphisms[g].target)))

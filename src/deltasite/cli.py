@@ -34,6 +34,17 @@ def _path_count(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """The float flags: a finite number; nan and the infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltasite",
@@ -58,32 +69,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-sheaf", help="sheaf gluing or transversal cone checks")
     p.add_argument("--mode", choices=("gluing", "cones"), default="gluing")
-    p.add_argument("--kappa", type=float, default=3.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite_float, default=3.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--paths", type=int, default=10_000)
     common(p, model=True)
 
     p = sub.add_parser("simulate", help="simulate geometric Brownian motion")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
+    p.add_argument("--sigma", type=_finite_float, default=0.0)
+    p.add_argument("--x0", type=_finite_float, default=1.0)
+    p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--paths", type=_path_count, default=1)
     common(p)
 
     p = sub.add_parser("verify-ito", help="delta-calculus identity and limit checks")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.1)
+    p.add_argument("--sigma", type=_finite_float, default=0.2)
+    p.add_argument("--x0", type=_finite_float, default=1.0)
+    p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--paths", type=_path_count, default=200)
     common(p)
 
     p = sub.add_parser("tropicalize", help="tropical value of the log-SDE")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--with-markers", action="store_true")
     common(p)
 

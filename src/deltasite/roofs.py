@@ -15,7 +15,7 @@ from .errors import ClosureError, PreconditionError
 from .events import (EventMap, SimplicialEvent, compose_event_maps,
                      coproduct_event, product_legs)
 from .reports import Report
-from .sites import CoveringFamily, GrothendieckSite
+from .sites import GrothendieckSite, _singleton_families
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def verify_roof_category(rc: RoofCategory) -> Report:
         report.add("left-unit", repr(r), left == r)
         report.add("right-unit", repr(r), right == r)
 
-    pairs = [(r1, r2) for r1 in roofs for r2 in roofs if r1.target == r2.source]
+    pairs = [(r1, rc.roofs[n]) for r1 in roofs for n in frag.morphisms_from(r1.target)]
     for r1, r2 in pairs:
         composite = rc.compose(r1, r2)
         base = frag.compose(r2.base, r1.base)
@@ -112,9 +112,7 @@ def verify_roof_category(rc: RoofCategory) -> Report:
                    composite == rc.roof_of(base))
 
     for r1, r2 in pairs:
-        for r3 in roofs:
-            if r2.target != r3.source:
-                continue
+        for r3 in (rc.roofs[n] for n in frag.morphisms_from(r2.target)):
             one = rc.compose(rc.compose(r1, r2), r3)
             two = rc.compose(r1, rc.compose(r2, r3))
             report.add("associativity", f"({r1.base}, {r2.base}, {r3.base})", one == two)
@@ -128,9 +126,6 @@ def build_structural_roof_topology(rc: RoofCategory) -> GrothendieckSite:
     canonical in their bases), so the generic axiom verifier applies, with
     base change supplied by the fragment's declared pullbacks."""
     frag = rc.fragment
-    coverings: dict[str, list[CoveringFamily]] = {o: [] for o in frag.objects}
-    for name in sorted(rc.roofs):
-        roof = rc.roofs[name]
-        if frag.is_isomorphism(name) or frag.is_structural(name):
-            coverings[roof.target].append(CoveringFamily(roof.target, (name,)))
-    return GrothendieckSite(frag, coverings, label="structural-roof")
+    return GrothendieckSite(
+        frag, _singleton_families(frag, lambda m: frag.is_structural(m.name)),
+        label="structural-roof")

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import (ComponentPartition, FiniteCategory,
-                         connected_components)
+from .categories import FiniteCategory
 from .errors import PreconditionError
 from .filtration import (FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure)
 from .reports import Report
@@ -90,24 +89,21 @@ def _singleton_families(category: FiniteCategory, admit) -> dict[str, list[Cover
     return out
 
 
-def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory,
-                       components: dict[FramedPoint, ComponentPartition] | None = None
-                       ) -> FilteredSite:
-    """Operadic topology: at level t a morphism w' -> w covers when w' and w
-    share a connected component of the level and some operad generator
-    available at t has w' among its inputs and output w."""
+def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> FilteredSite:
+    """Operadic topology: at level t a morphism w' -> w of the level covers
+    when some operad generator available at t has w' among its inputs and
+    output w.  (A morphism's two ends always share a connected component of
+    the level, so the paper's same-component condition holds by itself.)"""
     levels: dict[FramedPoint, GrothendieckSite] = {}
     for p in F.index:
         level_cat = category.full_subcategory(F.level(p))
-        comp = components[p] if components else connected_components(level_cat)
         witnessed = set()
         for g in F.operad.at_or_before(F.index, p):
             for inp in g.inputs:
                 witnessed.add((inp, g.output))
 
-        def admit(m, comp=comp, witnessed=witnessed):
-            return (comp.same_component(m.source, m.target)
-                    and (m.source, m.target) in witnessed)
+        def admit(m, witnessed=witnessed):
+            return (m.source, m.target) in witnessed
 
         levels[p] = GrothendieckSite(level_cat, _singleton_families(level_cat, admit),
                                      label=f"operadic@{p!r}")
@@ -115,20 +111,15 @@ def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory,
 
 
 def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
-                category: FiniteCategory,
-                components: dict[FramedPoint, ComponentPartition] | None = None
-                ) -> FilteredSite:
-    """Probability topology: w' -> w covers at level t when both lie in the
-    same component of the level and P(w) >= P(w')."""
+                category: FiniteCategory) -> FilteredSite:
+    """Probability topology: a morphism w' -> w of level t covers when
+    P(w) >= P(w').  (Its ends always share a component of the level.)"""
+    def admit(m):
+        return P(category.event(m.source)) <= P(category.event(m.target))
+
     levels: dict[FramedPoint, GrothendieckSite] = {}
     for p in F.index:
         level_cat = category.full_subcategory(F.level(p))
-        comp = components[p] if components else connected_components(level_cat)
-
-        def admit(m, comp=comp):
-            return (comp.same_component(m.source, m.target)
-                    and P(category.event(m.source)) <= P(category.event(m.target)))
-
         levels[p] = GrothendieckSite(level_cat, _singleton_families(level_cat, admit),
                                      label=f"probability@{p!r}", measure=P)
     return FilteredSite(F, levels, "probability")

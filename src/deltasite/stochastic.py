@@ -22,6 +22,10 @@ def normal_cdf(x: float) -> float:
 
 
 def _philox_stream(seed: int, stream: int = 0):
+    """Stream `stream` of the Philox generator keyed by the seed, which must
+    fit the 128-bit key."""
+    if not 0 <= seed < 2**128:
+        raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=int(seed))
     return bg.jumped(stream) if stream else bg
 

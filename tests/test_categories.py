@@ -237,3 +237,139 @@ def test_isomorphism_detection():
     cat = FiniteCategory(objs, morphisms, comp)
     assert cat.is_isomorphism("f") and cat.is_isomorphism("g")
     assert not chain_category(2).is_isomorphism("f01")
+
+
+# -- index-backed lookups against brute-force scans ------------------------------
+
+@hst.composite
+def small_categories(draw):
+    """1-4 objects with parallel arrows, loops and inverse pairs; every other
+    composable pair is missing or names some arrow with the right ends, so
+    unit laws, associativity and declared pullbacks may all fail."""
+    objs = [f"o{i}" for i in range(draw(hst.integers(1, 4)))]
+    ends = draw(hst.lists(hst.tuples(hst.sampled_from(objs), hst.sampled_from(objs)),
+                          max_size=6))
+    arrows = [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)]
+    comp = {}
+    for k, (name, s, t) in enumerate(list(arrows)):
+        if s != t and draw(hst.booleans()):
+            arrows.append((f"b{k}", t, s))
+            comp[(f"b{k}", name)] = f"id:{s}"
+            comp[(name, f"b{k}")] = f"id:{t}"
+    ends_of = {name: (s, t) for name, s, t in arrows}
+    ends_of.update({f"id:{o}": (o, o) for o in objs})
+    names = sorted(ends_of)
+
+    def fitting(s, t):
+        return [h for h in names if ends_of[h] == (s, t)]
+
+    for f in names:
+        for g in names:
+            if ends_of[f][1] == ends_of[g][0] and (g, f) not in comp:
+                # None leaves the pair missing (or to the synthesized unit rule)
+                h = draw(hst.sampled_from([None, *fitting(ends_of[f][0], ends_of[g][1])]))
+                if h is not None:
+                    comp[(g, f)] = h
+    pullbacks = []
+    for _ in range(draw(hst.integers(0, 2))):
+        left, right = draw(hst.sampled_from(names)), draw(hst.sampled_from(names))
+        apex = draw(hst.sampled_from(objs))
+        to_left = fitting(apex, ends_of[left][0])
+        to_right = fitting(apex, ends_of[right][0])
+        if ends_of[left][1] == ends_of[right][1] and to_left and to_right:
+            pullbacks.append(PullbackSquare(left, right, apex,
+                                            draw(hst.sampled_from(to_left)),
+                                            draw(hst.sampled_from(to_right))))
+    return FiniteCategory({o: None for o in objs},
+                          [Morphism(name, s, t) for name, s, t in arrows],
+                          comp, pullbacks)
+
+
+def scan_check_axioms(cat):
+    """check_axioms by walking every pair and triple of morphisms."""
+    mor, comp = cat.morphisms, cat.composition
+    bad = []
+    for f in sorted(mor):
+        for g in sorted(mor):
+            if mor[f].target == mor[g].source and (g, f) not in comp:
+                bad.append(f"composition undefined for ({g}, {f})")
+    for name, m in mor.items():
+        if comp.get((cat.identities[m.target], name)) != name:
+            bad.append(f"left unit fails for {name}")
+        if comp.get((name, cat.identities[m.source])) != name:
+            bad.append(f"right unit fails for {name}")
+    for f in sorted(mor):
+        for g in sorted(mor):
+            for h in sorted(mor):
+                if mor[f].target != mor[g].source or mor[g].target != mor[h].source:
+                    continue
+                gf, hg = comp.get((g, f)), comp.get((h, g))
+                if gf is None or hg is None:
+                    continue
+                left, right = comp.get((h, gf)), comp.get((hg, f))
+                if left is not None and right is not None and left != right:
+                    bad.append(f"associativity fails on ({h}, {g}, {f})")
+    for (l, r), sq in sorted(cat.pullbacks.items()):
+        via_left = comp.get((l, sq.to_left_source))
+        via_right = comp.get((r, sq.to_right_source))
+        if via_left is None or via_right is None or via_left != via_right:
+            bad.append(f"declared pullback square ({l}, {r}) does not commute")
+    return bad
+
+
+def scan_is_isomorphism(cat, name):
+    m = cat.morphisms[name]
+    return name in cat.identities.values() or any(
+        o.source == m.target and o.target == m.source
+        and cat.composition.get((other, name)) == cat.identities[m.source]
+        and cat.composition.get((name, other)) == cat.identities[m.target]
+        for other, o in cat.morphisms.items())
+
+
+def scan_minimal_outgoing(cat, obj, mode):
+    mor = cat.morphisms
+    ids = set(cat.identities.values())
+    outgoing = {n for n, m in mor.items() if m.source == obj and n not in ids}
+    if mode == "literal":
+        cycle = any(any(m.source == obj and m.target == w for m in mor.values())
+                    and any(m.source == w and m.target == obj for m in mor.values())
+                    for w in cat.objects if w != obj)
+        return frozenset() if cycle else frozenset(outgoing)
+    return frozenset(
+        psi for psi in outgoing
+        if not any(g in outgoing and mor[g].target not in (obj, mor[psi].target)
+                   and mor[h].source == mor[g].target
+                   and mor[h].target == mor[psi].target
+                   and cat.composition.get((h, g)) == psi
+                   for g in mor for h in mor))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories())
+def test_lookups_match_brute_force_scans(cat):
+    assert cat.check_axioms() == scan_check_axioms(cat)
+    for name in cat.morphisms:
+        assert cat.is_identity(name) == (name in cat.identities.values())
+        assert cat.is_isomorphism(name) == scan_is_isomorphism(cat, name)
+    for obj in cat.objects:
+        assert cat.morphisms_into(obj) == [
+            n for n in sorted(cat.morphisms) if cat.morphisms[n].target == obj]
+        assert cat.morphisms_from(obj) == [
+            n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
+        assert forward_cone(cat, obj) == frozenset(
+            m.target for m in cat.morphisms.values() if m.source == obj)
+        for mode in ("factor", "literal"):
+            assert minimal_outgoing(cat, obj, mode) == scan_minimal_outgoing(cat, obj, mode)
+
+
+def test_brute_force_strategy_reaches_every_violation_kind():
+    """The random categories above produce each kind of axiom violation."""
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_categories())
+    def collect(cat):
+        kinds.update(v.split(" ")[0] for v in cat.check_axioms())
+
+    collect()
+    assert kinds == {"composition", "left", "right", "associativity", "declared"}

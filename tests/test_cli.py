@@ -169,3 +169,50 @@ def test_malformed_env_seed_is_usage_error(capsys, monkeypatch):
     assert "invalid int value: '12x'" in capsys.readouterr().err
     code, out, _ = run(capsys, "simulate", "--seed", "4")
     assert code == 0 and "seed=4" in out
+
+
+SEED_OUT_OF_RANGE = [
+    ({}, ["simulate", "--seed", "-1"]),
+    ({"DELTASITE_SEED": "-1"}, ["simulate"]),
+    ({}, ["check-sheaf", "--mode", "cones", "--paths", "10", "--seed", "-1",
+          "--model", fixtures.fixture_path("four_events")]),
+    ({}, ["simulate", "--seed", str(2 ** 128)]),
+    # seed + 2 is the key of the log-drift streams
+    ({}, ["verify-ito", "--paths", "2", "--steps", "4", "--seed", str(2 ** 128 - 1)]),
+]
+
+
+@pytest.mark.parametrize("env, argv", SEED_OUT_OF_RANGE)
+def test_seed_outside_the_philox_key_is_usage_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "seed" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_model_commands_echo_any_integer_seed(capsys):
+    code, out, _ = run(capsys, "check-site", "--topology", "structural", "--seed", "-1",
+                       "--model", fixtures.fixture_path("four_events"))
+    assert code == 0 and "seed=-1" in out
+
+
+# flags each command needs besides the float flag under test
+REQUIRED = {"check-sheaf": ["--mode", "cones", "--model", fixtures.fixture_path("four_events")],
+            "tropicalize": ["--alpha", "0.1", "--sigma", "0.2"]}
+FLOAT_FLAGS = [("check-sheaf", "--kappa"), ("check-sheaf", "--sigma")] + [
+    (command, flag) for command in ("simulate", "verify-ito")
+    for flag in ("--alpha", "--sigma", "--x0", "--T")] + [
+    ("tropicalize", "--alpha"), ("tropicalize", "--sigma")]
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_float_flags_reject_non_finite_values(capsys, command, flag, value):
+    # the last occurrence of a flag wins, and argparse converts every one
+    argv = [command, *REQUIRED.get(command, []), f"{flag}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: need a finite number" in capsys.readouterr().err

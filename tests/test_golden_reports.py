@@ -1,18 +1,23 @@
-"""Report bytes pinned by sha256: every bundled fixture through every model
-command that needs no sampling, in both output formats.
+"""Report bytes pinned by sha256: every bundled fixture, and power-set
+lattices on four and five atoms, through every model command that needs no
+sampling, in both output formats.
 
 The table in golden_reports.json holds the exit code and the sha256 of
-stdout for each case.  It was written before the verifiers were moved onto
-`reports.Report`, so it guards that reports stay byte for byte the same.
+stdout for each case.  The fixture entries were written before the verifiers
+were moved onto `reports.Report`, and the lattice entries before hom-set
+lookups in `FiniteCategory` were indexed, so the table guards that reports
+stay byte for byte the same.
 """
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 from deltasite import fixtures
 from deltasite.cli import main
+from deltasite.model_io import serialize_model
 
 TABLE = pathlib.Path(__file__).with_name("golden_reports.json")
 
@@ -22,14 +27,42 @@ COMMANDS = (("check-site", "--topology", "operadic"),
             ("check-roofs",),
             ("check-sheaf", "--mode", "gluing"))
 
+# atom weights (exact binary fractions) and the blocks of the middle level
+LATTICES = {
+    "lattice4": ({"a": 0.125, "b": 0.25, "c": 0.125, "d": 0.5}, ("ac", "bd")),
+    "lattice5": ({"a": 0.0625, "b": 0.125, "c": 0.1875, "d": 0.25, "e": 0.375},
+                 ("ad", "be", "c")),
+}
 
-def cases():
-    """(key, argv) for every fixture x command x format."""
-    for name in sorted(fixtures.ALL_FIXTURES):
+
+def lattice_model(weights, blocks):
+    """Power-set lattice over three levels: trivial, generated by the
+    blocks, and the full power set."""
+    atoms = sorted(weights)
+
+    def unions(parts):
+        return [frozenset().union(*c) for r in range(len(parts) + 1)
+                for c in itertools.combinations(parts, r)]
+
+    subsets = unions([frozenset(a) for a in atoms])
+    levels = [[frozenset(), frozenset(atoms)],
+              unions([frozenset(b) for b in blocks]), subsets]
+    return fixtures.subset_model(atoms, subsets, levels, weights)
+
+
+def cases(directory):
+    """(key, argv) for every model x command x format; the lattice models
+    are serialized into directory."""
+    models = {name: fixtures.fixture_path(name) for name in fixtures.ALL_FIXTURES}
+    for name, (weights, blocks) in LATTICES.items():
+        path = pathlib.Path(directory) / f"{name}.json"
+        path.write_text(serialize_model(lattice_model(weights, blocks)), encoding="utf-8")
+        models[name] = str(path)
+    for name in sorted(models):
         for command in COMMANDS:
             for fmt in ("json", "text"):
                 argv = [*command, "--format", fmt, "--seed", "0",
-                        "--model", fixtures.fixture_path(name)]
+                        "--model", models[name]]
                 yield " ".join((name, *command, fmt)), argv
 
 
@@ -41,9 +74,9 @@ def digest(argv) -> dict:
             "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
 
 
-def test_report_bytes_match_golden_table():
+def test_report_bytes_match_golden_table(tmp_path):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
-    got = {key: digest(argv) for key, argv in cases()}
+    got = {key: digest(argv) for key, argv in cases(tmp_path)}
     assert sorted(got) == sorted(table)
     changed = [key for key in sorted(table) if got[key] != table[key]]
     assert not changed, f"{len(changed)} reports changed, first: {changed[0]}"
