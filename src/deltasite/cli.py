@@ -199,23 +199,28 @@ def cmd_verify_ito(args) -> Report:
         "alpha": args.alpha, "sigma": args.sigma, "x0": args.x0, "T": args.T,
         "steps": args.steps, "paths": args.paths, "seed": args.seed})
     seed, T, n = args.seed, args.T, args.steps
+    pairs = min(args.paths, 100)
 
-    # pathwise product rule on simulated pairs
-    worst = 0.0
-    for i in range(min(args.paths, 100)):
-        x = stochastic.sample_brownian(T, n, seed, stream=2 * i)
-        y = stochastic.sample_brownian(T, n, seed, stream=2 * i + 1)
-        x = stochastic.DiscretePath(x.partition, 1.0 + x.values)
-        y = stochastic.DiscretePath(y.partition, 1.0 + y.values)
-        scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
-        worst = max(worst, stochastic.check_product_rule(x, y) / scale)
+    # One pass over streams 0.. of seed serves the product-rule pairs
+    # (2i, 2i+1), the quadratic variation of the first `paths` streams and
+    # the w2 path (stream 0); a pair never straddles two blocks.
+    part = stochastic.Partition.uniform(T, n)
+    worst, qvs = 0.0, []
+    for streams, values in stochastic.brownian_blocks(
+            T, n, seed, range(max(args.paths, 2 * pairs))):
+        for r in range(0, min(len(streams), 2 * pairs - streams.start), 2):
+            x = stochastic.DiscretePath(part, 1.0 + values[r])
+            y = stochastic.DiscretePath(part, 1.0 + values[r + 1])
+            scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
+            worst = max(worst, stochastic.check_product_rule(x, y) / scale)
+        paths = [stochastic.DiscretePath(part, row)
+                 for row in values[:max(0, args.paths - streams.start)]]
+        qvs.extend(stochastic.quadratic_variation(path) for path in paths)
+        if streams.start == 0:
+            w0 = paths[0]
     report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
 
     # quadratic variation concentration
-    qvs = []
-    for i in range(args.paths):
-        w = stochastic.sample_brownian(T, n, seed, stream=i)
-        qvs.append(stochastic.quadratic_variation(w))
     band = 3.0 * math.sqrt(2.0 / n) * T
     hits = sum(1 for q in qvs if abs(q - T) <= band)
     frac = hits / len(qvs)
@@ -223,16 +228,15 @@ def cmd_verify_ito(args) -> Report:
                f"{hits}/{len(qvs)} paths within {band!r} of T", frac >= 0.95)
 
     # Ito residual: quadratic case exact, cubic case shrinking with the mesh
-    w = stochastic.sample_brownian(T, n, seed, stream=0)
-    exact = stochastic.ito_residual("w2", w, quadratic_term="increments")
-    scale = max(float(np.max(np.abs(w.values))) ** 2, 1.0)
+    exact = stochastic.ito_residual("w2", w0, quadratic_term="increments")
+    scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
     report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
     rms = []
     for steps in (n, 2 * n):
-        acc = []
-        for i in range(min(args.paths, 100)):
-            wi = stochastic.sample_brownian(T, steps, seed + 1, stream=i)
-            acc.append(stochastic.ito_residual("w3", wi) ** 2)
+        fine = stochastic.Partition.uniform(T, steps)
+        acc = [stochastic.ito_residual("w3", stochastic.DiscretePath(fine, row)) ** 2
+               for _, values in stochastic.brownian_blocks(T, steps, seed + 1, range(pairs))
+               for row in values]
         rms.append(math.sqrt(math.fsum(acc) / len(acc)))
     ratio = rms[0] / rms[1] if rms[1] else float("inf")
     report.add("ito-w3-trend",

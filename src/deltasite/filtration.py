@@ -145,26 +145,35 @@ class FilteredSigmaAlgebra:
 
 
 class ProbabilityMeasure:
-    """Atom-generated measure: P(event) is the exact sum of atom weights."""
+    """Atom-generated measure: P(event) is the exact sum of atom weights.
+
+    The weights are fixed at construction: the ground set and every value
+    of P are computed from them once and kept.
+    """
 
     def __init__(self, atom_weights, tol: float = 1e-9):
         self.atom_weights = {a: float(w) for a, w in atom_weights.items()}
+        for a, w in sorted(self.atom_weights.items()):
+            if not math.isfinite(w):
+                raise StructuralError(f"weight of atom {a!r} is not finite: {w!r}")
         if any(w < 0 for w in self.atom_weights.values()):
             raise StructuralError("negative atom weight")
         total = math.fsum(self.atom_weights.values())
         if abs(total - 1.0) > tol:
             raise StructuralError(f"atom weights sum to {total}, not 1")
-
-    @property
-    def ground_set(self) -> frozenset[str]:
-        return frozenset(self.atom_weights)
+        self.ground_set = frozenset(self.atom_weights)
+        self._values: dict[frozenset[str], float] = {}
 
     def __call__(self, event) -> float:
         atoms = event.atoms if isinstance(event, SimplicialEvent) else frozenset(event)
-        unknown = atoms - self.ground_set
-        if unknown:
-            raise KeyError(f"atoms {sorted(unknown)} carry no weight")
-        return math.fsum(self.atom_weights[a] for a in sorted(atoms))
+        value = self._values.get(atoms)
+        if value is None:
+            unknown = atoms - self.ground_set
+            if unknown:
+                raise KeyError(f"atoms {sorted(unknown)} carry no weight")
+            value = self._values[atoms] = math.fsum(
+                self.atom_weights[a] for a in sorted(atoms))
+        return value
 
 
 # -- closure / sub-homomorphism checks ---------------------------------------

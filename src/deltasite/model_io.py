@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +53,13 @@ def _parse_fraction(raw, errors, path):
     except (ValueError, ZeroDivisionError):
         errors.append((path, f"not a rational number: {raw!r}"))
         return Fraction(0)
+
+
+def _is_finite_number(raw) -> bool:
+    try:
+        return math.isfinite(float(raw))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -191,13 +199,17 @@ def parse_model(text: str) -> ModelDescription:
     measure = None
     if "measure" in doc:
         weights = doc["measure"]
-        if set(weights) != set(ground_set):
+        if not isinstance(weights, dict) or set(weights) != set(ground_set):
             errors.append(("measure", "weights must be keyed by exactly the ground set"))
         else:
-            try:
-                measure = ProbabilityMeasure(weights)
-            except StructuralError as exc:
-                errors.append(("measure", str(exc)))
+            bad = [(f"measure.{atom}", f"weight must be a finite number, got {weights[atom]!r}")
+                   for atom in sorted(weights) if not _is_finite_number(weights[atom])]
+            errors.extend(bad)
+            if not bad:
+                try:
+                    measure = ProbabilityMeasure(weights)
+                except StructuralError as exc:
+                    errors.append(("measure", str(exc)))
     if errors:
         raise ModelError(errors)
     return ModelDescription(ground_set, events, maps, category, filtration, measure)

@@ -3,8 +3,9 @@
 Sampling is reproducible across platforms: a counter-based Philox generator
 supplies raw 64-bit words, which become uniforms in (0,1) via
 (raw >> 11) * 2^-53 + 2^-54 and normals via the exact quantile function
-(scipy's ndtri).  Path i of a batch uses the master stream jumped i times, so
-per-path results never depend on batch layout.
+(scipy's ndtri).  Stream i of seed s starts at Philox counter [0, 0, i, 0]
+under key [s mod 2^64, s >> 64], and batches of streams are drawn in
+bounded blocks, so per-path results never depend on batch layout.
 """
 from __future__ import annotations
 
@@ -16,25 +17,50 @@ from scipy.special import ndtr, ndtri
 
 from .errors import PreconditionError
 
+# Values per sampling block, unless two rows are longer.
+BLOCK_VALUES = 1 << 16
+
 
 def normal_cdf(x: float) -> float:
     return float(ndtr(x))
 
 
-def _philox_stream(seed: int, stream: int = 0):
-    """Stream `stream` of the Philox generator keyed by the seed, which must
-    fit the 128-bit key."""
+def normal_blocks(seed: int, count: int, streams):
+    """Standard normals for many streams of one seed, in bounded blocks.
+
+    Yields (streams[a:b], block) with block of shape (b - a, count): row r is
+    stream streams[a + r], from the documented Philox + inverse-CDF
+    transform.  A block holds at most BLOCK_VALUES values, or two rows when
+    they are longer.  Every block but the last holds an even number of rows,
+    so streams 2i and 2i+1 of range(0, k) share a block.  The seed must fit
+    the 128-bit key.
+    """
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=int(seed))
-    return bg.jumped(stream) if stream else bg
+    state = bg.state  # counter 0, empty buffer; each stream rewrites the counter
+    counter = state["state"]["counter"]
+    rows = max(2, BLOCK_VALUES // max(count, 1) // 2 * 2)
+    raw = np.empty((min(rows, len(streams)), count), dtype=np.uint64)
+    for start in range(0, len(streams), rows):
+        part = streams[start:start + rows]
+        words = raw[:len(part)]
+        for r, stream in enumerate(part):
+            counter[2] = stream
+            bg.state = state
+            words[r] = bg.random_raw(count)
+        words >>= np.uint64(11)
+        block = words.astype(np.float64)
+        block *= 2.0**-53
+        block += 2.0**-54
+        yield part, ndtri(block, out=block)
 
 
 def normal_samples(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """Standard normals from the documented Philox + inverse-CDF transform."""
-    raw = _philox_stream(seed, stream).random_raw(count)
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    """Standard normals of one stream, from the documented Philox +
+    inverse-CDF transform (see normal_blocks)."""
+    (_, block), = normal_blocks(seed, count, (stream,))
+    return block[0]
 
 
 @dataclass(eq=False)
@@ -118,16 +144,24 @@ def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> Discret
     return DiscretePath(part, values)
 
 
+def brownian_blocks(T: float, n: int, seed: int, streams):
+    """Brownian paths of many streams in the blocks of normal_blocks: yields
+    (streams[a:b], values) where row r of values reproduces
+    sample_brownian(T, n, seed, streams[a + r]).values."""
+    sq = np.sqrt(Partition.uniform(T, n).deltas)
+    for part, block in normal_blocks(seed, n, streams):
+        values = np.empty((len(part), n + 1))
+        values[:, 0] = 0.0
+        np.cumsum(block * sq, axis=1, out=values[:, 1:])
+        yield part, values
+
+
 def sample_brownian_batch(T: float, n: int, n_paths: int, seed: int = 0) -> np.ndarray:
     """(n_paths, n+1) array of Brownian paths; row i reproduces
     sample_brownian(T, n, seed, stream=i)."""
-    part = Partition.uniform(T, n)
-    sq = np.sqrt(part.deltas)
     out = np.empty((n_paths, n + 1))
-    out[:, 0] = 0.0
-    for i in range(n_paths):
-        incs = normal_samples(seed, n, stream=i) * sq
-        out[i, 1:] = np.cumsum(incs)
+    for part, values in brownian_blocks(T, n, seed, range(n_paths)):
+        out[part.start:part.stop] = values
     return out
 
 
@@ -231,11 +265,10 @@ def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
     """log(X_T / x0) / T for n_paths independent streams of one seed."""
     drift = p.alpha - 0.5 * p.sigma ** 2
     sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
-    rates = np.empty(n_paths)
-    for i in range(n_paths):
-        w_T = math.fsum(normal_samples(p.seed, p.n, stream=i) * sq)
-        rates[i] = (drift * p.T + p.sigma * w_T) / p.T
-    return rates
+    w_T = np.array([math.fsum(row)
+                    for _, block in normal_blocks(p.seed, p.n, range(n_paths))
+                    for row in (block * sq).tolist()])
+    return (drift * p.T + p.sigma * w_T) / p.T
 
 
 @dataclass(frozen=True)

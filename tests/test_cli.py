@@ -137,6 +137,19 @@ def test_model_without_measure_exits_two_for_probability(tmp_path, capsys):
     assert "measure" in err
 
 
+@pytest.mark.parametrize("weight", (math.nan, "x"))
+def test_bad_measure_weight_exits_two_with_its_path(tmp_path, capsys, weight):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["measure"]["a"] = weight
+    path = tmp_path / "bad_weight.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-site", "--topology", "probability",
+                         "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: measure.a: ")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

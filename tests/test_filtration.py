@@ -135,6 +135,23 @@ def test_measure_validation():
         ProbabilityMeasure({"a": 1.5, "b": -0.5})
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_measure_refuses_non_finite_weight(bad):
+    with pytest.raises(StructuralError, match="'a'"):
+        ProbabilityMeasure({"a": bad, "b": 0.5, "c": 0.5})
+
+
+def test_measure_values_are_kept_and_equal_the_sorted_fsum():
+    P = ProbabilityMeasure({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4})
+    assert P.ground_set == frozenset("abcd")
+    for s in powerset("abcd"):
+        want = math.fsum(P.atom_weights[a] for a in sorted(s))
+        assert P(s) == want
+        assert P(s) == want  # second call, from the kept value
+    with pytest.raises(KeyError):
+        P(frozenset("ae"))
+
+
 def test_sub_homomorphism_disjoint_pair_exact():
     P = uniform4()
     report = check_sub_homomorphism(P, [frozenset("a"), frozenset("b")])

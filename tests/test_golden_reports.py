@@ -1,12 +1,15 @@
 """Report bytes pinned by sha256: every bundled fixture, and power-set
 lattices on four and five atoms, through every model command that needs no
-sampling, in both output formats.
+sampling, and the sampling commands (simulate, verify-ito and the cone
+check) at batch sizes on both sides of a sampling block, in both output
+formats.
 
 The table in golden_reports.json holds the exit code and the sha256 of
 stdout for each case.  The fixture entries were written before the verifiers
-were moved onto `reports.Report`, and the lattice entries before hom-set
-lookups in `FiniteCategory` were indexed, so the table guards that reports
-stay byte for byte the same.
+were moved onto `reports.Report`, the lattice entries before hom-set lookups
+in `FiniteCategory` were indexed, and the sampling entries while every
+Philox stream was still built and jumped one at a time, so the table guards
+that reports stay byte for byte the same.
 """
 import hashlib
 import io
@@ -26,6 +29,28 @@ COMMANDS = (("check-site", "--topology", "operadic"),
             ("check-site", "--topology", "structural"),
             ("check-roofs",),
             ("check-sheaf", "--mode", "gluing"))
+
+# sampling commands with their flags; each names its own seed.  Paths 250 is
+# more than the 2*100 streams of the product-rule pairs, and seed 2**128 - 3
+# makes the log-drift key seed + 2 the largest Philox key.
+SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
+             "--seed", "0"),
+            ("simulate", "--paths", "7", "--alpha", "0.1", "--sigma", "0.2",
+             "--steps", "33", "--seed", "5"),
+            ("simulate", "--paths", "30", "--alpha", "-0.05", "--sigma", "0.3",
+             "--x0", "2.5", "--T", "0.5", "--steps", "17", "--seed", "11"),
+            ("simulate", "--paths", "2000", "--alpha", "0.1", "--sigma", "0.2",
+             "--seed", "0"),
+            ("verify-ito", "--paths", "1", "--steps", "10", "--seed", "0"),
+            ("verify-ito", "--paths", "3", "--steps", "10",
+             "--seed", str(2**128 - 3)),
+            ("verify-ito", "--paths", "150", "--steps", "333", "--seed", "7"),
+            ("verify-ito", "--paths", "250", "--steps", "1000", "--seed", "0"))
+
+# cone checks: (fixture, flags); 70,000 draws exceed one sampling block
+CONES = (("four_events", ("--seed", "0")),
+         ("interval_pair", ("--paths", "70000", "--kappa", "2.0",
+                            "--sigma", "0.5", "--seed", "3")))
 
 # atom weights (exact binary fractions) and the blocks of the middle level
 LATTICES = {
@@ -64,6 +89,14 @@ def cases(directory):
                 argv = [*command, "--format", fmt, "--seed", "0",
                         "--model", models[name]]
                 yield " ".join((name, *command, fmt)), argv
+    for command in SAMPLING:
+        for fmt in ("json", "text"):
+            yield " ".join((*command, fmt)), [*command, "--format", fmt]
+    for name, flags in CONES:
+        command = ("check-sheaf", "--mode", "cones", *flags)
+        for fmt in ("json", "text"):
+            yield (" ".join((name, *command, fmt)),
+                   [*command, "--format", fmt, "--model", models[name]])
 
 
 def digest(argv) -> dict:

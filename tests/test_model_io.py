@@ -72,6 +72,24 @@ def test_weights_not_summing_to_one_rejected():
     assert any(p == "measure" and "0.9" in m for p, m in err.value.errors)
 
 
+@pytest.mark.parametrize("weight", (float("nan"), float("inf"), "x", None, [1.0]))
+def test_weight_that_is_not_a_finite_number_is_refused_with_its_path(weight):
+    doc = json.loads(minimal_text())
+    doc["measure"] = {"a": weight}
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    assert [p for p, _ in err.value.errors] == ["measure.a"]
+
+
+@pytest.mark.parametrize("measure", (["a"], 5, None))
+def test_measure_that_is_not_an_object_is_refused(measure):
+    doc = json.loads(minimal_text())
+    doc["measure"] = measure
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    assert [p for p, _ in err.value.errors] == ["measure"]
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ModelError) as err:
         parse_model('{"schema": 1,,}')

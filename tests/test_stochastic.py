@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from deltasite.errors import PreconditionError
-from deltasite.stochastic import (DiscretePath, GBMParams, Partition,
-                                  check_product_rule, cross_variation,
-                                  delta_increments, estimate_log_drift,
-                                  gbm_terminal_log_rates, ito_residual,
-                                  normal_samples, quadratic_variation,
-                                  sample_brownian, sample_brownian_batch,
-                                  simulate_gbm, telescoped_sum)
+from deltasite.stochastic import (BLOCK_VALUES, DiscretePath, GBMParams,
+                                  Partition, check_product_rule,
+                                  cross_variation, delta_increments,
+                                  estimate_log_drift, gbm_terminal_log_rates,
+                                  ito_residual, normal_blocks, normal_samples,
+                                  quadratic_variation, sample_brownian,
+                                  sample_brownian_batch, simulate_gbm,
+                                  telescoped_sum)
 
 
 # -- partitions and sampling -----------------------------------------------------
@@ -50,6 +52,99 @@ def test_brownian_batch_rows_match_streams():
     batch = sample_brownian_batch(1.0, 20, 5, seed=4)
     for i in range(5):
         assert np.array_equal(batch[i], sample_brownian(1.0, 20, 4, stream=i).values)
+
+
+# -- the blocked stream primitive --------------------------------------------------
+
+SEEDS = (0, 1, 2**64 + 3, 2**128 - 1)
+
+
+def reference_normals(seed, count, stream):
+    """The documented stream: the Philox generator keyed by the seed, jumped
+    `stream` times; raw words to uniforms (raw >> 11) * 2^-53 + 2^-54, then
+    the exact quantile function."""
+    raw = np.random.Philox(key=seed).jumped(stream).random_raw(count)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    return ndtri(u)
+
+
+def drawn_blocks(seed, count, streams):
+    """(stream, row) pairs of normal_blocks, checking each block's shape and
+    bound on the way."""
+    blocks = list(normal_blocks(seed, count, streams))
+    assert [s for part, _ in blocks for s in part] == list(streams)
+    for index, (part, block) in enumerate(blocks):
+        assert block.shape == (len(part), count)
+        assert block.size <= max(BLOCK_VALUES, 2 * count)
+        if index < len(blocks) - 1:
+            assert len(part) % 2 == 0
+    return [(s, row) for part, block in blocks for s, row in zip(part, block)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count, streams", [
+    (1, range(3, 6)),
+    (3, range(1, 2)),
+    (5, range(2, 9)),
+    (1000, range(5, 140)),            # 64 rows per block: three blocks
+    ((1 << 16) + 1, range(9, 14)),    # two rows per block, longer than the bound
+])
+def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
+    rows = drawn_blocks(seed, count, streams)
+    for stream, row in rows:
+        assert row.tobytes() == reference_normals(seed, count, stream).tobytes()
+    stream, row = rows[-1]
+    assert normal_samples(seed, count, stream).tobytes() == row.tobytes()
+
+
+def test_normal_blocks_cross_a_boundary_of_short_streams():
+    # 5 draws per stream make 13106-row blocks; the range starts at an odd stream
+    streams = range(7, 7 + 13106 + 3)
+    rows = drawn_blocks(2**64 + 3, 5, streams)
+    draws = np.concatenate([row for _, row in rows])
+    ref = np.concatenate([reference_normals(2**64 + 3, 5, s) for s in streams])
+    assert draws.tobytes() == ref.tobytes()
+
+
+def test_normal_blocks_keep_pairs_together():
+    for count in (1000, 333, (1 << 16) + 1):
+        for part, _ in normal_blocks(0, count, range(0, 131)):
+            assert part.start % 2 == 0
+
+
+@pytest.mark.parametrize("seed", (-1, 2**128))
+def test_normal_blocks_refuse_seed_outside_the_key(seed):
+    with pytest.raises(PreconditionError):
+        next(normal_blocks(seed, 3, range(2)))
+    with pytest.raises(PreconditionError):
+        normal_samples(seed, 3)
+
+
+def test_brownian_batch_rows_match_reference_paths_across_blocks():
+    batch = sample_brownian_batch(1.0, 1000, 70, seed=2**128 - 1)
+    sq = np.sqrt(Partition.uniform(1.0, 1000).deltas)
+    for i in (0, 1, 63, 64, 65, 69):
+        ref = np.concatenate(([0.0], np.cumsum(reference_normals(2**128 - 1, 1000, i) * sq)))
+        assert batch[i].tobytes() == ref.tobytes()
+
+
+def per_stream_log_rates(p, n_paths):
+    """gbm_terminal_log_rates as one fsum per reference stream."""
+    drift = p.alpha - 0.5 * p.sigma ** 2
+    sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
+    rates = np.empty(n_paths)
+    for i in range(n_paths):
+        w_T = math.fsum(reference_normals(p.seed, p.n, i) * sq)
+        rates[i] = (drift * p.T + p.sigma * w_T) / p.T
+    return rates
+
+
+@pytest.mark.parametrize("n, n_paths, seed", [(1, 3, 0), (7, 30, 2**64 + 3),
+                                              (100, 700, 1), (1000, 70, 2**128 - 1)])
+def test_gbm_log_rates_match_per_stream_fsum(n, n_paths, seed):
+    p = GBMParams(alpha=0.07, sigma=0.3, x0=2.0, T=0.75, n=n, seed=seed)
+    got = gbm_terminal_log_rates(p, n_paths)
+    assert got.tobytes() == per_stream_log_rates(p, n_paths).tobytes()
 
 
 def test_single_step_variance_matches_sample_oracle():
