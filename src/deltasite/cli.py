@@ -21,6 +21,9 @@ from .reports import Report
 from .roofs import RoofCategory, build_structural_roof_topology, verify_roof_category
 
 USAGE_EXIT = 2
+# `series --op`: its choices, and the builder of each
+SERIES = {"exp": tropical.exp_series, "log": tropical.log_inverse_series,
+          "paper-log": tropical.paper_log_series}
 
 
 def _path_count(text: str) -> int:
@@ -51,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite event sites, topology verification, and delta-calculus checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False):
+    def common(p, run, model=False):
+        p.set_defaults(run=run)
         if model:
             p.add_argument("--model", required=True, help="model description file")
         p.add_argument("--format", choices=("json", "text"), default="text")
@@ -62,17 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-site", help="verify Grothendieck topology axioms")
     p.add_argument("--topology", required=True,
                    choices=("operadic", "probability", "structural"))
-    common(p, model=True)
+    common(p, cmd_check_site, model=True)
 
     p = sub.add_parser("check-roofs", help="verify the roof category and its topology")
-    common(p, model=True)
+    common(p, cmd_check_roofs, model=True)
 
     p = sub.add_parser("check-sheaf", help="sheaf gluing or transversal cone checks")
     p.add_argument("--mode", choices=("gluing", "cones"), default="gluing")
     p.add_argument("--kappa", type=_finite_float, default=3.0)
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--paths", type=int, default=10_000)
-    common(p, model=True)
+    common(p, cmd_check_sheaf, model=True)
 
     p = sub.add_parser("simulate", help="simulate geometric Brownian motion")
     p.add_argument("--alpha", type=_finite_float, default=0.0)
@@ -81,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--paths", type=_path_count, default=1)
-    common(p)
+    common(p, cmd_simulate)
 
     p = sub.add_parser("verify-ito", help="delta-calculus identity and limit checks")
     p.add_argument("--alpha", type=_finite_float, default=0.1)
@@ -90,34 +94,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--paths", type=_path_count, default=200)
-    common(p)
+    common(p, cmd_verify_ito)
 
     p = sub.add_parser("tropicalize", help="tropical value of the log-SDE")
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--with-markers", action="store_true")
-    common(p)
+    common(p, cmd_tropicalize)
 
     p = sub.add_parser("series", help="exact coefficients of the graded series")
-    p.add_argument("--op", required=True, choices=("exp", "log", "paper-log"))
+    p.add_argument("--op", required=True, choices=tuple(SERIES))
     p.add_argument("--order", type=int, required=True)
-    common(p)
+    common(p, cmd_series)
 
     return parser
 
 
 # -- command implementations ----------------------------------------------------
+# A handler adds its records to the report that `main` headed from the flags;
+# `model` is None for the commands without --model.
 
 
-def cmd_check_site(args, model: ModelDescription, file_hash: str) -> Report:
-    report = Report("check-site", file_hash,
-                    {"topology": args.topology, "seed": args.seed})
+def cmd_check_site(args, model: ModelDescription, report: Report):
     for violation in model.category.check_axioms():
         report.add("category-axioms", violation, False)
     if args.topology == "structural":
         site = sites.build_tau_structural(model.category)
         report.extend(sites.verify_grothendieck(site))
-        return report
+        return
     F = model.require_filtration()
     if args.topology == "operadic":
         report.extend(check_operad_action(F))
@@ -126,11 +130,9 @@ def cmd_check_site(args, model: ModelDescription, file_hash: str) -> Report:
         P = model.require_measure()
         filtered = sites.build_tau_P(F, P, model.category)
     report.extend(sites.verify_filtered(filtered))
-    return report
 
 
-def cmd_check_roofs(args, model: ModelDescription, file_hash: str) -> Report:
-    report = Report("check-roofs", file_hash, {"seed": args.seed})
+def cmd_check_roofs(args, model: ModelDescription, report: Report):
     for violation in model.category.check_axioms():
         report.add("category-axioms", violation, False)
     rc = RoofCategory(model.category)
@@ -138,15 +140,11 @@ def cmd_check_roofs(args, model: ModelDescription, file_hash: str) -> Report:
         report.extend(verify_roof_category(rc))
     except ClosureError as exc:
         report.add("roof-axioms", "composition closure", False, str(exc))
-        return report
+        return
     report.extend(sites.verify_grothendieck(build_structural_roof_topology(rc)))
-    return report
 
 
-def cmd_check_sheaf(args, model: ModelDescription, file_hash: str) -> Report:
-    report = Report("check-sheaf", file_hash,
-                    {"mode": args.mode, "kappa": args.kappa, "sigma": args.sigma,
-                     "paths": args.paths, "seed": args.seed})
+def cmd_check_sheaf(args, model: ModelDescription, report: Report):
     if args.mode == "gluing":
         targets = [sites.build_tau_structural(model.category)]
         if model.filtration is not None and model.measure is not None:
@@ -155,7 +153,7 @@ def cmd_check_sheaf(args, model: ModelDescription, file_hash: str) -> Report:
         for site in targets:
             presheaf = sheaves.constant_presheaf(site, values=(0.0, 1.0))
             report.extend(sheaves.check_sheaf_condition(presheaf), prefix=f"{site.label}: ")
-        return report
+        return
     F = model.filtration
     if F is not None and len(F.index.base_times) >= 2:
         t0, t1 = float(F.index.base_times[0]), float(F.index.base_times[-1])
@@ -167,13 +165,9 @@ def cmd_check_sheaf(args, model: ModelDescription, file_hash: str) -> Report:
                f"kappa={args.kappa} on [{t0},{t1}]", cone.passed,
                f"fraction={cone.fraction} expected={cone.expected} "
                f"threshold={cone.threshold}")
-    return report
 
 
-def cmd_simulate(args) -> Report:
-    report = Report("simulate", None, {
-        "alpha": args.alpha, "sigma": args.sigma, "x0": args.x0, "T": args.T,
-        "steps": args.steps, "paths": args.paths, "seed": args.seed})
+def cmd_simulate(args, model, report: Report):
     params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, args.T,
                                   args.steps, args.seed)
     if args.paths == 1:
@@ -191,14 +185,12 @@ def cmd_simulate(args) -> Report:
                        f"mean={est.mean!r} stderr={est.stderr!r}", None)
         else:
             report.add("log-drift", f"mean={float(np.mean(rates))!r}", None)
-    return report
 
 
-def cmd_verify_ito(args) -> Report:
-    report = Report("verify-ito", None, {
-        "alpha": args.alpha, "sigma": args.sigma, "x0": args.x0, "T": args.T,
-        "steps": args.steps, "paths": args.paths, "seed": args.seed})
+def cmd_verify_ito(args, model, report: Report):
     seed, T, n = args.seed, args.T, args.steps
+    params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, T,
+                                  max(1, n // 10), seed + 2)
     pairs = min(args.paths, 100)
 
     # One pass over streams 0.. of seed serves the product-rule pairs
@@ -243,8 +235,6 @@ def cmd_verify_ito(args) -> Report:
                f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
 
     # log drift of the simulated SDE
-    params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, T,
-                                  max(1, n // 10), seed + 2)
     n_paths = max(args.paths, 30)
     rates = stochastic.gbm_terminal_log_rates(params, n_paths)
     est = stochastic.estimate_log_drift(rates)
@@ -253,61 +243,37 @@ def cmd_verify_ito(args) -> Report:
     report.add("log-drift",
                f"mean={est.mean!r} target={target!r} 3se={3 * est.stderr!r}",
                lo <= target <= hi)
-    return report
 
 
-def cmd_tropicalize(args) -> Report:
-    report = Report("tropicalize", None, {
-        "alpha": args.alpha, "sigma": args.sigma,
-        "with_markers": args.with_markers, "seed": args.seed})
+def cmd_tropicalize(args, model, report: Report):
     value = tropical.tropicalize_log_sde(args.alpha, args.sigma,
                                          with_markers=args.with_markers)
     report.add("tropical-value", f"{float(value)!r}", None)
     if args.with_markers:
         plain = tropical.tropicalize_log_sde(args.alpha, args.sigma)
         report.add("marker-shift", f"{float(value - plain)!r}", None)
-    return report
 
 
-def cmd_series(args) -> Report:
-    report = Report("series", None, {
-        "op": args.op, "order": args.order, "seed": args.seed})
-    if args.op == "exp":
-        s = tropical.exp_series(args.order)
-    elif args.op == "log":
-        s = tropical.log_inverse_series(args.order)
-    else:
-        s = tropical.paper_log_series(args.order)
+def cmd_series(args, model, report: Report):
+    s = SERIES[args.op](args.order)
     report.add("coefficients", "[" + ", ".join(str(c) for c in s.coeffs) + "]", None)
-    return report
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a report's params echo every flag of its command but --model and --format
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "model", "format", "run")}
+    model = model_hash = None
     try:
-        if args.command in ("check-site", "check-roofs", "check-sheaf"):
+        if "model" in args:
             try:
-                model, file_hash = load_model(args.model)
+                model, model_hash = load_model(args.model)
             except OSError as exc:
                 print(f"error: cannot read model: {exc}", file=sys.stderr)
                 return USAGE_EXIT
-            except ModelError as exc:
-                for path, message in exc.errors:
-                    print(f"error: {path}: {message}", file=sys.stderr)
-                return USAGE_EXIT
-            handler = {"check-site": cmd_check_site,
-                       "check-roofs": cmd_check_roofs,
-                       "check-sheaf": cmd_check_sheaf}[args.command]
-            report = handler(args, model, file_hash)
-        elif args.command == "simulate":
-            report = cmd_simulate(args)
-        elif args.command == "verify-ito":
-            report = cmd_verify_ito(args)
-        elif args.command == "tropicalize":
-            report = cmd_tropicalize(args)
-        else:
-            report = cmd_series(args)
+        report = Report(args.command, model_hash, params)
+        args.run(args, model, report)
     except ModelError as exc:
         for path, message in exc.errors:
             print(f"error: {path}: {message}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import PreconditionError, StructuralError
 from .events import SimplicialEvent
@@ -127,11 +128,6 @@ class FilteredSigmaAlgebra:
                 if ev not in self.events:
                     raise StructuralError(f"generator {g.name!r} references unknown event {ev!r}")
 
-    @property
-    def top_point(self) -> FramedPoint:
-        """The finite stand-in for the colimit level."""
-        return self.index.points[-1]
-
     def level(self, point: FramedPoint) -> frozenset[str]:
         if point not in self.levels:
             raise KeyError(f"unknown framed point {point!r}")
@@ -198,9 +194,17 @@ def _by_size(s: frozenset[str]):
     return len(s), sorted(s)
 
 
+def _label(s: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(s)) + "}"
+
+
 def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
-    """Saturate the level under complement and pairwise union and report
-    every atom set in the closure that the level lacks.
+    """Report every set of the sigma-algebra the level generates (its
+    closure under complement and union) that the level lacks.
+
+    The algebra's atoms are the ground-set points grouped by which members
+    of the level contain them, and its sets are the unions of atoms; each
+    missing set names the atoms it is the union of.
 
     `level` is any iterable of events or atom sets; the ground set defaults
     to the events' common ground set.
@@ -216,31 +220,16 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
         if not s <= ground_set:
             raise PreconditionError(f"event atoms {sorted(s)} outside the ground set")
 
-    present = set(sets)
-    # Insertion-ordered, so the witness chosen for each missing set does not
-    # depend on string hashing.
-    closure = dict.fromkeys(sorted(present, key=_by_size) or [frozenset()])
-    reason: dict[frozenset[str], str] = {}
-    changed = True
-    while changed:
-        changed = False
-        for s in list(closure):
-            c = ground_set - s
-            if c not in closure:
-                closure[c] = None
-                reason[c] = f"complement of {{{','.join(sorted(s))}}}"
-                changed = True
-        for s in list(closure):
-            for t in list(closure):
-                u = s | t
-                if u not in closure:
-                    closure[u] = None
-                    reason[u] = (f"union of {{{','.join(sorted(s))}}} "
-                                 f"and {{{','.join(sorted(t))}}}")
-                    changed = True
+    classes: dict[tuple[bool, ...], list[str]] = {}
+    for point in sorted(ground_set):
+        classes.setdefault(tuple(point in s for s in sets), []).append(point)
+    atoms = sorted((frozenset(c) for c in classes.values()), key=_by_size)
+    unions = {frozenset().union(*combo): combo
+              for r in range(len(atoms) + 1) for combo in combinations(atoms, r)}
     report = SigmaLevelReport(ground_set)
-    for s in sorted(closure.keys() - present, key=_by_size):
-        report.missing.append((s, reason.get(s, "required")))
+    for s in sorted(unions.keys() - set(sets), key=_by_size):
+        names = " ".join(map(_label, unions[s]))
+        report.missing.append((s, f"union of atoms {names}" if names else "union of no atoms"))
     return report
 
 
@@ -259,12 +248,6 @@ def check_sub_homomorphism(P: ProbabilityMeasure, level, tol: float = 1e-12) -> 
     sub-additivity on all pairs and triples of level events."""
     sets = sorted({_atoms_of(e) for e in level}, key=_by_size)
     report = SubHomReport()
-
-    def label(s):
-        return "{" + ",".join(sorted(s)) + "}"
-
-    from itertools import combinations
-
     for r in (2, 3):
         for combo in combinations(sets, r):
             union = frozenset().union(*combo)
@@ -275,10 +258,10 @@ def check_sub_homomorphism(P: ProbabilityMeasure, level, tol: float = 1e-12) -> 
             if disjoint:
                 if abs(pu - total) > tol:
                     report.failures.append(
-                        f"P(disjoint union {'+'.join(map(label, combo))}) = {pu} != {total}")
+                        f"P(disjoint union {'+'.join(map(_label, combo))}) = {pu} != {total}")
             elif pu > total + tol:
                 report.failures.append(
-                    f"P(union {'+'.join(map(label, combo))}) = {pu} > {total}")
+                    f"P(union {'+'.join(map(_label, combo))}) = {pu} > {total}")
     return report
 
 

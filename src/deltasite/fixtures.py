@@ -254,10 +254,6 @@ DEFECT_FIXTURES = {
 ALL_FIXTURES = {**PASSING_FIXTURES, **DEFECT_FIXTURES}
 
 
-def build_fixture(name: str) -> ModelDescription:
-    return ALL_FIXTURES[name]()
-
-
 def fixture_text(name: str) -> str:
     """The bundled JSON text of a fixture."""
     res = resources.files("deltasite").joinpath("fixtures", f"{name}.json")

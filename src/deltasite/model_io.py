@@ -62,6 +62,24 @@ def _is_finite_number(raw) -> bool:
         return False
 
 
+def _object(raw, path, errors) -> dict:
+    """raw if it is a JSON object; else an error at path and an empty one."""
+    if isinstance(raw, dict):
+        return raw
+    errors.append((path, f"must be an object, got {raw!r}"))
+    return {}
+
+
+def _by_dimension(raw, path, errors) -> dict:
+    """A JSON object keyed by dimension, with its keys read as integers."""
+    table = _object(raw, path, errors)
+    try:
+        return {int(d): v for d, v in table.items()}
+    except ValueError:
+        errors.append((path, f"keys must be integer dimensions, got {sorted(table)}"))
+        return {}
+
+
 def parse_model(text: str) -> ModelDescription:
     try:
         doc = json.loads(text)
@@ -83,19 +101,19 @@ def parse_model(text: str) -> ModelDescription:
     ground_set = frozenset(ground)
 
     events: dict[str, SimplicialEvent] = {}
-    for name in sorted(doc.get("events", {})):
-        spec = doc["events"][name]
+    event_specs = _object(doc.get("events", {}), "events", errors)
+    for name in sorted(event_specs):
         path = f"events.{name}"
-        levels, faces, degens = {}, {}, {}
-        for dim_s, simplices in spec.get("levels", {}).items():
-            levels[int(dim_s)] = frozenset(simplices)
-        for dim_s, table in spec.get("faces", {}).items():
-            d = int(dim_s)
+        spec = _object(event_specs[name], path, errors)
+        faces, degens = {}, {}
+        levels = {d: frozenset(simplices) for d, simplices in
+                  _by_dimension(spec.get("levels", {}), f"{path}.levels", errors).items()}
+        for d, table in _by_dimension(spec.get("faces", {}), f"{path}.faces", errors).items():
             for simplex, targets in table.items():
                 for i, tgt in enumerate(targets):
                     faces[(d, simplex, i)] = tgt
-        for dim_s, table in spec.get("degeneracies", {}).items():
-            d = int(dim_s)
+        for d, table in _by_dimension(spec.get("degeneracies", {}),
+                                      f"{path}.degeneracies", errors).items():
             for simplex, entries in table.items():
                 for i_s, tgt in entries.items():
                     degens[(d, simplex, int(i_s))] = tgt
@@ -108,14 +126,16 @@ def parse_model(text: str) -> ModelDescription:
         raise ModelError(errors)
 
     maps: dict[str, EventMap] = {}
-    for name in sorted(doc.get("maps", {})):
-        spec = doc["maps"][name]
+    map_specs = _object(doc.get("maps", {}), "maps", errors)
+    for name in sorted(map_specs):
         path = f"maps.{name}"
+        spec = _object(map_specs[name], path, errors)
         src, tgt = spec.get("source"), spec.get("target")
         if src not in events or tgt not in events:
             errors.append((path, f"unknown source/target event {src!r}/{tgt!r}"))
             continue
-        level_maps = {int(d): dict(m) for d, m in spec.get("levels", {}).items()}
+        level_maps = {d: dict(m) for d, m in
+                      _by_dimension(spec.get("levels", {}), f"{path}.levels", errors).items()}
         try:
             maps[name] = EventMap(name, events[src], events[tgt], level_maps)
         except StructuralError as exc:
@@ -123,7 +143,7 @@ def parse_model(text: str) -> ModelDescription:
     if errors:
         raise ModelError(errors)
 
-    cat_spec = doc.get("category", {})
+    cat_spec = _object(doc.get("category", {}), "category", errors)
     objects = {}
     for obj in cat_spec.get("objects", []):
         if obj not in events:
@@ -131,9 +151,10 @@ def parse_model(text: str) -> ModelDescription:
         else:
             objects[obj] = events[obj]
     morphisms = []
-    for name in sorted(cat_spec.get("morphisms", {})):
-        spec = cat_spec["morphisms"][name]
+    morphism_specs = _object(cat_spec.get("morphisms", {}), "category.morphisms", errors)
+    for name in sorted(morphism_specs):
         path = f"category.morphisms.{name}"
+        spec = _object(morphism_specs[name], path, errors)
         emap = None
         if spec.get("map") is not None:
             emap = maps.get(spec["map"])
@@ -164,10 +185,12 @@ def parse_model(text: str) -> ModelDescription:
 
     filtration = None
     if "filtration" in doc:
-        fspec = doc["filtration"]
+        fspec = _object(doc["filtration"], "filtration", errors)
         base = [_parse_fraction(t, errors, f"filtration.base_times[{i}]")
                 for i, t in enumerate(fspec.get("base_times", []))]
-        m = int(fspec.get("fiber_steps", 1))
+        m = fspec.get("fiber_steps", 1)
+        if type(m) is not int:
+            errors.append(("filtration.fiber_steps", f"must be an integer, got {m!r}"))
         generators = []
         for idx, g in enumerate(doc.get("operad", [])):
             path = f"operad[{idx}]"

@@ -133,6 +133,10 @@ class GBMParams:
             raise PreconditionError("x0 must be > 0")
         if self.n < 1 or self.T <= 0:
             raise PreconditionError("need n >= 1 and T > 0")
+        # sigma*sigma is inf where sigma ** 2 would raise OverflowError
+        drift = self.alpha - 0.5 * self.sigma * self.sigma
+        if not math.isfinite(drift):
+            raise PreconditionError(f"drift alpha - sigma^2/2 is not finite: {drift!r}")
 
 
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:

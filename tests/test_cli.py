@@ -150,6 +150,27 @@ def test_bad_measure_weight_exits_two_with_its_path(tmp_path, capsys, weight):
     assert err.startswith("error: measure.a: ")
 
 
+def test_malformed_model_exits_two_with_its_path(tmp_path, capsys):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["filtration"]["fiber_steps"] = 1.5
+    path = tmp_path / "fractional_fiber.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-site", "--topology", "operadic",
+                         "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: filtration.fiber_steps: ")
+
+
+@pytest.mark.parametrize("argv", (("simulate",), ("simulate", "--paths", "3"),
+                                  ("verify-ito", "--paths", "3")))
+def test_overflowing_sigma_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sigma", "1e200")
+    assert code == 2
+    assert out == ""
+    assert "drift" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

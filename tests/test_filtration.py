@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -99,6 +100,23 @@ def test_sigma_report_matches_saturation_oracle(family):
     expected_missing = closure_oracle(family, ground) - set(family)
     assert {s for s, _ in report.missing} == expected_missing
     assert report.passed == (not expected_missing)
+
+
+@settings(max_examples=50)
+@given(hst.sets(hst.sets(hst.sampled_from("abcde"), max_size=5).map(frozenset),
+                max_size=5))
+def test_sigma_reasons_name_atoms_whose_union_is_the_missing_set(family):
+    ground = frozenset("abcde")
+    # the classes of points that no member of the family tells apart
+    classes = {frozenset(x for x in ground
+                         if all((x in s) == (y in s) for s in family))
+               for y in ground}
+    for missing, reason in check_sigma_level(family, ground_set=ground).missing:
+        assert reason.startswith("union of ")
+        named = [frozenset(part.split(",")) - {""}
+                 for part in re.findall(r"\{([^}]*)\}", reason)]
+        assert all(atom in classes for atom in named), reason
+        assert frozenset().union(*named) == missing, reason
 
 
 SIGMA_REASONS = """

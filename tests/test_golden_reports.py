@@ -47,6 +47,14 @@ SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
             ("verify-ito", "--paths", "150", "--steps", "333", "--seed", "7"),
             ("verify-ito", "--paths", "250", "--steps", "1000", "--seed", "0"))
 
+# the algebra commands, which read no model and draw nothing
+ALGEBRA = (("tropicalize", "--alpha", "0.1", "--sigma", "0.2"),
+           ("tropicalize", "--alpha", "0.3", "--sigma", "0.2", "--with-markers",
+            "--seed", "4"),
+           ("series", "--op", "exp", "--order", "6"),
+           ("series", "--op", "log", "--order", "7"),
+           ("series", "--op", "paper-log", "--order", "5", "--seed", "9"))
+
 # cone checks: (fixture, flags); 70,000 draws exceed one sampling block
 CONES = (("four_events", ("--seed", "0")),
          ("interval_pair", ("--paths", "70000", "--kappa", "2.0",
@@ -89,7 +97,7 @@ def cases(directory):
                 argv = [*command, "--format", fmt, "--seed", "0",
                         "--model", models[name]]
                 yield " ".join((name, *command, fmt)), argv
-    for command in SAMPLING:
+    for command in SAMPLING + ALGEBRA:
         for fmt in ("json", "text"):
             yield " ".join((*command, fmt)), [*command, "--format", fmt]
     for name, flags in CONES:

@@ -90,6 +90,30 @@ def test_measure_that_is_not_an_object_is_refused(measure):
     assert [p for p, _ in err.value.errors] == ["measure"]
 
 
+# (keys into four_events, the value set there, the path of the first error)
+MALFORMED = (
+    (("events", "e_a", "levels"), {"zero": ["a"]}, "events.e_a.levels"),
+    (("filtration", "fiber_steps"), "two", "filtration.fiber_steps"),
+    (("filtration", "fiber_steps"), 1.5, "filtration.fiber_steps"),
+    (("category", "morphisms", "i:e_a>e_ab"), "e_a->e_ab",
+     "category.morphisms.i:e_a>e_ab"),
+    (("maps", "i:e_a>e_ab", "levels"), [{"a": "a"}], "maps.i:e_a>e_ab.levels"),
+    (("events",), None, "events"),
+)
+
+
+@pytest.mark.parametrize("keys, value, path", MALFORMED)
+def test_malformed_section_is_refused_with_its_path(keys, value, path):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    assert err.value.errors[0][0] == path
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ModelError) as err:
         parse_model('{"schema": 1,,}')
