@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import sheaves, sites, stochastic, tropical
-from .errors import ClosureError, DeltasiteError, ModelError
+from .errors import ClosureError, DeltasiteError, ModelError, PreconditionError
 from .filtration import check_operad_action
 from .model_io import ModelDescription, load_model
 from .reports import Report
@@ -167,24 +167,34 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
                f"threshold={cone.threshold}")
 
 
+def _positive_finite(label: str, value: float) -> float:
+    """value, if it is a positive finite number; else a usage error."""
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionError(f"{label} is not a positive finite number: {value!r}")
+    return value
+
+
 def cmd_simulate(args, model, report: Report):
     params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, args.T,
                                   args.steps, args.seed)
-    if args.paths == 1:
-        path = stochastic.simulate_gbm(params)
-        report.add("terminal-value", f"X_T={path.terminal!r}", None)
-        report.add("log-rate",
-                   f"{math.log(path.terminal / args.x0) / args.T!r}", None)
-    else:
-        rates = stochastic.gbm_terminal_log_rates(params, args.paths)
-        terminal_mean = float(np.mean(args.x0 * np.exp(rates * args.T)))
-        report.add("mean-terminal", f"{terminal_mean!r}", None)
-        if args.paths >= 30:
-            est = stochastic.estimate_log_drift(rates)
-            report.add("log-drift",
-                       f"mean={est.mean!r} stderr={est.stderr!r}", None)
+    # an overflow shows up as a terminal value that is not positive and finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.paths == 1:
+            terminal = _positive_finite("terminal value X_T",
+                                        stochastic.simulate_gbm(params).terminal)
+            report.add("terminal-value", f"X_T={terminal!r}", None)
+            report.add("log-rate", f"{math.log(terminal / args.x0) / args.T!r}", None)
         else:
-            report.add("log-drift", f"mean={float(np.mean(rates))!r}", None)
+            rates = stochastic.gbm_terminal_log_rates(params, args.paths)
+            terminal_mean = _positive_finite(
+                "mean terminal value", float(np.mean(args.x0 * np.exp(rates * args.T))))
+            report.add("mean-terminal", f"{terminal_mean!r}", None)
+            if args.paths >= 30:
+                est = stochastic.estimate_log_drift(rates)
+                report.add("log-drift",
+                           f"mean={est.mean!r} stderr={est.stderr!r}", None)
+            else:
+                report.add("log-drift", f"mean={float(np.mean(rates))!r}", None)
 
 
 def cmd_verify_ito(args, model, report: Report):

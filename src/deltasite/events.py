@@ -263,14 +263,46 @@ def is_monomorphism(f: EventMap) -> bool:
     return True
 
 
+def _paired(a: SimplicialEvent, b: SimplicialEvent, dims, keep, name: str,
+            legs: tuple[str, str]) -> tuple[SimplicialEvent, EventMap, EventMap]:
+    """The pairs (x, y) of simplices of a and b at each dimension in dims
+    with keep(d, x, y), and the projections named name.<legs[i]>.
+
+    Faces and degeneracies are componentwise; a degeneracy of a pair exists
+    only where both components carry one and the pair is kept.  Atoms
+    multiply as joint occurrence: atoms(a) & atoms(b).
+    """
+    pairs: dict[int, dict[tuple[str, str], str]] = {}
+    for d in dims:
+        kept = {(x, y): _pair(x, y) for x in sorted(a.simplices(d))
+                for y in sorted(b.simplices(d)) if keep(d, x, y)}
+        if kept:
+            pairs[d] = kept
+    faces, degens = {}, {}
+    for d, kept in pairs.items():
+        above = pairs.get(d + 1, {})
+        for (x, y), p in kept.items():
+            if d - 1 in pairs:
+                for i in range(d + 1):
+                    faces[(d, p, i)] = _pair(a.faces[(d, x, i)], b.faces[(d, y, i)])
+            for i in range(d + 1):
+                up = (a.degeneracies.get((d, x, i)), b.degeneracies.get((d, y, i)))
+                if up in above:
+                    degens[(d, p, i)] = above[up]
+    event = SimplicialEvent(name, {d: frozenset(kept.values()) for d, kept in pairs.items()},
+                            faces, degens, a.atoms & b.atoms, a.ground_set)
+    return (event,
+            EventMap(f"{name}.{legs[0]}", event, a,
+                     {d: {p: x for (x, _), p in kept.items()} for d, kept in pairs.items()}),
+            EventMap(f"{name}.{legs[1]}", event, b,
+                     {d: {p: y for (_, y), p in kept.items()} for d, kept in pairs.items()}))
+
+
 def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None,
                  max_dim=None) -> tuple[SimplicialEvent, EventMap, EventMap]:
-    """Levelwise cartesian product with both projections.
-
-    Faces and degeneracies are taken componentwise; a degeneracy of a pair
-    exists only where both components carry one.  Atoms multiply as joint
-    occurrence: atoms(a) & atoms(b).  Dimensions beyond max_dim are dropped
-    with a TruncationNotice.
+    """Levelwise cartesian product with both projections .p1 and .p2: the
+    fiber product over the terminal event, with every pair kept.
+    Dimensions beyond max_dim are dropped with a TruncationNotice.
     """
     if a.ground_set != b.ground_set:
         raise PreconditionError(
@@ -281,33 +313,7 @@ def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None,
         warnings.warn(TruncationNotice(
             f"product {name} truncated at dimension {max_dim}"))
         dims = [d for d in dims if d <= max_dim]
-    levels, faces, degens = {}, {}, {}
-    pa_levels: dict[int, dict[str, str]] = {}
-    pb_levels: dict[int, dict[str, str]] = {}
-    for d in dims:
-        ids = {}
-        pa_levels[d], pb_levels[d] = {}, {}
-        for x in sorted(a.simplices(d)):
-            for y in sorted(b.simplices(d)):
-                p = _pair(x, y)
-                ids[p] = (x, y)
-                pa_levels[d][p] = x
-                pb_levels[d][p] = y
-        levels[d] = frozenset(ids)
-        for p, (x, y) in ids.items():
-            if d >= 1 and d - 1 in dims:
-                for i in range(d + 1):
-                    faces[(d, p, i)] = _pair(a.faces[(d, x, i)], b.faces[(d, y, i)])
-            for i in range(d + 1):
-                sx = a.degeneracies.get((d, x, i))
-                sy = b.degeneracies.get((d, y, i))
-                if sx is not None and sy is not None and d + 1 in dims:
-                    degens[(d, p, i)] = _pair(sx, sy)
-    prod = SimplicialEvent(name, levels, faces, degens,
-                           a.atoms & b.atoms, a.ground_set)
-    pa = EventMap(f"{name}.p1", prod, a, pa_levels)
-    pb = EventMap(f"{name}.p2", prod, b, pb_levels)
-    return prod, pa, pb
+    return _paired(a, b, dims, lambda d, x, y: True, name, ("p1", "p2"))
 
 
 def product(a: SimplicialEvent, b: SimplicialEvent, name=None, max_dim=None) -> SimplicialEvent:
@@ -319,52 +325,17 @@ def fiber_product(f: EventMap, g: EventMap, name=None
     """Levelwise pullback of the cospan f: A -> C <- B :g.
 
     Simplices are the pairs (x, y) with f(x) = g(y); faces and degeneracies
-    are componentwise and stay inside the pullback because f and g commute
-    with them.  Returns (P, projection to A, projection to B).
+    stay inside the pullback because f and g commute with them.  Returns
+    (P, projection .pA to A, projection .pB to B).
     """
     if f.target is not g.target and f.target.name != g.target.name:
         raise PreconditionError(
             f"fiber product needs a shared target: {f.name} ends at "
             f"{f.target.name}, {g.name} at {g.target.name}")
     a, b = f.source, g.source
-    name = name or f"({a.name}x[{f.target.name}]{b.name})"
-    dims = sorted(set(a.levels) & set(b.levels))
-    levels, faces, degens = {}, {}, {}
-    pa_levels: dict[int, dict[str, str]] = {}
-    pb_levels: dict[int, dict[str, str]] = {}
-    members: dict[int, set[tuple[str, str]]] = {}
-    for d in dims:
-        pa_levels[d], pb_levels[d] = {}, {}
-        members[d] = set()
-        chosen = set()
-        for x in sorted(a.simplices(d)):
-            for y in sorted(b.simplices(d)):
-                if f.apply(d, x) == g.apply(d, y):
-                    p = _pair(x, y)
-                    chosen.add(p)
-                    members[d].add((x, y))
-                    pa_levels[d][p] = x
-                    pb_levels[d][p] = y
-        if chosen:
-            levels[d] = frozenset(chosen)
-    for d in list(levels):
-        for (x, y) in members[d]:
-            p = _pair(x, y)
-            if d >= 1 and (d - 1) in levels:
-                for i in range(d + 1):
-                    faces[(d, p, i)] = _pair(a.faces[(d, x, i)], b.faces[(d, y, i)])
-            for i in range(d + 1):
-                sx = a.degeneracies.get((d, x, i))
-                sy = b.degeneracies.get((d, y, i))
-                if sx is not None and sy is not None and (sx, sy) in members.get(d + 1, set()):
-                    degens[(d, p, i)] = _pair(sx, sy)
-    pull = SimplicialEvent(name, levels, faces, degens,
-                           a.atoms & b.atoms, a.ground_set)
-    pa_levels = {d: m for d, m in pa_levels.items() if d in levels}
-    pb_levels = {d: m for d, m in pb_levels.items() if d in levels}
-    pa = EventMap(f"{name}.pA", pull, a, pa_levels)
-    pb = EventMap(f"{name}.pB", pull, b, pb_levels)
-    return pull, pa, pb
+    return _paired(a, b, sorted(set(a.levels) & set(b.levels)),
+                   lambda d, x, y: f.apply(d, x) == g.apply(d, y),
+                   name or f"({a.name}x[{f.target.name}]{b.name})", ("pA", "pB"))
 
 
 def coproduct_event(parts, name: str, ground_set=None) -> SimplicialEvent:

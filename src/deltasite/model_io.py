@@ -70,14 +70,24 @@ def _object(raw, path, errors) -> dict:
     return {}
 
 
-def _by_dimension(raw, path, errors) -> dict:
-    """A JSON object keyed by dimension, with its keys read as integers."""
+def _integer_keys(raw, path, errors) -> dict:
+    """A JSON object keyed by dimension or index, with its keys read as
+    integers."""
     table = _object(raw, path, errors)
     try:
         return {int(d): v for d, v in table.items()}
     except ValueError:
-        errors.append((path, f"keys must be integer dimensions, got {sorted(table)}"))
+        errors.append((path, f"keys must be integers, got {sorted(table)}"))
         return {}
+
+
+def _names(raw, path, errors) -> list:
+    """raw if it is a JSON list of strings; else an error at path and an
+    empty list."""
+    if isinstance(raw, list) and all(isinstance(x, str) for x in raw):
+        return raw
+    errors.append((path, f"must be a list of names, got {raw!r}"))
+    return []
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -106,20 +116,26 @@ def parse_model(text: str) -> ModelDescription:
         path = f"events.{name}"
         spec = _object(event_specs[name], path, errors)
         faces, degens = {}, {}
-        levels = {d: frozenset(simplices) for d, simplices in
-                  _by_dimension(spec.get("levels", {}), f"{path}.levels", errors).items()}
-        for d, table in _by_dimension(spec.get("faces", {}), f"{path}.faces", errors).items():
-            for simplex, targets in table.items():
-                for i, tgt in enumerate(targets):
+        levels = {d: frozenset(_names(simplices, f"{path}.levels.{d}", errors))
+                  for d, simplices in
+                  _integer_keys(spec.get("levels", {}), f"{path}.levels", errors).items()}
+        for d, table in _integer_keys(spec.get("faces", {}), f"{path}.faces", errors).items():
+            for simplex, targets in _object(table, f"{path}.faces.{d}", errors).items():
+                for i, tgt in enumerate(_names(targets, f"{path}.faces.{d}.{simplex}", errors)):
                     faces[(d, simplex, i)] = tgt
-        for d, table in _by_dimension(spec.get("degeneracies", {}),
+        for d, table in _integer_keys(spec.get("degeneracies", {}),
                                       f"{path}.degeneracies", errors).items():
-            for simplex, entries in table.items():
-                for i_s, tgt in entries.items():
-                    degens[(d, simplex, int(i_s))] = tgt
+            for simplex, entries in _object(table, f"{path}.degeneracies.{d}", errors).items():
+                at = f"{path}.degeneracies.{d}.{simplex}"
+                for i, tgt in _integer_keys(entries, at, errors).items():
+                    if isinstance(tgt, str):
+                        degens[(d, simplex, i)] = tgt
+                    else:
+                        errors.append((f"{at}.{i}", f"must be a name, got {tgt!r}"))
+        atoms = _names(spec.get("atoms", []), f"{path}.atoms", errors)
         try:
             events[name] = SimplicialEvent(name, levels, faces, degens,
-                                           frozenset(spec.get("atoms", [])), ground_set)
+                                           frozenset(atoms), ground_set)
         except StructuralError as exc:
             errors.append((path, str(exc)))
     if errors:
@@ -135,7 +151,7 @@ def parse_model(text: str) -> ModelDescription:
             errors.append((path, f"unknown source/target event {src!r}/{tgt!r}"))
             continue
         level_maps = {d: dict(m) for d, m in
-                      _by_dimension(spec.get("levels", {}), f"{path}.levels", errors).items()}
+                      _integer_keys(spec.get("levels", {}), f"{path}.levels", errors).items()}
         try:
             maps[name] = EventMap(name, events[src], events[tgt], level_maps)
         except StructuralError as exc:

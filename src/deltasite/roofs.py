@@ -15,7 +15,7 @@ from .errors import ClosureError, PreconditionError
 from .events import (EventMap, SimplicialEvent, compose_event_maps,
                      coproduct_event, product_legs)
 from .reports import Report
-from .sites import GrothendieckSite, _singleton_families
+from .sites import GrothendieckSite, _singleton_site
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,4 @@ def build_structural_roof_topology(rc: RoofCategory) -> GrothendieckSite:
     canonical in their bases), so the generic axiom verifier applies, with
     base change supplied by the fragment's declared pullbacks."""
     frag = rc.fragment
-    return GrothendieckSite(
-        frag, _singleton_families(frag, lambda m: frag.is_structural(m.name)),
-        label="structural-roof")
+    return _singleton_site(frag, lambda m: frag.is_structural(m.name), "structural-roof")

@@ -79,14 +79,25 @@ class FilteredSite:
 # -- builders -----------------------------------------------------------------
 
 
-def _singleton_families(category: FiniteCategory, admit) -> dict[str, list[CoveringFamily]]:
+def _singleton_site(category: FiniteCategory, admit, label: str,
+                    measure: ProbabilityMeasure | None = None) -> GrothendieckSite:
     """One generating family per admitted morphism, isomorphisms always in."""
-    out: dict[str, list[CoveringFamily]] = {o: [] for o in category.objects}
+    families: dict[str, list[CoveringFamily]] = {o: [] for o in category.objects}
     for name in sorted(category.morphisms):
         m = category.morphisms[name]
         if category.is_isomorphism(name) or admit(m):
-            out[m.target].append(CoveringFamily(m.target, (name,)))
-    return out
+            families[m.target].append(CoveringFamily(m.target, (name,)))
+    return GrothendieckSite(category, families, label, measure)
+
+
+def _level_sites(F: FilteredSigmaAlgebra, category: FiniteCategory, admit_at,
+                 label: str, measure: ProbabilityMeasure | None = None) -> FilteredSite:
+    """The singleton site of each level's full subcategory, admitting the
+    morphisms that pass admit_at(level)."""
+    return FilteredSite(F, {
+        p: _singleton_site(category.full_subcategory(F.level(p)), admit_at(p),
+                           f"{label}@{p!r}", measure)
+        for p in F.index}, label)
 
 
 def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> FilteredSite:
@@ -94,20 +105,12 @@ def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> Fil
     when some operad generator available at t has w' among its inputs and
     output w.  (A morphism's two ends always share a connected component of
     the level, so the paper's same-component condition holds by itself.)"""
-    levels: dict[FramedPoint, GrothendieckSite] = {}
-    for p in F.index:
-        level_cat = category.full_subcategory(F.level(p))
-        witnessed = set()
-        for g in F.operad.at_or_before(F.index, p):
-            for inp in g.inputs:
-                witnessed.add((inp, g.output))
+    def admit_at(p):
+        witnessed = {(inp, g.output) for g in F.operad.at_or_before(F.index, p)
+                     for inp in g.inputs}
+        return lambda m: (m.source, m.target) in witnessed
 
-        def admit(m, witnessed=witnessed):
-            return (m.source, m.target) in witnessed
-
-        levels[p] = GrothendieckSite(level_cat, _singleton_families(level_cat, admit),
-                                     label=f"operadic@{p!r}")
-    return FilteredSite(F, levels, "operadic")
+    return _level_sites(F, category, admit_at, "operadic")
 
 
 def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
@@ -117,21 +120,14 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
     def admit(m):
         return P(category.event(m.source)) <= P(category.event(m.target))
 
-    levels: dict[FramedPoint, GrothendieckSite] = {}
-    for p in F.index:
-        level_cat = category.full_subcategory(F.level(p))
-        levels[p] = GrothendieckSite(level_cat, _singleton_families(level_cat, admit),
-                                     label=f"probability@{p!r}", measure=P)
-    return FilteredSite(F, levels, "probability")
+    return _level_sites(F, category, lambda p: admit, "probability", P)
 
 
 def build_tau_structural(category: FiniteCategory) -> GrothendieckSite:
     """Structural topology: covers are families of monomorphisms of
     simplicial sets (the attached event maps, tested levelwise)."""
-    return GrothendieckSite(
-        category,
-        _singleton_families(category, lambda m: category.is_structural(m.name)),
-        label="structural")
+    return _singleton_site(category, lambda m: category.is_structural(m.name),
+                           "structural")
 
 
 # -- verification ---------------------------------------------------------------

@@ -141,11 +141,10 @@ class GBMParams:
 
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:
     """Standard Brownian path on the uniform grid: W_0 = 0, independent
-    normal increments with variance equal to the step."""
-    part = Partition.uniform(T, n)
-    incs = normal_samples(seed, n, stream) * np.sqrt(part.deltas)
-    values = np.concatenate(([0.0], np.cumsum(incs)))
-    return DiscretePath(part, values)
+    normal increments with variance equal to the step: the one row of
+    brownian_blocks(T, n, seed, (stream,))."""
+    (_, values), = brownian_blocks(T, n, seed, (stream,))
+    return DiscretePath(Partition.uniform(T, n), values[0])
 
 
 def brownian_blocks(T: float, n: int, seed: int, streams):

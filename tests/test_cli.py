@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_overflowing_sigma_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "drift" in err
+
+
+@pytest.mark.parametrize("argv, value", (
+    (("simulate", "--sigma", "40"), "terminal value X_T"),
+    (("simulate", "--x0", "1e308", "--alpha", "1", "--paths", "3"), "mean terminal value"),
+))
+def test_terminal_value_out_of_range_is_usage_error(capsys, argv, value):
+    # X_T underflows to 0.0 in the first case and the mean overflows to inf
+    # in the second; neither may end in a traceback, a warning or a report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {value} is not a positive finite number: ")
 
 
 def test_unknown_command_is_usage_error(capsys):

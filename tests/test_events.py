@@ -276,6 +276,42 @@ def test_fiber_product_over_terminal_equals_product():
     assert pull.atoms == prod.atoms
 
 
+def degenerate_edge_event(name="degen"):
+    """An edge x -> y beside the degenerate edge s_0 x."""
+    return SimplicialEvent(name, {0: frozenset("xy"), 1: frozenset(["e", "sx"])},
+                           {(1, "e", 0): "y", (1, "e", 1): "x",
+                            (1, "sx", 0): "x", (1, "sx", 1): "x"},
+                           {(0, "x", 0): "sx"}, frozenset("a"), GROUND)
+
+
+PRODUCT_FACTORS = (
+    lambda: discrete_event("D", ["u", "v"], ["b"], GROUND),
+    edge_event,
+    degenerate_edge_event,
+    lambda: point_event(GROUND, max_dim=2),
+)
+
+
+def to_point(event, pt):
+    """The unique map from event to the terminal event pt."""
+    return EventMap(f"!{event.name}", event, pt,
+                    {d: {x: min(pt.simplices(d)) for x in s} for d, s in event.levels.items()})
+
+
+@pytest.mark.parametrize("make_a, make_b", itertools.product(PRODUCT_FACTORS, repeat=2))
+def test_product_legs_are_the_fiber_product_over_the_point(make_a, make_b):
+    a, b = make_a(), make_b()
+    pt = point_event(GROUND, max_dim=2)
+    prod, p1, p2 = product_legs(a, b)
+    pull, pa, pb = fiber_product(to_point(a, pt), to_point(b, pt))
+    assert pull.levels == prod.levels
+    assert pull.faces == prod.faces
+    assert pull.degeneracies == prod.degeneracies
+    assert pull.atoms == prod.atoms
+    assert pa.level_maps == p1.level_maps
+    assert pb.level_maps == p2.level_maps
+
+
 def test_coproduct_tags_and_unions():
     a = discrete_event("A", ["x"], ["a"], GROUND)
     b = edge_event("B", atoms=("b",))

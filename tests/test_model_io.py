@@ -99,6 +99,13 @@ MALFORMED = (
      "category.morphisms.i:e_a>e_ab"),
     (("maps", "i:e_a>e_ab", "levels"), [{"a": "a"}], "maps.i:e_a>e_ab.levels"),
     (("events",), None, "events"),
+    (("events", "e_a", "levels"), {"0": 5}, "events.e_a.levels.0"),
+    (("events", "e_a", "levels"), {"0": None}, "events.e_a.levels.0"),
+    (("events", "e_a", "atoms"), 5, "events.e_a.atoms"),
+    (("events", "e_a", "faces"), {"1": {"x": 5}}, "events.e_a.faces.1.x"),
+    (("events", "e_a", "degeneracies"), {"0": {"a": {"x": "y"}}},
+     "events.e_a.degeneracies.0.a"),
+    (("events", "e_a", "degeneracies"), {"0": {"a": 3}}, "events.e_a.degeneracies.0.a"),
 )
 
 

@@ -128,6 +128,14 @@ def test_brownian_batch_rows_match_reference_paths_across_blocks():
         assert batch[i].tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", (20, (1 << 16) + 1))  # one row of a two-row block
+def test_sample_brownian_is_the_cumsum_of_scaled_normals(n):
+    dt = Partition.uniform(2.5, n).deltas
+    for seed, stream in ((0, 0), (3, 1), (2**64 + 3, 7), (2**128 - 1, 12)):
+        ref = np.concatenate(([0.0], np.cumsum(normal_samples(seed, n, stream) * np.sqrt(dt))))
+        assert sample_brownian(2.5, n, seed, stream).values.tobytes() == ref.tobytes()
+
+
 def per_stream_log_rates(p, n_paths):
     """gbm_terminal_log_rates as one fsum per reference stream."""
     drift = p.alpha - 0.5 * p.sigma ** 2
