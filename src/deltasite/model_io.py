@@ -1,18 +1,20 @@
 """The model-description file: one JSON document describing ground set,
 events, maps, category fragment, filtration, operad and measure.
 
-Parsing validates referential integrity and collects every problem with a
-JSON-path location before raising.  Serialization is canonical (sorted keys,
-two-space indent, rationals as strings), so fixtures round-trip byte for
-byte.
+Parsing checks every value against one shape table, _MODEL, before it builds
+anything; the section builders then check referential integrity.  Every
+problem is collected with its JSON path (`.key` for an object key, `[i]` for
+a list entry) before raising.  Serialization is canonical (sorted keys,
+two-space indent, rationals as strings), so fixtures round-trip byte for byte.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .categories import FiniteCategory, Morphism, PullbackSquare
 from .errors import ModelError, StructuralError
@@ -47,47 +49,93 @@ def model_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_fraction(raw, errors, path):
-    try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError):
-        errors.append((path, f"not a rational number: {raw!r}"))
-        return Fraction(0)
+# -- the shape of a model file ------------------------------------------------------
 
 
-def _is_finite_number(raw) -> bool:
-    try:
-        return math.isfinite(float(raw))
-    except (TypeError, ValueError, OverflowError):
-        return False
+class _Leaf(NamedTuple):
+    """A value that passes `test`; else `problem, got <value>` at its path."""
+    test: Callable[[object], bool]
+    problem: str
 
 
-def _object(raw, path, errors) -> dict:
-    """raw if it is a JSON object; else an error at path and an empty one."""
-    if isinstance(raw, dict):
-        return raw
-    errors.append((path, f"must be an object, got {raw!r}"))
-    return {}
+def _walk(shape, raw, path, errors, required=()):
+    """Append (path, problem) for every value in raw that does not fit shape:
+    a _Leaf; [item], a list of items; {str: item} or {int: item}, an object
+    keyed by name or by integer; or {field: shape, ...}, an object whose
+    fields are checked where present, and as None where absent if named in
+    `required`.  Other fields are ignored.  Every field of a list entry is
+    required."""
+    if isinstance(shape, _Leaf):
+        if not shape.test(raw):
+            errors.append((path, f"{shape.problem}, got {raw!r}"))
+    elif not isinstance(raw, type(shape)):
+        what = "a list" if isinstance(shape, list) else "an object"
+        errors.append((path or "$", f"must be {what}, got {raw!r}"))
+    elif isinstance(shape, list):
+        item, = shape
+        if not (isinstance(item, _Leaf) and all(map(item.test, raw))):
+            for i, value in enumerate(raw):
+                _walk(item, value, f"{path}[{i}]", errors, required=item)  # all its fields
+    elif str in shape or int in shape:
+        item, = shape.values()
+        if int in shape and not all(map(_integer, raw)):
+            errors.append((path, f"keys must be integers, got {sorted(raw)}"))
+        elif not (isinstance(item, _Leaf) and all(map(item.test, raw.values()))):
+            for key, value in raw.items():
+                _walk(item, value, f"{path}.{key}", errors)
+    else:
+        for key, field in shape.items():
+            if key in raw or key in required:
+                _walk(field, raw.get(key), f"{path}.{key}" if path else key, errors)
 
 
-def _integer_keys(raw, path, errors) -> dict:
-    """A JSON object keyed by dimension or index, with its keys read as
-    integers."""
-    table = _object(raw, path, errors)
-    try:
-        return {int(d): v for d, v in table.items()}
-    except ValueError:
-        errors.append((path, f"keys must be integers, got {sorted(table)}"))
-        return {}
+def _parses(convert):
+    """A test that convert(raw) raises no ValueError or ZeroDivisionError."""
+    def test(raw) -> bool:
+        try:
+            convert(raw)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return test
 
 
-def _names(raw, path, errors) -> list:
-    """raw if it is a JSON list of strings; else an error at path and an
-    empty list."""
-    if isinstance(raw, list) and all(isinstance(x, str) for x in raw):
-        return raw
-    errors.append((path, f"must be a list of names, got {raw!r}"))
-    return []
+_integer = _parses(int)
+_fraction = _parses(lambda raw: Fraction(str(raw)))
+_NAME = _Leaf(lambda v: type(v) is str, "must be a name")
+_POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
+               and type(v[1]) is int, "must be [base, fiber] with an integer fiber")
+_SQUARE = ("left", "right", "apex", "to_left", "to_right")
+
+_MODEL = {
+    "schema": _Leaf(lambda v: type(v) is int and v == SCHEMA_VERSION,
+                    f"expected schema {SCHEMA_VERSION}"),
+    "ground_set": [_NAME],
+    "events": {str: {
+        "levels": {int: [_NAME]},
+        "faces": {int: {str: [_NAME]}},
+        "degeneracies": {int: {str: {int: _NAME}}},
+        "atoms": [_NAME]}},
+    "maps": {str: {"source": _NAME, "target": _NAME, "levels": {int: {str: _NAME}}}},
+    "category": {
+        "objects": [_NAME],
+        "morphisms": {str: {
+            "source": _NAME, "target": _NAME,
+            "map": _Leaf(lambda v: v is None or type(v) is str, "must be a name or null")}},
+        "composition": [_Leaf(
+            lambda v: type(v) is list and len(v) == 3 and all(type(x) is str for x in v),
+            "entry must be [g, f, g*f]")],
+        "pullbacks": [_Leaf(
+            lambda v: type(v) is dict and all(type(v.get(k)) is str for k in _SQUARE),
+            "entry needs left/right/apex/to_left/to_right")]},
+    "filtration": {
+        "base_times": [_Leaf(_fraction, "must be a rational number")],
+        "fiber_steps": _Leaf(lambda v: type(v) is int, "must be an integer"),
+        "levels": [{"at": _POINT, "events": [_NAME]}]},
+    "operad": [{"name": _NAME, "inputs": [_NAME], "output": _NAME, "at": _POINT}],
+    "measure": {str: _Leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+                           "weight must be a finite number")},
+}
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -95,63 +143,42 @@ def parse_model(text: str) -> ModelDescription:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError([(f"line {exc.lineno} col {exc.colno}", exc.msg)]) from None
-    if not isinstance(doc, dict):
-        raise ModelError([("$", "top level must be an object")])
     errors: list[tuple[str, str]] = []
-
-    if doc.get("schema") != SCHEMA_VERSION:
-        errors.append(("schema", f"expected schema {SCHEMA_VERSION}, got {doc.get('schema')!r}"))
+    _walk(_MODEL, doc, "", errors, required=("schema",))
+    if errors:
+        raise ModelError(errors)
 
     ground = doc.get("ground_set", [])
-    if not isinstance(ground, list) or not all(isinstance(a, str) for a in ground):
-        errors.append(("ground_set", "must be a list of atom names"))
-        ground = []
     if len(set(ground)) != len(ground):
         errors.append(("ground_set", "duplicate atoms"))
     ground_set = frozenset(ground)
 
     events: dict[str, SimplicialEvent] = {}
-    event_specs = _object(doc.get("events", {}), "events", errors)
-    for name in sorted(event_specs):
-        path = f"events.{name}"
-        spec = _object(event_specs[name], path, errors)
-        faces, degens = {}, {}
-        levels = {d: frozenset(_names(simplices, f"{path}.levels.{d}", errors))
-                  for d, simplices in
-                  _integer_keys(spec.get("levels", {}), f"{path}.levels", errors).items()}
-        for d, table in _integer_keys(spec.get("faces", {}), f"{path}.faces", errors).items():
-            for simplex, targets in _object(table, f"{path}.faces.{d}", errors).items():
-                for i, tgt in enumerate(_names(targets, f"{path}.faces.{d}.{simplex}", errors)):
-                    faces[(d, simplex, i)] = tgt
-        for d, table in _integer_keys(spec.get("degeneracies", {}),
-                                      f"{path}.degeneracies", errors).items():
-            for simplex, entries in _object(table, f"{path}.degeneracies.{d}", errors).items():
-                at = f"{path}.degeneracies.{d}.{simplex}"
-                for i, tgt in _integer_keys(entries, at, errors).items():
-                    if isinstance(tgt, str):
-                        degens[(d, simplex, i)] = tgt
-                    else:
-                        errors.append((f"{at}.{i}", f"must be a name, got {tgt!r}"))
-        atoms = _names(spec.get("atoms", []), f"{path}.atoms", errors)
+    for name, spec in sorted(doc.get("events", {}).items()):
+        levels = {int(d): frozenset(simplices)
+                  for d, simplices in spec.get("levels", {}).items()}
+        faces = {(int(d), simplex, i): tgt
+                 for d, table in spec.get("faces", {}).items()
+                 for simplex, targets in table.items() for i, tgt in enumerate(targets)}
+        degens = {(int(d), simplex, int(i)): tgt
+                  for d, table in spec.get("degeneracies", {}).items()
+                  for simplex, entries in table.items() for i, tgt in entries.items()}
         try:
             events[name] = SimplicialEvent(name, levels, faces, degens,
-                                           frozenset(atoms), ground_set)
+                                           frozenset(spec.get("atoms", [])), ground_set)
         except StructuralError as exc:
-            errors.append((path, str(exc)))
+            errors.append((f"events.{name}", str(exc)))
     if errors:
         raise ModelError(errors)
 
     maps: dict[str, EventMap] = {}
-    map_specs = _object(doc.get("maps", {}), "maps", errors)
-    for name in sorted(map_specs):
+    for name, spec in sorted(doc.get("maps", {}).items()):
         path = f"maps.{name}"
-        spec = _object(map_specs[name], path, errors)
         src, tgt = spec.get("source"), spec.get("target")
         if src not in events or tgt not in events:
             errors.append((path, f"unknown source/target event {src!r}/{tgt!r}"))
             continue
-        level_maps = {d: dict(m) for d, m in
-                      _integer_keys(spec.get("levels", {}), f"{path}.levels", errors).items()}
+        level_maps = {int(d): dict(m) for d, m in spec.get("levels", {}).items()}
         try:
             maps[name] = EventMap(name, events[src], events[tgt], level_maps)
         except StructuralError as exc:
@@ -159,39 +186,18 @@ def parse_model(text: str) -> ModelDescription:
     if errors:
         raise ModelError(errors)
 
-    cat_spec = _object(doc.get("category", {}), "category", errors)
-    objects = {}
-    for obj in cat_spec.get("objects", []):
-        if obj not in events:
-            errors.append((f"category.objects.{obj}", "object is not a declared event"))
-        else:
-            objects[obj] = events[obj]
+    cat_spec = doc.get("category", {})
+    objects = {obj: events[obj] for obj in cat_spec.get("objects", []) if obj in events}
+    errors += [(f"category.objects.{obj}", "object is not a declared event")
+               for obj in cat_spec.get("objects", []) if obj not in events]
     morphisms = []
-    morphism_specs = _object(cat_spec.get("morphisms", {}), "category.morphisms", errors)
-    for name in sorted(morphism_specs):
-        path = f"category.morphisms.{name}"
-        spec = _object(morphism_specs[name], path, errors)
-        emap = None
-        if spec.get("map") is not None:
-            emap = maps.get(spec["map"])
-            if emap is None:
-                errors.append((path, f"unknown map {spec['map']!r}"))
+    for name, spec in sorted(cat_spec.get("morphisms", {}).items()):
+        emap = maps.get(spec.get("map"))
+        if emap is None and spec.get("map") is not None:
+            errors.append((f"category.morphisms.{name}", f"unknown map {spec['map']!r}"))
         morphisms.append(Morphism(name, spec.get("source", ""), spec.get("target", ""), emap))
-    composition = {}
-    for idx, triple in enumerate(cat_spec.get("composition", [])):
-        if not (isinstance(triple, list) and len(triple) == 3):
-            errors.append((f"category.composition[{idx}]", "entry must be [g, f, g*f]"))
-            continue
-        g, f, h = triple
-        composition[(g, f)] = h
-    pullbacks = []
-    for idx, sq in enumerate(cat_spec.get("pullbacks", [])):
-        try:
-            pullbacks.append(PullbackSquare(sq["left"], sq["right"], sq["apex"],
-                                            sq["to_left"], sq["to_right"]))
-        except (KeyError, TypeError):
-            errors.append((f"category.pullbacks[{idx}]",
-                           "entry needs left/right/apex/to_left/to_right"))
+    composition = {(g, f): h for g, f, h in cat_spec.get("composition", [])}
+    pullbacks = [PullbackSquare(*map(sq.get, _SQUARE)) for sq in cat_spec.get("pullbacks", [])]
     if errors:
         raise ModelError(errors)
     try:
@@ -201,35 +207,16 @@ def parse_model(text: str) -> ModelDescription:
 
     filtration = None
     if "filtration" in doc:
-        fspec = _object(doc["filtration"], "filtration", errors)
-        base = [_parse_fraction(t, errors, f"filtration.base_times[{i}]")
-                for i, t in enumerate(fspec.get("base_times", []))]
-        m = fspec.get("fiber_steps", 1)
-        if type(m) is not int:
-            errors.append(("filtration.fiber_steps", f"must be an integer, got {m!r}"))
-        generators = []
-        for idx, g in enumerate(doc.get("operad", [])):
-            path = f"operad[{idx}]"
-            try:
-                at = FramedPoint(_parse_fraction(g["at"][0], errors, path), int(g["at"][1]))
-                generators.append(MultiArrow(g["name"], tuple(g["inputs"]), g["output"], at))
-            except (KeyError, TypeError, IndexError):
-                errors.append((path, "generator needs name/inputs/output/at"))
-        levels = {}
-        for idx, entry in enumerate(fspec.get("levels", [])):
-            path = f"filtration.levels[{idx}]"
-            try:
-                at = FramedPoint(_parse_fraction(entry["at"][0], errors, path),
-                                 int(entry["at"][1]))
-                levels[at] = list(entry["events"])
-            except (KeyError, TypeError, IndexError):
-                errors.append((path, "level needs at=[base, fiber] and events"))
-        if errors:
-            raise ModelError(errors)
+        fspec = doc["filtration"]
+        generators = [MultiArrow(g["name"], tuple(g["inputs"]), g["output"],
+                                 FramedPoint(Fraction(str(g["at"][0])), g["at"][1]))
+                      for g in doc.get("operad", [])]
+        levels = {FramedPoint(Fraction(str(e["at"][0])), e["at"][1]): e["events"]
+                  for e in fspec.get("levels", [])}
         try:
-            index = FramedIndex(base, m)
-            filtration = FilteredSigmaAlgebra(index, events, levels,
-                                              OperadFragment(generators))
+            index = FramedIndex([Fraction(str(t)) for t in fspec.get("base_times", [])],
+                                fspec.get("fiber_steps", 1))
+            filtration = FilteredSigmaAlgebra(index, events, levels, OperadFragment(generators))
         except StructuralError as exc:
             raise ModelError([("filtration", str(exc))]) from None
     elif "operad" in doc:
@@ -237,18 +224,13 @@ def parse_model(text: str) -> ModelDescription:
 
     measure = None
     if "measure" in doc:
-        weights = doc["measure"]
-        if not isinstance(weights, dict) or set(weights) != set(ground_set):
+        if set(doc["measure"]) != ground_set:
             errors.append(("measure", "weights must be keyed by exactly the ground set"))
         else:
-            bad = [(f"measure.{atom}", f"weight must be a finite number, got {weights[atom]!r}")
-                   for atom in sorted(weights) if not _is_finite_number(weights[atom])]
-            errors.extend(bad)
-            if not bad:
-                try:
-                    measure = ProbabilityMeasure(weights)
-                except StructuralError as exc:
-                    errors.append(("measure", str(exc)))
+            try:
+                measure = ProbabilityMeasure(doc["measure"])
+            except StructuralError as exc:
+                errors.append(("measure", str(exc)))
     if errors:
         raise ModelError(errors)
     return ModelDescription(ground_set, events, maps, category, filtration, measure)

@@ -135,8 +135,9 @@ class GBMParams:
             raise PreconditionError("need n >= 1 and T > 0")
         # sigma*sigma is inf where sigma ** 2 would raise OverflowError
         drift = self.alpha - 0.5 * self.sigma * self.sigma
-        if not math.isfinite(drift):
-            raise PreconditionError(f"drift alpha - sigma^2/2 is not finite: {drift!r}")
+        if not math.isfinite(drift * self.T):
+            raise PreconditionError(f"drift (alpha - sigma^2/2) times T is not finite: "
+                                    f"{drift * self.T!r}")
 
 
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:

@@ -172,6 +172,29 @@ def test_overflowing_sigma_is_usage_error(capsys, argv):
     assert "drift" in err
 
 
+@pytest.mark.parametrize("command", ("verify-ito", "simulate"))
+def test_overflowing_drift_times_horizon_is_usage_error(capsys, command):
+    # alpha * T overflows to inf: a bad parameter, not a failed check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--alpha", "1e300", "--T", "1e10",
+                             "--paths", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: drift (alpha - sigma^2/2) times T is not finite: ")
+
+
+def test_model_of_the_wrong_type_exits_two_with_its_path(tmp_path, capsys):
+    path = tmp_path / "objects_five.json"
+    path.write_text(json.dumps({"schema": 1, "category": {"objects": 5}}))
+    code, out, err = run(capsys, "check-site", "--topology", "structural",
+                         "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: category.objects: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, value", (
     (("simulate", "--sigma", "40"), "terminal value X_T"),
     (("simulate", "--x0", "1e308", "--alpha", "1", "--paths", "3"), "mean terminal value"),

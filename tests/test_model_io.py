@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from deltasite import fixtures
 from deltasite.errors import ModelError
@@ -106,6 +110,23 @@ MALFORMED = (
     (("events", "e_a", "degeneracies"), {"0": {"a": {"x": "y"}}},
      "events.e_a.degeneracies.0.a"),
     (("events", "e_a", "degeneracies"), {"0": {"a": 3}}, "events.e_a.degeneracies.0.a"),
+    (("maps", "i:e_a>e_ab", "levels"), {"0": 5}, "maps.i:e_a>e_ab.levels.0"),
+    (("category", "objects"), 5, "category.objects"),
+    (("category", "composition"), 5, "category.composition"),
+    (("category", "pullbacks"), 5, "category.pullbacks"),
+    (("filtration", "levels"), 5, "filtration.levels"),
+    (("filtration", "base_times"), 5, "filtration.base_times"),
+    (("operad",), 5, "operad"),
+    (("maps", "i:e_a>e_ab", "source"), ["x"], "maps.i:e_a>e_ab.source"),
+    (("category", "morphisms", "i:e_a>e_ab", "source"), ["x"],
+     "category.morphisms.i:e_a>e_ab.source"),
+    (("category", "morphisms", "i:e_a>e_ab", "map"), ["x"],
+     "category.morphisms.i:e_a>e_ab.map"),
+    (("operad", 0, "name"), ["x"], "operad[0].name"),
+    (("filtration", "levels", 0, "at"), ["0", "x"], "filtration.levels[0].at"),
+    (("filtration", "levels", 0, "at", 1), True, "filtration.levels[0].at"),
+    (("filtration", "levels", 0, "at", 1), 1.9, "filtration.levels[0].at"),
+    (("filtration", "levels", 0, "at", 1), "1", "filtration.levels[0].at"),
 )
 
 
@@ -119,6 +140,67 @@ def test_malformed_section_is_refused_with_its_path(keys, value, path):
     with pytest.raises(ModelError) as err:
         parse_model(json.dumps(doc))
     assert err.value.errors[0][0] == path
+
+
+def _nodes(value, at=()):
+    """The key path of every value in a JSON document, the root's (empty) first."""
+    yield at
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, (*at, key))
+
+
+# Values swapped in anywhere: every JSON type, NaN, infinities, negative and
+# fractional numbers, booleans, strings where lists are expected and lists
+# where names are; and keys a renamed object key may take.
+SWAPS = (None, True, False, 0, -1, 2, 1.5, -0.5, math.nan, math.inf, -math.inf,
+         "", "x", "1", "1/0", [], ["x"], [1], [None], {}, {"x": 1}, {"0": 5})
+KEYS = ("x", "", "0", "-1", "1.5", "zero")
+
+
+@hst.composite
+def mutated_fixture(draw, name):
+    """A bundled fixture's JSON after one to three swaps, deletions or key
+    renames at random places."""
+    doc = json.loads(fixtures.fixture_text(name))
+    for _ in range(draw(hst.integers(1, 3))):
+        at = draw(hst.sampled_from(list(_nodes(doc))))
+        kind = draw(hst.sampled_from(("swap", "delete", "rename")))
+        if not at:
+            if kind == "swap":
+                doc = copy.deepcopy(draw(hst.sampled_from(SWAPS)))
+            continue
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        if kind == "swap":
+            parent[at[-1]] = copy.deepcopy(draw(hst.sampled_from(SWAPS)))
+        elif kind == "delete":
+            del parent[at[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(hst.sampled_from(KEYS))] = parent.pop(at[-1])
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data())
+def test_mutated_fixture_fails_only_with_located_model_errors(name, data):
+    sections = tuple(json.loads(fixtures.fixture_text(name)))
+    try:
+        parse_model(json.dumps(data.draw(mutated_fixture(name))))
+    except ModelError as err:
+        for path, _ in err.errors:
+            assert path == "$" or path.startswith("line ") or any(
+                path == top or path.startswith((f"{top}.", f"{top}[")) for top in sections), path
+
+
+def test_unknown_top_level_key_is_ignored():
+    doc = json.loads(minimal_text())
+    doc["comment"] = {"written by": ["hand"]}
+    model = parse_model(json.dumps(doc))
+    assert serialize_model(model) == minimal_text()
 
 
 def test_syntax_error_reports_position():
