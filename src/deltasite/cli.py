@@ -283,7 +283,12 @@ def main(argv=None) -> int:
                 print(f"error: cannot read model: {exc}", file=sys.stderr)
                 return USAGE_EXIT
         report = Report(args.command, model_hash, params)
-        args.run(args, model, report)
+        # a computation that leaves the float range is a bad parameter, not a report
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.run(args, model, report)
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: out of numeric range: {(exc.args or [exc])[-1]}", file=sys.stderr)
+        return USAGE_EXIT
     except ModelError as exc:
         for path, message in exc.errors:
             print(f"error: {path}: {message}", file=sys.stderr)

@@ -133,11 +133,9 @@ class FilteredSigmaAlgebra:
             raise KeyError(f"unknown framed point {point!r}")
         return self.levels[point]
 
-    def ground_set(self) -> frozenset[str]:
-        grounds = {ev.ground_set for ev in self.events.values()}
-        if len(grounds) > 1:
-            raise StructuralError("events live over different ground sets")
-        return next(iter(grounds)) if grounds else frozenset()
+
+def _atoms_of(e) -> frozenset[str]:
+    return e.atoms if isinstance(e, SimplicialEvent) else frozenset(e)
 
 
 class ProbabilityMeasure:
@@ -161,7 +159,7 @@ class ProbabilityMeasure:
         self._values: dict[frozenset[str], float] = {}
 
     def __call__(self, event) -> float:
-        atoms = event.atoms if isinstance(event, SimplicialEvent) else frozenset(event)
+        atoms = _atoms_of(event)
         value = self._values.get(atoms)
         if value is None:
             unknown = atoms - self.ground_set
@@ -183,10 +181,6 @@ class SigmaLevelReport:
     @property
     def passed(self) -> bool:
         return not self.missing
-
-
-def _atoms_of(e) -> frozenset[str]:
-    return e.atoms if isinstance(e, SimplicialEvent) else frozenset(e)
 
 
 def _by_size(s: frozenset[str]):

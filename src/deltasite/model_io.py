@@ -100,11 +100,27 @@ def _parses(convert):
     return test
 
 
+# A rational's size bound, checked on its text before any Fraction is built:
+# the repr of every finite float fits (at most 24 characters, exponent -324
+# to 308), and the value's digits stay far below the int-to-str limit.
+_RATIONAL_CHARS = 100
+_RATIONAL_EXPONENT = 400
+
+
+def _bounded(text: str) -> str:
+    """text, if it is short and its decimal exponent (if any) is small."""
+    _, e, exponent = text.lower().partition("e")
+    if len(text) > _RATIONAL_CHARS or (e and abs(int(exponent)) > _RATIONAL_EXPONENT):
+        raise ValueError(f"rational {text!r} too large")
+    return text
+
+
 _integer = _parses(int)
-_fraction = _parses(lambda raw: Fraction(str(raw)))
+_fraction = _parses(lambda raw: Fraction(_bounded(str(raw))))
 _NAME = _Leaf(lambda v: type(v) is str, "must be a name")
 _POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
-               and type(v[1]) is int, "must be [base, fiber] with an integer fiber")
+               and type(v[1]) is int,
+               "must be [base, fiber] with a bounded rational base and an integer fiber")
 _SQUARE = ("left", "right", "apex", "to_left", "to_right")
 
 _MODEL = {
@@ -129,7 +145,8 @@ _MODEL = {
             lambda v: type(v) is dict and all(type(v.get(k)) is str for k in _SQUARE),
             "entry needs left/right/apex/to_left/to_right")]},
     "filtration": {
-        "base_times": [_Leaf(_fraction, "must be a rational number")],
+        "base_times": [_Leaf(_fraction, f"must be a rational number of at most {_RATIONAL_CHARS}"
+                                        f" characters and exponent {_RATIONAL_EXPONENT} in size")],
         "fiber_steps": _Leaf(lambda v: type(v) is int, "must be an integer"),
         "levels": [{"at": _POINT, "events": [_NAME]}]},
     "operad": [{"name": _NAME, "inputs": [_NAME], "output": _NAME, "at": _POINT}],
@@ -143,6 +160,10 @@ def parse_model(text: str) -> ModelDescription:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError([(f"line {exc.lineno} col {exc.colno}", exc.msg)]) from None
+    except RecursionError:
+        raise ModelError([("$", "nested too deeply to read")]) from None
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise ModelError([("$", str(exc).split(";")[0])]) from None
     errors: list[tuple[str, str]] = []
     _walk(_MODEL, doc, "", errors, required=("schema",))
     if errors:
@@ -213,9 +234,15 @@ def parse_model(text: str) -> ModelDescription:
                       for g in doc.get("operad", [])]
         levels = {FramedPoint(Fraction(str(e["at"][0])), e["at"][1]): e["events"]
                   for e in fspec.get("levels", [])}
+        # every framed point needs a level: refuse an index larger than the
+        # levels declared before building it
+        base_times, m = fspec.get("base_times", []), fspec.get("fiber_steps", 1)
+        declared = len(fspec.get("levels", []))
+        if len(base_times) * m > declared:
+            raise ModelError([("filtration.fiber_steps", f"{m} fiber steps over "
+                               f"{len(base_times)} base times need more than {declared} levels")])
         try:
-            index = FramedIndex([Fraction(str(t)) for t in fspec.get("base_times", [])],
-                                fspec.get("fiber_steps", 1))
+            index = FramedIndex([Fraction(str(t)) for t in base_times], m)
             filtration = FilteredSigmaAlgebra(index, events, levels, OperadFragment(generators))
         except StructuralError as exc:
             raise ModelError([("filtration", str(exc))]) from None

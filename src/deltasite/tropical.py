@@ -191,23 +191,15 @@ def reversion(series: GradedTensorSeries) -> GradedTensorSeries:
     if f[1] == 0:
         raise PreconditionError("reversion needs an invertible linear coefficient")
     g = [Fraction(0), Fraction(1) / f[1]]
-    # powers[k] = coefficients of f^k, maintained up to degree n
-    powers = [[Fraction(1)] + [Fraction(0)] * n, list(f)]
-    for k in range(2, n + 1):
-        prev = powers[k - 1]
-        cur = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(prev):
-            if a == 0:
-                continue
-            for j, b in enumerate(f[: n + 1 - i]):
-                cur[i + j] += a * b
-        powers.append(cur)
+    powers = [None, series]  # powers[k] = f^k up to degree n
+    for _ in range(2, n + 1):
+        powers.append(powers[-1] * series)
     for m in range(2, n + 1):
         # coefficient of x^m in sum_k g_k f^k must vanish
         acc = Fraction(0)
         for k in range(1, m):
-            acc += g[k] * powers[k][m]
-        g.append(-acc / powers[m][m])
+            acc += g[k] * powers[k].coeffs[m]
+        g.append(-acc / powers[m].coeffs[m])
     return GradedTensorSeries(tuple(g))
 
 

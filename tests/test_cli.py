@@ -210,6 +210,24 @@ def test_terminal_value_out_of_range_is_usage_error(capsys, argv, value):
     assert err.startswith(f"error: {value} is not a positive finite number: ")
 
 
+@pytest.mark.parametrize("argv", (
+    ("verify-ito", "--T", "1e200", "--paths", "3", "--steps", "10"),
+    ("verify-ito", "--T", "1e300", "--paths", "3", "--steps", "10"),
+    ("verify-ito", "--T", "1e-320", "--paths", "3", "--steps", "10"),
+    ("check-sheaf", "--mode", "cones", "--sigma", "1e308", "--paths", "100",
+     "--model", fixtures.fixture_path("four_events")),
+))
+def test_computation_out_of_float_range_is_usage_error(capsys, argv):
+    # each overflows or divides by zero inside the handler; none may end in a
+    # traceback, a warning or a report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of numeric range: ")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

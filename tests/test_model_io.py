@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,10 @@ MALFORMED = (
     (("filtration", "levels", 0, "at", 1), True, "filtration.levels[0].at"),
     (("filtration", "levels", 0, "at", 1), 1.9, "filtration.levels[0].at"),
     (("filtration", "levels", 0, "at", 1), "1", "filtration.levels[0].at"),
+    (("filtration", "fiber_steps"), 10**9, "filtration.fiber_steps"),
+    (("filtration", "base_times", 1), "1e100000", "filtration.base_times[1]"),
+    (("filtration", "levels", 0, "at", 0), "1e100000", "filtration.levels[0].at"),
+    (("operad", 0, "at", 0), "1e100000", "operad[0].at"),
 )
 
 
@@ -140,6 +146,41 @@ def test_malformed_section_is_refused_with_its_path(keys, value, path):
     with pytest.raises(ModelError) as err:
         parse_model(json.dumps(doc))
     assert err.value.errors[0][0] == path
+
+
+def test_fiber_steps_beyond_the_declared_levels_is_refused_before_the_index():
+    # a framed index of 2 * 10**9 points would take minutes and gigabytes to build
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["filtration"]["fiber_steps"] = 10**9
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert time.perf_counter() - start < 0.05
+    assert [p for p, _ in err.value.errors] == ["filtration.fiber_steps"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.floats(allow_nan=False, allow_infinity=False))
+def test_rational_bound_admits_every_finite_float(x):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["filtration"]["base_times"] = [repr(x), x]
+    with pytest.raises(ModelError) as err:
+        parse_model(json.dumps(doc))
+    # the two equal times are refused as a grid, not as values
+    assert [p for p, _ in err.value.errors] == ["filtration"]
+
+
+@pytest.mark.parametrize("text", (
+    "[" * 100000 + "]" * 100000,                       # deeper than the parser recurses
+    '{"schema": 1, "x": ' + "7" * 5000 + "}",          # past the int-to-str digit limit
+), ids=("deep-nesting", "long-integer"))
+def test_unreadable_document_is_refused_at_the_root(text):
+    if "7" * 5000 in text and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter reads integers of any length")
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert [p for p, _ in err.value.errors] == ["$"]
 
 
 def _nodes(value, at=()):
