@@ -167,9 +167,7 @@ class FiniteCategory:
         """Monomorphism test on the attached simplicial map."""
         m = self.morphism(name)
         if m.event_map is None:
-            if self.is_identity(name):
-                return True
-            return False
+            return self.is_identity(name)
         return is_monomorphism(m.event_map)
 
     def pullback_of(self, left: str, right: str) -> PullbackSquare | None:
@@ -193,6 +191,13 @@ class FiniteCategory:
                                   sq.to_right_source, sq.to_left_source)
         return None
 
+    def composable_pairs(self):
+        """Every (f, g) with g o f defined by endpoints: f in name order, g
+        in the out-index of f's target."""
+        for f in sorted(self.morphisms):
+            for g in self._out[self.morphisms[f].target]:
+                yield f, g
+
     # -- axiom report ---------------------------------------------------------
 
     def check_axioms(self) -> list[str]:
@@ -201,27 +206,24 @@ class FiniteCategory:
         Composable pairs and triples are walked through the out-index, so
         the work grows with their number rather than with M^2 and M^3."""
         bad = []
-        names = sorted(self.morphisms)
-        for f in names:
-            for g in self._out[self.morphisms[f].target]:
-                if (g, f) not in self.composition:
-                    bad.append(f"composition undefined for ({g}, {f})")
+        for f, g in self.composable_pairs():
+            if (g, f) not in self.composition:
+                bad.append(f"composition undefined for ({g}, {f})")
         for name, m in self.morphisms.items():
             if self.composition.get((self.identities[m.target], name)) != name:
                 bad.append(f"left unit fails for {name}")
             if self.composition.get((name, self.identities[m.source])) != name:
                 bad.append(f"right unit fails for {name}")
-        for f in names:
-            for g in self._out[self.morphisms[f].target]:
-                gf = self.composition.get((g, f))
-                if gf is None:
-                    continue
-                for h in self._out[self.morphisms[g].target]:
-                    hg = self.composition.get((h, g))
-                    left = self.composition.get((h, gf))
-                    right = self.composition.get((hg, f)) if hg else None
-                    if left is not None and right is not None and left != right:
-                        bad.append(f"associativity fails on ({h}, {g}, {f})")
+        for f, g in self.composable_pairs():
+            gf = self.composition.get((g, f))
+            if gf is None:
+                continue
+            for h in self._out[self.morphisms[g].target]:
+                hg = self.composition.get((h, g))
+                left = self.composition.get((h, gf))
+                right = self.composition.get((hg, f)) if hg else None
+                if left is not None and right is not None and left != right:
+                    bad.append(f"associativity fails on ({h}, {g}, {f})")
         for (l, r), sq in sorted(self.pullbacks.items()):
             via_left = self.composition.get((l, sq.to_left_source))
             via_right = self.composition.get((r, sq.to_right_source))

@@ -78,23 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10_000)
     common(p, cmd_check_sheaf, model=True)
 
-    p = sub.add_parser("simulate", help="simulate geometric Brownian motion")
-    p.add_argument("--alpha", type=_finite_float, default=0.0)
-    p.add_argument("--sigma", type=_finite_float, default=0.0)
-    p.add_argument("--x0", type=_finite_float, default=1.0)
-    p.add_argument("--T", type=_finite_float, default=1.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--paths", type=_path_count, default=1)
-    common(p, cmd_simulate)
-
-    p = sub.add_parser("verify-ito", help="delta-calculus identity and limit checks")
-    p.add_argument("--alpha", type=_finite_float, default=0.1)
-    p.add_argument("--sigma", type=_finite_float, default=0.2)
-    p.add_argument("--x0", type=_finite_float, default=1.0)
-    p.add_argument("--T", type=_finite_float, default=1.0)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--paths", type=_path_count, default=200)
-    common(p, cmd_verify_ito)
+    for name, text, run, alpha, sigma, steps, paths in (
+            ("simulate", "simulate geometric Brownian motion", cmd_simulate, 0.0, 0.0, 100, 1),
+            ("verify-ito", "delta-calculus identity and limit checks", cmd_verify_ito,
+             0.1, 0.2, 1000, 200)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--alpha", type=_finite_float, default=alpha)
+        p.add_argument("--sigma", type=_finite_float, default=sigma)
+        p.add_argument("--x0", type=_finite_float, default=1.0)
+        p.add_argument("--T", type=_finite_float, default=1.0)
+        p.add_argument("--steps", type=int, default=steps)
+        p.add_argument("--paths", type=_path_count, default=paths)
+        common(p, run)
 
     p = sub.add_parser("tropicalize", help="tropical value of the log-SDE")
     p.add_argument("--alpha", type=_finite_float, required=True)
@@ -205,21 +200,23 @@ def cmd_verify_ito(args, model, report: Report):
 
     # One pass over streams 0.. of seed serves the product-rule pairs
     # (2i, 2i+1), the quadratic variation of the first `paths` streams and
-    # the w2 path (stream 0); a pair never straddles two blocks.
+    # the w2 path (stream 0); stream 2i+1 meets the carried row of 2i.
     part = stochastic.Partition.uniform(T, n)
     worst, qvs = 0.0, []
     for streams, values in stochastic.brownian_blocks(
             T, n, seed, range(max(args.paths, 2 * pairs))):
-        for r in range(0, min(len(streams), 2 * pairs - streams.start), 2):
-            x = stochastic.DiscretePath(part, 1.0 + values[r])
-            y = stochastic.DiscretePath(part, 1.0 + values[r + 1])
-            scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
-            worst = max(worst, stochastic.check_product_rule(x, y) / scale)
-        paths = [stochastic.DiscretePath(part, row)
-                 for row in values[:max(0, args.paths - streams.start)]]
-        qvs.extend(stochastic.quadratic_variation(path) for path in paths)
-        if streams.start == 0:
-            w0 = paths[0]
+        for stream, row in zip(streams, values):
+            if stream % 2 and stream < 2 * pairs:
+                x = stochastic.DiscretePath(part, 1.0 + carried)
+                y = stochastic.DiscretePath(part, 1.0 + row)
+                scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
+                worst = max(worst, stochastic.check_product_rule(x, y) / scale)
+            carried = row
+            path = stochastic.DiscretePath(part, row)
+            if stream < args.paths:
+                qvs.append(stochastic.quadratic_variation(path))
+            if stream == 0:
+                w0 = path
     report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
 
     # quadratic variation concentration
@@ -248,7 +245,7 @@ def cmd_verify_ito(args, model, report: Report):
     n_paths = max(args.paths, 30)
     rates = stochastic.gbm_terminal_log_rates(params, n_paths)
     est = stochastic.estimate_log_drift(rates)
-    target = args.alpha - 0.5 * args.sigma ** 2
+    target = params.drift
     lo, hi = est.interval
     report.add("log-drift",
                f"mean={est.mean!r} target={target!r} 3se={3 * est.stderr!r}",

@@ -19,7 +19,7 @@ from .errors import PreconditionError
 from .events import EventMap, SimplicialEvent, discrete_event, empty_event
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, MultiArrow,
                          OperadFragment, ProbabilityMeasure)
-from .model_io import ModelDescription, parse_model, serialize_model
+from .model_io import ModelDescription, parse_model
 
 
 def _ev_name(atoms) -> str:
@@ -266,17 +266,3 @@ def fixture_path(name: str) -> str:
 
 def load_fixture(name: str) -> ModelDescription:
     return parse_model(fixture_text(name))
-
-
-def write_fixture_files(directory) -> list[str]:
-    """Serialize every fixture into directory; returns the file names."""
-    import pathlib
-
-    out = []
-    root = pathlib.Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, builder in sorted(ALL_FIXTURES.items()):
-        text = serialize_model(builder())
-        (root / f"{name}.json").write_text(text, encoding="utf-8")
-        out.append(f"{name}.json")
-    return out

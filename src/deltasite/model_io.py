@@ -246,6 +246,10 @@ def parse_model(text: str) -> ModelDescription:
             filtration = FilteredSigmaAlgebra(index, events, levels, OperadFragment(generators))
         except StructuralError as exc:
             raise ModelError([("filtration", str(exc))]) from None
+        # the site of a level is a full subcategory of the category
+        errors += [(f"filtration.levels[{i}].events[{j}]", f"event {e!r} is not a category object")
+                   for i, level in enumerate(fspec.get("levels", []))
+                   for j, e in enumerate(level["events"]) if e not in category.objects]
     elif "operad" in doc:
         errors.append(("operad", "operad section requires a filtration section"))
 

@@ -224,6 +224,8 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
         raise PreconditionError(f"need t < t', got {t} >= {t_prime}")
     if n_paths < 1:
         raise PreconditionError("need at least one sample")
+    if sigma < 0:
+        raise PreconditionError("sigma must be nonnegative")
     expected = 2.0 * normal_cdf(kappa) - 1.0 if kappa > 0 else 0.0
     if kappa <= 0:
         return ConeReport(0.0, expected, 0.0, 0.0, n_paths, "fail",

@@ -72,9 +72,6 @@ class FilteredSite:
     def site_at(self, point: FramedPoint) -> GrothendieckSite:
         return self.levels[point]
 
-    def __iter__(self):
-        return iter(self.filtration.index)
-
 
 # -- builders -----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import PreconditionError
 
-# Values per sampling block, unless two rows are longer.
+# Values per sampling block, unless one row is longer.
 BLOCK_VALUES = 1 << 16
 
 
@@ -30,17 +30,15 @@ def normal_blocks(seed: int, count: int, streams):
 
     Yields (streams[a:b], block) with block of shape (b - a, count): row r is
     stream streams[a + r], from the documented Philox + inverse-CDF
-    transform.  A block holds at most BLOCK_VALUES values, or two rows when
-    they are longer.  Every block but the last holds an even number of rows,
-    so streams 2i and 2i+1 of range(0, k) share a block.  The seed must fit
-    the 128-bit key.
+    transform.  A block holds at most BLOCK_VALUES values, or one row when
+    it is longer.  The seed must fit the 128-bit key.
     """
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=int(seed))
     state = bg.state  # counter 0, empty buffer; each stream rewrites the counter
     counter = state["state"]["counter"]
-    rows = max(2, BLOCK_VALUES // max(count, 1) // 2 * 2)
+    rows = max(1, BLOCK_VALUES // max(count, 1))
     raw = np.empty((min(rows, len(streams)), count), dtype=np.uint64)
     for start in range(0, len(streams), rows):
         part = streams[start:start + rows]
@@ -138,6 +136,11 @@ class GBMParams:
         if not math.isfinite(drift * self.T):
             raise PreconditionError(f"drift (alpha - sigma^2/2) times T is not finite: "
                                     f"{drift * self.T!r}")
+
+    @property
+    def drift(self) -> float:
+        """The log drift alpha - sigma^2/2."""
+        return self.alpha - 0.5 * self.sigma ** 2
 
 
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:
@@ -260,19 +263,17 @@ def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:
     alpha - sigma^2/2 in expectation at any step count.
     """
     w = sample_brownian(p.T, p.n, p.seed, stream)
-    drift = p.alpha - 0.5 * p.sigma ** 2
-    values = p.x0 * np.exp(drift * w.partition.times + p.sigma * w.values)
+    values = p.x0 * np.exp(p.drift * w.partition.times + p.sigma * w.values)
     return DiscretePath(w.partition, values)
 
 
 def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
     """log(X_T / x0) / T for n_paths independent streams of one seed."""
-    drift = p.alpha - 0.5 * p.sigma ** 2
     sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
     w_T = np.array([math.fsum(row)
                     for _, block in normal_blocks(p.seed, p.n, range(n_paths))
                     for row in (block * sq).tolist()])
-    return (drift * p.T + p.sigma * w_T) / p.T
+    return (p.drift * p.T + p.sigma * w_T) / p.T
 
 
 @dataclass(frozen=True)
@@ -288,16 +289,11 @@ class LogDriftEstimate:
 
 
 def estimate_log_drift(paths) -> LogDriftEstimate:
-    """Sample mean and standard error of log(X_T/X_0)/T over >= 30 paths."""
-    rates = []
-    for p in paths:
-        if isinstance(p, DiscretePath):
-            rates.append(math.log(p.values[-1] / p.values[0]) / p.partition.times[-1])
-        else:
-            rates.append(float(p))
-    if len(rates) < 30:
-        raise PreconditionError(f"need at least 30 paths, got {len(rates)}")
-    arr = np.asarray(rates)
+    """Sample mean and standard error of the log rates log(X_T/X_0)/T of
+    >= 30 paths."""
+    arr = np.fromiter(paths, dtype=float)
+    if arr.size < 30:
+        raise PreconditionError(f"need at least 30 paths, got {arr.size}")
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
     return LogDriftEstimate(mean, stderr, arr.size)

@@ -362,6 +362,14 @@ def test_lookups_match_brute_force_scans(cat):
             assert minimal_outgoing(cat, obj, mode) == scan_minimal_outgoing(cat, obj, mode)
 
 
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories())
+def test_composable_pairs_match_a_scan_of_all_morphism_pairs(cat):
+    mor = cat.morphisms
+    assert list(cat.composable_pairs()) == [
+        (f, g) for f in sorted(mor) for g in sorted(mor) if mor[f].target == mor[g].source]
+
 def test_brute_force_strategy_reaches_every_violation_kind():
     """The random categories above produce each kind of axiom violation."""
     kinds = set()

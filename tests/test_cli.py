@@ -2,9 +2,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from deltasite import fixtures
+from deltasite import fixtures, stochastic
 from deltasite.cli import main
 
 
@@ -226,6 +227,68 @@ def test_computation_out_of_float_range_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of numeric range: ")
+
+
+def four_events_without_e_b(tmp_path):
+    """four_events with e_b and its arrows dropped from the category; the
+    second filtration level still names it."""
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    cat = doc["category"]
+    cat["objects"].remove("e_b")
+    cat["morphisms"] = {name: m for name, m in cat["morphisms"].items()
+                        if "e_b" not in (m["source"], m["target"])}
+    kept = set(cat["morphisms"]) | {f"id:{o}" for o in cat["objects"]}
+    cat["composition"] = [rule for rule in cat["composition"] if set(rule) <= kept]
+    cat["pullbacks"] = [sq for sq in cat["pullbacks"]
+                        if {sq["left"], sq["right"], sq["to_left"], sq["to_right"]} <= kept]
+    path = tmp_path / "level_event_outside.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", (("check-site", "--topology", "probability"),
+                                  ("check-site", "--topology", "operadic"),
+                                  ("check-sheaf", "--mode", "gluing")))
+def test_level_event_outside_the_category_exits_two(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--model", four_events_without_e_b(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration.levels[1].events[2]: event 'e_b' is not a category object\n"
+
+
+def test_negative_sigma_on_the_cone_check_is_usage_error(capsys):
+    code, out, err = run(capsys, "check-sheaf", "--mode", "cones", "--sigma", "-1",
+                         "--model", fixtures.fixture_path("four_events"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: sigma must be nonnegative\n"
+
+
+def test_verify_ito_pairs_streams_across_block_boundaries(capsys):
+    # 1000 steps make 65-row sampling blocks, so pair (64, 65) straddles two;
+    # the record must be the worst residual over rows (2i, 2i+1) of the batch
+    part = stochastic.Partition.uniform(1.0, 1000)
+    batch = stochastic.sample_brownian_batch(1.0, 1000, 200, seed=1)
+
+    def worst(pairs):
+        residuals = []
+        for i, j in pairs:
+            x = stochastic.DiscretePath(part, 1.0 + batch[i])
+            y = stochastic.DiscretePath(part, 1.0 + batch[j])
+            scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
+            residuals.append(stochastic.check_product_rule(x, y) / scale)
+        return max(residuals)
+
+    want = worst((2 * i, 2 * i + 1) for i in range(100))
+    # the seed tells the pairing apart from neighbours and from in-block pairs
+    assert want != worst((2 * i + 1, 2 * i + 2) for i in range(99))
+    assert want != worst((s + r, s + r + 1) for s in (0, 65, 130, 195)
+                         for r in range(0, 65, 2) if s + r + 1 < 200)
+    code, out, _ = run(capsys, "verify-ito", "--steps", "1000", "--paths", "200",
+                       "--seed", "1", "--format", "json")
+    record = json.loads(out)["records"][0]
+    assert record["check"] == "product-rule"
+    assert record["instance"] == f"max relative residual {want!r}"
 
 
 def test_unknown_command_is_usage_error(capsys):

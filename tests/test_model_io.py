@@ -133,6 +133,7 @@ MALFORMED = (
     (("filtration", "base_times", 1), "1e100000", "filtration.base_times[1]"),
     (("filtration", "levels", 0, "at", 0), "1e100000", "filtration.levels[0].at"),
     (("operad", 0, "at", 0), "1e100000", "operad[0].at"),
+    (("category",), {"objects": ["e_a", "e_ab", "empty"]}, "filtration.levels[1].events[2]"),
 )
 
 

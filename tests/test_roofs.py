@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings
 
 from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import ClosureError, PreconditionError
+from deltasite.reports import Report
 from deltasite.roofs import (Roof, RoofCategory, build_structural_roof_topology,
                              verify_roof_category)
 from deltasite.sites import CoveringFamily, verify_grothendieck
 
 from conftest import chain_category, disc
+from test_categories import small_categories
 
 
 def test_identity_roof_has_identity_base():
@@ -157,3 +160,78 @@ def test_roof_axioms_pass_on_all_fixture_fragments():
     for name, builder in fixtures.ALL_FIXTURES.items():
         model = builder()
         assert verify_roof_category(RoofCategory(model.category)).passed, name
+
+
+# -- the verifier against the roof-by-roof reference -------------------------------
+
+def reference_compose(rc, r1, r2):
+    """r2 after r1 straight from the fragment's table, with the closure
+    message of RoofCategory.compose."""
+    assert r1.target == r2.source
+    base = rc.fragment.composition.get((r2.base, r1.base))
+    if base is None:
+        raise ClosureError(f"fragment is not composition closed: "
+                           f"({r2.base}, {r1.base}) has no composite")
+    return rc.roof_of(base)
+
+
+def reference_verify_roof_category(rc):
+    """verify_roof_category written over Roof values: every unit, pair and
+    triple is composed roof by roof, pairs listed up front."""
+    report = Report()
+    frag = rc.fragment
+    roofs = [rc.roofs[name] for name in sorted(rc.roofs)]
+    for r in roofs:
+        left = reference_compose(rc, rc.identity_roof(r.source), r)
+        right = reference_compose(rc, r, rc.identity_roof(r.target))
+        report.add("left-unit", repr(r), left == r)
+        report.add("right-unit", repr(r), right == r)
+    pairs = [(r1, rc.roofs[n]) for r1 in roofs for n in frag.morphisms_from(r1.target)]
+    for r1, r2 in pairs:
+        composite = reference_compose(rc, r1, r2)
+        report.add("base-functorial", f"({r1.base}, {r2.base})",
+                   composite == rc.roof_of(frag.compose(r2.base, r1.base)))
+    for r1, r2 in pairs:
+        for r3 in (rc.roofs[n] for n in frag.morphisms_from(r2.target)):
+            one = reference_compose(rc, reference_compose(rc, r1, r2), r3)
+            two = reference_compose(rc, r1, reference_compose(rc, r2, r3))
+            report.add("associativity", f"({r1.base}, {r2.base}, {r3.base})", one == two)
+    return report
+
+
+def verdict(verify, rc):
+    """The records of verify(rc), or the message of the ClosureError it raises."""
+    try:
+        return verify(rc).records
+    except ClosureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_categories())
+def test_verifier_matches_the_roof_by_roof_reference(cat):
+    # the fragments may lack composites or break the unit and associative laws
+    rc = RoofCategory(cat)
+    assert verdict(verify_roof_category, rc) == verdict(reference_verify_roof_category, rc)
+
+
+def test_verifier_matches_the_reference_on_fixture_fragments():
+    for name, builder in fixtures.ALL_FIXTURES.items():
+        rc = RoofCategory(builder().category)
+        assert verdict(verify_roof_category, rc) == \
+            verdict(reference_verify_roof_category, rc), name
+
+
+def test_reference_strategy_reaches_every_verdict():
+    """The random fragments above raise, fail a law, and pass."""
+    kinds = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_categories())
+    def collect(cat):
+        found = verdict(reference_verify_roof_category, RoofCategory(cat))
+        kinds.add("closure" if isinstance(found, str)
+                  else "fail" if any(r.status == "fail" for r in found) else "pass")
+
+    collect()
+    assert kinds == {"closure", "fail", "pass"}

@@ -194,6 +194,13 @@ def test_cone_kappa_zero_fails_by_construction():
     assert "empty interior" in report.witness
 
 
+@pytest.mark.parametrize("kappa", (3.0, 0.0))
+def test_cone_refuses_negative_sigma(kappa):
+    # a negative sigma is a bad parameter, not an empty cone
+    with pytest.raises(PreconditionError, match="sigma must be nonnegative"):
+        transversal_cone_check(-1.0, kappa, t=0.0, t_prime=1.0, n_paths=100)
+
+
 def test_cone_requires_increasing_times():
     with pytest.raises(PreconditionError):
         transversal_cone_check(1.0, 3.0, t=1.0, t_prime=1.0)

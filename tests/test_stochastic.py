@@ -73,11 +73,9 @@ def drawn_blocks(seed, count, streams):
     bound on the way."""
     blocks = list(normal_blocks(seed, count, streams))
     assert [s for part, _ in blocks for s in part] == list(streams)
-    for index, (part, block) in enumerate(blocks):
+    for part, block in blocks:
         assert block.shape == (len(part), count)
-        assert block.size <= max(BLOCK_VALUES, 2 * count)
-        if index < len(blocks) - 1:
-            assert len(part) % 2 == 0
+        assert block.size <= max(BLOCK_VALUES, count)
     return [(s, row) for part, block in blocks for s, row in zip(part, block)]
 
 
@@ -86,8 +84,8 @@ def drawn_blocks(seed, count, streams):
     (1, range(3, 6)),
     (3, range(1, 2)),
     (5, range(2, 9)),
-    (1000, range(5, 140)),            # 64 rows per block: three blocks
-    ((1 << 16) + 1, range(9, 14)),    # two rows per block, longer than the bound
+    (1000, range(5, 140)),            # 65 rows per block: three blocks
+    ((1 << 16) + 1, range(9, 14)),    # one row per block, longer than the bound
 ])
 def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
     rows = drawn_blocks(seed, count, streams)
@@ -98,18 +96,12 @@ def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
 
 
 def test_normal_blocks_cross_a_boundary_of_short_streams():
-    # 5 draws per stream make 13106-row blocks; the range starts at an odd stream
+    # 5 draws per stream make 13107-row blocks; the range starts at an odd stream
     streams = range(7, 7 + 13106 + 3)
     rows = drawn_blocks(2**64 + 3, 5, streams)
     draws = np.concatenate([row for _, row in rows])
     ref = np.concatenate([reference_normals(2**64 + 3, 5, s) for s in streams])
     assert draws.tobytes() == ref.tobytes()
-
-
-def test_normal_blocks_keep_pairs_together():
-    for count in (1000, 333, (1 << 16) + 1):
-        for part, _ in normal_blocks(0, count, range(0, 131)):
-            assert part.start % 2 == 0
 
 
 @pytest.mark.parametrize("seed", (-1, 2**128))
