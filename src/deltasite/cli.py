@@ -24,6 +24,8 @@ USAGE_EXIT = 2
 # `series --op`: its choices, and the builder of each
 SERIES = {"exp": tropical.exp_series, "log": tropical.log_inverse_series,
           "paper-log": tropical.paper_log_series}
+# `series --order` stops here: the log reversion costs about order**4
+MAX_SERIES_ORDER = 100
 
 
 def _path_count(text: str) -> int:
@@ -34,6 +36,18 @@ def _path_count(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
+def _series_order(text: str) -> int:
+    """--order of `series`: an integer of at most MAX_SERIES_ORDER."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_SERIES_ORDER:
+        raise argparse.ArgumentTypeError(f"order must be at most {MAX_SERIES_ORDER}, "
+                                         f"got {text!r}")
     return value
 
 
@@ -99,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact coefficients of the graded series")
     p.add_argument("--op", required=True, choices=tuple(SERIES))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_series_order, required=True)
     common(p, cmd_series)
 
     return parser

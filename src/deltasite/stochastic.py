@@ -6,6 +6,12 @@ supplies raw 64-bit words, which become uniforms in (0,1) via
 (scipy's ndtri).  Stream i of seed s starts at Philox counter [0, 0, i, 0]
 under key [s mod 2^64, s >> 64], and batches of streams are drawn in
 bounded blocks, so per-path results never depend on batch layout.
+
+Every reduction over sampled values is the correctly rounded sum, equal to
+math.fsum bit for bit, so no report depends on summation order.  It is
+computed in whole-array passes by error-free extraction (_exact_sums), with
+math.fsum itself for short arrays and for rows that are not finite, sum to
+zero or span an extreme exponent range.
 """
 from __future__ import annotations
 
@@ -172,6 +178,54 @@ def sample_brownian_batch(T: float, n: int, n_paths: int, seed: int = 0) -> np.n
     return out
 
 
+def _exact_sums(a) -> np.ndarray:
+    """Each row's sum, equal to math.fsum(row) bit for bit.
+
+    a is a 2-D float64 array, or a 1-D one read as one row.  Error-free
+    vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31, 2008): while the n values of a row
+    p lie below sigma * 2**-w, with sigma a power of two and 2**w >= n + 2,
+    q = (sigma + p) - sigma holds multiples of ulp(sigma) / 2 whose sum
+    stays within sigma, so np.sum adds them exactly in any order, and the
+    remainder p - q is exact and at most ulp(sigma) / 2.  Each pass keeps
+    one exact part and divides sigma by 2**(53 - w) (never below 2**-1000)
+    until nothing remains; math.fsum rounds the few parts once.  Arrays of
+    fewer than 1024 values, and rows that are not finite, sum to zero, need
+    sigma above 2**1000 or more than 8 passes, go to math.fsum itself, which
+    keeps its NaN, inf, overflow and signed-zero behaviour.
+    """
+    rows = np.atleast_2d(a)
+    n = rows.shape[1]
+    width = (n + 1).bit_length()  # 2**width >= n + 2
+    sums = np.zeros(len(rows))
+    fast = np.zeros(len(rows), dtype=bool)
+    # on short arrays a direct fsum costs less than the passes' fixed cost;
+    # rows of 2**27 values or more could carry the parts past sigma
+    if rows.size >= 1024 and width <= 27:
+        top = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+        exps = np.frexp(top)[1] + width  # top < 2**(exps - width)
+        fast = np.isfinite(top) & (top > 0) & (exps <= 1000)
+    if fast.any():
+        p, exps = (rows, exps) if fast.all() else (rows[fast], exps[fast])
+        q, rest = np.empty_like(p), np.empty_like(p)
+        parts = []
+        for _ in range(8):
+            sigma = np.ldexp(1.0, np.maximum(exps, -1000))[:, None]
+            np.add(sigma, p, out=q)
+            q -= sigma
+            parts.append(q.sum(axis=1))
+            p = np.subtract(p, q, out=rest)
+            left = p.any(axis=1)
+            if not left.any():
+                break
+            exps -= 53 - width
+        sums[fast] = [math.fsum(row) for row in zip(*(part.tolist() for part in parts))]
+        fast[fast] = ~left
+    for r in np.flatnonzero(~fast | (sums == 0)):
+        sums[r] = math.fsum(rows[r].tolist())
+    return sums
+
+
 def delta_increments(path: DiscretePath) -> np.ndarray:
     """The finite differences Delta_i X = X(t_{i+1}) - X(t_i)."""
     return np.diff(path.values)
@@ -179,7 +233,7 @@ def delta_increments(path: DiscretePath) -> np.ndarray:
 
 def telescoped_sum(path: DiscretePath) -> float:
     """Sum of the increments; equals X_n - X_0 by telescoping."""
-    return math.fsum(delta_increments(path))
+    return float(_exact_sums(delta_increments(path))[0])
 
 
 def check_product_rule(x: DiscretePath, y: DiscretePath) -> float:
@@ -201,12 +255,12 @@ def check_product_rule(x: DiscretePath, y: DiscretePath) -> float:
 
 def quadratic_variation(path: DiscretePath) -> float:
     """Sum of squared increments over the partition."""
-    return math.fsum(np.diff(path.values) ** 2)
+    return float(_exact_sums(np.diff(path.values) ** 2)[0])
 
 
 def cross_variation(path: DiscretePath) -> float:
     """Sum of DeltaW * Deltat; vanishes in the fine-mesh limit."""
-    return math.fsum(np.diff(path.values) * path.partition.deltas)
+    return float(_exact_sums(np.diff(path.values) * path.partition.deltas)[0])
 
 
 _ITO_CATALOG = {
@@ -248,9 +302,9 @@ def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time") -> fl
     dts = path.partition.deltas
     dws = np.diff(w)
     second = dts if quadratic_term == "time" else dws ** 2
-    expansion = math.fsum(dt_(t[:-1], w[:-1]) * dts
-                          + dw_(t[:-1], w[:-1]) * dws
-                          + 0.5 * dww_(t[:-1], w[:-1]) * second)
+    expansion = float(_exact_sums(dt_(t[:-1], w[:-1]) * dts
+                                  + dw_(t[:-1], w[:-1]) * dws
+                                  + 0.5 * dww_(t[:-1], w[:-1]) * second)[0])
     total = func(t[-1], w[-1]) - func(t[0], w[0])
     return abs(float(total) - expansion)
 
@@ -270,9 +324,9 @@ def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:
 def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
     """log(X_T / x0) / T for n_paths independent streams of one seed."""
     sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
-    w_T = np.array([math.fsum(row)
-                    for _, block in normal_blocks(p.seed, p.n, range(n_paths))
-                    for row in (block * sq).tolist()])
+    w_T = np.empty(n_paths)
+    for part, block in normal_blocks(p.seed, p.n, range(n_paths)):
+        w_T[part.start:part.stop] = _exact_sums(block * sq)
     return (p.drift * p.T + p.sigma * w_T) / p.T
 
 

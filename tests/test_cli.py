@@ -1,12 +1,13 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from deltasite import fixtures, stochastic
-from deltasite.cli import main
+from deltasite.cli import MAX_SERIES_ORDER, SERIES, main
 
 
 def run(capsys, *argv):
@@ -370,3 +371,23 @@ def test_float_flags_reject_non_finite_values(capsys, command, flag, value):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: need a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", sorted(SERIES))
+@pytest.mark.parametrize("order", [MAX_SERIES_ORDER + 1, 10**9])
+def test_series_order_above_the_bound_is_usage_error(capsys, op, order):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--op", op, "--order", str(order)])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --order: order must be at most 100" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("op", ["exp", "paper-log"])
+def test_series_order_at_the_bound_is_accepted(capsys, op):
+    code, out, _ = run(capsys, "series", "--op", op, "--order", str(MAX_SERIES_ORDER))
+    assert code == 0 and "coefficients" in out

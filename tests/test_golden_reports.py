@@ -7,9 +7,10 @@ formats.
 The table in golden_reports.json holds the exit code and the sha256 of
 stdout for each case.  The fixture entries were written before the verifiers
 were moved onto `reports.Report`, the lattice entries before hom-set lookups
-in `FiniteCategory` were indexed, and the sampling entries while every
-Philox stream was still built and jumped one at a time, so the table guards
-that reports stay byte for byte the same.
+in `FiniteCategory` were indexed, the sampling entries while every
+Philox stream was still built and jumped one at a time, and the entries at
+10,000 and 1,000 steps while every sampled reduction was a `math.fsum`, so
+the table guards that reports stay byte for byte the same.
 """
 import hashlib
 import io
@@ -45,7 +46,10 @@ SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
             ("verify-ito", "--paths", "3", "--steps", "10",
              "--seed", str(2**128 - 3)),
             ("verify-ito", "--paths", "150", "--steps", "333", "--seed", "7"),
-            ("verify-ito", "--paths", "250", "--steps", "1000", "--seed", "0"))
+            ("verify-ito", "--paths", "250", "--steps", "1000", "--seed", "0"),
+            ("verify-ito", "--paths", "20", "--steps", "10000", "--seed", "0"),
+            ("simulate", "--paths", "2000", "--alpha", "0.1", "--sigma", "0.2",
+             "--steps", "1000", "--seed", "0"))
 
 # the algebra commands, which read no model and draw nothing
 ALGEBRA = (("tropicalize", "--alpha", "0.1", "--sigma", "0.2"),

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.special import ndtri
 
 from deltasite.errors import PreconditionError
@@ -14,6 +16,7 @@ from deltasite.stochastic import (BLOCK_VALUES, DiscretePath, GBMParams,
                                   quadratic_variation, sample_brownian,
                                   sample_brownian_batch, simulate_gbm,
                                   telescoped_sum)
+from deltasite.stochastic import _ITO_CATALOG, _exact_sums
 
 
 # -- partitions and sampling -----------------------------------------------------
@@ -368,3 +371,113 @@ def test_gbm_paths_bit_identical_replay():
     rates_a = gbm_terminal_log_rates(p, 40)
     rates_b = gbm_terminal_log_rates(p, 40)
     assert np.array_equal(rates_a, rates_b)
+
+
+# -- exact sums ----------------------------------------------------------------------
+
+# values that steer math.fsum onto its edges: signed zeros, the smallest
+# subnormal, the largest float, NaN and the infinities
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
+@hst.composite
+def summands(draw):
+    """A 1-D array, or a 2-D array of rows, of 0-3000 values: mantissas in
+    [0.5, 1) scaled by powers of two in a drawn range (subnormal to near
+    overflow), mixed or one-signed rows, and optional cancelling halves,
+    rows of signed zeros and special values."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    rows = draw(hst.sampled_from((None, 1, 2, 7, 40)))
+    n = draw(hst.integers(0, 3000 // (rows or 1)))
+    shape = (rows or 1, n)
+    lo = draw(hst.integers(-1075, 1024))
+    hi = draw(hst.integers(lo, min(lo + draw(hst.sampled_from((0, 3, 60, 2100))), 1024)))
+    a = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(lo, hi + 1, shape))
+    # one-signed rows sum close to n * max; signs per value or per row
+    a *= rng.choice((-1.0, 1.0), draw(hst.sampled_from((shape, (shape[0], 1)))))
+    if n > 1 and draw(hst.booleans()):  # the second half cancels the first
+        half = n // 2
+        a[:, half:2 * half] = -a[:, rng.permutation(half)]
+    if draw(hst.booleans()):  # zeros and subnormals, then huge, then non-finite
+        a[rng.random(shape) < draw(hst.sampled_from((0.001, 0.05)))] = \
+            rng.choice(SPECIALS[:draw(hst.sampled_from((4, 6, 9)))])
+    if draw(hst.booleans()):
+        a[rng.integers(shape[0])] = rng.choice((0.0, -0.0), n)
+    return a if rows else a[0]
+
+
+# cli.main runs every command with these floating-point traps
+TRAPS = {"plain": {}, "trapped": dict(over="raise", invalid="raise", divide="raise")}
+
+
+def assert_sums_equal_fsum(a, trap):
+    """_exact_sums(a) is math.fsum of each row (1-D: one row) bit for bit,
+    or raises the first failing row's exception with its message."""
+    try:
+        want = np.array([math.fsum(row) for row in np.atleast_2d(a).tolist()])
+    except (ValueError, OverflowError) as error:
+        with np.errstate(**TRAPS[trap]), pytest.raises(type(error)) as exc:
+            _exact_sums(a)
+        assert str(exc.value) == str(error)
+        return
+    with np.errstate(**TRAPS[trap]):
+        assert _exact_sums(a).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trap", sorted(TRAPS))
+@settings(max_examples=400, deadline=None)
+@given(a=summands())
+def test_exact_sums_equal_fsum_bit_for_bit(trap, a):
+    assert_sums_equal_fsum(a, trap)
+
+
+@pytest.mark.parametrize("trap", sorted(TRAPS))
+@pytest.mark.parametrize("row", [
+    [1e308, 1e308, -1e308], [math.inf, -math.inf], [math.nan, 1.0], [math.inf, 1.0],
+    [], [-0.0], [-0.0, -0.0], [5e-324, -5e-324], [5e-324] * 3, [1e-300, 1.0, -1.0],
+    [2.0**980, 2.0**-1000], [3.0, -1.0, -2.0], [0.1] * 10])
+def test_exact_sums_keep_fsum_edges(trap, row):
+    # padded with -0.0 past the 1024 values below which fsum sums directly
+    for pad in (0, 2048):
+        assert_sums_equal_fsum(np.array(row + [-0.0] * pad), trap)
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def parent_ito_residual(f, path, quadratic_term):
+    """ito_residual as one math.fsum over the expansion terms."""
+    func, dt_, dw_, dww_ = _ITO_CATALOG[f]
+    t, w = path.partition.times, path.values
+    dts, dws = path.partition.deltas, np.diff(w)
+    second = dts if quadratic_term == "time" else dws ** 2
+    expansion = math.fsum(dt_(t[:-1], w[:-1]) * dts + dw_(t[:-1], w[:-1]) * dws
+                          + 0.5 * dww_(t[:-1], w[:-1]) * second)
+    return abs(float(func(t[-1], w[-1]) - func(t[0], w[0])) - expansion)
+
+
+def test_reductions_match_math_fsum_on_a_long_path():
+    path = sample_brownian(1.0, 100_000, seed=21, stream=2)
+    w, dt = path.values, path.partition.deltas
+    for got, want in ((quadratic_variation(path), math.fsum(np.diff(w) ** 2)),
+                      (cross_variation(path), math.fsum(np.diff(w) * dt)),
+                      (telescoped_sum(path), math.fsum(delta_increments(path)))):
+        assert type(got) is float and bits(got) == bits(want)
+    for f in sorted(_ITO_CATALOG):
+        for term in ("time", "increments"):
+            got = ito_residual(f, path, quadratic_term=term)
+            assert type(got) is float
+            assert bits(got) == bits(parent_ito_residual(f, path, term)), (f, term)
+
+
+def test_gbm_log_rates_match_fsum_over_blocks():
+    # 2000 rows of 100 steps fill 655-row blocks, so the rows span four blocks
+    p = GBMParams(alpha=0.1, sigma=0.2, x0=1.0, T=1.0, n=100, seed=8)
+    sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
+    w_T = np.array([math.fsum(row)
+                    for _, block in normal_blocks(p.seed, p.n, range(2000))
+                    for row in (block * sq).tolist()])
+    want = (p.drift * p.T + p.sigma * w_T) / p.T
+    assert gbm_terminal_log_rates(p, 2000).tobytes() == want.tobytes()
