@@ -11,8 +11,8 @@ from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
                      fiber_product, is_monomorphism, point_event, product)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, OperadFragment, ProbabilityMeasure,
-                         check_operad_action, check_sigma_level,
-                         check_sub_homomorphism, pushforward, restrict_measure)
+                         check_operad_action, check_sigma_level, pushforward,
+                         restrict_measure)
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
 from .roofs import (Roof, RoofCategory, build_structural_roof_topology,
                     verify_roof_category)
@@ -44,7 +44,7 @@ __all__ = [
     "TruncationNotice", "UnsupportedValueError", "augmentation",
     "build_structural_roof_topology", "build_tau_P", "build_tau_operadic",
     "build_tau_structural", "check_operad_action", "check_product_rule",
-    "check_sheaf_condition", "check_sigma_level", "check_sub_homomorphism",
+    "check_sheaf_condition", "check_sigma_level",
     "connected_components", "constant_presheaf", "d_psi", "delta_increments",
     "discrete_event", "empty_event", "estimate_log_drift", "exp_series",
     "fiber_product", "forward_cone", "is_monomorphism", "ito_residual",

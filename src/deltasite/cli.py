@@ -212,33 +212,33 @@ def cmd_verify_ito(args, model, report: Report):
                                   max(1, n // 10), seed + 2)
     pairs = min(args.paths, 100)
 
-    # One pass over streams 0.. of seed serves the product-rule pairs
-    # (2i, 2i+1), the quadratic variation of the first `paths` streams and
-    # the w2 path (stream 0); stream 2i+1 meets the carried row of 2i.
+    # One pass over the blocks of streams 0.. serves the product-rule pairs (2i, 2i+1),
+    # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
+    # a block that starts at an odd stream pairs its first row with the last one before.
     part = stochastic.Partition.uniform(T, n)
     worst, qvs = 0.0, []
     for streams, values in stochastic.brownian_blocks(
             T, n, seed, range(max(args.paths, 2 * pairs))):
-        for stream, row in zip(streams, values):
-            if stream % 2 and stream < 2 * pairs:
-                x = stochastic.DiscretePath(part, 1.0 + carried)
-                y = stochastic.DiscretePath(part, 1.0 + row)
-                scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
-                worst = max(worst, stochastic.check_product_rule(x, y) / scale)
-            carried = row
-            path = stochastic.DiscretePath(part, row)
-            if stream < args.paths:
-                qvs.append(stochastic.quadratic_variation(path))
-            if stream == 0:
-                w0 = path
+        start = streams.start
+        paired = values[:max(0, 2 * pairs - start)]
+        if start % 2 and len(paired):
+            paired = np.concatenate((carried[None], paired))
+        carried = values[-1]
+        k = len(paired) // 2
+        x, y = (stochastic.DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
+        scale = np.maximum(np.abs(x.values * y.values).max(axis=1), 1.0)
+        worst = float(np.max(stochastic.check_product_rule(x, y) / scale, initial=worst))
+        qvs.append(stochastic.quadratic_variation(
+            stochastic.DiscretePath(part, values[:max(0, args.paths - start)])))
+        if start == 0:
+            w0 = stochastic.DiscretePath(part, values[0])
     report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
 
     # quadratic variation concentration
     band = 3.0 * math.sqrt(2.0 / n) * T
-    hits = sum(1 for q in qvs if abs(q - T) <= band)
-    frac = hits / len(qvs)
+    hits = int(np.count_nonzero(np.abs(np.concatenate(qvs) - T) <= band))
     report.add("quadratic-variation",
-               f"{hits}/{len(qvs)} paths within {band!r} of T", frac >= 0.95)
+               f"{hits}/{args.paths} paths within {band!r} of T", hits / args.paths >= 0.95)
 
     # Ito residual: quadratic case exact, cubic case shrinking with the mesh
     exact = stochastic.ito_residual("w2", w0, quadratic_term="increments")
@@ -247,10 +247,11 @@ def cmd_verify_ito(args, model, report: Report):
     rms = []
     for steps in (n, 2 * n):
         fine = stochastic.Partition.uniform(T, steps)
-        acc = [stochastic.ito_residual("w3", stochastic.DiscretePath(fine, row)) ** 2
-               for _, values in stochastic.brownian_blocks(T, steps, seed + 1, range(pairs))
-               for row in values]
-        rms.append(math.sqrt(math.fsum(acc) / len(acc)))
+        residuals = np.concatenate([
+            stochastic.ito_residual("w3", stochastic.DiscretePath(fine, values))
+            for _, values in stochastic.brownian_blocks(T, steps, seed + 1, range(pairs))])
+        # squared by the scalar pow, which NumPy's square differs from in the last bit
+        rms.append(math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs))
     ratio = rms[0] / rms[1] if rms[1] else float("inf")
     report.add("ito-w3-trend",
                f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)

@@ -170,7 +170,7 @@ class ProbabilityMeasure:
         return value
 
 
-# -- closure / sub-homomorphism checks ---------------------------------------
+# -- closure checks ---------------------------------------------------------
 
 
 @dataclass
@@ -224,38 +224,6 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
     for s in sorted(unions.keys() - set(sets), key=_by_size):
         names = " ".join(map(_label, unions[s]))
         report.missing.append((s, f"union of atoms {names}" if names else "union of no atoms"))
-    return report
-
-
-@dataclass
-class SubHomReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def check_sub_homomorphism(P: ProbabilityMeasure, level, tol: float = 1e-12) -> SubHomReport:
-    """Verify measure behaviour on assemblies: equality on disjoint unions,
-    sub-additivity on all pairs and triples of level events."""
-    sets = sorted({_atoms_of(e) for e in level}, key=_by_size)
-    report = SubHomReport()
-    for r in (2, 3):
-        for combo in combinations(sets, r):
-            union = frozenset().union(*combo)
-            pu = P(union)
-            total = math.fsum(P(s) for s in combo)
-            report.checked += 1
-            disjoint = sum(len(s) for s in combo) == len(union)
-            if disjoint:
-                if abs(pu - total) > tol:
-                    report.failures.append(
-                        f"P(disjoint union {'+'.join(map(_label, combo))}) = {pu} != {total}")
-            elif pu > total + tol:
-                report.failures.append(
-                    f"P(union {'+'.join(map(_label, combo))}) = {pu} > {total}")
     return report
 
 

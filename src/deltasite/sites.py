@@ -11,10 +11,11 @@ change, composition -- instance by instance and reports every failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .categories import FiniteCategory
-from .errors import PreconditionError
-from .filtration import (FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure)
+from .errors import ModelError, PreconditionError
+from .filtration import FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure, _by_size, _label
 from .reports import Report
 
 
@@ -113,7 +114,20 @@ def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> Fil
 def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
                 category: FiniteCategory) -> FilteredSite:
     """Probability topology: a morphism w' -> w of level t covers when
-    P(w) >= P(w').  (Its ends always share a component of the level.)"""
+    P(w) >= P(w').  (Its ends always share a component of the level.)
+
+    Each level must be a sigma-algebra on P's ground set (hold the empty set, complements
+    and pairwise unions: O(|L|^2) sets), else ModelError at filtration.levels[i].
+    """
+    for i, p in enumerate(F.index):
+        sets = {F.events[e].atoms for e in F.level(p)}
+        needed = ({frozenset()} | {P.ground_set - s for s in sets}
+                  | {s | t for s, t in combinations(sets, 2)})
+        if not needed <= sets:
+            first = _label(min(needed - sets, key=_by_size))
+            raise ModelError([(f"filtration.levels[{i}]",
+                               f"level {p!r} is not a sigma-algebra: it lacks {first}")])
+
     def admit(m):
         return P(category.event(m.source)) <= P(category.event(m.target))
 

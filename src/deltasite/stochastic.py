@@ -11,7 +11,10 @@ Every reduction over sampled values is the correctly rounded sum, equal to
 math.fsum bit for bit, so no report depends on summation order.  It is
 computed in whole-array passes by error-free extraction (_exact_sums), with
 math.fsum itself for short arrays and for rows that are not finite, sum to
-zero or span an extreme exponent range.
+zero or span an extreme exponent range.  A reduction takes a DiscretePath
+of one path (a float) or of a block of rows (one float64 per row, bit-equal
+to that row's own call).  Only ito_residual's end points f(T, W_T) - f(0, W_0)
+go row by row, on scalars: NumPy's vectorised power differs from pow in the last bit.
 """
 from __future__ import annotations
 
@@ -113,12 +116,16 @@ class DiscretePath:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.partition.times.shape:
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.partition.times.size:
             raise PreconditionError("path length does not match its partition")
 
+    def unwrap(self, per_row: np.ndarray):
+        """per_row, one value per row: a Python float for a path."""
+        return float(per_row[0]) if self.values.ndim == 1 else per_row
+
     @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
+    def terminal(self):
+        return self.unwrap(np.atleast_2d(self.values)[:, -1])
 
 
 @dataclass(frozen=True)
@@ -227,40 +234,48 @@ def _exact_sums(a) -> np.ndarray:
 
 
 def delta_increments(path: DiscretePath) -> np.ndarray:
-    """The finite differences Delta_i X = X(t_{i+1}) - X(t_i)."""
+    """The finite differences Delta_i X = X(t_{i+1}) - X(t_i), per row."""
     return np.diff(path.values)
 
 
-def telescoped_sum(path: DiscretePath) -> float:
+def telescoped_sum(path: DiscretePath):
     """Sum of the increments; equals X_n - X_0 by telescoping."""
-    return float(_exact_sums(delta_increments(path))[0])
+    return path.unwrap(_exact_sums(delta_increments(path)))
 
 
-def check_product_rule(x: DiscretePath, y: DiscretePath) -> float:
-    """Max residual of Delta(XY) - (X DeltaY + DeltaX Y + DeltaX DeltaY).
+def check_product_rule(x: DiscretePath, y: DiscretePath):
+    """Max residual of Delta(XY) - (X DeltaY + DeltaX Y + DeltaX DeltaY), per row.
 
     The identity is pathwise algebraic, so the residual is rounding noise;
     the cross term DeltaX DeltaY is exactly what stops the delta operator
     from being a derivation.
     """
-    if x.partition.times.shape != y.partition.times.shape or \
+    if x.values.shape != y.values.shape or \
             not np.array_equal(x.partition.times, y.partition.times):
-        raise PreconditionError("paths must share a partition")
-    xv, yv = x.values, y.values
+        raise PreconditionError("paths must share a partition and a shape")
+    xv, yv = np.atleast_2d(x.values), np.atleast_2d(y.values)
+    x0, y0 = xv[:, :-1], yv[:, :-1]
     dx, dy = np.diff(xv), np.diff(yv)
-    lhs = xv[1:] * yv[1:] - xv[:-1] * yv[:-1]
-    rhs = xv[:-1] * dy + dx * yv[:-1] + dx * dy
-    return float(np.max(np.abs(lhs - rhs))) if dx.size else 0.0
+    # X1 Y1 - X0 Y0 - ((X0 dY + dX Y0) + dX dY) in that order, in place
+    lhs = xv[:, 1:] * yv[:, 1:]
+    lhs -= x0 * y0
+    rhs = x0 * dy
+    dy *= dx
+    dx *= y0
+    rhs += dx
+    rhs += dy
+    lhs -= rhs
+    return x.unwrap(np.abs(lhs, out=lhs).max(axis=1))
 
 
-def quadratic_variation(path: DiscretePath) -> float:
+def quadratic_variation(path: DiscretePath):
     """Sum of squared increments over the partition."""
-    return float(_exact_sums(np.diff(path.values) ** 2)[0])
+    return path.unwrap(_exact_sums(np.diff(path.values) ** 2))
 
 
-def cross_variation(path: DiscretePath) -> float:
+def cross_variation(path: DiscretePath):
     """Sum of DeltaW * Deltat; vanishes in the fine-mesh limit."""
-    return float(_exact_sums(np.diff(path.values) * path.partition.deltas)[0])
+    return path.unwrap(_exact_sums(np.diff(path.values) * path.partition.deltas))
 
 
 _ITO_CATALOG = {
@@ -284,9 +299,9 @@ _ITO_CATALOG = {
 }
 
 
-def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time") -> float:
+def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time"):
     """Absolute gap between f(T, W_T) - f(0, W_0) and the second-order
-    expansion summed over the partition.
+    expansion summed over the partition, per row.
 
     quadratic_term selects the second-order weight: "time" uses
     (1/2) f_ww dt (the square of a Brownian increment replaced by the step),
@@ -300,13 +315,14 @@ def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time") -> fl
     func, dt_, dw_, dww_ = _ITO_CATALOG[f]
     t, w = path.partition.times, path.values
     dts = path.partition.deltas
-    dws = np.diff(w)
-    second = dts if quadratic_term == "time" else dws ** 2
-    expansion = float(_exact_sums(dt_(t[:-1], w[:-1]) * dts
-                                  + dw_(t[:-1], w[:-1]) * dws
-                                  + 0.5 * dww_(t[:-1], w[:-1]) * second)[0])
-    total = func(t[-1], w[-1]) - func(t[0], w[0])
-    return abs(float(total) - expansion)
+    second = dts if quadratic_term == "time" else np.diff(w) ** 2
+    # the increments inline, so no local keeps them while the terms are summed
+    expansion = _exact_sums(dt_(t[:-1], w[..., :-1]) * dts + dw_(t[:-1], w[..., :-1]) * np.diff(w)
+                            + 0.5 * dww_(t[:-1], w[..., :-1]) * second)
+    # on scalars, row by row (see the module docstring)
+    total = np.fromiter((func(t[-1], end) - func(t[0], start)
+                         for start, end in zip(w[..., 0].flat, w[..., -1].flat)), float)
+    return path.unwrap(np.abs(total - expansion))
 
 
 def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:

@@ -265,20 +265,26 @@ def test_negative_sigma_on_the_cone_check_is_usage_error(capsys):
     assert err == "error: sigma must be nonnegative\n"
 
 
+def worst_product_rule(batch, pairs):
+    """The largest relative product-rule residual over the given row pairs
+    of a batch of Brownian paths, each path shifted by 1 as verify-ito does."""
+    part = stochastic.Partition.uniform(1.0, batch.shape[1] - 1)
+    residuals = []
+    for i, j in pairs:
+        x = stochastic.DiscretePath(part, 1.0 + batch[i])
+        y = stochastic.DiscretePath(part, 1.0 + batch[j])
+        scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
+        residuals.append(stochastic.check_product_rule(x, y) / scale)
+    return max(residuals)
+
+
 def test_verify_ito_pairs_streams_across_block_boundaries(capsys):
     # 1000 steps make 65-row sampling blocks, so pair (64, 65) straddles two;
     # the record must be the worst residual over rows (2i, 2i+1) of the batch
-    part = stochastic.Partition.uniform(1.0, 1000)
     batch = stochastic.sample_brownian_batch(1.0, 1000, 200, seed=1)
 
     def worst(pairs):
-        residuals = []
-        for i, j in pairs:
-            x = stochastic.DiscretePath(part, 1.0 + batch[i])
-            y = stochastic.DiscretePath(part, 1.0 + batch[j])
-            scale = max(float(np.max(np.abs(x.values * y.values))), 1.0)
-            residuals.append(stochastic.check_product_rule(x, y) / scale)
-        return max(residuals)
+        return worst_product_rule(batch, pairs)
 
     want = worst((2 * i, 2 * i + 1) for i in range(100))
     # the seed tells the pairing apart from neighbours and from in-block pairs
@@ -290,6 +296,38 @@ def test_verify_ito_pairs_streams_across_block_boundaries(capsys):
     record = json.loads(out)["records"][0]
     assert record["check"] == "product-rule"
     assert record["instance"] == f"max relative residual {want!r}"
+
+
+def test_verify_ito_checks_no_pairs_past_stream_200(capsys):
+    # at --paths 400 the blocks from stream 260 on serve only the quadratic
+    # variation; seed 98 makes pair (260, 261) or (262, 263) worse than every
+    # pair (2i, 2i+1) below 200, so checking them would change the record
+    batch = stochastic.sample_brownian_batch(1.0, 1000, 264, seed=98)
+    want = worst_product_rule(batch, ((2 * i, 2 * i + 1) for i in range(100)))
+    assert want < worst_product_rule(batch, ((260, 261), (262, 263)))
+    code, out, _ = run(capsys, "verify-ito", "--steps", "1000", "--paths", "400",
+                       "--seed", "98", "--format", "json")
+    record = json.loads(out)["records"][0]
+    assert (code, record["instance"]) == (0, f"max relative residual {want!r}")
+
+
+def four_events_not_sigma_closed(tmp_path):
+    """four_events with e_b dropped from its second filtration level, which
+    then lacks the complement of e_a."""
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["filtration"]["levels"][1]["events"].remove("e_b")
+    path = tmp_path / "not_sigma_closed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", (("check-site", "--topology", "probability"),
+                                  ("check-sheaf", "--mode", "gluing")))
+def test_level_that_is_not_sigma_closed_exits_two(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--model", four_events_not_sigma_closed(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration.levels[1]: level (1,1) is not a sigma-algebra: it lacks {b}\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -18,8 +18,8 @@ from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   FramedPoint, MultiArrow, OperadFragment,
                                   ProbabilityMeasure, check_operad_action,
-                                  check_sigma_level, check_sub_homomorphism,
-                                  pushforward, restrict_measure)
+                                  check_sigma_level, pushforward,
+                                  restrict_measure)
 
 GROUND3 = frozenset("abc")
 
@@ -170,20 +170,6 @@ def test_measure_values_are_kept_and_equal_the_sorted_fsum():
         P(frozenset("ae"))
 
 
-def test_sub_homomorphism_disjoint_pair_exact():
-    P = uniform4()
-    report = check_sub_homomorphism(P, [frozenset("a"), frozenset("b")])
-    assert report.passed
-    assert P(frozenset("ab")) == P(frozenset("a")) + P(frozenset("b")) == 0.5
-
-
-def test_sub_homomorphism_overlap_subadditive():
-    P = uniform4()
-    assert P(frozenset("abc")) == 0.75 <= P(frozenset("ab")) + P(frozenset("bc")) == 1.0
-    report = check_sub_homomorphism(P, [frozenset("ab"), frozenset("bc")])
-    assert report.passed
-
-
 def test_measure_of_empty_event_is_zero():
     assert uniform4()(frozenset()) == 0.0
 
@@ -192,17 +178,6 @@ def test_complement_sums_to_one():
     P = ProbabilityMeasure({"a": 0.5, "b": 0.3, "c": 0.2})
     for s in powerset("abc"):
         assert math.isclose(P(s) + P(GROUND3 - s), 1.0, abs_tol=1e-12)
-
-
-def test_sub_homomorphism_flags_violations():
-    # a super-additive set function is not a sub-homomorphism
-    class Spoof:
-        def __call__(self, s):
-            return len(frozenset(s)) ** 2 / 16.0
-
-    report = check_sub_homomorphism(Spoof(), [frozenset("a"), frozenset("b")])
-    assert not report.passed
-    assert "disjoint union" in report.failures[0]
 
 
 # -- restriction ---------------------------------------------------------------------

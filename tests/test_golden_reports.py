@@ -9,8 +9,10 @@ stdout for each case.  The fixture entries were written before the verifiers
 were moved onto `reports.Report`, the lattice entries before hom-set lookups
 in `FiniteCategory` were indexed, the sampling entries while every
 Philox stream was still built and jumped one at a time, and the entries at
-10,000 and 1,000 steps while every sampled reduction was a `math.fsum`, so
-the table guards that reports stay byte for byte the same.
+10,000 and 1,000 steps while every sampled reduction was a `math.fsum`,
+and the verify-ito entries at 2,000 paths and at 20,000 steps while
+verify-ito still reduced each path on its own, so the table guards that
+reports stay byte for byte the same.
 """
 import hashlib
 import io
@@ -33,7 +35,9 @@ COMMANDS = (("check-site", "--topology", "operadic"),
 
 # sampling commands with their flags; each names its own seed.  Paths 250 is
 # more than the 2*100 streams of the product-rule pairs, and seed 2**128 - 3
-# makes the log-drift key seed + 2 the largest Philox key.
+# makes the log-drift key seed + 2 the largest Philox key.  Paths 2000 at
+# 1,000 steps leaves whole blocks past the pair streams, and 20,000 steps
+# makes 3-row blocks, so a product-rule pair straddles a block boundary.
 SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
              "--seed", "0"),
             ("simulate", "--paths", "7", "--alpha", "0.1", "--sigma", "0.2",
@@ -49,7 +53,9 @@ SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
             ("verify-ito", "--paths", "250", "--steps", "1000", "--seed", "0"),
             ("verify-ito", "--paths", "20", "--steps", "10000", "--seed", "0"),
             ("simulate", "--paths", "2000", "--alpha", "0.1", "--sigma", "0.2",
-             "--steps", "1000", "--seed", "0"))
+             "--steps", "1000", "--seed", "0"),
+            ("verify-ito", "--paths", "2000", "--seed", "0"),
+            ("verify-ito", "--paths", "7", "--steps", "20000", "--seed", "0"))
 
 # the algebra commands, which read no model and draw nothing
 ALGEBRA = (("tropicalize", "--alpha", "0.1", "--sigma", "0.2"),

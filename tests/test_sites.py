@@ -88,37 +88,47 @@ def test_operadic_coverings_match_generator_scan_oracle():
 
 # -- probability topology -----------------------------------------------------------
 
+def power_set_site():
+    """The tau_P site on the top level of the power set of three atoms; the
+    chain of chain_model is no sigma-algebra, which tau_P refuses."""
+    model = fixtures.three_atoms_power_model()
+    top = model.filtration.index.points[-1]
+    return (build_tau_P(model.filtration, model.measure, model.category).site_at(top),
+            model.measure)
+
+
 def test_probability_isomorphisms_always_cover():
-    cat, F, P, idx = chain_model()
-    site = build_tau_P(F, P, cat).site_at(idx.points[0])
-    for obj in cat.objects:
+    site, _ = power_set_site()
+    for obj in site.category.objects:
         assert site.is_covering(CoveringFamily(obj, (f"id:{obj}",)))
 
 
 def test_probability_excludes_measure_increasing_arrows():
     idx = FramedIndex([0])
-    P = ProbabilityMeasure({"a": 0.5, "b": 0.25, "c": 0.25})
-    big = discrete_event("big", ["x", "y"], ["a", "b"], GROUND)
-    small = discrete_event("small", ["z"], ["a"], GROUND)
+    ground = frozenset("ab")
+    P = ProbabilityMeasure({"a": 0.75, "b": 0.25})
+    big = discrete_event("big", ["x", "y"], ["a", "b"], ground)
+    small = discrete_event("small", ["z"], ["a"], ground)
+    # the empty event and {b} complete the level to a sigma-algebra
+    events = {"big": big, "small": small, "empty": empty_event(ground),
+              "rest": discrete_event("rest", ["w"], ["b"], ground)}
     up = EventMap("up", small, big, {0: {"z": "x"}})
-    cat = FiniteCategory({"big": big, "small": small},
-                         [Morphism("up", "small", "big", up)], {})
-    F = FilteredSigmaAlgebra(idx, {"big": big, "small": small},
-                             {idx.points[0]: ["big", "small"]})
+    cat = FiniteCategory(events, [Morphism("up", "small", "big", up)], {})
+    F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
     site = build_tau_P(F, P, cat).site_at(idx.points[0])
     assert "up" in site.valid["big"]           # P rises along the arrow: covers
     # the reverse arrow lowers P at the target: excluded
     down = EventMap("down", big, small, {0: {"x": "z", "y": "z"}},
                     atom_map={"a": "a", "b": "a"})
-    cat2 = FiniteCategory({"big": big, "small": small},
-                          [Morphism("down", "big", "small", down)], {})
+    cat2 = FiniteCategory(events, [Morphism("down", "big", "small", down)], {})
     site2 = build_tau_P(F, P, cat2).site_at(idx.points[0])
     assert "down" not in site2.valid["small"]
 
 
 def test_probability_chain_matches_filter_oracle():
-    cat, F, P, idx = chain_model()
-    site = build_tau_P(F, P, cat).site_at(idx.points[0])
+    # every chain of inclusions of the power set, with its incomparable events
+    site, P = power_set_site()
+    cat = site.category
     comp = connected_components(cat)
     for name in sorted(cat.morphisms):
         m = cat.morphisms[name]

@@ -481,3 +481,92 @@ def test_gbm_log_rates_match_fsum_over_blocks():
                     for row in (block * sq).tolist()])
     want = (p.drift * p.T + p.sigma * w_T) / p.T
     assert gbm_terminal_log_rates(p, 2000).tobytes() == want.tobytes()
+
+
+# -- reductions over blocks of paths --------------------------------------------------
+
+# every reduction of one path, by name; the product rule pairs each row of a
+# block with the same row of 1 + the block in reverse row order
+REDUCTIONS = {
+    "telescoped_sum": telescoped_sum,
+    "quadratic_variation": quadratic_variation,
+    "cross_variation": cross_variation,
+    "check_product_rule": lambda p: check_product_rule(
+        p, DiscretePath(p.partition, 1.0 + p.values[::-1])),
+    **{f"ito_residual {f} {term}": (
+        lambda p, f=f, term=term: ito_residual(f, p, quadratic_term=term))
+       for f in sorted(_ITO_CATALOG) for term in ("time", "increments")},
+}
+
+
+def one_row_at_a_time(name, block):
+    """The reduction on each row of block as a path of its own."""
+    if name == "check_product_rule":
+        partners = 1.0 + block.values[::-1]
+        return [check_product_rule(DiscretePath(block.partition, row),
+                                   DiscretePath(block.partition, partner))
+                for row, partner in zip(block.values, partners)]
+    return [REDUCTIONS[name](DiscretePath(block.partition, row)) for row in block.values]
+
+
+def special_rows(n):
+    """Four Brownian rows, one holding a NaN and one constant, so that
+    _exact_sums leaves both to math.fsum inside a block."""
+    values = sample_brownian_batch(1.0, n, 4, seed=13)
+    values[1, n // 2] = math.nan
+    values[2] = 0.75
+    return values
+
+
+BLOCKS = {
+    "65x1001": lambda: sample_brownian_batch(1.0, 1000, 65, seed=3),
+    "6x10001": lambda: sample_brownian_batch(1.0, 10_000, 6, seed=4),
+    "1x1000": lambda: sample_brownian_batch(1.0, 999, 1, seed=5),
+    "0x1001": lambda: np.empty((0, 1001)),
+    "nan-and-constant": lambda: special_rows(1000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BLOCKS))
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_block_reduction_equals_each_row_bit_for_bit(name, shape):
+    values = BLOCKS[shape]()
+    block = DiscretePath(Partition.uniform(1.0, values.shape[1] - 1), values)
+    with np.errstate(invalid="ignore"):
+        got = REDUCTIONS[name](block)
+        want = one_row_at_a_time(name, block)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert all(type(x) is float for x in want)
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_w3_residual_of_a_block_keeps_the_scalar_end_points():
+    # at seed 8 and 666 steps, w ** 3 on the array of end points can differ
+    # from the scalar cube in the last bit (4 of these 100 rows on x86-64
+    # with AVX-512); the oracle cubes each end point as a scalar
+    part = Partition.uniform(1.0, 666)
+    block = DiscretePath(part, sample_brownian_batch(1.0, 666, 100, seed=8))
+    for term in ("time", "increments"):
+        want = [parent_ito_residual("w3", DiscretePath(part, row), term)
+                for row in block.values]
+        got = ito_residual("w3", block, quadratic_term=term)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_terminal_of_a_path_and_of_a_block():
+    block = DiscretePath(Partition.uniform(1.0, 4), sample_brownian_batch(1.0, 4, 3, seed=2))
+    assert np.array_equal(block.terminal, block.values[:, -1])
+    path = DiscretePath(block.partition, block.values[1])
+    assert type(path.terminal) is float and path.terminal == block.values[1, -1]
+
+
+def test_discrete_path_shape_is_checked_on_the_last_axis():
+    part = Partition.uniform(1.0, 4)
+    for values in (np.zeros((2, 4)), np.zeros((2, 2, 5)), np.float64(0.0), np.zeros(6)):
+        with pytest.raises(PreconditionError):
+            DiscretePath(part, values)
+    x = DiscretePath(part, np.zeros((2, 5)))
+    with pytest.raises(PreconditionError):
+        check_product_rule(x, DiscretePath(part, np.zeros((3, 5))))
+    with pytest.raises(PreconditionError):
+        check_product_rule(x, DiscretePath(part, np.zeros(5)))
