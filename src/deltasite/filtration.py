@@ -107,6 +107,8 @@ class FilteredSigmaAlgebra:
         self.events: dict[str, SimplicialEvent] = dict(events)
         self.operad = operad or OperadFragment([])
         self.levels: dict[FramedPoint, frozenset[str]] = {}
+        # each point's place among the levels given, as a model file lists them
+        self.declared: dict[FramedPoint, int] = {p: i for i, p in enumerate(levels)}
         for p in index:
             if p not in levels:
                 raise StructuralError(f"no level declared at framed point {p!r}")

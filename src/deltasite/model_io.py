@@ -232,8 +232,13 @@ def parse_model(text: str) -> ModelDescription:
         generators = [MultiArrow(g["name"], tuple(g["inputs"]), g["output"],
                                  FramedPoint(Fraction(str(g["at"][0])), g["at"][1]))
                       for g in doc.get("operad", [])]
-        levels = {FramedPoint(Fraction(str(e["at"][0])), e["at"][1]): e["events"]
-                  for e in fspec.get("levels", [])}
+        levels = {}
+        for i, e in enumerate(fspec.get("levels", [])):
+            p = FramedPoint(Fraction(str(e["at"][0])), e["at"][1])
+            if p in levels:
+                raise ModelError([(f"filtration.levels[{i}].at",
+                                   f"point {p!r} already has a level")])
+            levels[p] = e["events"]
         # every framed point needs a level: refuse an index larger than the
         # levels declared before building it
         base_times, m = fspec.get("base_times", []), fspec.get("fiber_steps", 1)

@@ -2,23 +2,32 @@
 list of `Record`s (check id, instance, status, witness).  CLI commands add
 their own records and nest verifier reports with `extend`.  A command report
 is deterministic given (model, command, flags, seed), rendered as canonical
-JSON or stable plain text."""
+JSON or stable plain text.
+
+Canonical JSON is `json.dumps(doc, indent=2, sort_keys=True)` plus a
+newline, byte for byte.  Only the header (command, model hash, params) and
+the summary go through `json.dumps`; every record is written from one fixed
+template of its four sorted keys, each value escaped by
+`json.encoder.encode_basestring_ascii`, the escaper `json.dumps` itself
+uses.  So record fields are `str` by contract: the template escapes them as
+strings."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+
+# one record at its depth in the report: the keys in sorted order
+_RECORD = ('    {\n      "check": %s,\n      "instance": %s,\n'
+           '      "status": %s,\n      "witness": %s\n    }')
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     check_id: str
     instance: str
     status: str  # "pass" | "fail" | "info"
     witness: str = ""
-
-    def as_doc(self) -> dict:
-        return {"check": self.check_id, "instance": self.instance,
-                "status": self.status, "witness": self.witness}
 
 
 @dataclass
@@ -60,14 +69,16 @@ class Report:
         return 0 if self.passed else 1
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "model_hash": self.model_hash,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "records": [r.as_doc() for r in self.records],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # the keys before "records" end "\n}", the one after starts "{\n"
+        head = json.dumps({"command": self.command, "model_hash": self.model_hash,
+                           "params": self.params}, indent=2, sort_keys=True)
+        tail = json.dumps({"summary": self.summary}, indent=2, sort_keys=True)
+        esc = encode_basestring_ascii
+        records = ",\n".join([
+            _RECORD % (esc(r.check_id), esc(r.instance), esc(r.status), esc(r.witness))
+            for r in self.records])
+        body = f"[\n{records}\n  ]" if self.records else "[]"
+        return f'{head[:-2]},\n  "records": {body},\n{tail[2:]}\n'
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

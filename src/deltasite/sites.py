@@ -117,15 +117,20 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
     P(w) >= P(w').  (Its ends always share a component of the level.)
 
     Each level must be a sigma-algebra on P's ground set (hold the empty set, complements
-    and pairwise unions: O(|L|^2) sets), else ModelError at filtration.levels[i].
+    and pairwise unions: O(|L|^2) sets, tested as atom bitmasks), else ModelError at
+    filtration.levels[i], i the level's place among the levels declared.
     """
-    for i, p in enumerate(F.index):
-        sets = {F.events[e].atoms for e in F.level(p)}
-        needed = ({frozenset()} | {P.ground_set - s for s in sets}
+    atoms = sorted(P.ground_set.union(*(ev.atoms for ev in F.events.values())))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    ground = sum(bit[a] for a in P.ground_set)
+    for p in F.index:
+        sets = {sum(bit[a] for a in F.events[e].atoms) for e in F.level(p)}
+        needed = ({0} | {ground & ~s for s in sets}
                   | {s | t for s, t in combinations(sets, 2)})
         if not needed <= sets:
-            first = _label(min(needed - sets, key=_by_size))
-            raise ModelError([(f"filtration.levels[{i}]",
+            first = _label(min((frozenset(a for a in atoms if s & bit[a])
+                                for s in needed - sets), key=_by_size))
+            raise ModelError([(f"filtration.levels[{F.declared[p]}]",
                                f"level {p!r} is not a sigma-algebra: it lacks {first}")])
 
     def admit(m):

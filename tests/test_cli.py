@@ -311,11 +311,14 @@ def test_verify_ito_checks_no_pairs_past_stream_200(capsys):
     assert (code, record["instance"]) == (0, f"max relative residual {want!r}")
 
 
-def four_events_not_sigma_closed(tmp_path):
+def four_events_not_sigma_closed(tmp_path, reverse=False):
     """four_events with e_b dropped from its second filtration level, which
-    then lacks the complement of e_a."""
+    then lacks the complement of e_a; with reverse, the file lists that
+    level first."""
     doc = json.loads(fixtures.fixture_text("four_events"))
     doc["filtration"]["levels"][1]["events"].remove("e_b")
+    if reverse:
+        doc["filtration"]["levels"].reverse()
     path = tmp_path / "not_sigma_closed.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -328,6 +331,17 @@ def test_level_that_is_not_sigma_closed_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: filtration.levels[1]: level (1,1) is not a sigma-algebra: it lacks {b}\n"
+
+
+@pytest.mark.parametrize("argv", (("check-site", "--topology", "probability"),
+                                  ("check-sheaf", "--mode", "gluing")))
+def test_level_that_is_not_sigma_closed_is_named_by_its_place_in_the_file(
+        tmp_path, capsys, argv):
+    path = four_events_not_sigma_closed(tmp_path, reverse=True)
+    code, out, err = run(capsys, *argv, "--model", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration.levels[0]: level (1,1) is not a sigma-algebra: it lacks {b}\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,8 +1,8 @@
 """Report bytes pinned by sha256: every bundled fixture, and power-set
-lattices on four and five atoms, through every model command that needs no
-sampling, and the sampling commands (simulate, verify-ito and the cone
-check) at batch sizes on both sides of a sampling block, in both output
-formats.
+lattices on four, five and six atoms, through every model command that
+needs no sampling, and the sampling commands (simulate, verify-ito and the
+cone check) at batch sizes on both sides of a sampling block, in both
+output formats.
 
 The table in golden_reports.json holds the exit code and the sha256 of
 stdout for each case.  The fixture entries were written before the verifiers
@@ -11,7 +11,9 @@ in `FiniteCategory` were indexed, the sampling entries while every
 Philox stream was still built and jumped one at a time, and the entries at
 10,000 and 1,000 steps while every sampled reduction was a `math.fsum`,
 and the verify-ito entries at 2,000 paths and at 20,000 steps while
-verify-ito still reduced each path on its own, so the table guards that
+verify-ito still reduced each path on its own, and the six-atom lattice
+entries while every JSON report was rendered by one
+`json.dumps(indent=2)` call, so the table guards that
 reports stay byte for byte the same.
 """
 import hashlib
@@ -75,6 +77,8 @@ LATTICES = {
     "lattice4": ({"a": 0.125, "b": 0.25, "c": 0.125, "d": 0.5}, ("ac", "bd")),
     "lattice5": ({"a": 0.0625, "b": 0.125, "c": 0.1875, "d": 0.25, "e": 0.375},
                  ("ad", "be", "c")),
+    "lattice6": ({"a": 0.03125, "b": 0.0625, "c": 0.09375, "d": 0.125,
+                  "e": 0.25, "f": 0.4375}, ("ae", "bf", "c", "d")),
 }
 
 

@@ -134,6 +134,7 @@ MALFORMED = (
     (("filtration", "levels", 0, "at", 0), "1e100000", "filtration.levels[0].at"),
     (("operad", 0, "at", 0), "1e100000", "operad[0].at"),
     (("category",), {"objects": ["e_a", "e_ab", "empty"]}, "filtration.levels[1].events[2]"),
+    (("filtration", "levels", 1, "at"), ["0.0", 1], "filtration.levels[1].at"),
 )
 
 
