@@ -19,9 +19,9 @@ from .roofs import (Roof, RoofCategory, build_structural_roof_topology,
 from .sheaves import (FilteredBrownianSheaf, Presheaf, check_sheaf_condition,
                       constant_presheaf, d_psi, q_boundary,
                       transversal_cone_check)
-from .sites import (CoveringFamily, FilteredSite, GrothendieckSite,
-                    build_tau_operadic, build_tau_P, build_tau_structural,
-                    verify_filtered, verify_grothendieck)
+from .sites import (CoveringFamily, GrothendieckSite, build_tau_operadic,
+                    build_tau_P, build_tau_structural, verify_filtered,
+                    verify_grothendieck)
 from .stochastic import (DiscretePath, GBMParams, Partition,
                          check_product_rule, delta_increments,
                          estimate_log_drift, ito_residual,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosureError", "ComponentPartition", "CoveringFamily", "DeltasiteError",
     "DiscretePath", "EventMap", "FilteredBrownianSheaf", "FilteredSigmaAlgebra",
-    "FilteredSite", "FiniteCategory", "FramedIndex", "FramedPoint", "GBMParams",
+    "FiniteCategory", "FramedIndex", "FramedPoint", "GBMParams",
     "GradedExpr", "GradedTensorSeries", "GrothendieckSite", "ModelDescription",
     "ModelError", "Morphism", "MultiArrow", "OperadFragment", "Partition",
     "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",

@@ -157,8 +157,8 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
     if args.mode == "gluing":
         targets = [sites.build_tau_structural(model.category)]
         if model.filtration is not None and model.measure is not None:
-            filtered = sites.build_tau_P(model.filtration, model.measure, model.category)
-            targets.extend(filtered.site_at(p) for p in model.filtration.index)
+            targets.extend(sites.build_tau_P(model.filtration, model.measure,
+                                             model.category).values())
         for site in targets:
             presheaf = sheaves.constant_presheaf(site, values=(0.0, 1.0))
             report.extend(sheaves.check_sheaf_condition(presheaf), prefix=f"{site.label}: ")
@@ -168,12 +168,8 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
         t0, t1 = float(F.index.base_times[0]), float(F.index.base_times[-1])
     else:
         t0, t1 = 0.0, 1.0
-    cone = sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
-                                          n_paths=args.paths, seed=args.seed)
-    report.add("cone-containment",
-               f"kappa={args.kappa} on [{t0},{t1}]", cone.passed,
-               f"fraction={cone.fraction} expected={cone.expected} "
-               f"threshold={cone.threshold}")
+    report.extend(sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
+                                                 n_paths=args.paths, seed=args.seed))
 
 
 def _positive_finite(label: str, value: float) -> float:

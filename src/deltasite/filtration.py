@@ -5,7 +5,8 @@ The index is a finite rational grid with an (0,1]-fiber cut into m equal
 steps; levels are event collections keyed by framed points and must grow
 monotonically.  Closure laws and the operad action are verified by
 report-style checks rather than enforced at construction, so that defective
-inputs can be represented and diagnosed.
+inputs can be represented and diagnosed; `require_sigma_levels` is the one
+gate that refuses a level which is not a sigma-algebra.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import PreconditionError, StructuralError
+from .errors import ModelError, PreconditionError, StructuralError
 from .events import SimplicialEvent
 from .reports import Report
 
@@ -108,7 +109,7 @@ class FilteredSigmaAlgebra:
         self.operad = operad or OperadFragment([])
         self.levels: dict[FramedPoint, frozenset[str]] = {}
         # each point's place among the levels given, as a model file lists them
-        self.declared: dict[FramedPoint, int] = {p: i for i, p in enumerate(levels)}
+        self._declared: dict[FramedPoint, int] = {p: i for i, p in enumerate(levels)}
         for p in index:
             if p not in levels:
                 raise StructuralError(f"no level declared at framed point {p!r}")
@@ -134,6 +135,16 @@ class FilteredSigmaAlgebra:
         if point not in self.levels:
             raise KeyError(f"unknown framed point {point!r}")
         return self.levels[point]
+
+    def require_sigma_levels(self, ground_set):
+        """Raise ModelError at filtration.levels[i] for the first level, in
+        index order, that is not a sigma-algebra on ground_set, naming the
+        smallest set it lacks; i is the level's place among the levels given."""
+        for p in self.index:
+            gap = _sigma_gap([self.events[e].atoms for e in self.levels[p]], ground_set)
+            if gap is not None:
+                raise ModelError([(f"filtration.levels[{self._declared[p]}]",
+                                   f"level {p!r} is not a sigma-algebra: it lacks {_label(gap)}")])
 
 
 def _atoms_of(e) -> frozenset[str]:
@@ -192,6 +203,20 @@ def _by_size(s: frozenset[str]):
 
 def _label(s: frozenset[str]) -> str:
     return "{" + ",".join(sorted(s)) + "}"
+
+
+def _sigma_gap(sets, ground_set) -> frozenset[str] | None:
+    """The smallest (by `_by_size`) of the empty set, complements and pairwise
+    unions that `sets` lacks, or None: a sigma-algebra.  O(|sets|^2) bitmasks."""
+    atoms = sorted(frozenset(ground_set).union(*sets))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    ground = sum(bit[a] for a in ground_set)
+    masks = {sum(bit[a] for a in s) for s in sets}
+    gap = ({0} | {ground & ~s for s in masks}
+           | {s | t for s, t in combinations(masks, 2)}) - masks
+    if not gap:
+        return None
+    return min((frozenset(a for a in atoms if s & bit[a]) for s in gap), key=_by_size)
 
 
 def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:

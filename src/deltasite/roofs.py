@@ -15,7 +15,7 @@ from .errors import ClosureError, PreconditionError
 from .events import (EventMap, SimplicialEvent, compose_event_maps,
                      coproduct_event, product_legs)
 from .reports import Report
-from .sites import GrothendieckSite, _singleton_site
+from .sites import GrothendieckSite, build_tau_structural
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def verify_roof_category(rc: RoofCategory) -> Report:
 def build_structural_roof_topology(rc: RoofCategory) -> GrothendieckSite:
     """Coverings are roofs whose base is a monomorphism of simplicial sets.
 
-    The resulting site lives over the underlying fragment (roofs are
-    canonical in their bases), so the generic axiom verifier applies, with
-    base change supplied by the fragment's declared pullbacks."""
-    frag = rc.fragment
-    return _singleton_site(frag, lambda m: frag.is_structural(m.name), "structural-roof")
+    Roofs are canonical in their bases, so this is the structural topology
+    of the underlying fragment: the generic axiom verifier applies, with base
+    change supplied by the fragment's declared pullbacks."""
+    return build_tau_structural(rc.fragment)

@@ -1,6 +1,7 @@
 """Presheaves with finite value spaces, the gluing condition, boundary
 differences along morphisms, and the transversal-cone containment check for
-the filtered sheaf of Brownian values.
+the filtered sheaf of Brownian values.  Like every verifier, the gluing and
+cone checks return a `reports.Report`.
 """
 from __future__ import annotations
 
@@ -126,16 +127,21 @@ def check_sheaf_condition(F: Presheaf) -> Report:
 # -- boundary differences ---------------------------------------------------------
 
 
+def _values_at(values, c, c_prime):
+    """(F(c), F(c')); PreconditionError if either is missing."""
+    try:
+        return values[c], values[c_prime]
+    except (KeyError, TypeError) as exc:
+        raise PreconditionError(f"no value at {c!r} or {c_prime!r}") from exc
+
+
 def q_boundary(values, c, c_prime):
     """F(c') - F(c) for a functor given by its values.
 
     Works for real scalars and componentwise for dict-valued tables with
     equal key sets; anything else raises UnsupportedValueError.
     """
-    try:
-        fc, fc2 = values[c], values[c_prime]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"no value at {c!r} or {c_prime!r}") from exc
+    fc, fc2 = _values_at(values, c, c_prime)
     if isinstance(fc, Real) and isinstance(fc2, Real):
         return fc2 - fc
     if isinstance(fc, dict) and isinstance(fc2, dict):
@@ -148,7 +154,7 @@ def q_boundary(values, c, c_prime):
 
 def q_quotient(values, c, c_prime):
     """Quotient-mode difference F(c')/F(c) for strictly positive scalars."""
-    fc, fc2 = values[c], values[c_prime]
+    fc, fc2 = _values_at(values, c, c_prime)
     if not (isinstance(fc, Real) and isinstance(fc2, Real)):
         raise UnsupportedValueError("quotient mode needs real scalar values")
     if fc <= 0 or fc2 <= 0:
@@ -194,30 +200,15 @@ class FilteredBrownianSheaf:
         return self.kappa * self.sigma * math.sqrt(dt)
 
 
-@dataclass
-class ConeReport:
-    fraction: float
-    expected: float
-    stderr: float
-    threshold: float
-    n: int
-    status: str
-    witness: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
 def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
-                           n_paths: int = 10_000, seed: int = 0) -> ConeReport:
+                           n_paths: int = 10_000, seed: int = 0) -> Report:
     """Sample transitions of a Brownian section from its apex at t to t' and
     measure the fraction landing in the closed cone of half-width
     kappa*sigma*sqrt(t'-t).
 
-    Passes when the fraction is at least (2*Phi(kappa)-1) minus three
-    binomial standard errors; kappa <= 0 fails by construction (the cone has
-    empty interior).
+    One `cone-containment` record: the fraction must reach the threshold,
+    (2*Phi(kappa)-1) minus three binomial standard errors.  kappa <= 0 fails
+    by construction (the cone has empty interior), all three values 0.0.
     """
     t, t_prime = float(t), float(t_prime)
     if not t < t_prime:
@@ -226,23 +217,23 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
         raise PreconditionError("need at least one sample")
     if sigma < 0:
         raise PreconditionError("sigma must be nonnegative")
-    expected = 2.0 * normal_cdf(kappa) - 1.0 if kappa > 0 else 0.0
-    if kappa <= 0:
-        return ConeReport(0.0, expected, 0.0, 0.0, n_paths, "fail",
-                          "cone has empty interior (kappa <= 0)")
-    dt = t_prime - t
-    half = kappa * sigma * math.sqrt(dt)
-    draws = normal_samples(seed, n_paths) * (sigma * math.sqrt(dt))
-    inside = int((abs(draws) <= half).sum())
-    fraction = inside / n_paths
-    stderr = math.sqrt(expected * (1.0 - expected) / n_paths)
-    threshold = expected - 3.0 * stderr
-    status = "pass" if fraction >= threshold else "fail"
-    return ConeReport(fraction, expected, stderr, threshold, n_paths, status)
+    fraction = expected = threshold = 0.0
+    if kappa > 0:
+        dt = t_prime - t
+        half = kappa * sigma * math.sqrt(dt)
+        draws = normal_samples(seed, n_paths) * (sigma * math.sqrt(dt))
+        fraction = int((abs(draws) <= half).sum()) / n_paths
+        expected = 2.0 * normal_cdf(kappa) - 1.0
+        threshold = expected - 3.0 * math.sqrt(expected * (1.0 - expected) / n_paths)
+    report = Report()
+    report.add("cone-containment", f"kappa={kappa} on [{t},{t_prime}]",
+               kappa > 0 and fraction >= threshold,
+               f"fraction={fraction} expected={expected} threshold={threshold}")
+    return report
 
 
 def sheaf_cone_check(sheaf: FilteredBrownianSheaf, t: FramedPoint, t_prime: FramedPoint,
-                     n_paths: int = 10_000, seed: int = 0) -> ConeReport:
+                     n_paths: int = 10_000, seed: int = 0) -> Report:
     """Cone check between two framed points of a Brownian sheaf, using the
     bundle projection for elapsed time."""
     return transversal_cone_check(sheaf.sigma, sheaf.kappa,

@@ -6,16 +6,17 @@ explicit list of generating covering families (singletons for the built
 topologies; hand-made sites may store larger families).  Any nonempty family
 all of whose members are admitted counts as a covering.  `verify_grothendieck`
 checks the three covering axioms -- isomorphisms cover, stability under base
-change, composition -- instance by instance and reports every failure.
+change, composition -- instance by instance and reports every failure.  A
+filtered topology is a plain map from each framed point to its level's site,
+in index order; `verify_filtered` walks any such map in index order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .categories import FiniteCategory
-from .errors import ModelError, PreconditionError
-from .filtration import FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure, _by_size, _label
+from .errors import PreconditionError
+from .filtration import FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure
 from .reports import Report
 
 
@@ -61,19 +62,6 @@ class GrothendieckSite:
         return self.coverings.get(obj, ())
 
 
-class FilteredSite:
-    """A Grothendieck site per framed-index level."""
-
-    def __init__(self, filtration: FilteredSigmaAlgebra,
-                 levels: dict[FramedPoint, GrothendieckSite], label: str):
-        self.filtration = filtration
-        self.levels = levels
-        self.label = label
-
-    def site_at(self, point: FramedPoint) -> GrothendieckSite:
-        return self.levels[point]
-
-
 # -- builders -----------------------------------------------------------------
 
 
@@ -89,16 +77,17 @@ def _singleton_site(category: FiniteCategory, admit, label: str,
 
 
 def _level_sites(F: FilteredSigmaAlgebra, category: FiniteCategory, admit_at,
-                 label: str, measure: ProbabilityMeasure | None = None) -> FilteredSite:
+                 label: str, measure: ProbabilityMeasure | None = None
+                 ) -> dict[FramedPoint, GrothendieckSite]:
     """The singleton site of each level's full subcategory, admitting the
-    morphisms that pass admit_at(level)."""
-    return FilteredSite(F, {
-        p: _singleton_site(category.full_subcategory(F.level(p)), admit_at(p),
-                           f"{label}@{p!r}", measure)
-        for p in F.index}, label)
+    morphisms that pass admit_at(level), keyed by framed point in index order."""
+    return {p: _singleton_site(category.full_subcategory(F.level(p)), admit_at(p),
+                               f"{label}@{p!r}", measure)
+            for p in F.index}
 
 
-def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> FilteredSite:
+def build_tau_operadic(F: FilteredSigmaAlgebra,
+                       category: FiniteCategory) -> dict[FramedPoint, GrothendieckSite]:
     """Operadic topology: at level t a morphism w' -> w of the level covers
     when some operad generator available at t has w' among its inputs and
     output w.  (A morphism's two ends always share a connected component of
@@ -112,26 +101,14 @@ def build_tau_operadic(F: FilteredSigmaAlgebra, category: FiniteCategory) -> Fil
 
 
 def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
-                category: FiniteCategory) -> FilteredSite:
+                category: FiniteCategory) -> dict[FramedPoint, GrothendieckSite]:
     """Probability topology: a morphism w' -> w of level t covers when
     P(w) >= P(w').  (Its ends always share a component of the level.)
 
-    Each level must be a sigma-algebra on P's ground set (hold the empty set, complements
-    and pairwise unions: O(|L|^2) sets, tested as atom bitmasks), else ModelError at
-    filtration.levels[i], i the level's place among the levels declared.
+    Each level must be a sigma-algebra on P's ground set, else ModelError
+    (`FilteredSigmaAlgebra.require_sigma_levels`).
     """
-    atoms = sorted(P.ground_set.union(*(ev.atoms for ev in F.events.values())))
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    ground = sum(bit[a] for a in P.ground_set)
-    for p in F.index:
-        sets = {sum(bit[a] for a in F.events[e].atoms) for e in F.level(p)}
-        needed = ({0} | {ground & ~s for s in sets}
-                  | {s | t for s, t in combinations(sets, 2)})
-        if not needed <= sets:
-            first = _label(min((frozenset(a for a in atoms if s & bit[a])
-                                for s in needed - sets), key=_by_size))
-            raise ModelError([(f"filtration.levels[{F.declared[p]}]",
-                               f"level {p!r} is not a sigma-algebra: it lacks {first}")])
+    F.require_sigma_levels(P.ground_set)
 
     def admit(m):
         return P(category.event(m.source)) <= P(category.event(m.target))
@@ -226,15 +203,16 @@ def verify_grothendieck(site: GrothendieckSite) -> Report:
     return report
 
 
-def verify_filtered(site: FilteredSite) -> Report:
+def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     """Per-level axiom verification plus level-monotonicity of validity:
-    a cover at s whose data survives to t >= s must still cover at t."""
+    a cover at s whose data survives to t >= s must still cover at t.
+    `levels` maps framed points to their sites; they are walked in the
+    framed index's lexicographic order, whatever the map's own order."""
     report = Report()
-    points = list(site.filtration.index)
-    for p in points:
-        report.extend(verify_grothendieck(site.site_at(p)), prefix=f"level {p!r}: ")
-    for earlier, later in zip(points, points[1:]):
-        s_site, t_site = site.site_at(earlier), site.site_at(later)
+    pairs = sorted(levels.items(), key=lambda item: (item[0].base, item[0].k))
+    for p, site in pairs:
+        report.extend(verify_grothendieck(site), prefix=f"level {p!r}: ")
+    for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):
         for obj in sorted(s_site.valid):
             for m in sorted(s_site.valid[obj]):
                 if obj in t_site.valid and m in t_site.category.morphisms:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import deltasite
-from deltasite.errors import PreconditionError, StructuralError
+from deltasite.errors import ModelError, PreconditionError, StructuralError
 from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   FramedPoint, MultiArrow, OperadFragment,
@@ -100,6 +100,24 @@ def test_sigma_report_matches_saturation_oracle(family):
     expected_missing = closure_oracle(family, ground) - set(family)
     assert {s for s, _ in report.missing} == expected_missing
     assert report.passed == (not expected_missing)
+    # the model gate on a one-level filtration of the same family refuses it
+    # iff the closure differs from it, and names one of the missing sets
+    events = {"e_" + "".join(sorted(s)): discrete_event("e_" + "".join(sorted(s)),
+                                                        sorted(s), s, ground)
+              for s in family}
+    idx = FramedIndex([0])
+    F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
+    if not expected_missing:
+        F.require_sigma_levels(ground)
+        return
+    with pytest.raises(ModelError) as info:
+        F.require_sigma_levels(ground)
+    [(path, message)] = info.value.errors
+    assert path == "filtration.levels[0]"
+    named = re.fullmatch(r"level \(0,1\) is not a sigma-algebra: it lacks \{([a-d,]*)\}",
+                         message)
+    assert named, message
+    assert frozenset(named.group(1).split(",")) - {""} in expected_missing
 
 
 @settings(max_examples=50)

@@ -13,8 +13,9 @@ Philox stream was still built and jumped one at a time, and the entries at
 and the verify-ito entries at 2,000 paths and at 20,000 steps while
 verify-ito still reduced each path on its own, and the six-atom lattice
 entries while every JSON report was rendered by one
-`json.dumps(indent=2)` call, so the table guards that
-reports stay byte for byte the same.
+`json.dumps(indent=2)` call, and the cone entries at kappa 0 and sigma 0
+while the cone check still returned its own result type, so the table
+guards that reports stay byte for byte the same.
 """
 import hashlib
 import io
@@ -67,10 +68,13 @@ ALGEBRA = (("tropicalize", "--alpha", "0.1", "--sigma", "0.2"),
            ("series", "--op", "log", "--order", "7"),
            ("series", "--op", "paper-log", "--order", "5", "--seed", "9"))
 
-# cone checks: (fixture, flags); 70,000 draws exceed one sampling block
+# cone checks: (fixture, flags); 70,000 draws exceed one sampling block, kappa 0
+# is the empty cone's fail record and sigma 0 puts every draw at the apex
 CONES = (("four_events", ("--seed", "0")),
          ("interval_pair", ("--paths", "70000", "--kappa", "2.0",
-                            "--sigma", "0.5", "--seed", "3")))
+                            "--sigma", "0.5", "--seed", "3")),
+         ("four_events", ("--kappa", "0", "--paths", "5", "--seed", "0")),
+         ("four_events", ("--sigma", "0", "--paths", "10", "--seed", "0")))
 
 # atom weights (exact binary fractions) and the blocks of the middle level
 LATTICES = {

@@ -23,8 +23,7 @@ def test_constant_presheaf_glues_on_fixture_sites():
         site = build_tau_structural(model.category)
         assert check_sheaf_condition(constant_presheaf(site, (0.0, 1.0))).passed, name
         filtered = build_tau_P(model.filtration, model.measure, model.category)
-        for p in model.filtration.index:
-            level_site = filtered.site_at(p)
+        for p, level_site in filtered.items():
             assert check_sheaf_condition(
                 constant_presheaf(level_site, (0.0, 1.0))).passed, (name, p)
 
@@ -143,6 +142,9 @@ def test_q_quotient_mode():
     assert q_quotient(values, "A", "B") == 2.5
     with pytest.raises(PreconditionError):
         q_quotient({"A": -1.0, "B": 2.0}, "A", "B")
+    # a missing value is refused as in q_boundary, not a bare KeyError
+    with pytest.raises(PreconditionError, match="no value at 'A' or 'B'"):
+        q_quotient({"A": 1.0}, "A", "B")
 
 
 def test_d_psi_requires_minimal_morphism():
@@ -171,19 +173,32 @@ def test_d_psi_telescopes_and_agrees_with_q_boundary():
 
 # -- transversal cones ----------------------------------------------------------------
 
+def cone_record(report):
+    """The one cone-containment record, with the numbers of its witness
+    `fraction=... expected=... threshold=...`."""
+    [record] = report.records
+    assert record.check_id == "cone-containment"
+    return record, {k: float(v) for k, v in (w.split("=") for w in record.witness.split())}
+
+
 def test_cone_containment_near_three_sigma_mass():
     report = transversal_cone_check(sigma=1.0, kappa=3.0, t=0.0, t_prime=1.0,
                                     n_paths=10_000, seed=7)
+    record, cone = cone_record(report)
     expected = 2 * float(ndtr(3.0)) - 1
-    assert report.expected == pytest.approx(expected)
+    assert record.instance == "kappa=3.0 on [0.0,1.0]"
+    assert cone["expected"] == pytest.approx(expected)
     assert report.passed
-    assert abs(report.fraction - expected) <= 3 * report.stderr
+    # the threshold is three binomial standard errors below the expected mass
+    three_se = 3 * (expected * (1 - expected) / 10_000) ** 0.5
+    assert cone["expected"] - cone["threshold"] == pytest.approx(three_se)
+    assert abs(cone["fraction"] - expected) <= three_se
 
 
 def test_cone_sigma_zero_all_mass_at_apex():
     report = transversal_cone_check(sigma=0.0, kappa=3.0, t=0.0, t_prime=1.0,
                                     n_paths=500, seed=1)
-    assert report.fraction == 1.0
+    assert cone_record(report)[1]["fraction"] == 1.0
     assert report.passed
 
 
@@ -191,7 +206,8 @@ def test_cone_kappa_zero_fails_by_construction():
     report = transversal_cone_check(sigma=1.0, kappa=0.0, t=0.0, t_prime=1.0,
                                     n_paths=500, seed=1)
     assert not report.passed
-    assert "empty interior" in report.witness
+    record, _ = cone_record(report)
+    assert record.witness == "fraction=0.0 expected=0.0 threshold=0.0"
 
 
 @pytest.mark.parametrize("kappa", (3.0, 0.0))
@@ -218,7 +234,7 @@ def test_filtered_brownian_sheaf_levels_and_cone():
     model = fixtures.four_events_model()
     filtered = build_tau_P(model.filtration, model.measure, model.category)
     index = model.filtration.index
-    levels = {p: constant_presheaf(filtered.site_at(p), (0.0,)) for p in index}
+    levels = {p: constant_presheaf(site, (0.0,)) for p, site in filtered.items()}
     sheaf = FilteredBrownianSheaf(index, levels, sigma=0.5, kappa=3.0)
     assert sheaf.cone_halfwidth(4.0) == pytest.approx(3.0 * 0.5 * 2.0)
     report = sheaf_cone_check(sheaf, index.points[0], index.points[-1],

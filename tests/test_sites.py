@@ -8,9 +8,12 @@ from deltasite.events import EventMap, discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   MultiArrow, OperadFragment,
                                   ProbabilityMeasure)
-from deltasite.sites import (CoveringFamily, build_tau_operadic,
-                             build_tau_P, build_tau_structural,
-                             verify_filtered, verify_grothendieck)
+from deltasite.sites import (CoveringFamily, GrothendieckSite,
+                             build_tau_operadic, build_tau_P,
+                             build_tau_structural, verify_filtered,
+                             verify_grothendieck)
+
+from conftest import overlap_site
 
 GROUND = frozenset("abc")
 
@@ -50,7 +53,7 @@ def chain_model():
 
 def test_operadic_without_generators_has_only_isomorphism_covers():
     cat, F, P, idx = chain_model()
-    site = build_tau_operadic(F, cat).site_at(idx.points[0])
+    site = build_tau_operadic(F, cat)[idx.points[0]]
     for obj, valid in site.valid.items():
         assert valid == frozenset([f"id:{obj}"])
 
@@ -61,7 +64,7 @@ def test_operadic_single_generator_covers_with_each_input():
     F2 = FilteredSigmaAlgebra(idx, dict(F.events),
                               {idx.points[0]: sorted(F.level(idx.points[0]))},
                               OperadFragment([gen]))
-    site = build_tau_operadic(F2, cat).site_at(idx.points[0])
+    site = build_tau_operadic(F2, cat)[idx.points[0]]
     assert "i:e_a>e_abc" in site.valid["e_abc"]
     assert "i:e_ab>e_abc" in site.valid["e_abc"]
     assert "i:empty>e_abc" not in site.valid["e_abc"]
@@ -71,7 +74,7 @@ def test_operadic_coverings_match_generator_scan_oracle():
     model = fixtures.four_events_model()
     filtered = build_tau_operadic(model.filtration, model.category)
     for p in model.filtration.index:
-        site = filtered.site_at(p)
+        site = filtered[p]
         comp = connected_components(site.category)
         witnessed = set()
         for g in model.filtration.operad:
@@ -93,7 +96,7 @@ def power_set_site():
     chain of chain_model is no sigma-algebra, which tau_P refuses."""
     model = fixtures.three_atoms_power_model()
     top = model.filtration.index.points[-1]
-    return (build_tau_P(model.filtration, model.measure, model.category).site_at(top),
+    return (build_tau_P(model.filtration, model.measure, model.category)[top],
             model.measure)
 
 
@@ -115,13 +118,13 @@ def test_probability_excludes_measure_increasing_arrows():
     up = EventMap("up", small, big, {0: {"z": "x"}})
     cat = FiniteCategory(events, [Morphism("up", "small", "big", up)], {})
     F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
-    site = build_tau_P(F, P, cat).site_at(idx.points[0])
+    site = build_tau_P(F, P, cat)[idx.points[0]]
     assert "up" in site.valid["big"]           # P rises along the arrow: covers
     # the reverse arrow lowers P at the target: excluded
     down = EventMap("down", big, small, {0: {"x": "z", "y": "z"}},
                     atom_map={"a": "a", "b": "a"})
     cat2 = FiniteCategory(events, [Morphism("down", "big", "small", down)], {})
-    site2 = build_tau_P(F, P, cat2).site_at(idx.points[0])
+    site2 = build_tau_P(F, P, cat2)[idx.points[0]]
     assert "down" not in site2.valid["small"]
 
 
@@ -188,7 +191,7 @@ def test_verify_passes_on_hand_built_four_event_site():
 
 def test_verify_trivial_site_passes():
     cat, F, P, idx = chain_model()
-    site = build_tau_operadic(F, cat).site_at(idx.points[0])  # iso covers only
+    site = build_tau_operadic(F, cat)[idx.points[0]]  # iso covers only
     assert verify_grothendieck(site).passed
 
 
@@ -250,3 +253,74 @@ def test_all_bundled_passing_fixtures_verify_everywhere():
                                            model.category)).passed, name
         assert verify_filtered(build_tau_operadic(model.filtration,
                                                   model.category)).passed, name
+
+
+# -- checks that no built site fails, made to fail on hand-made sites --------------
+
+def test_isomorphism_outside_every_family_fails_isomorphisms_cover():
+    # the overlap site files no family holding id:U
+    report = verify_grothendieck(overlap_site())
+    isos = {r.instance: r.status for r in report.records
+            if r.check_id == "isomorphisms-cover"}
+    assert isos == {"id:U": "fail", "id:V1": "pass", "id:V2": "pass", "id:W": "pass"}
+
+
+def test_cover_dropped_at_a_later_level_fails_level_monotone():
+    cat, _, _, _ = chain_model()
+    early, late = FramedIndex([0, 1]).points
+
+    def site(covers):
+        families = {obj: [CoveringFamily(obj, (f"id:{obj}",))] for obj in cat.objects}
+        for m in covers:
+            target = cat.morphisms[m].target
+            families[target].append(CoveringFamily(target, (m,)))
+        return GrothendieckSite(cat, families, "hand")
+
+    # the later site still contains i:e_a>e_ab but no longer admits it
+    report = verify_filtered({early: site(["i:e_a>e_ab"]), late: site([])})
+    lost = [r for r in report.records
+            if r.check_id == "level-monotone" and r.status == "fail"]
+    assert [(r.instance, r.witness) for r in lost] == [
+        ("i:e_a>e_ab at (0,1)->(1,1)", "cover lost at later level")]
+
+    # the same levels handed over latest first are walked in index order
+    reversed_map = verify_filtered({late: site([]), early: site(["i:e_a>e_ab"])})
+    assert reversed_map.records == report.records
+
+
+def falling_site():
+    """A cover big -> small along which P falls: the event map sends atom b
+    onto a, so the source's mass 1 exceeds the target's 0.75."""
+    ground = frozenset("ab")
+    big = discrete_event("big", ["x", "y"], ["a", "b"], ground)
+    small = discrete_event("small", ["z"], ["a"], ground)
+    down = EventMap("down", big, small, {0: {"x": "z", "y": "z"}},
+                    atom_map={"a": "a", "b": "a"})
+    cat = FiniteCategory({"big": big, "small": small},
+                         [Morphism("down", "big", "small", down)], {})
+    return GrothendieckSite(cat, {"big": [CoveringFamily("big", ("id:big",))],
+                                  "small": [CoveringFamily("small", ("id:small",)),
+                                            CoveringFamily("small", ("down",))]},
+                            "falling", ProbabilityMeasure({"a": 0.75, "b": 0.25}))
+
+
+def test_pullback_apex_heavier_than_the_intersection_fails_base_change():
+    site = falling_site()
+    report = verify_grothendieck(site)
+    [record] = [r for r in report.records if r.instance == "(down, id:small)"]
+    # the projection down is admitted: only the measure chain fails, since the
+    # apex big weighs 1.0 and big's atoms meet small's in {a}, weighing 0.75
+    assert "down" in site.valid["small"]
+    assert record.check_id == "base-change" and record.status == "fail"
+    assert record.witness == ("projection down: big -> small; "
+                              "P=1.0<=P(product)=0.75<=P(small)=0.75")
+
+
+def test_cover_along_which_p_falls_fails_composition():
+    site = falling_site()
+    report = verify_grothendieck(site)
+    [record] = [r for r in report.records if r.instance == "(down, id:big)"]
+    # the composite down is admitted: only the chain P(big) <= P(small) fails
+    assert "down" in site.valid["small"]
+    assert record.check_id == "composition" and record.status == "fail"
+    assert record.witness == "composite down; P chain 1.0<=1.0<=0.75"
