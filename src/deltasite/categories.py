@@ -173,22 +173,28 @@ class FiniteCategory:
     def pullback_of(self, left: str, right: str) -> PullbackSquare | None:
         """Declared pullback of a cospan, resolving identity cospans
         canonically and the symmetric declaration with swapped legs."""
+        legs = self._pullback_legs(left, right)
+        return None if legs is None else PullbackSquare(left, right, *legs)
+
+    def _pullback_legs(self, left: str, right: str) -> tuple[str, str, str] | None:
+        """`pullback_of` as (apex, to_left_source, to_right_source), building
+        no square: the one resolution rule.  Along an identity leg the
+        pullback is the other leg's source; otherwise the declaration under
+        (left, right), or under (right, left) with its legs swapped."""
         lm, rm = self.morphism(left), self.morphism(right)
         if lm.target != rm.target:
             raise PreconditionError(f"({left!r}, {right!r}) is not a cospan")
-        if self.is_identity(right):
-            return PullbackSquare(left, right, lm.source,
-                                  self.identities[lm.source], left)
-        if self.is_identity(left):
-            return PullbackSquare(left, right, rm.source,
-                                  right, self.identities[rm.source])
+        identities = self.identities
+        if identities[rm.source] == right:
+            return lm.source, identities[lm.source], left
+        if identities[lm.source] == left:
+            return rm.source, right, identities[rm.source]
         sq = self.pullbacks.get((left, right))
         if sq is not None:
-            return sq
+            return sq.apex, sq.to_left_source, sq.to_right_source
         sq = self.pullbacks.get((right, left))
         if sq is not None:
-            return PullbackSquare(left, right, sq.apex,
-                                  sq.to_right_source, sq.to_left_source)
+            return sq.apex, sq.to_right_source, sq.to_left_source
         return None
 
     def composable_pairs(self):
@@ -232,11 +238,14 @@ class FiniteCategory:
         return bad
 
     def full_subcategory(self, objs) -> "FiniteCategory":
-        """Restriction to a subset of objects (morphisms with both ends inside)."""
+        """Restriction to a subset of objects (morphisms with both ends inside).
+        The whole object set gives the category itself: its tables are fixed."""
         objs = set(objs)
         unknown = objs - set(self.objects)
         if unknown:
             raise KeyError(f"unknown objects {sorted(unknown)}")
+        if len(objs) == len(self.objects):
+            return self
         morphisms = [m for m in self.morphisms.values()
                      if m.source in objs and m.target in objs
                      and not self.is_identity(m.name)]

@@ -94,12 +94,12 @@ def check_sheaf_condition(F: Presheaf) -> Report:
             constraints = []
             for i in range(len(members)):
                 for j in range(i, len(members)):
-                    sq = cat.pullback_of(members[i], members[j])
-                    if sq is None:
+                    legs = cat._pullback_legs(members[i], members[j])
+                    if legs is None:
                         notes.append(
                             f"{fam!r}: overlap of ({members[i]}, {members[j]}) undeclared")
                         continue
-                    constraints.append((i, j, sq.to_left_source, sq.to_right_source))
+                    constraints.append((i, j, legs[1], legs[2]))
             matching = []
             for combo in iproduct(*(F.spaces[s] for s in sources)):
                 ok = True
@@ -235,7 +235,11 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
 def sheaf_cone_check(sheaf: FilteredBrownianSheaf, t: FramedPoint, t_prime: FramedPoint,
                      n_paths: int = 10_000, seed: int = 0) -> Report:
     """Cone check between two framed points of a Brownian sheaf, using the
-    bundle projection for elapsed time."""
+    bundle projection for elapsed time.  Both points must lie in the sheaf's
+    index, else PreconditionError."""
+    for p in (t, t_prime):
+        if p not in sheaf.index.points:
+            raise PreconditionError(f"framed point {p!r} is not in the sheaf's index")
     return transversal_cone_check(sheaf.sigma, sheaf.kappa,
                                   float(sheaf.index.q(t)), float(sheaf.index.q(t_prime)),
                                   n_paths=n_paths, seed=seed)

@@ -13,6 +13,7 @@ in index order; `verify_filtered` walks any such map in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .categories import FiniteCategory
 from .errors import PreconditionError
@@ -126,19 +127,6 @@ def build_tau_structural(category: FiniteCategory) -> GrothendieckSite:
 # -- verification ---------------------------------------------------------------
 
 
-def _measure_chain(site: GrothendieckSite, cover_src: str, gamma: str,
-                   apex: str) -> tuple[bool, str]:
-    """The inequality chain P(w_i x_w gamma) <= P(w_i x gamma) <= P(gamma),
-    evaluated on atom sets: the product's atoms are the intersection."""
-    P = site.measure
-    cat = site.category
-    p_apex = P(cat.event(apex))
-    p_prod = P(cat.event(cover_src).atoms & cat.event(gamma).atoms)
-    p_gamma = P(cat.event(gamma))
-    ok = p_apex <= p_prod <= p_gamma
-    return ok, f"P={p_apex}<=P(product)={p_prod}<=P({gamma})={p_gamma}"
-
-
 def verify_grothendieck(site: GrothendieckSite) -> Report:
     """Exhaustive check of the three covering axioms on one site.
 
@@ -148,70 +136,97 @@ def verify_grothendieck(site: GrothendieckSite) -> Report:
         gamma (the pullback must be declared, except along identities);
     (c) composition: covers of covers compose to covers.
     For probability sites the measure inequality chain is asserted on every
-    base-change and composition instance.
+    base-change instance, P(w_i x_w gamma) <= P(w_i x gamma) <= P(gamma) with
+    the product's atoms the intersection, and on every composition instance.
+    P and its text are kept per object, and per (cover source, gamma) pair
+    for the product, each computed on first use.
     """
-    cat = site.category
     report = Report()
+    _add_site_records(report, site)
+    return report
+
+
+def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
+    """`verify_grothendieck`'s records for site, added to report in order,
+    each instance prefixed with prefix."""
+    cat = site.category
+    valid = site.valid
 
     for name in sorted(cat.morphisms):
         if cat.is_isomorphism(name):
-            report.add("isomorphisms-cover", name,
-                       name in site.valid[cat.morphisms[name].target])
+            report.add("isomorphisms-cover", prefix + name,
+                       name in valid[cat.morphisms[name].target])
 
     # each object's generating-family members, with their sources
     members = {obj: [(mi, cat.morphisms[mi].source)
                      for fam in site.families(obj) for mi in fam.morphisms]
                for obj in sorted(cat.objects)}
 
+    P = site.measure
+
+    # P and its text per object; per (cover source, gamma) pair the product's
+    # P, whether it is <= P(gamma), and the chain's tail: each computed once
+    @cache
+    def mass(obj):
+        p = P(cat.event(obj))
+        return p, f"{p}"
+
+    @cache
+    def product_mass(src, gamma):
+        p = P(cat.event(src).atoms & cat.event(gamma).atoms)
+        p_gamma, text = mass(gamma)
+        return p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={text}"
+
+    pullback_legs = cat._pullback_legs
     for obj, covers in members.items():
+        arrows = [(g, cat.morphisms[g].source) for g in cat.morphisms_into(obj)]
         for mi, src in covers:
-            for g in cat.morphisms_into(obj):
-                gamma = cat.morphisms[g].source
-                instance = f"({mi}, {g})"
-                sq = cat.pullback_of(mi, g)
-                if sq is None:
+            for g, gamma in arrows:
+                instance = f"{prefix}({mi}, {g})"
+                legs = pullback_legs(mi, g)
+                if legs is None:
                     report.add("base-change", instance, False,
                                f"missing pullback for cospan ({src} -> {obj} <- {gamma})")
                     continue
-                proj = sq.to_right_source
-                ok = proj in site.valid[gamma]
-                witness = f"projection {proj}: {sq.apex} -> {gamma}"
-                if site.measure is not None:
-                    chain_ok, chain = _measure_chain(site, src, gamma, sq.apex)
-                    ok = ok and chain_ok
-                    witness += "; " + chain
+                apex, _, proj = legs
+                ok = proj in valid[gamma]
+                witness = f"projection {proj}: {apex} -> {gamma}"
+                if P is not None:
+                    p_apex, text = mass(apex)
+                    p_prod, tail_ok, tail = product_mass(src, gamma)
+                    ok = ok and p_apex <= p_prod and tail_ok
+                    witness += f"; P={text}{tail}"
                 report.add("base-change", instance, ok, witness)
 
     for obj, covers in members.items():
         for mi, src in covers:
             for mij, src2 in members[src]:
-                instance = f"({mi}, {mij})"
+                instance = f"{prefix}({mi}, {mij})"
                 comp = cat.composition.get((mi, mij))
                 if comp is None:
                     report.add("composition", instance, False,
                                f"composite of {mi} after {mij} missing from the table")
                     continue
-                ok = comp in site.valid[obj]
+                ok = comp in valid[obj]
                 witness = f"composite {comp}"
-                if site.measure is not None:
-                    P = site.measure
-                    p_ij, p_i, p_o = (P(cat.event(e)) for e in (src2, src, obj))
+                if P is not None:
+                    (p_ij, t_ij), (p_i, t_i), (p_o, t_o) = (
+                        mass(src2), mass(src), mass(obj))
                     ok = ok and p_ij <= p_i <= p_o
-                    witness += f"; P chain {p_ij}<={p_i}<={p_o}"
+                    witness += f"; P chain {t_ij}<={t_i}<={t_o}"
                 report.add("composition", instance, ok, witness)
-
-    return report
 
 
 def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     """Per-level axiom verification plus level-monotonicity of validity:
     a cover at s whose data survives to t >= s must still cover at t.
     `levels` maps framed points to their sites; they are walked in the
-    framed index's lexicographic order, whatever the map's own order."""
+    framed index's lexicographic order, whatever the map's own order, and
+    each level's records are added under the prefix "level <point>: "."""
     report = Report()
     pairs = sorted(levels.items(), key=lambda item: (item[0].base, item[0].k))
     for p, site in pairs:
-        report.extend(verify_grothendieck(site), prefix=f"level {p!r}: ")
+        _add_site_records(report, site, f"level {p!r}: ")
     for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):
         for obj in sorted(s_site.valid):
             for m in sorted(s_site.valid[obj]):

@@ -215,6 +215,52 @@ def test_check_axioms_flags_noncommuting_pullback():
     assert any("does not commute" in v for v in cat.check_axioms())
 
 
+# -- cospan resolution ---------------------------------------------------------------
+
+def square_category():
+    """A -f-> C <-g- B with the declared pullback P (legs pa, pb), a third
+    arrow h: D -> C whose cospans with f and g are undeclared."""
+    objs = {o: None for o in "ABCDP"}
+    morphisms = [Morphism("f", "A", "C"), Morphism("g", "B", "C"),
+                 Morphism("h", "D", "C"), Morphism("pa", "P", "A"),
+                 Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
+    comp = {("f", "pa"): "u", ("g", "pb"): "u"}
+    return FiniteCategory(objs, morphisms, comp,
+                          [PullbackSquare("f", "g", "P", "pa", "pb")])
+
+
+def legs(sq):
+    """(apex, to_left_source, to_right_source) of a square."""
+    return sq.apex, sq.to_left_source, sq.to_right_source
+
+
+@pytest.mark.parametrize("left, right, expected", [
+    ("f", "id:C", ("A", "id:A", "f")),          # identity on the right
+    ("id:C", "g", ("B", "g", "id:B")),          # identity on the left
+    ("id:C", "id:C", ("C", "id:C", "id:C")),    # both identities
+    ("f", "g", ("P", "pa", "pb")),              # the declared square
+    ("g", "f", ("P", "pb", "pa")),              # declared only with swapped legs
+])
+def test_pullback_of_resolves_cospans(left, right, expected):
+    sq = square_category().pullback_of(left, right)
+    assert (sq.left, sq.right) == (left, right)
+    assert legs(sq) == expected
+
+
+def test_pullback_of_returns_none_for_an_undeclared_cospan():
+    cat = square_category()
+    assert cat.pullback_of("f", "h") is None
+    assert cat.pullback_of("h", "g") is None
+
+
+def test_pullback_of_refuses_a_non_cospan():
+    cat = square_category()
+    with pytest.raises(PreconditionError, match="not a cospan"):
+        cat.pullback_of("pa", "f")
+    with pytest.raises(PreconditionError, match="not a cospan"):
+        cat.pullback_of("f", "id:A")
+
+
 def test_constructor_rejects_bad_references():
     with pytest.raises(StructuralError):
         FiniteCategory({"A": None}, [Morphism("f", "A", "Z")])
@@ -228,6 +274,32 @@ def test_full_subcategory_restricts_tables():
     assert sorted(sub.objects) == ["A", "B"]
     assert "f01" in sub.morphisms and "f02" not in sub.morphisms
     assert sub.check_axioms() == []
+
+
+def tables(cat):
+    """Every table of a category, by value."""
+    return (cat.objects,
+            {n: (m.source, m.target) for n, m in cat.morphisms.items()},
+            cat.identities, cat.composition,
+            {key: (sq.left, sq.right) + legs(sq) for key, sq in cat.pullbacks.items()},
+            {o: cat.morphisms_into(o) for o in cat.objects},
+            {o: cat.morphisms_from(o) for o in cat.objects})
+
+
+def test_full_subcategory_on_every_object_keeps_the_tables():
+    cat = square_category()
+    before = tables(cat)
+    whole = cat.full_subcategory(["P", "D", "C", "B", "A", "A"])
+    assert whole is cat and tables(whole) == before
+    assert whole.check_axioms() == [] == cat.check_axioms()
+    # a proper subset is restricted as before: the square loses its apex
+    sub = cat.full_subcategory(["A", "B", "C"])
+    assert sorted(sub.objects) == ["A", "B", "C"]
+    assert sorted(sub.morphisms) == ["f", "g", "id:A", "id:B", "id:C"]
+    assert sub.pullbacks == {} and sub.pullback_of("f", "g") is None
+    assert sub.check_axioms() == []
+    with pytest.raises(KeyError, match="unknown objects"):
+        cat.full_subcategory(["A", "Z"])
 
 
 def test_isomorphism_detection():

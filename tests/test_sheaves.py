@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from scipy.special import ndtr
 
 from deltasite import fixtures
 from deltasite.errors import (PreconditionError, StructuralError,
                               UnsupportedValueError)
+from deltasite.filtration import FramedPoint
 from deltasite.sheaves import (Presheaf, check_sheaf_condition,
                                constant_presheaf, d_psi, q_boundary,
                                q_quotient, transversal_cone_check)
@@ -242,5 +245,15 @@ def test_filtered_brownian_sheaf_levels_and_cone():
     assert report.passed
     with pytest.raises(PreconditionError):
         sheaf_cone_check(sheaf, index.points[-1], index.points[0], n_paths=10)
+    # a point outside the index is refused by name; the index and the
+    # filtration keep their KeyError
+    outside = FramedPoint(Fraction(9), 1)
+    for t, t_prime in ((index.points[0], outside), (outside, index.points[-1])):
+        with pytest.raises(PreconditionError, match=r"framed point \(9,1\) is not in"):
+            sheaf_cone_check(sheaf, t, t_prime, n_paths=10)
+    with pytest.raises(KeyError):
+        index.q(outside)
+    with pytest.raises(KeyError):
+        model.filtration.level(outside)
     with pytest.raises(PreconditionError):
         FilteredBrownianSheaf(index, levels, sigma=0.5, kappa=0.0)

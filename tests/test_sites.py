@@ -1,6 +1,9 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 from deltasite import fixtures
 from deltasite.categories import (FiniteCategory, Morphism,
                                   connected_components)
@@ -12,6 +15,7 @@ from deltasite.sites import (CoveringFamily, GrothendieckSite,
                              build_tau_operadic, build_tau_P,
                              build_tau_structural, verify_filtered,
                              verify_grothendieck)
+from deltasite.reports import Report
 
 from conftest import overlap_site
 
@@ -324,3 +328,149 @@ def test_cover_along_which_p_falls_fails_composition():
     assert "down" in site.valid["small"]
     assert record.check_id == "composition" and record.status == "fail"
     assert record.witness == "composite down; P chain 1.0<=1.0<=0.75"
+
+
+# -- the verifier against its per-instance form ------------------------------------
+
+def referee_grothendieck(site):
+    """verify_grothendieck as it was written before its lookup tables: the
+    cospan resolved and the measure chain computed afresh per instance."""
+    cat = site.category
+
+    def pullback(left, right):
+        lm, rm = cat.morphisms[left], cat.morphisms[right]
+        if cat.is_identity(right):
+            return lm.source, cat.identities[lm.source], left
+        if cat.is_identity(left):
+            return rm.source, right, cat.identities[rm.source]
+        if (left, right) in cat.pullbacks:
+            sq = cat.pullbacks[(left, right)]
+            return sq.apex, sq.to_left_source, sq.to_right_source
+        if (right, left) in cat.pullbacks:
+            sq = cat.pullbacks[(right, left)]
+            return sq.apex, sq.to_right_source, sq.to_left_source
+        return None
+
+    def measure_chain(cover_src, gamma, apex):
+        P = site.measure
+        p_apex = P(cat.event(apex))
+        p_prod = P(cat.event(cover_src).atoms & cat.event(gamma).atoms)
+        p_gamma = P(cat.event(gamma))
+        ok = p_apex <= p_prod <= p_gamma
+        return ok, f"P={p_apex}<=P(product)={p_prod}<=P({gamma})={p_gamma}"
+
+    report = Report()
+    for name in sorted(cat.morphisms):
+        if cat.is_isomorphism(name):
+            report.add("isomorphisms-cover", name,
+                       name in site.valid[cat.morphisms[name].target])
+    members = {obj: [(mi, cat.morphisms[mi].source)
+                     for fam in site.families(obj) for mi in fam.morphisms]
+               for obj in sorted(cat.objects)}
+    for obj, covers in members.items():
+        for mi, src in covers:
+            for g in cat.morphisms_into(obj):
+                gamma = cat.morphisms[g].source
+                instance = f"({mi}, {g})"
+                sq = pullback(mi, g)
+                if sq is None:
+                    report.add("base-change", instance, False,
+                               f"missing pullback for cospan ({src} -> {obj} <- {gamma})")
+                    continue
+                apex, _, proj = sq
+                ok = proj in site.valid[gamma]
+                witness = f"projection {proj}: {apex} -> {gamma}"
+                if site.measure is not None:
+                    chain_ok, chain = measure_chain(src, gamma, apex)
+                    ok = ok and chain_ok
+                    witness += "; " + chain
+                report.add("base-change", instance, ok, witness)
+    for obj, covers in members.items():
+        for mi, src in covers:
+            for mij, src2 in members[src]:
+                instance = f"({mi}, {mij})"
+                comp = cat.composition.get((mi, mij))
+                if comp is None:
+                    report.add("composition", instance, False,
+                               f"composite of {mi} after {mij} missing from the table")
+                    continue
+                ok = comp in site.valid[obj]
+                witness = f"composite {comp}"
+                if site.measure is not None:
+                    P = site.measure
+                    p_ij, p_i, p_o = (P(cat.event(e)) for e in (src2, src, obj))
+                    ok = ok and p_ij <= p_i <= p_o
+                    witness += f"; P chain {p_ij}<={p_i}<={p_o}"
+                report.add("composition", instance, ok, witness)
+    return report
+
+
+def every_site(model):
+    """The structural site and every level of the probability and operadic
+    topologies of a model."""
+    yield build_tau_structural(model.category)
+    yield from build_tau_P(model.filtration, model.measure, model.category).values()
+    yield from build_tau_operadic(model.filtration, model.category).values()
+
+
+def assert_referee_agrees(site):
+    records = verify_grothendieck(site).records
+    assert records == referee_grothendieck(site).records, site.label
+    return records
+
+
+def test_verifier_matches_referee_on_every_bundled_fixture():
+    for name, builder in fixtures.ALL_FIXTURES.items():
+        sites = list(every_site(builder()))
+        assert len(sites) >= 3, name
+        for site in sites:
+            assert_referee_agrees(site)
+
+
+def test_filtered_verifier_prefixes_the_referee_records_per_level():
+    for name, builder in fixtures.ALL_FIXTURES.items():
+        model = builder()
+        for levels in (build_tau_P(model.filtration, model.measure, model.category),
+                       build_tau_operadic(model.filtration, model.category)):
+            records = verify_filtered(levels).records
+            expected = Report()
+            for p, site in levels.items():
+                expected.extend(referee_grothendieck(site), prefix=f"level {p!r}: ")
+            expected.records += [r for r in records if r.check_id == "level-monotone"]
+            assert records == expected.records, name
+
+
+def test_verifier_matches_referee_on_hand_made_sites():
+    overlap = overlap_site()
+    assert any(r.status == "fail" for r in assert_referee_agrees(overlap))
+    weighted = GrothendieckSite(overlap.category, overlap.coverings, "overlap-P",
+                                ProbabilityMeasure({"a": 0.5, "b": 0.25, "c": 0.25}))
+    assert any("P(product)" in r.witness for r in assert_referee_agrees(weighted))
+    falling = assert_referee_agrees(falling_site())
+    assert {"(down, id:small)", "(down, id:big)"} <= {
+        r.instance for r in falling if r.status == "fail"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.integers(2, 4).flatmap(lambda n: hst.tuples(
+    hst.permutations("abcd"[:n]),
+    hst.lists(hst.integers(1, 3), min_size=n, max_size=n),
+    hst.lists(hst.integers(0, 5), min_size=n, max_size=n).filter(any))))
+def test_verifier_matches_referee_on_random_lattices(case):
+    order, block_sizes, raw = case
+    atoms = sorted(order)
+    parts, start = [], 0
+    for size in block_sizes:
+        if start < len(order):
+            parts.append(frozenset(order[start:start + size]))
+            start += size
+    middle = {frozenset().union(*c) for r in range(len(parts) + 1)
+              for c in itertools.combinations(parts, r)}
+    subsets = [frozenset(c) for r in range(len(atoms) + 1)
+               for c in itertools.combinations(atoms, r)]
+    weights = {a: w / sum(raw) for a, w in zip(atoms, raw)}
+    model = fixtures.subset_model(atoms, subsets,
+                                  [[frozenset(), frozenset(atoms)], middle, subsets],
+                                  weights)
+    for site in every_site(model):
+        assert_referee_agrees(site)
