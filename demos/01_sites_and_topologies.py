@@ -15,7 +15,7 @@ from deltasite.sites import (build_tau_operadic, build_tau_P,
 
 model = fixtures.four_events_model()
 print("objects:", ", ".join(sorted(model.category.objects)))
-print("category axioms violations:", model.category.check_axioms() or "none")
+print("category axioms violations:", model.category.check_axioms().failures() or "none")
 
 for point in model.filtration.index:
     events = [model.events[n] for n in sorted(model.filtration.level(point))]

@@ -9,11 +9,10 @@ sheaf of Brownian values replaces transition maps in time with cones.
 """
 from deltasite import fixtures
 from deltasite.categories import forward_cone, minimal_outgoing
-from deltasite.roofs import (RoofCategory, build_structural_roof_topology,
-                             verify_roof_category)
+from deltasite.roofs import RoofCategory, verify_roof_category
 from deltasite.sheaves import (check_sheaf_condition, constant_presheaf, d_psi,
                                transversal_cone_check)
-from deltasite.sites import verify_grothendieck
+from deltasite.sites import build_tau_structural, verify_grothendieck
 
 model = fixtures.six_events_model()
 rc = RoofCategory(model.category)
@@ -30,7 +29,8 @@ report = verify_roof_category(rc)
 print(f"roof category axioms: {'PASS' if report.passed else 'FAIL'} "
       f"({len(report.records)} instances)")
 
-site = build_structural_roof_topology(rc)
+# roofs are named by their bases: the roof topology is the fragment's own
+site = build_tau_structural(rc.fragment)
 print(f"structural roof topology: "
       f"{'PASS' if verify_grothendieck(site).passed else 'FAIL'}")
 

@@ -14,8 +14,7 @@ from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          check_operad_action, check_sigma_level, pushforward,
                          restrict_measure)
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
-from .roofs import (Roof, RoofCategory, build_structural_roof_topology,
-                    verify_roof_category)
+from .roofs import Roof, RoofCategory, verify_roof_category
 from .sheaves import (FilteredBrownianSheaf, Presheaf, check_sheaf_condition,
                       constant_presheaf, d_psi, q_boundary,
                       transversal_cone_check)
@@ -42,8 +41,8 @@ __all__ = [
     "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",
     "Roof", "RoofCategory", "SimplicialEvent", "StructuralError",
     "TruncationNotice", "UnsupportedValueError", "augmentation",
-    "build_structural_roof_topology", "build_tau_P", "build_tau_operadic",
-    "build_tau_structural", "check_operad_action", "check_product_rule",
+    "build_tau_P", "build_tau_operadic", "build_tau_structural",
+    "check_operad_action", "check_product_rule",
     "check_sheaf_condition", "check_sigma_level",
     "connected_components", "constant_presheaf", "d_psi", "delta_increments",
     "discrete_event", "empty_event", "estimate_log_drift", "exp_series",

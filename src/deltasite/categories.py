@@ -3,8 +3,9 @@
 Objects are identifiers optionally bound to simplicial events; morphisms,
 composition and declared pullbacks are explicit tables.  Axioms (unit laws,
 associativity, totality of composition, commuting pullback squares) are
-verified by enumeration, report-style, so that deliberately broken fragments
-can be constructed for tests.
+verified by enumeration into a `Report`, so that deliberately broken
+fragments can be constructed and diagnosed.  `pullback_legs` is the one rule
+that resolves a cospan to its pullback.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object) are indexed once, at construction, and
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, StructuralError
 from .events import EventMap, SimplicialEvent, identity_map, is_monomorphism
+from .reports import Report
 
 
 @dataclass(eq=False)
@@ -170,17 +172,12 @@ class FiniteCategory:
             return self.is_identity(name)
         return is_monomorphism(m.event_map)
 
-    def pullback_of(self, left: str, right: str) -> PullbackSquare | None:
-        """Declared pullback of a cospan, resolving identity cospans
-        canonically and the symmetric declaration with swapped legs."""
-        legs = self._pullback_legs(left, right)
-        return None if legs is None else PullbackSquare(left, right, *legs)
-
-    def _pullback_legs(self, left: str, right: str) -> tuple[str, str, str] | None:
-        """`pullback_of` as (apex, to_left_source, to_right_source), building
-        no square: the one resolution rule.  Along an identity leg the
-        pullback is the other leg's source; otherwise the declaration under
-        (left, right), or under (right, left) with its legs swapped."""
+    def pullback_legs(self, left: str, right: str) -> tuple[str, str, str] | None:
+        """The pullback of the cospan (left, right) as (apex, to_left_source,
+        to_right_source), or None if it is not declared.  Along an identity
+        leg the pullback is the other leg's source; otherwise the declaration
+        under (left, right), or under (right, left) with its legs swapped.
+        PreconditionError if the two do not share a target."""
         lm, rm = self.morphism(left), self.morphism(right)
         if lm.target != rm.target:
             raise PreconditionError(f"({left!r}, {right!r}) is not a cospan")
@@ -206,20 +203,25 @@ class FiniteCategory:
 
     # -- axiom report ---------------------------------------------------------
 
-    def check_axioms(self) -> list[str]:
-        """Enumerate category axioms; returns a list of violations (empty = pass).
+    def check_axioms(self) -> Report:
+        """Enumerate the category axioms: one `category-axioms` fail record
+        per violation (no records = pass).
 
         Composable pairs and triples are walked through the out-index, so
         the work grows with their number rather than with M^2 and M^3."""
-        bad = []
+        report = Report()
+
+        def bad(violation):
+            report.add("category-axioms", violation, False)
+
         for f, g in self.composable_pairs():
             if (g, f) not in self.composition:
-                bad.append(f"composition undefined for ({g}, {f})")
+                bad(f"composition undefined for ({g}, {f})")
         for name, m in self.morphisms.items():
             if self.composition.get((self.identities[m.target], name)) != name:
-                bad.append(f"left unit fails for {name}")
+                bad(f"left unit fails for {name}")
             if self.composition.get((name, self.identities[m.source])) != name:
-                bad.append(f"right unit fails for {name}")
+                bad(f"right unit fails for {name}")
         for f, g in self.composable_pairs():
             gf = self.composition.get((g, f))
             if gf is None:
@@ -229,13 +231,13 @@ class FiniteCategory:
                 left = self.composition.get((h, gf))
                 right = self.composition.get((hg, f)) if hg else None
                 if left is not None and right is not None and left != right:
-                    bad.append(f"associativity fails on ({h}, {g}, {f})")
+                    bad(f"associativity fails on ({h}, {g}, {f})")
         for (l, r), sq in sorted(self.pullbacks.items()):
             via_left = self.composition.get((l, sq.to_left_source))
             via_right = self.composition.get((r, sq.to_right_source))
             if via_left is None or via_right is None or via_left != via_right:
-                bad.append(f"declared pullback square ({l}, {r}) does not commute")
-        return bad
+                bad(f"declared pullback square ({l}, {r}) does not commute")
+        return report
 
     def full_subcategory(self, objs) -> "FiniteCategory":
         """Restriction to a subset of objects (morphisms with both ends inside).

@@ -18,7 +18,7 @@ from .errors import ClosureError, DeltasiteError, ModelError, PreconditionError
 from .filtration import check_operad_action
 from .model_io import ModelDescription, load_model
 from .reports import Report
-from .roofs import RoofCategory, build_structural_roof_topology, verify_roof_category
+from .roofs import RoofCategory, verify_roof_category
 
 USAGE_EXIT = 2
 # `series --op`: its choices, and the builder of each
@@ -125,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check_site(args, model: ModelDescription, report: Report):
-    for violation in model.category.check_axioms():
-        report.add("category-axioms", violation, False)
+    report.extend(model.category.check_axioms())
     if args.topology == "structural":
         site = sites.build_tau_structural(model.category)
         report.extend(sites.verify_grothendieck(site))
@@ -142,15 +141,14 @@ def cmd_check_site(args, model: ModelDescription, report: Report):
 
 
 def cmd_check_roofs(args, model: ModelDescription, report: Report):
-    for violation in model.category.check_axioms():
-        report.add("category-axioms", violation, False)
+    report.extend(model.category.check_axioms())
     rc = RoofCategory(model.category)
     try:
         report.extend(verify_roof_category(rc))
     except ClosureError as exc:
         report.add("roof-axioms", "composition closure", False, str(exc))
         return
-    report.extend(sites.verify_grothendieck(build_structural_roof_topology(rc)))
+    report.extend(sites.verify_grothendieck(sites.build_tau_structural(model.category)))
 
 
 def cmd_check_sheaf(args, model: ModelDescription, report: Report):

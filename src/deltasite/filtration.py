@@ -2,8 +2,9 @@
 generators and atom-generated probability measures.
 
 The index is a finite rational grid with an (0,1]-fiber cut into m equal
-steps; levels are event collections keyed by framed points and must grow
-monotonically.  Closure laws and the operad action are verified by
+steps; its points order themselves, (base, k) lexicographically, which is
+the index order.  Levels are event collections keyed by framed points and
+must grow monotonically.  Closure laws and the operad action are verified by
 report-style checks rather than enforced at construction, so that defective
 inputs can be represented and diagnosed; `require_sigma_levels` is the one
 gate that refuses a level which is not a sigma-algebra.
@@ -20,9 +21,10 @@ from .events import SimplicialEvent
 from .reports import Report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FramedPoint:
-    """Index point (t, k/m): base time t with fiber position k of m."""
+    """Index point (t, k/m): base time t with fiber position k of m.  Points
+    compare as (base, k): the index order, since base times strictly increase."""
 
     base: Fraction
     k: int
@@ -34,8 +36,8 @@ class FramedPoint:
 class FramedIndex:
     """Finite increasing base grid with an m-step fiber over each base time.
 
-    Points are ordered lexicographically by (base, fiber position); the
-    bundle projection q drops the fiber coordinate.
+    `points` lists the points in their own (index) order; the bundle
+    projection q drops the fiber coordinate.
     """
 
     def __init__(self, base_times, m: int = 1):
@@ -56,9 +58,6 @@ class FramedIndex:
         if point not in self._order:
             raise KeyError(f"unknown framed point {point!r}")
         return point.base
-
-    def le(self, a: FramedPoint, b: FramedPoint) -> bool:
-        return self._order[a] <= self._order[b]
 
     def __iter__(self):
         return iter(self.points)
@@ -84,12 +83,12 @@ class OperadFragment:
         if len(set(names)) != len(names):
             raise StructuralError("duplicate operad generator names")
 
-    def at_or_before(self, index: FramedIndex, point: FramedPoint):
+    def at_or_before(self, point: FramedPoint):
         """Generators available at `point`: those placed at u <= point.
 
         Availability is cumulative because later levels contain everything
         assembled earlier (the filtration is increasing)."""
-        return [g for g in self.generators if index.le(g.at, point)]
+        return [g for g in self.generators if g.at <= point]
 
     def __iter__(self):
         return iter(self.generators)
@@ -152,13 +151,14 @@ def _atoms_of(e) -> frozenset[str]:
 
 
 class ProbabilityMeasure:
-    """Atom-generated measure: P(event) is the exact sum of atom weights.
+    """Atom-generated measure: P(event) is the exact sum of atom weights,
+    which must be finite, non-negative and sum to 1 within 1e-9.
 
     The weights are fixed at construction: the ground set and every value
     of P are computed from them once and kept.
     """
 
-    def __init__(self, atom_weights, tol: float = 1e-9):
+    def __init__(self, atom_weights):
         self.atom_weights = {a: float(w) for a, w in atom_weights.items()}
         for a, w in sorted(self.atom_weights.items()):
             if not math.isfinite(w):
@@ -166,7 +166,7 @@ class ProbabilityMeasure:
         if any(w < 0 for w in self.atom_weights.values()):
             raise StructuralError("negative atom weight")
         total = math.fsum(self.atom_weights.values())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-9:
             raise StructuralError(f"atom weights sum to {total}, not 1")
         self.ground_set = frozenset(self.atom_weights)
         self._values: dict[frozenset[str], float] = {}
@@ -309,7 +309,7 @@ def check_operad_action(F: FilteredSigmaAlgebra) -> Report:
     pairs = 0
     covered = 0
     for p in F.index:
-        available = {g.output for g in F.operad.at_or_before(F.index, p)}
+        available = {g.output for g in F.operad.at_or_before(p)}
         for ev in sorted(F.level(p)):
             pairs += 1
             if ev in available:

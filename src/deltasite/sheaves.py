@@ -94,7 +94,7 @@ def check_sheaf_condition(F: Presheaf) -> Report:
             constraints = []
             for i in range(len(members)):
                 for j in range(i, len(members)):
-                    legs = cat._pullback_legs(members[i], members[j])
+                    legs = cat.pullback_legs(members[i], members[j])
                     if legs is None:
                         notes.append(
                             f"{fam!r}: overlap of ({members[i]}, {members[j]}) undeclared")

@@ -94,7 +94,7 @@ def build_tau_operadic(F: FilteredSigmaAlgebra,
     output w.  (A morphism's two ends always share a connected component of
     the level, so the paper's same-component condition holds by itself.)"""
     def admit_at(p):
-        witnessed = {(inp, g.output) for g in F.operad.at_or_before(F.index, p)
+        witnessed = {(inp, g.output) for g in F.operad.at_or_before(p)
                      for inp in g.inputs}
         return lambda m: (m.source, m.target) in witnessed
 
@@ -177,7 +177,7 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
         p_gamma, text = mass(gamma)
         return p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={text}"
 
-    pullback_legs = cat._pullback_legs
+    pullback_legs = cat.pullback_legs
     for obj, covers in members.items():
         arrows = [(g, cat.morphisms[g].source) for g in cat.morphisms_into(obj)]
         for mi, src in covers:
@@ -221,10 +221,10 @@ def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     """Per-level axiom verification plus level-monotonicity of validity:
     a cover at s whose data survives to t >= s must still cover at t.
     `levels` maps framed points to their sites; they are walked in the
-    framed index's lexicographic order, whatever the map's own order, and
+    points' own (index) order, whatever the map's own order, and
     each level's records are added under the prefix "level <point>: "."""
     report = Report()
-    pairs = sorted(levels.items(), key=lambda item: (item[0].base, item[0].k))
+    pairs = [(p, levels[p]) for p in sorted(levels)]
     for p, site in pairs:
         _add_site_records(report, site, f"level {p!r}: ")
     for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):

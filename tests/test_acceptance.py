@@ -13,7 +13,7 @@ from scipy.special import ndtr
 
 from deltasite import fixtures, sheaves, sites, stochastic, tropical
 from deltasite.cli import main as cli_main
-from deltasite.roofs import RoofCategory, build_structural_roof_topology, verify_roof_category
+from deltasite.roofs import RoofCategory, verify_roof_category
 from deltasite.sheaves import Presheaf, check_sheaf_condition, constant_presheaf
 
 from conftest import overlap_site
@@ -177,7 +177,7 @@ def test_criterion_8_roof_category_axioms():
             ok = False
         pairs_checked += sum(1 for r in report.records
                              if r.check_id == "base-functorial")
-        site = build_structural_roof_topology(rc)
+        site = sites.build_tau_structural(rc.fragment)
         if not sites.verify_grothendieck(site).passed:
             ok = False
     _report(8, "roof category axioms", ok and pairs_checked > 0,

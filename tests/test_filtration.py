@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import deltasite
+from deltasite import fixtures
 from deltasite.errors import ModelError, PreconditionError, StructuralError
 from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
@@ -38,8 +39,22 @@ def test_framed_index_points_and_projection():
     p = idx.points[3]
     assert p == FramedPoint(Fraction(1, 2), 2)
     assert idx.q(p) == Fraction(1, 2)
-    assert idx.le(idx.points[0], idx.points[5])
-    assert not idx.le(idx.points[4], idx.points[1])
+    assert idx.points[0] <= idx.points[5]
+    assert not idx.points[4] <= idx.points[1]
+
+
+def test_framed_points_sort_in_index_order():
+    idx = FramedIndex([0, Fraction(1, 2), 1], m=2)
+    assert sorted(reversed(idx.points)) == idx.points
+
+
+def test_generators_available_at_a_point_match_the_position_filter():
+    F = fixtures.fibered_pair_model().filtration
+    position = F.index.points.index
+    assert len(F.operad) > 0
+    for p in F.index:
+        expected = [g for g in F.operad if position(g.at) <= position(p)]
+        assert F.operad.at_or_before(p) == expected
 
 
 def test_framed_index_rejects_bad_grids():
@@ -169,6 +184,12 @@ def test_measure_validation():
         ProbabilityMeasure({"a": 0.5, "b": 0.4})
     with pytest.raises(StructuralError):
         ProbabilityMeasure({"a": 1.5, "b": -0.5})
+
+
+def test_measure_weights_must_sum_to_one_within_1e_9():
+    with pytest.raises(StructuralError, match="sum to"):
+        ProbabilityMeasure({"a": 0.5, "b": 0.5 + 2e-9})
+    assert ProbabilityMeasure({"a": 0.5, "b": 0.5 + 5e-10}).ground_set == {"a", "b"}
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
@@ -365,5 +386,5 @@ def test_operad_action_saturated_coverage_is_total():
 def test_generator_availability_is_cumulative():
     F, idx = tiny_filtration(generators=[
         MultiArrow("g", ("empty", "e_ab"), "e_ab", FramedPoint(Fraction(0), 1))])
-    late = F.operad.at_or_before(idx, idx.points[1])
+    late = F.operad.at_or_before(idx.points[1])
     assert [g.name for g in late] == ["g"]

@@ -5,9 +5,8 @@ from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import ClosureError, PreconditionError
 from deltasite.reports import Report
-from deltasite.roofs import (Roof, RoofCategory, build_structural_roof_topology,
-                             verify_roof_category)
-from deltasite.sites import CoveringFamily, verify_grothendieck
+from deltasite.roofs import Roof, RoofCategory, verify_roof_category
+from deltasite.sites import CoveringFamily, build_tau_structural, verify_grothendieck
 
 from conftest import chain_category, disc
 from test_categories import small_categories
@@ -45,7 +44,7 @@ def test_compose_base_is_composite_of_bases_exhaustively():
     for builder in (lambda: chain_category(4),):
         rc = RoofCategory(builder())
         frag = rc.fragment
-        roofs = list(rc.roofs.values())
+        roofs = [rc.roof_of(name) for name in rc.fragment.morphisms]
         for r1 in roofs:
             for r2 in roofs:
                 if r1.target != r2.source:
@@ -55,7 +54,7 @@ def test_compose_base_is_composite_of_bases_exhaustively():
 
 def test_triple_composites_agree_both_ways():
     rc = RoofCategory(chain_category(4))
-    roofs = list(rc.roofs.values())
+    roofs = [rc.roof_of(name) for name in rc.fragment.morphisms]
     checked = 0
     for r1 in roofs:
         for r2 in roofs:
@@ -82,6 +81,29 @@ def test_verify_raises_closure_error_naming_the_pair():
     cat = FiniteCategory(objs, morphisms, {})  # no composite declared
     with pytest.raises(ClosureError, match=r"\(g, f\)"):
         verify_roof_category(RoofCategory(cat))
+
+
+def test_missing_composite_raises_before_base_functorial_can_fail():
+    """base-functorial holds by construction: drop one composite from a
+    passing fragment and the verifier raises instead of failing the record."""
+    cat = fixtures.six_events_model().category
+    assert all(r.status == "pass" for r in verify_roof_category(RoofCategory(cat)).records
+               if r.check_id == "base-functorial")
+    composition = {key: h for key, h in cat.composition.items()
+                   if key != ("i:e_a>e_ab", "i:empty>e_a")}
+    morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
+    unclosed = FiniteCategory(cat.objects, morphisms, composition,
+                              list(cat.pullbacks.values()))
+    with pytest.raises(ClosureError) as exc:
+        verify_roof_category(RoofCategory(unclosed))
+    assert str(exc.value) == ("fragment is not composition closed: "
+                              "(i:e_a>e_ab, i:empty>e_a) has no composite")
+
+
+def test_roof_of_an_unknown_base_names_it():
+    rc = RoofCategory(chain_category(3))
+    with pytest.raises(KeyError, match="no morphism 'f99' in the fragment"):
+        rc.roof_of("f99")
 
 
 def test_verify_commutative_square_enumerates_all_triples():
@@ -134,7 +156,7 @@ def test_roof_legs_cohere():
 
 def test_iso_base_roof_covers():
     model = fixtures.four_events_model()
-    site = build_structural_roof_topology(RoofCategory(model.category))
+    site = build_tau_structural(RoofCategory(model.category).fragment)
     assert site.is_covering(CoveringFamily("e_a", ("id:e_a",)))
 
 
@@ -145,14 +167,14 @@ def test_non_mono_base_excluded():
     squash = EventMap("squash", big, one, {0: {"x": "z", "y": "z"}})
     cat = FiniteCategory({"big": big, "one": one},
                          [Morphism("squash", "big", "one", squash)], {})
-    site = build_structural_roof_topology(RoofCategory(cat))
+    site = build_tau_structural(RoofCategory(cat).fragment)
     assert "squash" not in site.valid["one"]
 
 
 def test_structural_roof_site_verifies_on_fixtures():
     for name, builder in fixtures.PASSING_FIXTURES.items():
         model = builder()
-        site = build_structural_roof_topology(RoofCategory(model.category))
+        site = build_tau_structural(RoofCategory(model.category).fragment)
         assert verify_grothendieck(site).passed, name
 
 
@@ -180,19 +202,19 @@ def reference_verify_roof_category(rc):
     triple is composed roof by roof, pairs listed up front."""
     report = Report()
     frag = rc.fragment
-    roofs = [rc.roofs[name] for name in sorted(rc.roofs)]
+    roofs = [rc.roof_of(name) for name in sorted(frag.morphisms)]
     for r in roofs:
         left = reference_compose(rc, rc.identity_roof(r.source), r)
         right = reference_compose(rc, r, rc.identity_roof(r.target))
         report.add("left-unit", repr(r), left == r)
         report.add("right-unit", repr(r), right == r)
-    pairs = [(r1, rc.roofs[n]) for r1 in roofs for n in frag.morphisms_from(r1.target)]
+    pairs = [(r1, rc.roof_of(n)) for r1 in roofs for n in frag.morphisms_from(r1.target)]
     for r1, r2 in pairs:
         composite = reference_compose(rc, r1, r2)
         report.add("base-functorial", f"({r1.base}, {r2.base})",
                    composite == rc.roof_of(frag.compose(r2.base, r1.base)))
     for r1, r2 in pairs:
-        for r3 in (rc.roofs[n] for n in frag.morphisms_from(r2.target)):
+        for r3 in (rc.roof_of(n) for n in frag.morphisms_from(r2.target)):
             one = reference_compose(rc, reference_compose(rc, r1, r2), r3)
             two = reference_compose(rc, r1, reference_compose(rc, r2, r3))
             report.add("associativity", f"({r1.base}, {r2.base}, {r3.base})", one == two)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as hst
 from deltasite import fixtures
 from deltasite.categories import (FiniteCategory, Morphism,
                                   connected_components)
-from deltasite.events import EventMap, discrete_event, empty_event
+from deltasite.events import EventMap, SimplicialEvent, discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   MultiArrow, OperadFragment,
                                   ProbabilityMeasure)
@@ -81,8 +82,9 @@ def test_operadic_coverings_match_generator_scan_oracle():
         site = filtered[p]
         comp = connected_components(site.category)
         witnessed = set()
+        position = model.filtration.index.points.index
         for g in model.filtration.operad:
-            if model.filtration.index.le(g.at, p):
+            if position(g.at) <= position(p):
                 for inp in g.inputs:
                     witnessed.add((inp, g.output))
         for name in sorted(site.category.morphisms):
@@ -251,7 +253,7 @@ def test_is_covering_accepts_any_nonempty_valid_family():
 def test_all_bundled_passing_fixtures_verify_everywhere():
     for name, builder in fixtures.PASSING_FIXTURES.items():
         model = builder()
-        assert model.category.check_axioms() == [], name
+        assert model.category.check_axioms().records == [], name
         assert verify_grothendieck(build_tau_structural(model.category)).passed, name
         assert verify_filtered(build_tau_P(model.filtration, model.measure,
                                            model.category)).passed, name
@@ -318,6 +320,32 @@ def test_pullback_apex_heavier_than_the_intersection_fails_base_change():
     assert record.check_id == "base-change" and record.status == "fail"
     assert record.witness == ("projection down: big -> small; "
                               "P=1.0<=P(product)=0.75<=P(small)=0.75")
+
+
+def test_product_heavier_than_gamma_fails_the_base_change_tail():
+    """The chain's tail P(w_i x gamma) <= P(gamma) holds for every
+    ProbabilityMeasure; a hand-made measure that puts less mass on U than on
+    its part V1 makes exactly that clause fail."""
+    overlap = overlap_site()
+
+    def mass(event):
+        atoms = event.atoms if isinstance(event, SimplicialEvent) else frozenset(event)
+        return 0.25 if atoms == frozenset("abc") else len(atoms) / 4
+
+    def record(measure):
+        site = GrothendieckSite(overlap.category, overlap.coverings, "tail", measure)
+        [found] = [r for r in verify_grothendieck(site).records
+                   if r.check_id == "base-change" and r.instance == "(f1, id:U)"]
+        return found
+
+    # identity gamma: the apex is V1, the projection f1 covers U, P(V1) equals
+    # the product's 0.5, and only 0.5 <= P(U) = 0.25 fails
+    assert "f1" in overlap.valid["U"]
+    bad = record(mass)
+    assert bad.status == "fail"
+    assert bad.witness == "projection f1: V1 -> U; P=0.5<=P(product)=0.5<=P(U)=0.25"
+    good = record(ProbabilityMeasure({"a": 0.25, "b": 0.25, "c": 0.5}))
+    assert good.status == "pass"
 
 
 def test_cover_along_which_p_falls_fails_composition():
@@ -451,12 +479,16 @@ def test_verifier_matches_referee_on_hand_made_sites():
         r.instance for r in falling if r.status == "fail"}
 
 
-@settings(max_examples=25, deadline=None)
-@given(hst.integers(2, 4).flatmap(lambda n: hst.tuples(
+# power-set lattices of 2-4 atoms: an atom order, block sizes that cut it
+# into the middle level's blocks, and raw atom weights (zeros allowed)
+LATTICE_CASES = hst.integers(2, 4).flatmap(lambda n: hst.tuples(
     hst.permutations("abcd"[:n]),
     hst.lists(hst.integers(1, 3), min_size=n, max_size=n),
-    hst.lists(hst.integers(0, 5), min_size=n, max_size=n).filter(any))))
-def test_verifier_matches_referee_on_random_lattices(case):
+    hst.lists(hst.integers(0, 5), min_size=n, max_size=n).filter(any)))
+
+
+def lattice_model(case):
+    """The three-level power-set model of a LATTICE_CASES draw."""
     order, block_sizes, raw = case
     atoms = sorted(order)
     parts, start = [], 0
@@ -469,8 +501,32 @@ def test_verifier_matches_referee_on_random_lattices(case):
     subsets = [frozenset(c) for r in range(len(atoms) + 1)
                for c in itertools.combinations(atoms, r)]
     weights = {a: w / sum(raw) for a, w in zip(atoms, raw)}
-    model = fixtures.subset_model(atoms, subsets,
-                                  [[frozenset(), frozenset(atoms)], middle, subsets],
-                                  weights)
-    for site in every_site(model):
+    return fixtures.subset_model(atoms, subsets,
+                                 [[frozenset(), frozenset(atoms)], middle, subsets],
+                                 weights)
+
+
+@settings(max_examples=25, deadline=None)
+@given(LATTICE_CASES)
+def test_verifier_matches_referee_on_random_lattices(case):
+    for site in every_site(lattice_model(case)):
         assert_referee_agrees(site)
+
+
+TAIL = re.compile(r"<=P\(product\)=(.+)<=P\(.+\)=(.+)$")
+
+
+@settings(max_examples=25, deadline=None)
+@given(LATTICE_CASES)
+def test_base_change_tail_holds_for_every_probability_measure(case):
+    """P(w_i x gamma) <= P(gamma) on every base-change instance, of the
+    probability levels and of the structural site weighed by the same P."""
+    model = lattice_model(case)
+    structural = build_tau_structural(model.category)
+    weighed = [GrothendieckSite(model.category, structural.coverings, "weighed",
+                                model.measure),
+               *build_tau_P(model.filtration, model.measure, model.category).values()]
+    tails = [TAIL.search(r.witness) for site in weighed
+             for r in verify_grothendieck(site).records if r.check_id == "base-change"]
+    assert tails and all(tails)
+    assert all(float(m[1]) <= float(m[2]) for m in tails)
