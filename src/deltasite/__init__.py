@@ -1,9 +1,8 @@
 """deltasite: finite event categories, Grothendieck site verification, and
 the discrete delta-calculus with its tropical realization."""
 
-from .categories import (ComponentPartition, FiniteCategory, Morphism,
-                         PullbackSquare, connected_components, forward_cone,
-                         minimal_outgoing)
+from .categories import (FiniteCategory, Morphism, PullbackSquare,
+                         forward_cone, minimal_outgoing)
 from .errors import (ClosureError, DeltasiteError, ModelError,
                      PreconditionError, StructuralError, TruncationNotice,
                      UnsupportedValueError)
@@ -11,13 +10,11 @@ from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
                      fiber_product, is_monomorphism, point_event, product)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, OperadFragment, ProbabilityMeasure,
-                         check_operad_action, check_sigma_level, pushforward,
-                         restrict_measure)
+                         check_operad_action, check_sigma_level)
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
 from .roofs import Roof, RoofCategory, verify_roof_category
-from .sheaves import (FilteredBrownianSheaf, Presheaf, check_sheaf_condition,
-                      constant_presheaf, d_psi, q_boundary,
-                      transversal_cone_check)
+from .sheaves import (Presheaf, check_sheaf_condition, constant_presheaf,
+                      d_psi, q_boundary, transversal_cone_check)
 from .sites import (CoveringFamily, GrothendieckSite, build_tau_operadic,
                     build_tau_P, build_tau_structural, verify_filtered,
                     verify_grothendieck)
@@ -33,25 +30,23 @@ from .tropical import (GradedExpr, GradedTensorSeries, augmentation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosureError", "ComponentPartition", "CoveringFamily", "DeltasiteError",
-    "DiscretePath", "EventMap", "FilteredBrownianSheaf", "FilteredSigmaAlgebra",
-    "FiniteCategory", "FramedIndex", "FramedPoint", "GBMParams",
-    "GradedExpr", "GradedTensorSeries", "GrothendieckSite", "ModelDescription",
-    "ModelError", "Morphism", "MultiArrow", "OperadFragment", "Partition",
-    "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",
-    "Roof", "RoofCategory", "SimplicialEvent", "StructuralError",
-    "TruncationNotice", "UnsupportedValueError", "augmentation",
-    "build_tau_P", "build_tau_operadic", "build_tau_structural",
-    "check_operad_action", "check_product_rule",
-    "check_sheaf_condition", "check_sigma_level",
-    "connected_components", "constant_presheaf", "d_psi", "delta_increments",
-    "discrete_event", "empty_event", "estimate_log_drift", "exp_series",
-    "fiber_product", "forward_cone", "is_monomorphism", "ito_residual",
-    "load_model", "log_inverse_series", "minimal_outgoing", "paper_log_series",
-    "parse_model", "point_event", "product", "pushforward",
-    "q_boundary", "quadratic_variation", "restrict_measure", "sample_brownian",
-    "serialize_model", "simulate_gbm", "telescoped_sum",
-    "transversal_cone_check", "trop_max", "tropicalize_log_sde",
-    "verify_filtered", "verify_grothendieck", "verify_roof_category",
-    "__version__",
+    "ClosureError", "CoveringFamily", "DeltasiteError", "DiscretePath",
+    "EventMap", "FilteredSigmaAlgebra", "FiniteCategory", "FramedIndex",
+    "FramedPoint", "GBMParams", "GradedExpr", "GradedTensorSeries",
+    "GrothendieckSite", "ModelDescription", "ModelError", "Morphism",
+    "MultiArrow", "OperadFragment", "Partition", "PreconditionError",
+    "Presheaf", "ProbabilityMeasure", "PullbackSquare", "Roof", "RoofCategory",
+    "SimplicialEvent", "StructuralError", "TruncationNotice",
+    "UnsupportedValueError", "augmentation", "build_tau_P",
+    "build_tau_operadic", "build_tau_structural", "check_operad_action",
+    "check_product_rule", "check_sheaf_condition", "check_sigma_level",
+    "constant_presheaf", "d_psi", "delta_increments", "discrete_event",
+    "empty_event", "estimate_log_drift", "exp_series", "fiber_product",
+    "forward_cone", "is_monomorphism", "ito_residual", "load_model",
+    "log_inverse_series", "minimal_outgoing", "paper_log_series",
+    "parse_model", "point_event", "product", "q_boundary",
+    "quadratic_variation", "sample_brownian", "serialize_model",
+    "simulate_gbm", "telescoped_sum", "transversal_cone_check", "trop_max",
+    "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",
+    "verify_roof_category", "__version__",
 ]

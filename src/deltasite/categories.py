@@ -13,7 +13,6 @@ every lookup and axiom walk reads that index instead of scanning the table.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructuralError
@@ -258,47 +257,6 @@ class FiniteCategory:
                  if {sq.left, sq.right, sq.to_left_source, sq.to_right_source} <= keep
                  and sq.apex in objs]
         return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)
-
-
-@dataclass
-class ComponentPartition:
-    """Partition of objects under the zig-zag closure of 'a morphism exists'."""
-
-    component_of: dict[str, str]
-
-    def same_component(self, a: str, b: str) -> bool:
-        return self.component_of[a] == self.component_of[b]
-
-    def members(self, rep: str):
-        return sorted(o for o, r in self.component_of.items() if r == rep)
-
-    @property
-    def count(self) -> int:
-        return len(set(self.component_of.values()))
-
-
-def connected_components(cat: FiniteCategory) -> ComponentPartition:
-    """Breadth-first search on the undirected morphism graph."""
-    neighbours: dict[str, set[str]] = {o: set() for o in cat.objects}
-    for m in cat.morphisms.values():
-        neighbours[m.source].add(m.target)
-        neighbours[m.target].add(m.source)
-    component_of: dict[str, str] = {}
-    for start in sorted(cat.objects):
-        if start in component_of:
-            continue
-        queue = deque([start])
-        seen = {start}
-        while queue:
-            cur = queue.popleft()
-            for nxt in neighbours[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        rep = min(seen)
-        for o in seen:
-            component_of[o] = rep
-    return ComponentPartition(component_of)
 
 
 def forward_cone(cat: FiniteCategory, obj: str) -> frozenset[str]:

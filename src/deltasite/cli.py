@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: out of numeric range: {(exc.args or [exc])[-1]}", file=sys.stderr)
         return USAGE_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except ModelError as exc:
         for path, message in exc.errors:
             print(f"error: {path}: {message}", file=sys.stderr)

@@ -129,13 +129,6 @@ class SimplicialEvent:
     def simplices(self, dim: int) -> frozenset[str]:
         return self.levels.get(dim, frozenset())
 
-    @property
-    def max_dim(self) -> int:
-        return max(self.levels, default=-1)
-
-    def face(self, dim: int, simplex: str, i: int) -> str:
-        return self.faces[(dim, simplex, i)]
-
     def level_sizes(self) -> dict[int, int]:
         return {d: len(s) for d, s in sorted(self.levels.items())}
 
@@ -361,46 +354,3 @@ def coproduct_event(parts, name: str, ground_set=None) -> SimplicialEvent:
         atoms |= ev.atoms
     return SimplicialEvent(name, {d: frozenset(s) for d, s in levels.items()},
                            faces, degens, frozenset(atoms), frozenset(ground_set))
-
-
-def levelwise_isomorphic(a: SimplicialEvent, b: SimplicialEvent) -> bool:
-    """Existence of a levelwise bijection commuting with faces/degeneracies.
-
-    Brute-force search over per-level bijections; intended for the small
-    events used in tests and reports, never identifier equality.
-    """
-    from itertools import permutations
-
-    if a.level_sizes() != b.level_sizes() or a.atoms != b.atoms:
-        return False
-    dims = sorted(a.levels)
-    if not dims:
-        return True
-
-    def extend(i, assignment):
-        if i == len(dims):
-            return True
-        d = dims[i]
-        xs = sorted(a.simplices(d))
-        for perm in permutations(sorted(b.simplices(d))):
-            trial = dict(assignment)
-            trial.update({(d, x): y for x, y in zip(xs, perm)})
-            ok = True
-            for (dd, x, j), y in a.faces.items():
-                if dd not in dims[: i + 1] or (dd - 1) not in dims[: i + 1]:
-                    continue
-                if (dd, x) in trial and (dd - 1, y) in trial:
-                    if b.faces.get((dd, trial[(dd, x)], j)) != trial[(dd - 1, y)]:
-                        ok = False
-                        break
-            if ok:
-                for (dd, x, j), y in a.degeneracies.items():
-                    if (dd, x) in trial and (dd + 1, y) in trial:
-                        if b.degeneracies.get((dd, trial[(dd, x)], j)) != trial[(dd + 1, y)]:
-                            ok = False
-                            break
-            if ok and extend(i + 1, trial):
-                return True
-        return False
-
-    return extend(0, {})

@@ -36,8 +36,8 @@ class FramedPoint:
 class FramedIndex:
     """Finite increasing base grid with an m-step fiber over each base time.
 
-    `points` lists the points in their own (index) order; the bundle
-    projection q drops the fiber coordinate.
+    `points` lists the points in their own (index) order; a point's `base`
+    is its bundle projection q, which drops the fiber coordinate.
     """
 
     def __init__(self, base_times, m: int = 1):
@@ -51,13 +51,6 @@ class FramedIndex:
         self.base_times = base
         self.m = m
         self.points = [FramedPoint(t, k) for t in base for k in range(1, m + 1)]
-        self._order = {p: i for i, p in enumerate(self.points)}
-
-    def q(self, point: FramedPoint) -> Fraction:
-        """Bundle projection onto the base grid."""
-        if point not in self._order:
-            raise KeyError(f"unknown framed point {point!r}")
-        return point.base
 
     def __iter__(self):
         return iter(self.points)
@@ -230,6 +223,7 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
     `level` is any iterable of events or atom sets; the ground set defaults
     to the events' common ground set.
     """
+    level = list(level)
     sets = [_atoms_of(e) for e in level]
     if ground_set is None:
         grounds = {e.ground_set for e in level if isinstance(e, SimplicialEvent)}
@@ -252,44 +246,6 @@ def check_sigma_level(level, ground_set=None) -> SigmaLevelReport:
         names = " ".join(map(_label, unions[s]))
         report.missing.append((s, f"union of atoms {names}" if names else "union of no atoms"))
     return report
-
-
-class LevelMeasure:
-    """A measure restricted to one level: evaluation outside raises."""
-
-    def __init__(self, P: ProbabilityMeasure, level_events):
-        self.P = P
-        self.level = {e.name if isinstance(e, SimplicialEvent) else e for e in level_events}
-        self._events = {e.name: e for e in level_events if isinstance(e, SimplicialEvent)}
-
-    def __call__(self, event) -> float:
-        name = event.name if isinstance(event, SimplicialEvent) else event
-        if name not in self.level:
-            raise KeyError(f"event {name!r} is not measurable at this level")
-        ev = event if isinstance(event, SimplicialEvent) else self._events[name]
-        return self.P(ev)
-
-
-def restrict_measure(P: ProbabilityMeasure, level_events) -> LevelMeasure:
-    """P_t: the same atom weights, readable only on the level's events.
-
-    Restriction never changes values, which is exactly the finite version of
-    evaluation being colimit-consistent across levels."""
-    return LevelMeasure(P, list(level_events))
-
-
-def pushforward(P: ProbabilityMeasure, variable) -> dict[float, float]:
-    """Distribution of a real variable on atoms: value -> P(preimage)."""
-    missing = P.ground_set - set(variable)
-    if missing:
-        raise PreconditionError(f"variable undefined on atoms {sorted(missing)}")
-    out: dict[float, float] = {}
-    buckets: dict[float, list[str]] = {}
-    for a in sorted(P.ground_set):
-        buckets.setdefault(float(variable[a]), []).append(a)
-    for v in sorted(buckets):
-        out[v] = math.fsum(P.atom_weights[a] for a in buckets[v])
-    return out
 
 
 def check_operad_action(F: FilteredSigmaAlgebra) -> Report:

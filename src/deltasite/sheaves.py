@@ -6,13 +6,11 @@ cone checks return a `reports.Report`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iproduct
 from numbers import Real
 
 from .categories import FiniteCategory, minimal_outgoing
 from .errors import PreconditionError, StructuralError, UnsupportedValueError
-from .filtration import FramedIndex, FramedPoint
 from .reports import Report
 from .sites import GrothendieckSite
 from .stochastic import normal_cdf, normal_samples
@@ -127,21 +125,17 @@ def check_sheaf_condition(F: Presheaf) -> Report:
 # -- boundary differences ---------------------------------------------------------
 
 
-def _values_at(values, c, c_prime):
-    """(F(c), F(c')); PreconditionError if either is missing."""
-    try:
-        return values[c], values[c_prime]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"no value at {c!r} or {c_prime!r}") from exc
-
-
 def q_boundary(values, c, c_prime):
     """F(c') - F(c) for a functor given by its values.
 
     Works for real scalars and componentwise for dict-valued tables with
-    equal key sets; anything else raises UnsupportedValueError.
+    equal key sets; anything else raises UnsupportedValueError, and a
+    missing value PreconditionError.
     """
-    fc, fc2 = _values_at(values, c, c_prime)
+    try:
+        fc, fc2 = values[c], values[c_prime]
+    except (KeyError, TypeError) as exc:
+        raise PreconditionError(f"no value at {c!r} or {c_prime!r}") from exc
     if isinstance(fc, Real) and isinstance(fc2, Real):
         return fc2 - fc
     if isinstance(fc, dict) and isinstance(fc2, dict):
@@ -150,16 +144,6 @@ def q_boundary(values, c, c_prime):
         return {k: fc2[k] - fc[k] for k in fc}
     raise UnsupportedValueError(
         f"values of type {type(fc).__name__} do not support subtraction")
-
-
-def q_quotient(values, c, c_prime):
-    """Quotient-mode difference F(c')/F(c) for strictly positive scalars."""
-    fc, fc2 = _values_at(values, c, c_prime)
-    if not (isinstance(fc, Real) and isinstance(fc2, Real)):
-        raise UnsupportedValueError("quotient mode needs real scalar values")
-    if fc <= 0 or fc2 <= 0:
-        raise PreconditionError("quotient mode needs strictly positive values")
-    return fc2 / fc
 
 
 def d_psi(values, cat: FiniteCategory, psi: str, mode: str = "factor"):
@@ -174,30 +158,7 @@ def d_psi(values, cat: FiniteCategory, psi: str, mode: str = "factor"):
     return q_boundary(values, m.source, m.target)
 
 
-# -- the filtered Brownian sheaf ------------------------------------------------------
-
-
-@dataclass
-class FilteredBrownianSheaf:
-    """Per-level presheaves with cone geometry: sections one level ahead land
-    in a cone of half-width kappa * sigma * sqrt(t' - t) around the apex."""
-
-    index: FramedIndex
-    levels: dict[FramedPoint, Presheaf]
-    sigma: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise PreconditionError("sigma must be nonnegative")
-        if self.kappa <= 0:
-            raise PreconditionError("kappa must be positive for a usable cone")
-        for p in self.index:
-            if p not in self.levels:
-                raise StructuralError(f"no presheaf at framed point {p!r}")
-
-    def cone_halfwidth(self, dt: float) -> float:
-        return self.kappa * self.sigma * math.sqrt(dt)
+# -- the transversal cone of the Brownian sheaf -----------------------------------
 
 
 def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
@@ -231,15 +192,3 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
                f"fraction={fraction} expected={expected} threshold={threshold}")
     return report
 
-
-def sheaf_cone_check(sheaf: FilteredBrownianSheaf, t: FramedPoint, t_prime: FramedPoint,
-                     n_paths: int = 10_000, seed: int = 0) -> Report:
-    """Cone check between two framed points of a Brownian sheaf, using the
-    bundle projection for elapsed time.  Both points must lie in the sheaf's
-    index, else PreconditionError."""
-    for p in (t, t_prime):
-        if p not in sheaf.index.points:
-            raise PreconditionError(f"framed point {p!r} is not in the sheaf's index")
-    return transversal_cone_check(sheaf.sigma, sheaf.kappa,
-                                  float(sheaf.index.q(t)), float(sheaf.index.q(t_prime)),
-                                  n_paths=n_paths, seed=seed)

@@ -52,13 +52,6 @@ class GrothendieckSite:
             self.coverings[obj] = fams
             self.valid[obj] = frozenset(m for fam in fams for m in fam.morphisms)
 
-    def is_covering(self, family: CoveringFamily) -> bool:
-        """Nonempty families of admitted morphisms cover."""
-        if not family.morphisms:
-            return False
-        return all(m in self.valid.get(family.target, frozenset())
-                   for m in family.morphisms)
-
     def families(self, obj: str):
         return self.coverings.get(obj, ())
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import PreconditionError
 
@@ -31,6 +30,9 @@ BLOCK_VALUES = 1 << 16
 
 
 def normal_cdf(x: float) -> float:
+    # scipy.special is imported on first use, here and in normal_blocks: it is
+    # most of the package's import time, and only sampling and the cone check need it
+    from scipy.special import ndtr
     return float(ndtr(x))
 
 
@@ -42,6 +44,7 @@ def normal_blocks(seed: int, count: int, streams):
     transform.  A block holds at most BLOCK_VALUES values, or one row when
     it is longer.  The seed must fit the 128-bit key.
     """
+    from scipy.special import ndtri
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=int(seed))
@@ -88,10 +91,6 @@ class Partition:
         return self.times.size - 1
 
     @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.times)))
-
-    @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
 
@@ -100,13 +99,6 @@ class Partition:
         if T <= 0 or n < 1:
             raise PreconditionError("need T > 0 and n >= 1")
         return Partition(np.linspace(0.0, T, n + 1))
-
-    def refine(self, k: int = 2) -> "Partition":
-        """Insert k-1 equally spaced times into every step."""
-        fine = [self.times[0]]
-        for a, b in zip(self.times, self.times[1:]):
-            fine.extend(a + (b - a) * j / k for j in range(1, k + 1))
-        return Partition(np.array(fine))
 
 
 @dataclass(eq=False)

@@ -37,10 +37,6 @@ class GradedExpr:
                 items.append((deg, c))
         return GradedExpr(tuple(items), _as_exact(dt), _as_exact(dw))
 
-    @staticmethod
-    def scalar(value) -> "GradedExpr":
-        return GradedExpr.make({0: value})
-
     def coefficient(self, degree: int):
         for d, c in self.coeffs:
             if d == degree:
@@ -52,9 +48,6 @@ class GradedExpr:
         for d, c in other.coeffs:
             merged[d] = merged.get(d, 0) + c
         return GradedExpr.make(merged, self.dt + other.dt, self.dw + other.dw)
-
-    def shift(self, value) -> "GradedExpr":
-        return self + GradedExpr.scalar(value)
 
 
 def augmentation(e: GradedExpr):
@@ -104,11 +97,6 @@ class GradedTensorSeries:
             raise PreconditionError(f"degree {n} outside stored order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "GradedTensorSeries":
-        if order > self.order:
-            raise PreconditionError("cannot extend a truncated series")
-        return GradedTensorSeries(self.coeffs[: order + 1])
-
     def __add__(self, other):
         n = min(self.order, other.order)
         return GradedTensorSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
@@ -139,11 +127,6 @@ class GradedTensorSeries:
                 shape = "(x)".join([symbol] * n)
             out.append((c, n, shape))
         return out
-
-
-def identity_series(order: int) -> GradedTensorSeries:
-    return GradedTensorSeries(tuple(Fraction(1) if n == 1 else Fraction(0)
-                                    for n in range(order + 1)))
 
 
 def exp_series(order: int) -> GradedTensorSeries:

@@ -112,7 +112,8 @@ def test_criterion_5_tropical_reproduction():
         c = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         a = tropical.GradedExpr.make({0: x, 1: Fraction(1, 7)})
         b = tropical.GradedExpr.make({1: y})
-        if tropical.trop_max(a.shift(c), b.shift(c)) != tropical.trop_max(a, b) + c:
+        shift = tropical.GradedExpr.make({0: c})
+        if tropical.trop_max(a + shift, b + shift) != tropical.trop_max(a, b) + c:
             invariant = False
             break
     _report(5, "tropical reproduction", exact_point and shift_one and invariant,
@@ -123,7 +124,7 @@ def test_criterion_6_series_checks():
     n = 6
     inverse_ok = (tropical.compose(tropical.log_inverse_series(n),
                                    tropical.exp_series(n)).coeffs
-                  == tropical.identity_series(n).coeffs)
+                  == tuple(Fraction(int(k == 1)) for k in range(n + 1)))
     paper = tropical.compose(tropical.paper_log_series(n), tropical.exp_series(n))
     paper_flagged = paper.coefficient(1) == Fraction(-1)
     _report(6, "series inversion", inverse_ok and paper_flagged,

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite.categories import (FiniteCategory, Morphism, PullbackSquare,
-                                  connected_components, forward_cone,
-                                  minimal_outgoing)
+                                  forward_cone, minimal_outgoing)
 from deltasite.errors import PreconditionError, StructuralError
 
 from conftest import chain_category
@@ -35,56 +34,6 @@ def transitive_closure(n, edges):
                     closed.add((i, k))
                     changed = True
     return closed
-
-
-# -- union-find oracle ---------------------------------------------------------
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def test_single_object_one_component():
-    cat = relation_category(1, [])
-    assert connected_components(cat).count == 1
-
-
-def test_two_isolated_objects_two_components():
-    cat = relation_category(2, [])
-    parts = connected_components(cat)
-    assert parts.count == 2
-    assert not parts.same_component("o0", "o1")
-
-
-@settings(max_examples=60)
-@given(hst.integers(2, 7).flatmap(
-    lambda n: hst.tuples(hst.just(n),
-                         hst.sets(hst.tuples(hst.integers(0, n - 1),
-                                             hst.integers(0, n - 1)).filter(
-                             lambda p: p[0] != p[1]), max_size=10))))
-def test_components_match_union_find_oracle(case):
-    n, edges = case
-    closed = transitive_closure(n, edges)
-    cat = relation_category(n, closed)
-    parts = connected_components(cat)
-    uf = UnionFind([f"o{i}" for i in range(n)])
-    for (i, j) in edges:
-        uf.union(f"o{i}", f"o{j}")
-    for i in range(n):
-        for j in range(n):
-            assert parts.same_component(f"o{i}", f"o{j}") == \
-                (uf.find(f"o{i}") == uf.find(f"o{j}"))
 
 
 # -- forward cones ------------------------------------------------------------------

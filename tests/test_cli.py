@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import deltasite
 from deltasite import fixtures, stochastic
 from deltasite.cli import MAX_SERIES_ORDER, SERIES, main
 
@@ -228,6 +233,30 @@ def test_computation_out_of_float_range_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of numeric range: ")
+
+
+@pytest.mark.parametrize("argv", (
+    ("check-sheaf", "--mode", "cones", "--paths", str(2**50),
+     "--model", fixtures.fixture_path("four_events")),
+    ("simulate", "--steps", str(2**50)),
+))
+def test_allocation_beyond_the_address_space_is_usage_error(capsys, argv):
+    # 2**50 float64 values need 8 PiB, more than a 47-bit address space
+    # holds, so the allocation fails at once without touching memory
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: ")
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    src = str(pathlib.Path(deltasite.__file__).parents[1])
+    probe = ("import sys, deltasite, deltasite.cli; deltasite.cli.build_parser(); "
+             "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def four_events_without_e_b(tmp_path):

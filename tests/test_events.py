@@ -8,8 +8,7 @@ from deltasite.errors import PreconditionError, StructuralError, TruncationNotic
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
                               coproduct_event, discrete_event, empty_event,
                               fiber_product, identity_map, is_monomorphism,
-                              levelwise_isomorphic, point_event, product,
-                              product_legs)
+                              point_event, product, product_legs)
 
 GROUND = frozenset("ab")
 
@@ -18,6 +17,45 @@ def edge_event(name="edge", atoms=("a", "b")):
     return SimplicialEvent(name, {0: frozenset("xy"), 1: frozenset(["e"])},
                            {(1, "e", 0): "y", (1, "e", 1): "x"}, {},
                            frozenset(atoms), GROUND)
+
+
+def levelwise_isomorphic(a: SimplicialEvent, b: SimplicialEvent) -> bool:
+    """Existence of a levelwise bijection commuting with faces/degeneracies:
+    the brute-force referee for products, by search over per-level
+    bijections rather than identifier equality."""
+    if a.level_sizes() != b.level_sizes() or a.atoms != b.atoms:
+        return False
+    dims = sorted(a.levels)
+    if not dims:
+        return True
+
+    def extend(i, assignment):
+        if i == len(dims):
+            return True
+        d = dims[i]
+        xs = sorted(a.simplices(d))
+        for perm in itertools.permutations(sorted(b.simplices(d))):
+            trial = dict(assignment)
+            trial.update({(d, x): y for x, y in zip(xs, perm)})
+            ok = True
+            for (dd, x, j), y in a.faces.items():
+                if dd not in dims[: i + 1] or (dd - 1) not in dims[: i + 1]:
+                    continue
+                if (dd, x) in trial and (dd - 1, y) in trial:
+                    if b.faces.get((dd, trial[(dd, x)], j)) != trial[(dd - 1, y)]:
+                        ok = False
+                        break
+            if ok:
+                for (dd, x, j), y in a.degeneracies.items():
+                    if (dd, x) in trial and (dd + 1, y) in trial:
+                        if b.degeneracies.get((dd, trial[(dd, x)], j)) != trial[(dd + 1, y)]:
+                            ok = False
+                            break
+            if ok and extend(i + 1, trial):
+                return True
+        return False
+
+    return extend(0, {})
 
 
 # -- validation --------------------------------------------------------------

@@ -14,13 +14,12 @@ from hypothesis import strategies as hst
 
 import deltasite
 from deltasite import fixtures
-from deltasite.errors import ModelError, PreconditionError, StructuralError
+from deltasite.errors import ModelError, StructuralError
 from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   FramedPoint, MultiArrow, OperadFragment,
                                   ProbabilityMeasure, check_operad_action,
-                                  check_sigma_level, pushforward,
-                                  restrict_measure)
+                                  check_sigma_level)
 
 GROUND3 = frozenset("abc")
 
@@ -38,7 +37,7 @@ def test_framed_index_points_and_projection():
     assert len(idx) == 6
     p = idx.points[3]
     assert p == FramedPoint(Fraction(1, 2), 2)
-    assert idx.q(p) == Fraction(1, 2)
+    assert p.base == Fraction(1, 2)
     assert idx.points[0] <= idx.points[5]
     assert not idx.points[4] <= idx.points[1]
 
@@ -71,6 +70,14 @@ def test_framed_index_rejects_bad_grids():
 def test_power_set_level_passes():
     report = check_sigma_level(powerset("abc"), ground_set=GROUND3)
     assert report.passed
+
+
+def test_a_one_shot_iterable_of_events_is_read_once():
+    events = list(fixtures.four_events_model().filtration.events.values())
+    assert check_sigma_level(list(events)).passed
+    report = check_sigma_level(e for e in events)
+    assert report.passed
+    assert report.ground_set == events[0].ground_set
 
 
 def test_missing_complement_reported():
@@ -219,98 +226,6 @@ def test_complement_sums_to_one():
         assert math.isclose(P(s) + P(GROUND3 - s), 1.0, abs_tol=1e-12)
 
 
-# -- restriction ---------------------------------------------------------------------
-
-def level_events(subsets, ground=GROUND3):
-    out = []
-    for s in subsets:
-        name = "empty" if not s else "e_" + "".join(sorted(s))
-        out.append(discrete_event(name, sorted(s), s, ground) if s
-                   else empty_event(ground))
-    return out
-
-
-def test_restrict_same_level_identical():
-    P = ProbabilityMeasure({"a": 0.5, "b": 0.3, "c": 0.2})
-    events = level_events(powerset("abc"))
-    level = restrict_measure(P, events)
-    for ev in events:
-        assert level(ev) == P(ev)
-
-
-def test_restrict_to_trivial_level():
-    P = ProbabilityMeasure({"a": 0.5, "b": 0.3, "c": 0.2})
-    events = level_events([frozenset(), GROUND3])
-    level = restrict_measure(P, events)
-    assert level("empty") == 0.0
-    assert level("e_abc") == 1.0
-    with pytest.raises(KeyError):
-        level("e_a")
-
-
-def test_restriction_chain_is_colimit_consistent():
-    P = ProbabilityMeasure({"a": 0.5, "b": 0.3, "c": 0.2})
-    lv1 = level_events([frozenset(), GROUND3])
-    lv2 = level_events([frozenset(), frozenset("a"), frozenset("bc"), GROUND3])
-    lv3 = level_events(powerset("abc"))
-    p1, p2, p3 = (restrict_measure(P, lv) for lv in (lv1, lv2, lv3))
-    for ev in lv1:
-        assert p1(ev) == p2(ev) == p3(ev) == P(ev)
-    for ev in lv2:
-        assert p2(ev) == p3(ev) == P(ev)
-
-
-# -- pushforward ---------------------------------------------------------------------
-
-def test_pushforward_constant_is_dirac():
-    P = uniform4()
-    dist = pushforward(P, {a: 3.5 for a in "abcd"})
-    assert dist == {3.5: 1.0}
-
-
-def test_pushforward_injective_transports_weights():
-    P = ProbabilityMeasure({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4})
-    dist = pushforward(P, {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-    assert dist == {1.0: 0.1, 2.0: 0.2, 3.0: 0.3, 4.0: 0.4}
-
-
-def test_pushforward_matches_preimage_enumeration_oracle():
-    P = uniform4()
-    x = {"a": 1.0, "b": 1.0, "c": 0.0, "d": 1.0}  # indicator sum
-    dist = pushforward(P, x)
-    values = sorted(set(x.values()))
-    oracle = {v: math.fsum(P.atom_weights[a] for a in "abcd" if x[a] == v)
-              for v in values}
-    assert dist == oracle
-    assert abs(math.fsum(dist.values()) - 1.0) <= 1e-12
-
-
-def test_pushforward_requires_total_variable():
-    with pytest.raises(PreconditionError):
-        pushforward(uniform4(), {"a": 1.0})
-
-
-@settings(max_examples=40)
-@given(hst.lists(hst.integers(0, 3), min_size=4, max_size=4))
-def test_pushforward_mass_conserved(codes):
-    P = uniform4()
-    x = dict(zip("abcd", map(float, codes)))
-    dist = pushforward(P, x)
-    assert abs(math.fsum(dist.values()) - 1.0) <= 1e-12
-
-
-def test_restriction_commutes_with_pushforward_of_measurable_variables():
-    # x is measurable with respect to the coarse level {empty, a, bcd...}:
-    # constant on the level's atoms-blocks, so each preimage is a level event
-    P = ProbabilityMeasure({"a": 0.5, "b": 0.3, "c": 0.2})
-    x = {"a": 1.0, "b": 0.0, "c": 0.0}
-    coarse = level_events([frozenset(), frozenset("a"), frozenset("bc"), GROUND3])
-    level = restrict_measure(P, coarse)
-    dist = pushforward(P, x)
-    assert dist[1.0] == level("e_a")
-    assert dist[0.0] == level("e_bc")
-
-
 # -- filtered sigma algebra + operad -----------------------------------------------------
 
 def tiny_filtration(levels=None, generators=()):
@@ -341,6 +256,9 @@ def test_filtration_requires_every_point():
     with pytest.raises(StructuralError, match="no level"):
         FilteredSigmaAlgebra(idx, {"empty": empty_event(ground)},
                              {idx.points[0]: ["empty"]})
+    F, idx = tiny_filtration()
+    with pytest.raises(KeyError):
+        F.level(FramedPoint(Fraction(9), 1))
 
 
 def test_operad_action_empty_passes():

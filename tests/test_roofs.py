@@ -6,7 +6,7 @@ from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import ClosureError, PreconditionError
 from deltasite.reports import Report
 from deltasite.roofs import Roof, RoofCategory, verify_roof_category
-from deltasite.sites import CoveringFamily, build_tau_structural, verify_grothendieck
+from deltasite.sites import build_tau_structural, verify_grothendieck
 
 from conftest import chain_category, disc
 from test_categories import small_categories
@@ -157,7 +157,7 @@ def test_roof_legs_cohere():
 def test_iso_base_roof_covers():
     model = fixtures.four_events_model()
     site = build_tau_structural(RoofCategory(model.category).fragment)
-    assert site.is_covering(CoveringFamily("e_a", ("id:e_a",)))
+    assert "id:e_a" in site.valid["e_a"]
 
 
 def test_non_mono_base_excluded():

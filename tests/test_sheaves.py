@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from scipy.special import ndtr
@@ -6,10 +5,9 @@ from scipy.special import ndtr
 from deltasite import fixtures
 from deltasite.errors import (PreconditionError, StructuralError,
                               UnsupportedValueError)
-from deltasite.filtration import FramedPoint
 from deltasite.sheaves import (Presheaf, check_sheaf_condition,
                                constant_presheaf, d_psi, q_boundary,
-                               q_quotient, transversal_cone_check)
+                               transversal_cone_check)
 from deltasite.sites import (CoveringFamily, build_tau_P,
                              build_tau_structural)
 
@@ -140,16 +138,6 @@ def test_q_boundary_rejects_unsupported_values():
         q_boundary({"A": 1.0}, "A", "B")
 
 
-def test_q_quotient_mode():
-    values = {"A": 2.0, "B": 5.0}
-    assert q_quotient(values, "A", "B") == 2.5
-    with pytest.raises(PreconditionError):
-        q_quotient({"A": -1.0, "B": 2.0}, "A", "B")
-    # a missing value is refused as in q_boundary, not a bare KeyError
-    with pytest.raises(PreconditionError, match="no value at 'A' or 'B'"):
-        q_quotient({"A": 1.0}, "A", "B")
-
-
 def test_d_psi_requires_minimal_morphism():
     cat = chain_category(3)
     values = {"A": 0.0, "B": 2.0, "C": 7.0}
@@ -229,31 +217,3 @@ def test_cone_deterministic_given_seed():
     a = transversal_cone_check(1.0, 3.0, 0.0, 1.0, n_paths=2000, seed=11)
     b = transversal_cone_check(1.0, 3.0, 0.0, 1.0, n_paths=2000, seed=11)
     assert a == b
-
-
-def test_filtered_brownian_sheaf_levels_and_cone():
-    from deltasite.sheaves import FilteredBrownianSheaf, sheaf_cone_check
-
-    model = fixtures.four_events_model()
-    filtered = build_tau_P(model.filtration, model.measure, model.category)
-    index = model.filtration.index
-    levels = {p: constant_presheaf(site, (0.0,)) for p, site in filtered.items()}
-    sheaf = FilteredBrownianSheaf(index, levels, sigma=0.5, kappa=3.0)
-    assert sheaf.cone_halfwidth(4.0) == pytest.approx(3.0 * 0.5 * 2.0)
-    report = sheaf_cone_check(sheaf, index.points[0], index.points[-1],
-                              n_paths=4000, seed=7)
-    assert report.passed
-    with pytest.raises(PreconditionError):
-        sheaf_cone_check(sheaf, index.points[-1], index.points[0], n_paths=10)
-    # a point outside the index is refused by name; the index and the
-    # filtration keep their KeyError
-    outside = FramedPoint(Fraction(9), 1)
-    for t, t_prime in ((index.points[0], outside), (outside, index.points[-1])):
-        with pytest.raises(PreconditionError, match=r"framed point \(9,1\) is not in"):
-            sheaf_cone_check(sheaf, t, t_prime, n_paths=10)
-    with pytest.raises(KeyError):
-        index.q(outside)
-    with pytest.raises(KeyError):
-        model.filtration.level(outside)
-    with pytest.raises(PreconditionError):
-        FilteredBrownianSheaf(index, levels, sigma=0.5, kappa=0.0)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite import fixtures
-from deltasite.categories import (FiniteCategory, Morphism,
-                                  connected_components)
+from deltasite.categories import FiniteCategory, Morphism
 from deltasite.events import EventMap, SimplicialEvent, discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   MultiArrow, OperadFragment,
@@ -80,7 +79,6 @@ def test_operadic_coverings_match_generator_scan_oracle():
     filtered = build_tau_operadic(model.filtration, model.category)
     for p in model.filtration.index:
         site = filtered[p]
-        comp = connected_components(site.category)
         witnessed = set()
         position = model.filtration.index.points.index
         for g in model.filtration.operad:
@@ -90,8 +88,7 @@ def test_operadic_coverings_match_generator_scan_oracle():
         for name in sorted(site.category.morphisms):
             m = site.category.morphisms[name]
             expected = (site.category.is_isomorphism(name)
-                        or (comp.same_component(m.source, m.target)
-                            and (m.source, m.target) in witnessed))
+                        or (m.source, m.target) in witnessed)
             assert (name in site.valid[m.target]) == expected
 
 
@@ -109,7 +106,7 @@ def power_set_site():
 def test_probability_isomorphisms_always_cover():
     site, _ = power_set_site()
     for obj in site.category.objects:
-        assert site.is_covering(CoveringFamily(obj, (f"id:{obj}",)))
+        assert f"id:{obj}" in site.valid[obj]
 
 
 def test_probability_excludes_measure_increasing_arrows():
@@ -138,11 +135,9 @@ def test_probability_chain_matches_filter_oracle():
     # every chain of inclusions of the power set, with its incomparable events
     site, P = power_set_site()
     cat = site.category
-    comp = connected_components(cat)
     for name in sorted(cat.morphisms):
         m = cat.morphisms[name]
-        expected = (comp.same_component(m.source, m.target)
-                    and P(cat.event(m.source)) <= P(cat.event(m.target)))
+        expected = P(cat.event(m.source)) <= P(cat.event(m.target))
         assert (name in site.valid[m.target]) == (expected or cat.is_isomorphism(name))
 
 
@@ -151,7 +146,7 @@ def test_probability_chain_matches_filter_oracle():
 def test_structural_identity_family_covers():
     model = fixtures.four_events_model()
     site = build_tau_structural(model.category)
-    assert site.is_covering(CoveringFamily("e_ab", ("id:e_ab",)))
+    assert "id:e_ab" in site.valid["e_ab"]
 
 
 def test_structural_excludes_non_mono():
@@ -166,9 +161,7 @@ def test_structural_excludes_non_mono():
     site = build_tau_structural(cat)
     assert "squash" not in site.valid["one"]
     assert "inc" in site.valid["big"]
-    assert not site.is_covering(CoveringFamily("one", ("squash",)))
-    # a family mixing a mono with a non-mono is not a covering family
-    assert not site.is_covering(CoveringFamily("one", ("id:one", "squash")))
+    assert "id:one" in site.valid["one"]
 
 
 def test_structural_coverings_equal_mono_filter_oracle():
@@ -237,17 +230,6 @@ def test_filtered_verification_checks_level_monotonicity():
     report = verify_filtered(build_tau_P(model.filtration, model.measure,
                                          model.category))
     assert any(r.check_id == "level-monotone" for r in report.records)
-
-
-def test_is_covering_accepts_any_nonempty_valid_family():
-    model = fixtures.four_events_model()
-    site = build_tau_structural(model.category)
-    valid = sorted(site.valid["e_ab"])
-    assert len(valid) >= 2
-    for r in (1, 2):
-        for combo in itertools.combinations(valid, r):
-            assert site.is_covering(CoveringFamily("e_ab", combo))
-    assert not site.is_covering(CoveringFamily("e_ab", ()))
 
 
 def test_all_bundled_passing_fixtures_verify_everywhere():

@@ -27,15 +27,8 @@ def test_partition_validation():
     with pytest.raises(PreconditionError):
         Partition(np.array([0.0]))
     part = Partition.uniform(2.0, 4)
-    assert part.mesh == pytest.approx(0.5)
+    assert np.allclose(part.deltas, 0.5)
     assert part.n == 4
-
-
-def test_partition_refine_doubles_steps():
-    part = Partition.uniform(1.0, 3)
-    fine = part.refine(2)
-    assert fine.n == 6
-    assert np.allclose(fine.times[::2], part.times)
 
 
 def test_brownian_starts_at_zero():
