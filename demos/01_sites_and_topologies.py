@@ -13,7 +13,7 @@ from deltasite.sites import (build_tau_operadic, build_tau_P,
                              build_tau_structural, verify_filtered,
                              verify_grothendieck)
 
-model = fixtures.four_events_model()
+model = fixtures.load_fixture("four_events")
 print("objects:", ", ".join(sorted(model.category.objects)))
 print("category axioms violations:", model.category.check_axioms().failures() or "none")
 
@@ -42,7 +42,7 @@ print(f"structural topology: {'PASS' if structural.passed else 'FAIL'} "
 
 # A planted defect: remove the operad generator assembling e_b and the
 # base-change axiom fails, naming the exact covering/arrow pair.
-broken = fixtures.defect_operad_gap_model()
+broken = fixtures.load_fixture("defect_operad_gap")
 report = verify_filtered(build_tau_operadic(broken.filtration, broken.category))
 print("\nplanted operad gap:")
 for record in report.failures()[:3]:

@@ -14,7 +14,7 @@ from deltasite.sheaves import (check_sheaf_condition, constant_presheaf, d_psi,
                                transversal_cone_check)
 from deltasite.sites import build_tau_structural, verify_grothendieck
 
-model = fixtures.six_events_model()
+model = fixtures.load_fixture("six_events")
 rc = RoofCategory(model.category)
 
 print("forward cones:")

@@ -7,7 +7,7 @@ from .errors import (ClosureError, DeltasiteError, ModelError,
                      PreconditionError, StructuralError, TruncationNotice,
                      UnsupportedValueError)
 from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
-                     fiber_product, is_monomorphism, point_event, product)
+                     fiber_product, is_monomorphism, point_event)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, OperadFragment, ProbabilityMeasure,
                          check_operad_action, check_sigma_level)
@@ -44,7 +44,7 @@ __all__ = [
     "empty_event", "estimate_log_drift", "exp_series", "fiber_product",
     "forward_cone", "is_monomorphism", "ito_residual", "load_model",
     "log_inverse_series", "minimal_outgoing", "paper_log_series",
-    "parse_model", "point_event", "product", "q_boundary",
+    "parse_model", "point_event", "q_boundary",
     "quadratic_variation", "sample_brownian", "serialize_model",
     "simulate_gbm", "telescoped_sum", "transversal_cone_check", "trop_max",
     "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",

@@ -267,24 +267,13 @@ def forward_cone(cat: FiniteCategory, obj: str) -> frozenset[str]:
     return frozenset(cat.morphisms[n].target for n in cat.morphisms_from(obj))
 
 
-def minimal_outgoing(cat: FiniteCategory, obj: str, mode: str = "factor") -> frozenset[str]:
-    """Non-identity morphisms out of obj that are minimal.
-
-    mode="factor" (default): psi: obj -> b is excluded when it factors as a
-    composite obj -> w -> b through some third object w.
-    mode="literal": all non-identity outgoing morphisms, unless some third
-    object w closes a cycle obj -> w -> obj, in which case the set is empty.
-    """
+def minimal_outgoing(cat: FiniteCategory, obj: str) -> frozenset[str]:
+    """Non-identity morphisms out of obj that are minimal: psi: obj -> b is
+    excluded when it factors as a composite obj -> w -> b through some third
+    object w."""
     if obj not in cat.objects:
         raise KeyError(f"unknown object {obj!r}")
-    if mode not in ("factor", "literal"):
-        raise PreconditionError(f"unknown mode {mode!r}")
     outgoing = [n for n in cat.morphisms_from(obj) if not cat.is_identity(n)]
-    if mode == "literal":
-        thirds = {cat.morphisms[n].target for n in outgoing} - {obj}
-        if any(cat.morphisms[n].target == obj for w in thirds for n in cat.morphisms_from(w)):
-            return frozenset()
-        return frozenset(outgoing)
     # a composite h o g names psi only when h ends where psi does
     return frozenset(
         psi for psi in outgoing

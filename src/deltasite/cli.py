@@ -210,7 +210,7 @@ def cmd_verify_ito(args, model, report: Report):
     # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
     # a block that starts at an odd stream pairs its first row with the last one before.
     part = stochastic.Partition.uniform(T, n)
-    worst, qvs = 0.0, []
+    worst, qvs = 0.0, np.empty(args.paths)
     for streams, values in stochastic.brownian_blocks(
             T, n, seed, range(max(args.paths, 2 * pairs))):
         start = streams.start
@@ -222,15 +222,16 @@ def cmd_verify_ito(args, model, report: Report):
         x, y = (stochastic.DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
         scale = np.maximum(np.abs(x.values * y.values).max(axis=1), 1.0)
         worst = float(np.max(stochastic.check_product_rule(x, y) / scale, initial=worst))
-        qvs.append(stochastic.quadratic_variation(
-            stochastic.DiscretePath(part, values[:max(0, args.paths - start)])))
+        rows = values[:max(0, args.paths - start)]
+        qvs[start:start + len(rows)] = stochastic.quadratic_variation(
+            stochastic.DiscretePath(part, rows))
         if start == 0:
             w0 = stochastic.DiscretePath(part, values[0])
     report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
 
     # quadratic variation concentration
     band = 3.0 * math.sqrt(2.0 / n) * T
-    hits = int(np.count_nonzero(np.abs(np.concatenate(qvs) - T) <= band))
+    hits = int(np.count_nonzero(np.abs(qvs - T) <= band))
     report.add("quadratic-variation",
                f"{hits}/{args.paths} paths within {band!r} of T", hits / args.paths >= 0.95)
 

@@ -309,10 +309,6 @@ def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None,
     return _paired(a, b, dims, lambda d, x, y: True, name, ("p1", "p2"))
 
 
-def product(a: SimplicialEvent, b: SimplicialEvent, name=None, max_dim=None) -> SimplicialEvent:
-    return product_legs(a, b, name=name, max_dim=max_dim)[0]
-
-
 def fiber_product(f: EventMap, g: EventMap, name=None
                   ) -> tuple[SimplicialEvent, EventMap, EventMap]:
     """Levelwise pullback of the cospan f: A -> C <- B :g.

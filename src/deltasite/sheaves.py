@@ -146,15 +146,14 @@ def q_boundary(values, c, c_prime):
         f"values of type {type(fc).__name__} do not support subtraction")
 
 
-def d_psi(values, cat: FiniteCategory, psi: str, mode: str = "factor"):
+def d_psi(values, cat: FiniteCategory, psi: str):
     """Difference of a section along a minimal outgoing morphism.
 
     psi must belong to the minimal outgoing set of its source (no nontrivial
     factorization), otherwise the call is out of contract."""
     m = cat.morphism(psi)
-    if psi not in minimal_outgoing(cat, m.source, mode=mode):
-        raise PreconditionError(
-            f"{psi!r} is not minimal outgoing from {m.source!r} (mode={mode})")
+    if psi not in minimal_outgoing(cat, m.source):
+        raise PreconditionError(f"{psi!r} is not minimal outgoing from {m.source!r}")
     return q_boundary(values, m.source, m.target)
 
 

@@ -137,8 +137,8 @@ def test_criterion_7_topology_axioms():
     details = []
     assert len(fixtures.PASSING_FIXTURES) >= 5
     assert "six_events" in fixtures.PASSING_FIXTURES  # 6 events, full pullbacks
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         s = sites.verify_grothendieck(sites.build_tau_structural(model.category))
         p = sites.verify_filtered(sites.build_tau_P(model.filtration, model.measure,
                                                     model.category))
@@ -148,13 +148,13 @@ def test_criterion_7_topology_axioms():
             ok = False
             details.append(f"{name} failed")
 
-    gap = fixtures.defect_operad_gap_model()
+    gap = fixtures.load_fixture("defect_operad_gap")
     gap_report = sites.verify_filtered(sites.build_tau_operadic(gap.filtration,
                                                                 gap.category))
     gap_named = any(r.instance == "level (1,1): (i:e_a>e_ab, i:e_b>e_ab)"
                     for r in gap_report.failures())
 
-    miss = fixtures.defect_missing_pullback_model()
+    miss = fixtures.load_fixture("defect_missing_pullback")
     miss_report = sites.verify_grothendieck(sites.build_tau_structural(miss.category))
     miss_named = any(r.instance == "(i:e_ab>e_abc, i:e_c>e_abc)"
                      and "missing pullback" in r.witness
@@ -170,8 +170,8 @@ def test_criterion_7_topology_axioms():
 def test_criterion_8_roof_category_axioms():
     ok = True
     pairs_checked = 0
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         rc = RoofCategory(model.category)
         report = verify_roof_category(rc)
         if not report.passed:
@@ -187,8 +187,8 @@ def test_criterion_8_roof_category_axioms():
 
 def test_criterion_9_sheaf_gluing():
     ok = True
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         targets = [sites.build_tau_structural(model.category)]
         filtered_p = sites.build_tau_P(model.filtration, model.measure, model.category)
         filtered_o = sites.build_tau_operadic(model.filtration, model.category)

@@ -103,19 +103,6 @@ def test_minimal_outgoing_discrete_excludes_identities():
     assert minimal_outgoing(cat, "o0") == frozenset()
 
 
-def test_minimal_outgoing_literal_mode_cycle_empties():
-    cat = relation_category(2, [(0, 1), (1, 0)])
-    assert minimal_outgoing(cat, "o0", mode="literal") == frozenset()
-    # no cycle through a third object: literal mode keeps everything outgoing
-    chain = chain_category(3)
-    assert minimal_outgoing(chain, "A", mode="literal") == frozenset(["f01", "f02"])
-
-
-def test_minimal_outgoing_bad_mode():
-    with pytest.raises(PreconditionError):
-        minimal_outgoing(chain_category(2), "A", mode="quickest")
-
-
 def test_minimal_outgoing_factorization_oracle():
     cat = chain_category(4)
     for obj in cat.objects:
@@ -349,15 +336,10 @@ def scan_is_isomorphism(cat, name):
         for other, o in cat.morphisms.items())
 
 
-def scan_minimal_outgoing(cat, obj, mode):
+def scan_minimal_outgoing(cat, obj):
     mor = cat.morphisms
     ids = set(cat.identities.values())
     outgoing = {n for n, m in mor.items() if m.source == obj and n not in ids}
-    if mode == "literal":
-        cycle = any(any(m.source == obj and m.target == w for m in mor.values())
-                    and any(m.source == w and m.target == obj for m in mor.values())
-                    for w in cat.objects if w != obj)
-        return frozenset() if cycle else frozenset(outgoing)
     return frozenset(
         psi for psi in outgoing
         if not any(g in outgoing and mor[g].target not in (obj, mor[psi].target)
@@ -381,8 +363,7 @@ def test_lookups_match_brute_force_scans(cat):
             n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
         assert forward_cone(cat, obj) == frozenset(
             m.target for m in cat.morphisms.values() if m.source == obj)
-        for mode in ("factor", "literal"):
-            assert minimal_outgoing(cat, obj, mode) == scan_minimal_outgoing(cat, obj, mode)
+        assert minimal_outgoing(cat, obj) == scan_minimal_outgoing(cat, obj)
 
 
 

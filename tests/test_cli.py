@@ -239,6 +239,7 @@ def test_computation_out_of_float_range_is_usage_error(capsys, argv):
     ("check-sheaf", "--mode", "cones", "--paths", str(2**50),
      "--model", fixtures.fixture_path("four_events")),
     ("simulate", "--steps", str(2**50)),
+    ("verify-ito", "--paths", str(2**50)),
 ))
 def test_allocation_beyond_the_address_space_is_usage_error(capsys, argv):
     # 2**50 float64 values need 8 PiB, more than a 47-bit address space

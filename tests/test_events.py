@@ -8,7 +8,7 @@ from deltasite.errors import PreconditionError, StructuralError, TruncationNotic
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
                               coproduct_event, discrete_event, empty_event,
                               fiber_product, identity_map, is_monomorphism,
-                              point_event, product, product_legs)
+                              point_event, product_legs)
 
 GROUND = frozenset("ab")
 
@@ -159,14 +159,14 @@ def test_mono_matches_per_level_injectivity_oracle(assignment):
 def test_product_with_point_is_unit():
     e = edge_event()
     pt = point_event(GROUND, max_dim=2)
-    assert levelwise_isomorphic(product(e, pt), e)
-    assert levelwise_isomorphic(product(pt, e), e)
+    assert levelwise_isomorphic(product_legs(e, pt)[0], e)
+    assert levelwise_isomorphic(product_legs(pt, e)[0], e)
 
 
 def test_product_of_discrete_pairs_has_four_vertices():
     a = discrete_event("a2", ["x", "y"], ["a"], GROUND)
     b = discrete_event("b2", ["u", "v"], ["a", "b"], GROUND)
-    p = product(a, b)
+    p = product_legs(a, b)[0]
     assert p.level_sizes() == {0: 4}
     assert p.atoms == frozenset(["a"])
 
@@ -177,7 +177,7 @@ def test_product_cardinality_oracle(na, nb, use_edges):
     a = discrete_event("A", [f"x{i}" for i in range(na)], [], GROUND)
     b = edge_event("B", atoms=()) if use_edges else \
         discrete_event("B", [f"y{i}" for i in range(nb)], [], GROUND)
-    p = product(a, b)
+    p = product_legs(a, b)[0]
     for d in set(a.levels) & set(b.levels):
         assert len(p.simplices(d)) == len(a.simplices(d)) * len(b.simplices(d))
 
@@ -186,13 +186,13 @@ def test_product_ground_set_mismatch():
     a = discrete_event("A", ["x"], [], GROUND)
     b = discrete_event("B", ["y"], [], frozenset("xyz"))
     with pytest.raises(PreconditionError):
-        product(a, b)
+        product_legs(a, b)
 
 
 def test_product_truncation_notice():
     e = edge_event()
     with pytest.warns(TruncationNotice):
-        p = product(e, e, max_dim=0)
+        p = product_legs(e, e, max_dim=0)[0]
     assert p.level_sizes() == {0: 4}
 
 
@@ -308,7 +308,7 @@ def test_fiber_product_over_terminal_equals_product():
     ta = EventMap("ta", a, pt, {0: {"x": "pt0", "y": "pt0"}, 1: {"e": "pt1"}})
     tb = EventMap("tb", b, pt, {0: {"x": "pt0", "y": "pt0"}, 1: {"e": "pt1"}})
     pull, _, _ = fiber_product(ta, tb)
-    prod = product(a, b)
+    prod = product_legs(a, b)[0]
     assert pull.levels == prod.levels
     assert pull.faces == prod.faces
     assert pull.atoms == prod.atoms

@@ -48,7 +48,7 @@ def test_framed_points_sort_in_index_order():
 
 
 def test_generators_available_at_a_point_match_the_position_filter():
-    F = fixtures.fibered_pair_model().filtration
+    F = fixtures.load_fixture("fibered_pair").filtration
     position = F.index.points.index
     assert len(F.operad) > 0
     for p in F.index:
@@ -73,7 +73,7 @@ def test_power_set_level_passes():
 
 
 def test_a_one_shot_iterable_of_events_is_read_once():
-    events = list(fixtures.four_events_model().filtration.events.values())
+    events = list(fixtures.load_fixture("four_events").filtration.events.values())
     assert check_sigma_level(list(events)).passed
     report = check_sigma_level(e for e in events)
     assert report.passed

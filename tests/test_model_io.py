@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pathlib
 import sys
 import time
 
@@ -53,9 +54,27 @@ def test_round_trip_is_byte_identical_on_all_bundled_fixtures():
         assert serialize_model(parse_model(text)) == text, name
 
 
-def test_bundled_files_match_builders():
-    for name, builder in fixtures.ALL_FIXTURES.items():
-        assert fixtures.fixture_text(name) == serialize_model(builder()), name
+def test_fixture_directory_holds_exactly_the_named_fixtures():
+    folder = pathlib.Path(fixtures.fixture_path("four_events")).parent
+    assert sorted(path.name for path in folder.iterdir()) == \
+        sorted(f"{name}.json" for name in fixtures.ALL_FIXTURES)
+
+
+def test_defect_missing_pullback_is_six_events_without_one_square():
+    doc = json.loads(fixtures.fixture_text("six_events"))
+    squares = doc["category"]["pullbacks"]
+    kept = [sq for sq in squares if {sq["left"], sq["right"]} != {"i:e_c>e_abc", "i:e_ab>e_abc"}]
+    assert len(kept) == len(squares) - 1
+    doc["category"]["pullbacks"] = kept
+    assert json.loads(fixtures.fixture_text("defect_missing_pullback")) == doc
+
+
+def test_defect_operad_gap_is_four_events_without_one_generator():
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    kept = [gen for gen in doc["operad"] if gen["name"] != "asm:empty+e_b>e_b"]
+    assert len(kept) == len(doc["operad"]) - 1
+    doc["operad"] = kept
+    assert json.loads(fixtures.fixture_text("defect_operad_gap")) == doc
 
 
 def test_category_referencing_undeclared_event_fails_with_name():

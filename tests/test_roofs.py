@@ -26,7 +26,7 @@ def test_identity_roof_is_two_sided_unit():
 
 
 def test_apex_depends_only_on_source():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     rc = RoofCategory(model.category)
     apex_id = rc.materialize(rc.identity_roof("empty"))[0]
     apex_f = rc.materialize(rc.roof_of("i:empty>e_ab"))[0]
@@ -86,7 +86,7 @@ def test_verify_raises_closure_error_naming_the_pair():
 def test_missing_composite_raises_before_base_functorial_can_fail():
     """base-functorial holds by construction: drop one composite from a
     passing fragment and the verifier raises instead of failing the record."""
-    cat = fixtures.six_events_model().category
+    cat = fixtures.load_fixture("six_events").category
     assert all(r.status == "pass" for r in verify_roof_category(RoofCategory(cat)).records
                if r.check_id == "base-functorial")
     composition = {key: h for key, h in cat.composition.items()
@@ -131,7 +131,7 @@ def test_roof_equality_is_canonical_by_base():
 
 
 def test_apex_cardinality_matches_cone_sum():
-    model = fixtures.six_events_model()
+    model = fixtures.load_fixture("six_events")
     rc = RoofCategory(model.category)
     from deltasite.categories import forward_cone
     for obj in rc.objects():
@@ -143,7 +143,7 @@ def test_apex_cardinality_matches_cone_sum():
 
 
 def test_roof_legs_cohere():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     rc = RoofCategory(model.category)
     roof = rc.roof_of("i:e_a>e_ab")
     apex, p1, pi_b = rc.materialize(roof)
@@ -155,7 +155,7 @@ def test_roof_legs_cohere():
 # -- structural roof topology ------------------------------------------------------
 
 def test_iso_base_roof_covers():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     site = build_tau_structural(RoofCategory(model.category).fragment)
     assert "id:e_a" in site.valid["e_a"]
 
@@ -172,15 +172,15 @@ def test_non_mono_base_excluded():
 
 
 def test_structural_roof_site_verifies_on_fixtures():
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         site = build_tau_structural(RoofCategory(model.category).fragment)
         assert verify_grothendieck(site).passed, name
 
 
 def test_roof_axioms_pass_on_all_fixture_fragments():
-    for name, builder in fixtures.ALL_FIXTURES.items():
-        model = builder()
+    for name in fixtures.ALL_FIXTURES:
+        model = fixtures.load_fixture(name)
         assert verify_roof_category(RoofCategory(model.category)).passed, name
 
 
@@ -238,8 +238,8 @@ def test_verifier_matches_the_roof_by_roof_reference(cat):
 
 
 def test_verifier_matches_the_reference_on_fixture_fragments():
-    for name, builder in fixtures.ALL_FIXTURES.items():
-        rc = RoofCategory(builder().category)
+    for name in fixtures.ALL_FIXTURES:
+        rc = RoofCategory(fixtures.load_fixture(name).category)
         assert verdict(verify_roof_category, rc) == \
             verdict(reference_verify_roof_category, rc), name
 

@@ -19,8 +19,8 @@ GROUND = frozenset("abc")
 # -- gluing --------------------------------------------------------------------
 
 def test_constant_presheaf_glues_on_fixture_sites():
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         site = build_tau_structural(model.category)
         assert check_sheaf_condition(constant_presheaf(site, (0.0, 1.0))).passed, name
         filtered = build_tau_P(model.filtration, model.measure, model.category)
@@ -147,7 +147,7 @@ def test_d_psi_requires_minimal_morphism():
 
 
 def test_d_psi_counts_added_atoms():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     cat = model.category
     values = {obj: float(len(cat.event(obj).atoms)) for obj in cat.objects}
     assert d_psi(values, cat, "i:empty>e_a") == 1.0

@@ -75,7 +75,7 @@ def test_operadic_single_generator_covers_with_each_input():
 
 
 def test_operadic_coverings_match_generator_scan_oracle():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     filtered = build_tau_operadic(model.filtration, model.category)
     for p in model.filtration.index:
         site = filtered[p]
@@ -97,7 +97,7 @@ def test_operadic_coverings_match_generator_scan_oracle():
 def power_set_site():
     """The tau_P site on the top level of the power set of three atoms; the
     chain of chain_model is no sigma-algebra, which tau_P refuses."""
-    model = fixtures.three_atoms_power_model()
+    model = fixtures.load_fixture("three_atoms_power")
     top = model.filtration.index.points[-1]
     return (build_tau_P(model.filtration, model.measure, model.category)[top],
             model.measure)
@@ -144,7 +144,7 @@ def test_probability_chain_matches_filter_oracle():
 # -- structural topology ---------------------------------------------------------------
 
 def test_structural_identity_family_covers():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     site = build_tau_structural(model.category)
     assert "id:e_ab" in site.valid["e_ab"]
 
@@ -165,7 +165,7 @@ def test_structural_excludes_non_mono():
 
 
 def test_structural_coverings_equal_mono_filter_oracle():
-    model = fixtures.six_events_model()
+    model = fixtures.load_fixture("six_events")
     site = build_tau_structural(model.category)
     from deltasite.events import is_monomorphism
     for name in sorted(model.category.morphisms):
@@ -180,7 +180,7 @@ def test_structural_coverings_equal_mono_filter_oracle():
 # -- axiom verification ---------------------------------------------------------------
 
 def test_verify_passes_on_hand_built_four_event_site():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     report = verify_filtered(build_tau_P(model.filtration, model.measure,
                                          model.category))
     assert report.passed
@@ -195,7 +195,7 @@ def test_verify_trivial_site_passes():
 
 
 def test_verify_names_omitted_base_change_instance():
-    model = fixtures.defect_operad_gap_model()
+    model = fixtures.load_fixture("defect_operad_gap")
     report = verify_filtered(build_tau_operadic(model.filtration, model.category))
     assert not report.passed
     failures = {r.instance for r in report.failures()}
@@ -203,7 +203,7 @@ def test_verify_names_omitted_base_change_instance():
 
 
 def test_verify_reports_missing_pullback_with_cospan():
-    model = fixtures.defect_missing_pullback_model()
+    model = fixtures.load_fixture("defect_missing_pullback")
     report = verify_grothendieck(build_tau_structural(model.category))
     assert not report.passed
     bad = [r for r in report.failures() if "missing pullback" in r.witness]
@@ -211,7 +211,7 @@ def test_verify_reports_missing_pullback_with_cospan():
 
 
 def test_probability_verification_asserts_measure_chain():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     report = verify_filtered(build_tau_P(model.filtration, model.measure,
                                          model.category))
     chains = [r for r in report.records
@@ -226,15 +226,15 @@ def test_probability_verification_asserts_measure_chain():
 
 
 def test_filtered_verification_checks_level_monotonicity():
-    model = fixtures.four_events_model()
+    model = fixtures.load_fixture("four_events")
     report = verify_filtered(build_tau_P(model.filtration, model.measure,
                                          model.category))
     assert any(r.check_id == "level-monotone" for r in report.records)
 
 
 def test_all_bundled_passing_fixtures_verify_everywhere():
-    for name, builder in fixtures.PASSING_FIXTURES.items():
-        model = builder()
+    for name in fixtures.PASSING_FIXTURES:
+        model = fixtures.load_fixture(name)
         assert model.category.check_axioms().records == [], name
         assert verify_grothendieck(build_tau_structural(model.category)).passed, name
         assert verify_filtered(build_tau_P(model.filtration, model.measure,
@@ -430,16 +430,16 @@ def assert_referee_agrees(site):
 
 
 def test_verifier_matches_referee_on_every_bundled_fixture():
-    for name, builder in fixtures.ALL_FIXTURES.items():
-        sites = list(every_site(builder()))
+    for name in fixtures.ALL_FIXTURES:
+        sites = list(every_site(fixtures.load_fixture(name)))
         assert len(sites) >= 3, name
         for site in sites:
             assert_referee_agrees(site)
 
 
 def test_filtered_verifier_prefixes_the_referee_records_per_level():
-    for name, builder in fixtures.ALL_FIXTURES.items():
-        model = builder()
+    for name in fixtures.ALL_FIXTURES:
+        model = fixtures.load_fixture(name)
         for levels in (build_tau_P(model.filtration, model.measure, model.category),
                        build_tau_operadic(model.filtration, model.category)):
             records = verify_filtered(levels).records
