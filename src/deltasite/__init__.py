@@ -4,20 +4,18 @@ the discrete delta-calculus with its tropical realization."""
 from .categories import (FiniteCategory, Morphism, PullbackSquare,
                          forward_cone, minimal_outgoing)
 from .errors import (ClosureError, DeltasiteError, ModelError,
-                     PreconditionError, StructuralError, TruncationNotice,
-                     UnsupportedValueError)
+                     PreconditionError, StructuralError, UnsupportedValueError)
 from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
                      fiber_product, is_monomorphism, point_event)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
-                         MultiArrow, OperadFragment, ProbabilityMeasure,
-                         check_operad_action, check_sigma_level)
+                         MultiArrow, ProbabilityMeasure, check_operad_action,
+                         check_sigma_level)
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
 from .roofs import Roof, RoofCategory, verify_roof_category
 from .sheaves import (Presheaf, check_sheaf_condition, constant_presheaf,
                       d_psi, q_boundary, transversal_cone_check)
-from .sites import (CoveringFamily, GrothendieckSite, build_tau_operadic,
-                    build_tau_P, build_tau_structural, verify_filtered,
-                    verify_grothendieck)
+from .sites import (GrothendieckSite, build_tau_operadic, build_tau_P,
+                    build_tau_structural, verify_filtered, verify_grothendieck)
 from .stochastic import (DiscretePath, GBMParams, Partition,
                          check_product_rule, delta_increments,
                          estimate_log_drift, ito_residual,
@@ -30,13 +28,12 @@ from .tropical import (GradedExpr, GradedTensorSeries, augmentation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosureError", "CoveringFamily", "DeltasiteError", "DiscretePath",
-    "EventMap", "FilteredSigmaAlgebra", "FiniteCategory", "FramedIndex",
-    "FramedPoint", "GBMParams", "GradedExpr", "GradedTensorSeries",
-    "GrothendieckSite", "ModelDescription", "ModelError", "Morphism",
-    "MultiArrow", "OperadFragment", "Partition", "PreconditionError",
-    "Presheaf", "ProbabilityMeasure", "PullbackSquare", "Roof", "RoofCategory",
-    "SimplicialEvent", "StructuralError", "TruncationNotice",
+    "ClosureError", "DeltasiteError", "DiscretePath", "EventMap",
+    "FilteredSigmaAlgebra", "FiniteCategory", "FramedIndex", "FramedPoint",
+    "GBMParams", "GradedExpr", "GradedTensorSeries", "GrothendieckSite",
+    "ModelDescription", "ModelError", "Morphism", "MultiArrow", "Partition",
+    "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",
+    "Roof", "RoofCategory", "SimplicialEvent", "StructuralError",
     "UnsupportedValueError", "augmentation", "build_tau_P",
     "build_tau_operadic", "build_tau_structural", "check_operad_action",
     "check_product_rule", "check_sheaf_condition", "check_sigma_level",

@@ -30,7 +30,3 @@ class ModelError(DeltasiteError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
-
-
-class TruncationNotice(UserWarning):
-    """A construction was truncated at the configured maximum dimension."""

@@ -7,13 +7,12 @@ tests are all exact.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError, StructuralError, TruncationNotice
+from .errors import PreconditionError, StructuralError
 
-# Default truncation dimension for constructions that can grow (products,
-# terminal events).  Stored data may use any dimension.
+# Default top dimension of the terminal event.  Stored data may use any
+# dimension.
 DEFAULT_MAX_DIM = 2
 
 
@@ -291,22 +290,17 @@ def _paired(a: SimplicialEvent, b: SimplicialEvent, dims, keep, name: str,
                      {d: {p: y for (_, y), p in kept.items()} for d, kept in pairs.items()}))
 
 
-def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None,
-                 max_dim=None) -> tuple[SimplicialEvent, EventMap, EventMap]:
+def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None
+                 ) -> tuple[SimplicialEvent, EventMap, EventMap]:
     """Levelwise cartesian product with both projections .p1 and .p2: the
     fiber product over the terminal event, with every pair kept.
-    Dimensions beyond max_dim are dropped with a TruncationNotice.
     """
     if a.ground_set != b.ground_set:
         raise PreconditionError(
             f"product of events over different ground sets: {a.name}, {b.name}")
     name = name or f"({a.name}x{b.name})"
-    dims = sorted(set(a.levels) & set(b.levels))
-    if max_dim is not None and dims and dims[-1] > max_dim:
-        warnings.warn(TruncationNotice(
-            f"product {name} truncated at dimension {max_dim}"))
-        dims = [d for d in dims if d <= max_dim]
-    return _paired(a, b, dims, lambda d, x, y: True, name, ("p1", "p2"))
+    return _paired(a, b, sorted(set(a.levels) & set(b.levels)),
+                   lambda d, x, y: True, name, ("p1", "p2"))
 
 
 def fiber_product(f: EventMap, g: EventMap, name=None
@@ -327,13 +321,9 @@ def fiber_product(f: EventMap, g: EventMap, name=None
                    name or f"({a.name}x[{f.target.name}]{b.name})", ("pA", "pB"))
 
 
-def coproduct_event(parts, name: str, ground_set=None) -> SimplicialEvent:
-    """Disjoint union of events; simplex ids are tagged with the part name."""
-    parts = list(parts)
-    if ground_set is None:
-        if not parts:
-            raise PreconditionError("coproduct of no events needs an explicit ground set")
-        ground_set = parts[0].ground_set
+def coproduct_event(parts, name: str, ground_set) -> SimplicialEvent:
+    """Disjoint union of events over ground_set; simplex ids are tagged with
+    the part name."""
     levels: dict[int, set[str]] = {}
     faces, degens = {}, {}
     atoms: set[str] = set()

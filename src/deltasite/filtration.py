@@ -55,9 +55,6 @@ class FramedIndex:
     def __iter__(self):
         return iter(self.points)
 
-    def __len__(self):
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class MultiArrow:
@@ -69,36 +66,19 @@ class MultiArrow:
     at: FramedPoint
 
 
-class OperadFragment:
-    def __init__(self, generators):
-        self.generators: list[MultiArrow] = list(generators)
+class FilteredSigmaAlgebra:
+    """Event collections per framed point, monotone in the index order, with
+    the operad generators placed at its points."""
+
+    def __init__(self, index: FramedIndex, events, levels, generators=()):
+        # events: mapping event id -> SimplicialEvent; levels: mapping
+        # FramedPoint -> iterable of event ids; generators: MultiArrows.
+        self.index = index
+        self.events: dict[str, SimplicialEvent] = dict(events)
+        self.generators: tuple[MultiArrow, ...] = tuple(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise StructuralError("duplicate operad generator names")
-
-    def at_or_before(self, point: FramedPoint):
-        """Generators available at `point`: those placed at u <= point.
-
-        Availability is cumulative because later levels contain everything
-        assembled earlier (the filtration is increasing)."""
-        return [g for g in self.generators if g.at <= point]
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
-class FilteredSigmaAlgebra:
-    """Event collections per framed point, monotone in the index order."""
-
-    def __init__(self, index: FramedIndex, events, levels, operad: OperadFragment | None = None):
-        # events: mapping event id -> SimplicialEvent; levels: mapping
-        # FramedPoint -> iterable of event ids.
-        self.index = index
-        self.events: dict[str, SimplicialEvent] = dict(events)
-        self.operad = operad or OperadFragment([])
         self.levels: dict[FramedPoint, frozenset[str]] = {}
         # each point's place among the levels given, as a model file lists them
         self._declared: dict[FramedPoint, int] = {p: i for i, p in enumerate(levels)}
@@ -116,12 +96,19 @@ class FilteredSigmaAlgebra:
                 raise StructuralError(
                     f"filtration not increasing at {p!r}: lost {sorted(prev - self.levels[p])}")
             prev = self.levels[p]
-        for g in self.operad:
+        for g in self.generators:
             if g.at not in self.levels:
                 raise StructuralError(f"generator {g.name!r} placed at unknown point {g.at!r}")
             for ev in (*g.inputs, g.output):
                 if ev not in self.events:
                     raise StructuralError(f"generator {g.name!r} references unknown event {ev!r}")
+
+    def generators_at(self, point: FramedPoint) -> list[MultiArrow]:
+        """Generators available at `point`: those placed at u <= point.
+
+        Availability is cumulative because later levels contain everything
+        assembled earlier (the filtration is increasing)."""
+        return [g for g in self.generators if g.at <= point]
 
     def level(self, point: FramedPoint) -> frozenset[str]:
         if point not in self.levels:
@@ -255,7 +242,7 @@ def check_operad_action(F: FilteredSigmaAlgebra) -> Report:
     the fraction of (point, event) pairs whose event is assembled (is the
     output of a generator available at that point)."""
     report = Report()
-    for g in F.operad:
+    for g in F.generators:
         level = F.level(g.at)
         for ev in (*g.inputs, g.output):
             if ev not in level:
@@ -265,7 +252,7 @@ def check_operad_action(F: FilteredSigmaAlgebra) -> Report:
     pairs = 0
     covered = 0
     for p in F.index:
-        available = {g.output for g in F.operad.at_or_before(p)}
+        available = {g.output for g in F.generators_at(p)}
         for ev in sorted(F.level(p)):
             pairs += 1
             if ev in available:

@@ -38,7 +38,7 @@ from .categories import FiniteCategory, Morphism, PullbackSquare
 from .errors import PreconditionError
 from .events import EventMap, SimplicialEvent, discrete_event, empty_event
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, MultiArrow,
-                         OperadFragment, ProbabilityMeasure)
+                         ProbabilityMeasure)
 from .model_io import ModelDescription, parse_model
 
 
@@ -128,7 +128,7 @@ def subset_model(ground, subsets, level_plan, weights) -> ModelDescription:
                 generators.append(MultiArrow(name, (_ev_name(s), _ev_name(diff)),
                                              _ev_name(t), p))
 
-    filtration = FilteredSigmaAlgebra(index, events, levels, OperadFragment(generators))
+    filtration = FilteredSigmaAlgebra(index, events, levels, generators)
     measure = ProbabilityMeasure(weights)
     return ModelDescription(ground, events, maps, category, filtration, measure)
 

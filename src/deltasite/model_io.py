@@ -20,7 +20,7 @@ from .categories import FiniteCategory, Morphism, PullbackSquare
 from .errors import ModelError, StructuralError
 from .events import EventMap, SimplicialEvent
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
-                         MultiArrow, OperadFragment, ProbabilityMeasure)
+                         MultiArrow, ProbabilityMeasure)
 
 SCHEMA_VERSION = 1
 
@@ -248,7 +248,7 @@ def parse_model(text: str) -> ModelDescription:
                                f"{len(base_times)} base times need more than {declared} levels")])
         try:
             index = FramedIndex([Fraction(str(t)) for t in base_times], m)
-            filtration = FilteredSigmaAlgebra(index, events, levels, OperadFragment(generators))
+            filtration = FilteredSigmaAlgebra(index, events, levels, generators)
         except StructuralError as exc:
             raise ModelError([("filtration", str(exc))]) from None
         # the site of a level is a full subcategory of the category
@@ -349,11 +349,11 @@ def serialize_model(model: ModelDescription) -> str:
             "levels": [{"at": [str(p.base), p.k], "events": sorted(F.level(p))}
                        for p in F.index],
         }
-        if len(F.operad):
+        if F.generators:
             doc["operad"] = [
                 {"name": g.name, "inputs": list(g.inputs), "output": g.output,
                  "at": [str(g.at.base), g.at.k]}
-                for g in sorted(F.operad, key=lambda g: g.name)
+                for g in sorted(F.generators, key=lambda g: g.name)
             ]
     if model.measure is not None:
         doc["measure"] = {a: w for a, w in sorted(model.measure.atom_weights.items())}

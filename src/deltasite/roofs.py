@@ -50,14 +50,6 @@ class RoofCategory:
             raise KeyError(f"unknown object {obj!r}")
         return self.roof_of(self.fragment.identities[obj])
 
-    def compose(self, r1: Roof, r2: Roof) -> Roof:
-        """r2 after r1.  The mediating maps through the two lower apexes
-        simplify to the roof of the composed bases, which is what is stored."""
-        if r1.target != r2.source:
-            raise PreconditionError(
-                f"roofs not composable: {r1!r} then {r2!r}")
-        return self.roof_of(self._composite(r2.base, r1.base))
-
     def _composite(self, g: str, f: str) -> str:
         """The fragment's composite g o f of two base names; ClosureError
         if its table lacks it."""

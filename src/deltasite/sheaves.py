@@ -85,8 +85,8 @@ def check_sheaf_condition(F: Presheaf) -> Report:
     report = Report()
     notes = []
     for obj in sorted(cat.objects):
-        for fam in site.families(obj):
-            members = list(fam.morphisms)
+        for members in site.coverings[obj]:
+            fam = f"{{{', '.join(members)}}} -> {obj}"
             sources = [cat.morphisms[m].source for m in members]
             # compatibility constraints from declared pairwise pullbacks
             constraints = []
@@ -95,7 +95,7 @@ def check_sheaf_condition(F: Presheaf) -> Report:
                     legs = cat.pullback_legs(members[i], members[j])
                     if legs is None:
                         notes.append(
-                            f"{fam!r}: overlap of ({members[i]}, {members[j]}) undeclared")
+                            f"{fam}: overlap of ({members[i]}, {members[j]}) undeclared")
                         continue
                     constraints.append((i, j, legs[1], legs[2]))
             matching = []
@@ -116,7 +116,7 @@ def check_sheaf_condition(F: Presheaf) -> Report:
                 why.append("sections collide under restriction")
             if missing:
                 why.append(f"unglued matching family {missing[0]!r}")
-            report.add("gluing", repr(fam), injective and not missing, "; ".join(why))
+            report.add("gluing", fam, injective and not missing, "; ".join(why))
     for note in notes:
         report.add("gluing-note", note, None)
     return report

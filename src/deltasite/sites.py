@@ -1,18 +1,18 @@
 """Grothendieck topologies on finite event categories, verified by
 enumeration.
 
-A site stores, per object, the set of morphisms admitted as covers plus an
-explicit list of generating covering families (singletons for the built
-topologies; hand-made sites may store larger families).  Any nonempty family
-all of whose members are admitted counts as a covering.  `verify_grothendieck`
-checks the three covering axioms -- isomorphisms cover, stability under base
-change, composition -- instance by instance and reports every failure.  A
+A site stores, per object, its generating covering families, each a tuple
+of the names of arrows into that object (singletons for the built
+topologies; hand-made sites may store larger families), and the set of
+morphisms they admit as covers.  Any nonempty family all of whose members
+are admitted counts as a covering.  `verify_grothendieck` checks the three
+covering axioms -- isomorphisms cover, stability under base change,
+composition -- instance by instance and reports every failure.  A
 filtered topology is a plain map from each framed point to its level's site,
 in index order; `verify_filtered` walks any such map in index order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .categories import FiniteCategory
@@ -21,39 +21,24 @@ from .filtration import FilteredSigmaAlgebra, FramedPoint, ProbabilityMeasure
 from .reports import Report
 
 
-@dataclass(frozen=True)
-class CoveringFamily:
-    target: str
-    morphisms: tuple[str, ...]
-
-    def __repr__(self):
-        return f"{{{', '.join(self.morphisms)}}} -> {self.target}"
-
-
 class GrothendieckSite:
     def __init__(self, category: FiniteCategory, coverings, label: str,
                  measure: ProbabilityMeasure | None = None):
-        # coverings: mapping object -> iterable of CoveringFamily
+        # coverings: mapping object -> iterable of families, each an iterable
+        # of the names of arrows into that object
         self.category = category
         self.label = label
         self.measure = measure
-        self.coverings: dict[str, tuple[CoveringFamily, ...]] = {}
+        self.coverings: dict[str, tuple[tuple[str, ...], ...]] = {}
         self.valid: dict[str, frozenset[str]] = {}
         for obj in sorted(category.objects):
-            fams = tuple(coverings.get(obj, ()))
-            for fam in fams:
-                if fam.target != obj:
+            fams = tuple(tuple(fam) for fam in coverings.get(obj, ()))
+            for m in (m for fam in fams for m in fam):
+                if category.morphism(m).target != obj:
                     raise PreconditionError(
-                        f"family {fam!r} filed under wrong object {obj!r}")
-                for m in fam.morphisms:
-                    if category.morphism(m).target != obj:
-                        raise PreconditionError(
-                            f"covering morphism {m!r} does not end at {obj!r}")
+                        f"covering morphism {m!r} does not end at {obj!r}")
             self.coverings[obj] = fams
-            self.valid[obj] = frozenset(m for fam in fams for m in fam.morphisms)
-
-    def families(self, obj: str):
-        return self.coverings.get(obj, ())
+            self.valid[obj] = frozenset(m for fam in fams for m in fam)
 
 
 # -- builders -----------------------------------------------------------------
@@ -62,11 +47,11 @@ class GrothendieckSite:
 def _singleton_site(category: FiniteCategory, admit, label: str,
                     measure: ProbabilityMeasure | None = None) -> GrothendieckSite:
     """One generating family per admitted morphism, isomorphisms always in."""
-    families: dict[str, list[CoveringFamily]] = {o: [] for o in category.objects}
+    families: dict[str, list[tuple[str]]] = {o: [] for o in category.objects}
     for name in sorted(category.morphisms):
         m = category.morphisms[name]
         if category.is_isomorphism(name) or admit(m):
-            families[m.target].append(CoveringFamily(m.target, (name,)))
+            families[m.target].append((name,))
     return GrothendieckSite(category, families, label, measure)
 
 
@@ -87,7 +72,7 @@ def build_tau_operadic(F: FilteredSigmaAlgebra,
     output w.  (A morphism's two ends always share a connected component of
     the level, so the paper's same-component condition holds by itself.)"""
     def admit_at(p):
-        witnessed = {(inp, g.output) for g in F.operad.at_or_before(p)
+        witnessed = {(inp, g.output) for g in F.generators_at(p)
                      for inp in g.inputs}
         return lambda m: (m.source, m.target) in witnessed
 
@@ -152,7 +137,7 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
 
     # each object's generating-family members, with their sources
     members = {obj: [(mi, cat.morphisms[mi].source)
-                     for fam in site.families(obj) for mi in fam.morphisms]
+                     for fam in site.coverings[obj] for mi in fam]
                for obj in sorted(cat.objects)}
 
     P = site.measure

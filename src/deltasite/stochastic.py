@@ -87,10 +87,6 @@ class Partition:
             raise PreconditionError("partition times must be strictly increasing")
 
     @property
-    def n(self) -> int:
-        return self.times.size - 1
-
-    @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
 
@@ -342,7 +338,6 @@ def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
 class LogDriftEstimate:
     mean: float
     stderr: float
-    n_paths: int
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -358,4 +353,4 @@ def estimate_log_drift(paths) -> LogDriftEstimate:
         raise PreconditionError(f"need at least 30 paths, got {arr.size}")
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    return LogDriftEstimate(mean, stderr, arr.size)
+    return LogDriftEstimate(mean, stderr)

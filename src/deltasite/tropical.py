@@ -37,12 +37,6 @@ class GradedExpr:
                 items.append((deg, c))
         return GradedExpr(tuple(items), _as_exact(dt), _as_exact(dw))
 
-    def coefficient(self, degree: int):
-        for d, c in self.coeffs:
-            if d == degree:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "GradedExpr") -> "GradedExpr":
         merged = {d: c for d, c in self.coeffs}
         for d, c in other.coeffs:
@@ -100,10 +94,6 @@ class GradedTensorSeries:
     def __add__(self, other):
         n = min(self.order, other.order)
         return GradedTensorSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return GradedTensorSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
 
     def __mul__(self, other):
         n = min(self.order, other.order)

@@ -2,7 +2,7 @@ import pytest
 
 from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
 from deltasite.events import EventMap, discrete_event
-from deltasite.sites import CoveringFamily, GrothendieckSite
+from deltasite.sites import GrothendieckSite
 
 
 GROUND = frozenset(["a", "b", "c", "d"])
@@ -59,10 +59,8 @@ def overlap_site():
                  PullbackSquare("g2", "g2", "W", "id:W", "id:W")]
     cat = FiniteCategory({"U": top, "V1": v1, "V2": v2, "W": w},
                          morphisms, comp, pullbacks)
-    coverings = {"U": [CoveringFamily("U", ("f1", "f2"))],
-                 "V1": [CoveringFamily("V1", ("id:V1",))],
-                 "V2": [CoveringFamily("V2", ("id:V2",))],
-                 "W": [CoveringFamily("W", ("id:W",))]}
+    coverings = {"U": [("f1", "f2")], "V1": [("id:V1",)], "V2": [("id:V2",)],
+                 "W": [("id:W",)]}
     return GrothendieckSite(cat, coverings, label="overlap")
 
 

@@ -91,6 +91,23 @@ def test_verify_ito_smoke(capsys):
     assert "product-rule" in out and "quadratic-variation" in out
 
 
+def test_log_drift_at_sigma_zero_passes_within_rounding(capsys):
+    """At sigma = 0 every log rate is the drift up to rounding and the band
+    has no width; the verdict allows that rounding, seen here as a mean one
+    ulp off the target."""
+    means = set()
+    for T in ("3", "0.7", "1", "2.5", "1e-3", "16.16036858669248"):
+        for paths in ("30", "40", "257"):
+            code, out, _ = run(capsys, "verify-ito", "--sigma", "0", "--T", T,
+                               "--paths", paths, "--steps", "20", "--format", "json")
+            [record] = [r for r in json.loads(out)["records"] if r["check"] == "log-drift"]
+            assert record["status"] == "pass", (T, paths, record["instance"])
+            mean, target, _ = record["instance"].split()
+            assert target == "target=0.1"
+            means.add(mean)
+    assert {"mean=0.1", "mean=0.10000000000000002", "mean=0.09999999999999999"} <= means
+
+
 def test_json_format_is_valid_and_carries_summary(capsys):
     code, out, _ = run(capsys, "check-site", "--topology", "structural",
                        "--model", fixtures.fixture_path("four_events"),
@@ -285,6 +302,20 @@ def test_level_event_outside_the_category_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: filtration.levels[1].events[2]: event 'e_b' is not a category object\n"
+
+
+@pytest.mark.parametrize("argv", (("check-site", "--topology", "operadic"),
+                                  ("check-roofs",)))
+def test_duplicate_operad_generator_names_exit_two(tmp_path, capsys, argv):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    first = doc["operad"][0]
+    doc["operad"].append(dict(first, at=doc["filtration"]["levels"][-1]["at"]))
+    path = tmp_path / "duplicate_generator.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration: duplicate operad generator names\n"
 
 
 def test_negative_sigma_on_the_cone_check_is_usage_error(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from deltasite.errors import PreconditionError, StructuralError, TruncationNotice
+from deltasite.errors import PreconditionError, StructuralError
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
                               coproduct_event, discrete_event, empty_event,
                               fiber_product, identity_map, is_monomorphism,
@@ -189,13 +189,6 @@ def test_product_ground_set_mismatch():
         product_legs(a, b)
 
 
-def test_product_truncation_notice():
-    e = edge_event()
-    with pytest.warns(TruncationNotice):
-        p = product_legs(e, e, max_dim=0)[0]
-    assert p.level_sizes() == {0: 4}
-
-
 # -- fiber product ------------------------------------------------------------------
 
 def subobject_pair():
@@ -353,6 +346,6 @@ def test_product_legs_are_the_fiber_product_over_the_point(make_a, make_b):
 def test_coproduct_tags_and_unions():
     a = discrete_event("A", ["x"], ["a"], GROUND)
     b = edge_event("B", atoms=("b",))
-    c = coproduct_event([a, b], "AorB")
+    c = coproduct_event([a, b], "AorB", GROUND)
     assert c.level_sizes() == {0: 3, 1: 1}
     assert c.atoms == frozenset(["a", "b"])

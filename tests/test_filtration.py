@@ -17,7 +17,7 @@ from deltasite import fixtures
 from deltasite.errors import ModelError, StructuralError
 from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
-                                  FramedPoint, MultiArrow, OperadFragment,
+                                  FramedPoint, MultiArrow,
                                   ProbabilityMeasure, check_operad_action,
                                   check_sigma_level)
 
@@ -34,7 +34,7 @@ def powerset(atoms):
 
 def test_framed_index_points_and_projection():
     idx = FramedIndex([0, Fraction(1, 2), 1], m=2)
-    assert len(idx) == 6
+    assert len(idx.points) == 6
     p = idx.points[3]
     assert p == FramedPoint(Fraction(1, 2), 2)
     assert p.base == Fraction(1, 2)
@@ -50,10 +50,10 @@ def test_framed_points_sort_in_index_order():
 def test_generators_available_at_a_point_match_the_position_filter():
     F = fixtures.load_fixture("fibered_pair").filtration
     position = F.index.points.index
-    assert len(F.operad) > 0
+    assert F.generators
     for p in F.index:
-        expected = [g for g in F.operad if position(g.at) <= position(p)]
-        assert F.operad.at_or_before(p) == expected
+        expected = [g for g in F.generators if position(g.at) <= position(p)]
+        assert F.generators_at(p) == expected
 
 
 def test_framed_index_rejects_bad_grids():
@@ -242,7 +242,7 @@ def tiny_filtration(levels=None, generators=()):
                   idx.points[1]: ["empty", "e_a", "e_b", "e_ab"]}
     else:
         levels = dict(zip(idx.points, levels))
-    return FilteredSigmaAlgebra(idx, events, levels, OperadFragment(generators)), idx
+    return FilteredSigmaAlgebra(idx, events, levels, generators), idx
 
 
 def test_filtration_monotonicity_enforced():
@@ -294,7 +294,7 @@ def test_operad_action_saturated_coverage_is_total():
     }
     F = FilteredSigmaAlgebra(idx, events,
                              {p: ["empty", "e_a", "e_b", "e_ab"]},
-                             OperadFragment(gens))
+                             gens)
     report = check_operad_action(F)
     assert report.passed
     coverage = [r for r in report.records if r.check_id == "operad-coverage"]
@@ -304,5 +304,5 @@ def test_operad_action_saturated_coverage_is_total():
 def test_generator_availability_is_cumulative():
     F, idx = tiny_filtration(generators=[
         MultiArrow("g", ("empty", "e_ab"), "e_ab", FramedPoint(Fraction(0), 1))])
-    late = F.operad.at_or_before(idx.points[1])
+    late = F.generators_at(idx.points[1])
     assert [g.name for g in late] == ["g"]

@@ -8,8 +8,8 @@ from deltasite.errors import (PreconditionError, StructuralError,
 from deltasite.sheaves import (Presheaf, check_sheaf_condition,
                                constant_presheaf, d_psi, q_boundary,
                                transversal_cone_check)
-from deltasite.sites import (CoveringFamily, build_tau_P,
-                             build_tau_structural)
+from deltasite.categories import FiniteCategory
+from deltasite.sites import GrothendieckSite, build_tau_P, build_tau_structural
 
 from conftest import chain_category, overlap_site
 
@@ -40,13 +40,12 @@ def test_two_element_covering_matches_brute_force_enumeration():
     }
     F = Presheaf(site, spaces, restr)
     report = check_sheaf_condition(F)
-    fam = CoveringFamily("U", ("f1", "f2"))
     # oracle: enumerate matching families by hand
     matching = [(s1, s2) for s1 in spaces["V1"] for s2 in spaces["V2"]
                 if restr["g1"][s1] == restr["g2"][s2]]
     images = {(restr["f1"][s], restr["f2"][s]) for s in spaces["U"]}
     glues = set(matching) == images and len(images) == len(spaces["U"])
-    rec = [r for r in report.records if r.instance == repr(fam)]
+    rec = [r for r in report.records if r.instance == "{f1, f2} -> U"]
     assert rec and (rec[0].status == "pass") == glues
     # here every pair matches (W forgets the branch), so gluing must fail
     assert len(matching) == 4 and not glues
@@ -70,9 +69,8 @@ def test_planted_non_gluing_presheaf_fails_naming_covering():
 
 
 def test_undeclared_overlaps_are_noted_not_failed():
-    from deltasite.categories import FiniteCategory, Morphism
+    from deltasite.categories import Morphism
     from deltasite.events import EventMap, discrete_event
-    from deltasite.sites import GrothendieckSite
 
     g3 = frozenset("abc")
     top = discrete_event("U", ["a", "b"], g3, g3)
@@ -83,12 +81,38 @@ def test_undeclared_overlaps_are_noted_not_failed():
     cat = FiniteCategory({"U": top, "V1": v1, "V2": v2},
                          [Morphism("f1", "V1", "U", f1),
                           Morphism("f2", "V2", "U", f2)], {})  # no pullbacks
-    site = GrothendieckSite(cat, {"U": [CoveringFamily("U", ("f1", "f2"))]},
-                            label="gap")
+    site = GrothendieckSite(cat, {"U": [("f1", "f2")]}, label="gap")
     report = check_sheaf_condition(constant_presheaf(site, (0.0,)))
     notes = [r.instance for r in report.records if r.check_id == "gluing-note"]
     assert notes, "missing overlap declarations should be noted"
     assert any("undeclared" in n for n in notes)
+
+
+def test_two_member_family_is_named_by_its_members_and_target():
+    """The gluing instance and the gluing-note text of the overlap site's
+    family {f1, f2} -> U, as literals: no golden report holds a family of
+    more than one member."""
+    site = overlap_site()
+    report = check_sheaf_condition(constant_presheaf(site, (0, 1)))
+    assert [(r.check_id, r.instance, r.status, r.witness) for r in report.records] == [
+        ("gluing", "{f1, f2} -> U", "pass", ""),
+        ("gluing", "{id:V1} -> V1", "pass", ""),
+        ("gluing", "{id:V2} -> V2", "pass", ""),
+        ("gluing", "{id:W} -> W", "pass", "")]
+    # without the declared overlap of f1 and f2 the family is noted, and two
+    # sections that disagree on W no longer have to agree
+    cat = site.category
+    morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
+    squares = [sq for sq in cat.pullbacks.values() if {sq.left, sq.right} != {"f1", "f2"}]
+    gap = GrothendieckSite(FiniteCategory(cat.objects, morphisms, cat.composition, squares),
+                           site.coverings, "overlap-gap")
+    report = check_sheaf_condition(constant_presheaf(gap, (0, 1)))
+    assert [(r.check_id, r.instance, r.status, r.witness) for r in report.records] == [
+        ("gluing", "{f1, f2} -> U", "fail", "unglued matching family (0, 1)"),
+        ("gluing", "{id:V1} -> V1", "pass", ""),
+        ("gluing", "{id:V2} -> V2", "pass", ""),
+        ("gluing", "{id:W} -> W", "pass", ""),
+        ("gluing-note", "{f1, f2} -> U: overlap of (f1, f2) undeclared", "info", "")]
 
 
 def test_presheaf_validation_catches_non_functorial_restrictions():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.events import EventMap, SimplicialEvent, discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
-                                  MultiArrow, OperadFragment,
-                                  ProbabilityMeasure)
-from deltasite.sites import (CoveringFamily, GrothendieckSite,
+                                  MultiArrow, ProbabilityMeasure)
+from deltasite.model_io import parse_model, serialize_model
+from deltasite.sites import (GrothendieckSite,
                              build_tau_operadic, build_tau_P,
                              build_tau_structural, verify_filtered,
                              verify_grothendieck)
@@ -67,7 +68,7 @@ def test_operadic_single_generator_covers_with_each_input():
     gen = MultiArrow("g", ("e_a", "e_ab"), "e_abc", idx.points[0])
     F2 = FilteredSigmaAlgebra(idx, dict(F.events),
                               {idx.points[0]: sorted(F.level(idx.points[0]))},
-                              OperadFragment([gen]))
+                              [gen])
     site = build_tau_operadic(F2, cat)[idx.points[0]]
     assert "i:e_a>e_abc" in site.valid["e_abc"]
     assert "i:e_ab>e_abc" in site.valid["e_abc"]
@@ -81,7 +82,7 @@ def test_operadic_coverings_match_generator_scan_oracle():
         site = filtered[p]
         witnessed = set()
         position = model.filtration.index.points.index
-        for g in model.filtration.operad:
+        for g in model.filtration.generators:
             if position(g.at) <= position(p):
                 for inp in g.inputs:
                     witnessed.add((inp, g.output))
@@ -258,10 +259,9 @@ def test_cover_dropped_at_a_later_level_fails_level_monotone():
     early, late = FramedIndex([0, 1]).points
 
     def site(covers):
-        families = {obj: [CoveringFamily(obj, (f"id:{obj}",))] for obj in cat.objects}
+        families = {obj: [(f"id:{obj}",)] for obj in cat.objects}
         for m in covers:
-            target = cat.morphisms[m].target
-            families[target].append(CoveringFamily(target, (m,)))
+            families[cat.morphisms[m].target].append((m,))
         return GrothendieckSite(cat, families, "hand")
 
     # the later site still contains i:e_a>e_ab but no longer admits it
@@ -286,9 +286,8 @@ def falling_site():
                     atom_map={"a": "a", "b": "a"})
     cat = FiniteCategory({"big": big, "small": small},
                          [Morphism("down", "big", "small", down)], {})
-    return GrothendieckSite(cat, {"big": [CoveringFamily("big", ("id:big",))],
-                                  "small": [CoveringFamily("small", ("id:small",)),
-                                            CoveringFamily("small", ("down",))]},
+    return GrothendieckSite(cat, {"big": [("id:big",)],
+                                  "small": [("id:small",), ("down",)]},
                             "falling", ProbabilityMeasure({"a": 0.75, "b": 0.25}))
 
 
@@ -375,7 +374,7 @@ def referee_grothendieck(site):
             report.add("isomorphisms-cover", name,
                        name in site.valid[cat.morphisms[name].target])
     members = {obj: [(mi, cat.morphisms[mi].source)
-                     for fam in site.families(obj) for mi in fam.morphisms]
+                     for fam in site.coverings[obj] for mi in fam]
                for obj in sorted(cat.objects)}
     for obj, covers in members.items():
         for mi, src in covers:
@@ -437,17 +436,22 @@ def test_verifier_matches_referee_on_every_bundled_fixture():
             assert_referee_agrees(site)
 
 
+def assert_filtered_referee_agrees(model):
+    """verify_filtered's records on the probability and operadic levels of
+    model are the referee's per level, prefixed, then the level-monotone ones."""
+    for levels in (build_tau_P(model.filtration, model.measure, model.category),
+                   build_tau_operadic(model.filtration, model.category)):
+        records = verify_filtered(levels).records
+        expected = Report()
+        for p, site in levels.items():
+            expected.extend(referee_grothendieck(site), prefix=f"level {p!r}: ")
+        expected.records += [r for r in records if r.check_id == "level-monotone"]
+        assert records == expected.records
+
+
 def test_filtered_verifier_prefixes_the_referee_records_per_level():
     for name in fixtures.ALL_FIXTURES:
-        model = fixtures.load_fixture(name)
-        for levels in (build_tau_P(model.filtration, model.measure, model.category),
-                       build_tau_operadic(model.filtration, model.category)):
-            records = verify_filtered(levels).records
-            expected = Report()
-            for p, site in levels.items():
-                expected.extend(referee_grothendieck(site), prefix=f"level {p!r}: ")
-            expected.records += [r for r in records if r.check_id == "level-monotone"]
-            assert records == expected.records, name
+        assert_filtered_referee_agrees(fixtures.load_fixture(name))
 
 
 def test_verifier_matches_referee_on_hand_made_sites():
@@ -512,3 +516,24 @@ def test_base_change_tail_holds_for_every_probability_measure(case):
              for r in verify_grothendieck(site).records if r.check_id == "base-change"]
     assert tails and all(tails)
     assert all(float(m[1]) <= float(m[2]) for m in tails)
+
+
+@settings(max_examples=50, deadline=None)
+@given(LATTICE_CASES, hst.sampled_from(("pullback", "generator")), hst.integers(0, 10**6))
+def test_verifiers_match_referee_with_one_declaration_dropped(case, kind, pick):
+    """A random lattice model without one declared pullback or one operad
+    generator, dropped from its model file: both verifiers still agree with
+    the referee record for record, and a dropped pullback fails base change."""
+    doc = json.loads(serialize_model(lattice_model(case)))
+    entries = doc["category"]["pullbacks"] if kind == "pullback" else doc["operad"]
+    dropped = entries.pop(pick % len(entries))
+    model = parse_model(json.dumps(doc))
+    for site in every_site(model):
+        assert_referee_agrees(site)
+    assert_filtered_referee_agrees(model)
+    if kind == "pullback":
+        # every inclusion is a monomorphism, so a structural cover
+        report = verify_grothendieck(build_tau_structural(model.category))
+        missing = {r.instance for r in report.failures()
+                   if r.check_id == "base-change" and "missing pullback" in r.witness}
+        assert f"({dropped['left']}, {dropped['right']})" in missing

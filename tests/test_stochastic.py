@@ -28,7 +28,7 @@ def test_partition_validation():
         Partition(np.array([0.0]))
     part = Partition.uniform(2.0, 4)
     assert np.allclose(part.deltas, 0.5)
-    assert part.n == 4
+    assert part.times.size == 5
 
 
 def test_brownian_starts_at_zero():
