@@ -16,16 +16,25 @@ from .sheaves import (Presheaf, check_sheaf_condition, constant_presheaf,
                       d_psi, q_boundary, transversal_cone_check)
 from .sites import (GrothendieckSite, build_tau_operadic, build_tau_P,
                     build_tau_structural, verify_filtered, verify_grothendieck)
-from .stochastic import (DiscretePath, GBMParams, Partition,
-                         check_product_rule, delta_increments,
-                         estimate_log_drift, ito_residual,
-                         quadratic_variation, sample_brownian, simulate_gbm,
-                         telescoped_sum)
 from .tropical import (GradedExpr, GradedTensorSeries, augmentation,
                        exp_series, log_inverse_series, paper_log_series,
                        trop_max, tropicalize_log_sde)
 
 __version__ = "0.1.0"
+
+# The sampling names load `stochastic`, and NumPy with it, on first use
+# (PEP 562), so that importing the package for the model checks does not.
+_STOCHASTIC = ("DiscretePath", "GBMParams", "Partition", "check_product_rule",
+               "delta_increments", "estimate_log_drift", "ito_residual",
+               "quadratic_variation", "sample_brownian", "simulate_gbm",
+               "telescoped_sum")
+
+
+def __getattr__(name):
+    if name in _STOCHASTIC:
+        from . import stochastic
+        return getattr(stochastic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ClosureError", "DeltasiteError", "DiscretePath", "EventMap",

@@ -2,7 +2,8 @@
 
 Grammar: deltasite <command> [--model PATH] [flags] [--format {json,text}]
 [--seed N].  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-model errors.  DELTASITE_SEED sets the default seed; flags always win.
+model errors.  DELTASITE_SEED sets the default seed, read on every call;
+flags always win.  Only the commands that compute with NumPy import it.
 """
 from __future__ import annotations
 
@@ -10,10 +11,9 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
-import numpy as np
-
-from . import sheaves, sites, stochastic, tropical
+from . import sheaves, sites, tropical
 from .errors import ClosureError, DeltasiteError, ModelError, PreconditionError
 from .filtration import check_operad_action
 from .model_io import ModelDescription, load_model
@@ -62,7 +62,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call; later calls
+    return the same object.  It holds nothing that changes between calls."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="deltasite",
         description="Finite event sites, topology verification, and delta-calculus checks.")
@@ -73,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model description file")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        # argparse converts a string default with `type`, so a malformed
-        # DELTASITE_SEED is a usage error rather than a silent seed 0.
-        p.add_argument("--seed", type=int, default=os.environ.get("DELTASITE_SEED", "0"))
+        # None means "not given": main reads DELTASITE_SEED on each call, so
+        # the shared parser keeps no seed of its own
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("check-site", help="verify Grothendieck topology axioms")
     p.add_argument("--topology", required=True,
@@ -116,12 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_series_order, required=True)
     common(p, cmd_series)
 
+    _parser = parser
     return parser
 
 
 # -- command implementations ----------------------------------------------------
 # A handler adds its records to the report that `main` headed from the flags;
 # `model` is None for the commands without --model.
+
+
+@contextmanager
+def _float_traps():
+    """NumPy's overflow, invalid operation and division by zero raise inside,
+    so a computation that leaves the float range is a bad parameter (exit 2
+    from main), not a report.  The handlers that compute with NumPy enter it;
+    the others never import NumPy."""
+    import numpy as np
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
 
 
 def cmd_check_site(args, model: ModelDescription, report: Report):
@@ -166,8 +186,9 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
         t0, t1 = float(F.index.base_times[0]), float(F.index.base_times[-1])
     else:
         t0, t1 = 0.0, 1.0
-    report.extend(sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
-                                                 n_paths=args.paths, seed=args.seed))
+    with _float_traps():
+        report.extend(sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
+                                                     n_paths=args.paths, seed=args.seed))
 
 
 def _positive_finite(label: str, value: float) -> float:
@@ -177,7 +198,11 @@ def _positive_finite(label: str, value: float) -> float:
     return value
 
 
+@_float_traps()
 def cmd_simulate(args, model, report: Report):
+    import numpy as np
+
+    from . import stochastic
     params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, args.T,
                                   args.steps, args.seed)
     # an overflow shows up as a terminal value that is not positive and finite
@@ -200,7 +225,11 @@ def cmd_simulate(args, model, report: Report):
                 report.add("log-drift", f"mean={float(np.mean(rates))!r}", None)
 
 
+@_float_traps()
 def cmd_verify_ito(args, model, report: Report):
+    import numpy as np
+
+    from . import stochastic
     seed, T, n = args.seed, args.T, args.steps
     params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, T,
                                   max(1, n // 10), seed + 2)
@@ -280,7 +309,15 @@ def cmd_series(args, model, report: Report):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is None:
+        env = os.environ.get("DELTASITE_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            # a malformed DELTASITE_SEED is a usage error rather than a silent seed 0
+            parser.error(f"argument --seed: invalid int value: {env!r}")
     # a report's params echo every flag of its command but --model and --format
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "model", "format", "run")}
@@ -293,9 +330,7 @@ def main(argv=None) -> int:
                 print(f"error: cannot read model: {exc}", file=sys.stderr)
                 return USAGE_EXIT
         report = Report(args.command, model_hash, params)
-        # a computation that leaves the float range is a bad parameter, not a report
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.run(args, model, report)
+        args.run(args, model, report)
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: out of numeric range: {(exc.args or [exc])[-1]}", file=sys.stderr)
         return USAGE_EXIT

@@ -13,7 +13,6 @@ from .categories import FiniteCategory, minimal_outgoing
 from .errors import PreconditionError, StructuralError, UnsupportedValueError
 from .reports import Report
 from .sites import GrothendieckSite
-from .stochastic import normal_cdf, normal_samples
 
 
 class Presheaf:
@@ -179,6 +178,8 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
         raise PreconditionError("sigma must be nonnegative")
     fraction = expected = threshold = 0.0
     if kappa > 0:
+        # imported here, so that the gluing check and its commands never load NumPy
+        from .stochastic import normal_cdf, normal_samples
         dt = t_prime - t
         half = kappa * sigma * math.sqrt(dt)
         draws = normal_samples(seed, n_paths) * (sigma * math.sqrt(dt))

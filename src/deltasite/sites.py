@@ -31,6 +31,10 @@ class GrothendieckSite:
         self.measure = measure
         self.coverings: dict[str, tuple[tuple[str, ...], ...]] = {}
         self.valid: dict[str, frozenset[str]] = {}
+        unknown = sorted(set(coverings) - category.objects.keys())
+        if unknown:
+            raise PreconditionError(
+                f"coverings name objects not in the category: {', '.join(map(repr, unknown))}")
         for obj in sorted(category.objects):
             fams = tuple(tuple(fam) for fam in coverings.get(obj, ()))
             for m in (m for fam in fams for m in fam):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import deltasite
-from deltasite import fixtures, stochastic
+from deltasite import cli, fixtures, stochastic
 from deltasite.cli import MAX_SERIES_ORDER, SERIES, main
 
 
@@ -267,14 +267,45 @@ def test_allocation_beyond_the_address_space_is_usage_error(capsys, argv):
     assert err.startswith("error: out of memory: ")
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
+def run_probe(probe, *args):
+    """stdout of `probe` run in a fresh interpreter that imports this deltasite."""
     src = str(pathlib.Path(deltasite.__file__).parents[1])
-    probe = ("import sys, deltasite, deltasite.cli; deltasite.cli.build_parser(); "
-             "print('scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    return subprocess.run([sys.executable, "-c", probe, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # nor NumPy: only the sampling commands and the cone check load them
+    out = run_probe("import sys, deltasite, deltasite.cli; deltasite.cli.build_parser(); "
+                    "print([m for m in ('numpy', 'scipy.special') if m in sys.modules])")
+    assert out == "[]\n"
+
+
+def test_model_commands_load_neither_numpy_nor_scipy():
+    model = fixtures.fixture_path("four_events")
+    argvs = [["check-site", "--topology", topology, "--model", model]
+             for topology in ("operadic", "probability", "structural")]
+    argvs += [["check-roofs", "--model", model],
+              ["check-sheaf", "--mode", "gluing", "--model", model],
+              ["tropicalize", "--alpha", "0.1", "--sigma", "0.2", "--with-markers"],
+              ["series", "--op", "log", "--order", "6"]]
+    probe = ("import contextlib, io, json, sys\n"
+             "from deltasite.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(codes, [m for m in ('numpy', 'scipy') if m in sys.modules])")
+    assert run_probe(probe, json.dumps(argvs)) == f"{[0] * len(argvs)} []\n"
+
+
+def test_sampling_exports_resolve_through_the_package():
+    assert deltasite.DiscretePath is deltasite.stochastic.DiscretePath
+    names = {}
+    exec("from deltasite import *", names)
+    assert set(deltasite.__all__) <= names.keys()
+    assert all(names[name] is getattr(deltasite, name) for name in deltasite.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'DiscretePaths'"):
+        deltasite.DiscretePaths
 
 
 def four_events_without_e_b(tmp_path):
@@ -427,6 +458,20 @@ def test_sampling_commands_reject_paths_below_one(capsys, command):
             main([command, "--paths", paths])
         assert exc.value.code == 2
         assert "--paths" in capsys.readouterr().err
+
+
+def test_one_parser_reads_the_env_seed_on_every_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    for seed in (123, 7):
+        monkeypatch.setenv("DELTASITE_SEED", str(seed))
+        code, out, _ = run(capsys, "series", "--op", "exp", "--order", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["seed"] == seed
+    monkeypatch.setenv("DELTASITE_SEED", "12x")
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--op", "exp", "--order", "2"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: '12x'" in capsys.readouterr().err
 
 
 def test_malformed_env_seed_is_usage_error(capsys, monkeypatch):

@@ -3,11 +3,13 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
+from deltasite.errors import PreconditionError
 from deltasite.events import EventMap, SimplicialEvent, discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   MultiArrow, ProbabilityMeasure)
@@ -252,6 +254,14 @@ def test_isomorphism_outside_every_family_fails_isomorphisms_cover():
     isos = {r.instance: r.status for r in report.records
             if r.check_id == "isomorphisms-cover"}
     assert isos == {"id:U": "fail", "id:V1": "pass", "id:V2": "pass", "id:W": "pass"}
+
+
+def test_covering_filed_under_an_unknown_object_is_refused():
+    overlap = overlap_site()
+    coverings = dict(overlap.coverings)
+    coverings["u"] = coverings.pop("U")
+    with pytest.raises(PreconditionError, match="not in the category: 'u'$"):
+        GrothendieckSite(overlap.category, coverings, "misspelled")
 
 
 def test_cover_dropped_at_a_later_level_fails_level_monotone():
