@@ -19,7 +19,7 @@ print("category axioms violations:", model.category.check_axioms().failures() or
 
 for point in model.filtration.index:
     events = [model.events[n] for n in sorted(model.filtration.level(point))]
-    closed = check_sigma_level(events).passed
+    closed = not check_sigma_level(events).missing
     print(f"level {point!r}: {len(events)} events, sigma-closed={closed}")
 
 print("operad action:", "ok" if check_operad_action(model.filtration).passed else "broken")

@@ -16,14 +16,11 @@ from deltasite import stochastic as st
 x = st.sample_brownian(T=1.0, n=5000, seed=0, stream=0)
 y = st.sample_brownian(T=1.0, n=5000, seed=0, stream=1)
 print(f"product rule residual: {st.check_product_rule(x, y):.3e}")
-print(f"telescoped increments: {st.telescoped_sum(x):+.6f} "
-      f"vs endpoint difference {x.values[-1] - x.values[0]:+.6f}")
 
 # quadratic variation: (dW)^2 = dt in the mesh limit
 for n in (1_000, 10_000, 100_000):
     w = st.sample_brownian(T=1.0, n=n, seed=1)
-    print(f"n={n:>7}: QV = {st.quadratic_variation(w):.5f} (target 1), "
-          f"cross variation = {st.cross_variation(w):+.2e} (target 0)")
+    print(f"n={n:>7}: QV = {st.quadratic_variation(w):.5f} (target 1)")
 
 # Ito residual for f = w^3 shrinks like the square root of the mesh
 print("\nIto residual trend for f(w) = w^3 (RMS over 200 paths):")

@@ -36,8 +36,3 @@ composed = tr.compose(literal, e)
 print(f"compose(literal, exp) = {[str(c) for c in composed.coeffs]}")
 print(f"order-1 coefficient {composed.coefficient(1)} != 1: "
       "the literal series is a formal decoration, not the inverse")
-
-# series applied to a morphism f: coefficient times the n-fold tensor power
-print("\nexp applied to a morphism f:")
-for coeff, power, shape in tr.exp_series(3).terms("f"):
-    print(f"  {str(coeff):>4} * {shape}")

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Time without a time index: roof diagrams, section differences, cones.
+"""Time without a time index: roof diagrams, gluing, cones.
 
 Roofs stand over the product of their source with its forward cone; their
 composites reduce to roofs of composed bases, so the category axioms can be
-verified exhaustively.  Sections of presheaves on the resulting site admit
-a boundary difference along minimal outgoing morphisms, and the filtered
-sheaf of Brownian values replaces transition maps in time with cones.
+verified exhaustively.  Presheaves on the resulting site glue over its
+coverings, and the filtered sheaf of Brownian values replaces transition
+maps in time with cones.
 """
 from deltasite import fixtures
-from deltasite.categories import forward_cone, minimal_outgoing
+from deltasite.categories import forward_cone
 from deltasite.roofs import RoofCategory, verify_roof_category
-from deltasite.sheaves import (check_sheaf_condition, constant_presheaf, d_psi,
+from deltasite.sheaves import (check_sheaf_condition, constant_presheaf,
                                transversal_cone_check)
 from deltasite.sites import build_tau_structural, verify_grothendieck
 
@@ -22,7 +22,7 @@ for obj in rc.objects():
     print(f"  <|({obj}) = {{{', '.join(sorted(forward_cone(model.category, obj)))}}}")
 
 apex = rc.apex_event("e_a")
-print(f"\napex of roofs out of e_a: {apex.level_sizes()[0]} vertices "
+print(f"\napex of roofs out of e_a: {len(apex.simplices(0))} vertices "
       "(|A| times the cone's total size)")
 
 report = verify_roof_category(rc)
@@ -33,16 +33,6 @@ print(f"roof category axioms: {'PASS' if report.passed else 'FAIL'} "
 site = build_tau_structural(rc.fragment)
 print(f"structural roof topology: "
       f"{'PASS' if verify_grothendieck(site).passed else 'FAIL'}")
-
-# sections differ along minimal outgoing morphisms only
-values = {obj: float(len(model.category.event(obj).atoms))
-          for obj in model.category.objects}
-print("\natom-count section, differences along minimal outgoing morphisms:")
-for obj in rc.objects():
-    for psi in sorted(minimal_outgoing(model.category, obj)):
-        target = model.category.morphism(psi).target
-        print(f"  D_{psi} = {d_psi(values, model.category, psi):+.0f} "
-              f"({obj} -> {target})")
 
 # the constant presheaf glues over every covering of the structural site
 glue = check_sheaf_condition(constant_presheaf(site, (0.0, 1.0)))

@@ -1,10 +1,9 @@
 """deltasite: finite event categories, Grothendieck site verification, and
 the discrete delta-calculus with its tropical realization."""
 
-from .categories import (FiniteCategory, Morphism, PullbackSquare,
-                         forward_cone, minimal_outgoing)
+from .categories import FiniteCategory, Morphism, PullbackSquare, forward_cone
 from .errors import (ClosureError, DeltasiteError, ModelError,
-                     PreconditionError, StructuralError, UnsupportedValueError)
+                     PreconditionError, StructuralError)
 from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
                      fiber_product, is_monomorphism, point_event)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
@@ -13,7 +12,7 @@ from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
 from .roofs import Roof, RoofCategory, verify_roof_category
 from .sheaves import (Presheaf, check_sheaf_condition, constant_presheaf,
-                      d_psi, q_boundary, transversal_cone_check)
+                      transversal_cone_check)
 from .sites import (GrothendieckSite, build_tau_operadic, build_tau_P,
                     build_tau_structural, verify_filtered, verify_grothendieck)
 from .tropical import (GradedExpr, GradedTensorSeries, augmentation,
@@ -25,9 +24,8 @@ __version__ = "0.1.0"
 # The sampling names load `stochastic`, and NumPy with it, on first use
 # (PEP 562), so that importing the package for the model checks does not.
 _STOCHASTIC = ("DiscretePath", "GBMParams", "Partition", "check_product_rule",
-               "delta_increments", "estimate_log_drift", "ito_residual",
-               "quadratic_variation", "sample_brownian", "simulate_gbm",
-               "telescoped_sum")
+               "estimate_log_drift", "ito_residual", "quadratic_variation",
+               "sample_brownian", "simulate_gbm")
 
 
 def __getattr__(name):
@@ -43,16 +41,14 @@ __all__ = [
     "ModelDescription", "ModelError", "Morphism", "MultiArrow", "Partition",
     "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",
     "Roof", "RoofCategory", "SimplicialEvent", "StructuralError",
-    "UnsupportedValueError", "augmentation", "build_tau_P",
-    "build_tau_operadic", "build_tau_structural", "check_operad_action",
-    "check_product_rule", "check_sheaf_condition", "check_sigma_level",
-    "constant_presheaf", "d_psi", "delta_increments", "discrete_event",
-    "empty_event", "estimate_log_drift", "exp_series", "fiber_product",
-    "forward_cone", "is_monomorphism", "ito_residual", "load_model",
-    "log_inverse_series", "minimal_outgoing", "paper_log_series",
-    "parse_model", "point_event", "q_boundary",
-    "quadratic_variation", "sample_brownian", "serialize_model",
-    "simulate_gbm", "telescoped_sum", "transversal_cone_check", "trop_max",
+    "augmentation", "build_tau_P", "build_tau_operadic",
+    "build_tau_structural", "check_operad_action", "check_product_rule",
+    "check_sheaf_condition", "check_sigma_level", "constant_presheaf",
+    "discrete_event", "empty_event", "estimate_log_drift", "exp_series",
+    "fiber_product", "forward_cone", "is_monomorphism", "ito_residual",
+    "load_model", "log_inverse_series", "paper_log_series", "parse_model",
+    "point_event", "quadratic_variation", "sample_brownian",
+    "serialize_model", "simulate_gbm", "transversal_cone_check", "trop_max",
     "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",
     "verify_roof_category", "__version__",
 ]

@@ -266,18 +266,3 @@ def forward_cone(cat: FiniteCategory, obj: str) -> frozenset[str]:
         raise KeyError(f"unknown object {obj!r}")
     return frozenset(cat.morphisms[n].target for n in cat.morphisms_from(obj))
 
-
-def minimal_outgoing(cat: FiniteCategory, obj: str) -> frozenset[str]:
-    """Non-identity morphisms out of obj that are minimal: psi: obj -> b is
-    excluded when it factors as a composite obj -> w -> b through some third
-    object w."""
-    if obj not in cat.objects:
-        raise KeyError(f"unknown object {obj!r}")
-    outgoing = [n for n in cat.morphisms_from(obj) if not cat.is_identity(n)]
-    # a composite h o g names psi only when h ends where psi does
-    return frozenset(
-        psi for psi in outgoing
-        if not any(cat.composition.get((h, g)) == psi
-                   for g in outgoing
-                   if cat.morphisms[g].target not in (obj, cat.morphisms[psi].target)
-                   for h in cat.morphisms_from(cat.morphisms[g].target)))

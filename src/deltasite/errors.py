@@ -17,10 +17,6 @@ class ClosureError(DeltasiteError):
     """A required composite is absent from the morphism table."""
 
 
-class UnsupportedValueError(DeltasiteError):
-    """Section values do not support the requested operation."""
-
-
 class ModelError(DeltasiteError):
     """Model description failed to parse or validate.
 

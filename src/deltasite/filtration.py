@@ -171,10 +171,6 @@ class SigmaLevelReport:
     ground_set: frozenset[str]
     missing: list[tuple[frozenset[str], str]] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.missing
-
 
 def _by_size(s: frozenset[str]):
     """Sort key: smaller atom sets first, then lexicographic."""

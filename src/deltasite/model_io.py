@@ -61,10 +61,10 @@ class _Leaf(NamedTuple):
 def _walk(shape, raw, path, errors, required=()):
     """Append (path, problem) for every value in raw that does not fit shape:
     a _Leaf; [item], a list of items; {str: item} or {int: item}, an object
-    keyed by name or by integer; or {field: shape, ...}, an object whose
-    fields are checked where present, and as None where absent if named in
-    `required`.  Other fields are ignored.  Every field of a list entry is
-    required."""
+    keyed by _NAME, or by a _NAME that is an integer; or {field: shape, ...},
+    an object whose fields are checked where present, and as None where
+    absent if named in `required`.  Other fields are ignored.  Every field of
+    a list entry is required."""
     if isinstance(shape, _Leaf):
         if not shape.test(raw):
             errors.append((path, f"{shape.problem}, got {raw!r}"))
@@ -78,8 +78,11 @@ def _walk(shape, raw, path, errors, required=()):
                 _walk(item, value, f"{path}[{i}]", errors, required=item)  # all its fields
     elif str in shape or int in shape:
         item, = shape.values()
-        if int in shape and not all(map(_integer, raw)):
+        if int in shape and not (_names(raw) and all(map(_integer, raw))):
             errors.append((path, f"keys must be integers, got {sorted(raw)}"))
+        elif str in shape and not _names(raw):
+            errors += [(path, f"key {_NAME.problem}, got {key!r}")
+                       for key in raw if not _NAME.test(key)]
         elif not (isinstance(item, _Leaf) and all(map(item.test, raw.values()))):
             for key, value in raw.items():
                 _walk(item, value, f"{path}.{key}", errors)
@@ -115,9 +118,21 @@ def _bounded(text: str) -> str:
     return text
 
 
+def _names(values) -> bool:
+    """Every one of values is a name: a string of printable characters, so
+    that no name can end a line of a text report, or of an error, and start
+    another.  One join and one scan for the lot: strings join into a
+    printable string only if each is printable, and anything else stops the
+    join."""
+    try:
+        return "".join(values).isprintable()
+    except TypeError:
+        return False
+
+
 _integer = _parses(int)
 _fraction = _parses(lambda raw: Fraction(_bounded(str(raw))))
-_NAME = _Leaf(lambda v: type(v) is str, "must be a name")
+_NAME = _Leaf(lambda v: _names((v,)), "must be a name")
 _POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
                and type(v[1]) is int,
                "must be [base, fiber] with a bounded rational base and an integer fiber")
@@ -137,12 +152,12 @@ _MODEL = {
         "objects": [_NAME],
         "morphisms": {str: {
             "source": _NAME, "target": _NAME,
-            "map": _Leaf(lambda v: v is None or type(v) is str, "must be a name or null")}},
+            "map": _Leaf(lambda v: v is None or _names((v,)), "must be a name or null")}},
         "composition": [_Leaf(
-            lambda v: type(v) is list and len(v) == 3 and all(type(x) is str for x in v),
+            lambda v: type(v) is list and len(v) == 3 and _names(v),
             "entry must be [g, f, g*f]")],
         "pullbacks": [_Leaf(
-            lambda v: type(v) is dict and all(type(v.get(k)) is str for k in _SQUARE),
+            lambda v: type(v) is dict and _names(tuple(map(v.get, _SQUARE))),
             "entry needs left/right/apex/to_left/to_right")]},
     "filtration": {
         "base_times": [_Leaf(_fraction, f"must be a rational number of at most {_RATIONAL_CHARS}"

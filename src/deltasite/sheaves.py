@@ -1,16 +1,14 @@
-"""Presheaves with finite value spaces, the gluing condition, boundary
-differences along morphisms, and the transversal-cone containment check for
-the filtered sheaf of Brownian values.  Like every verifier, the gluing and
-cone checks return a `reports.Report`.
+"""Presheaves with finite value spaces, the gluing condition, and the
+transversal-cone containment check for the filtered sheaf of Brownian
+values.  Like every verifier, the gluing and cone checks return a
+`reports.Report`.
 """
 from __future__ import annotations
 
 import math
 from itertools import product as iproduct
-from numbers import Real
 
-from .categories import FiniteCategory, minimal_outgoing
-from .errors import PreconditionError, StructuralError, UnsupportedValueError
+from .errors import PreconditionError, StructuralError
 from .reports import Report
 from .sites import GrothendieckSite
 
@@ -119,41 +117,6 @@ def check_sheaf_condition(F: Presheaf) -> Report:
     for note in notes:
         report.add("gluing-note", note, None)
     return report
-
-
-# -- boundary differences ---------------------------------------------------------
-
-
-def q_boundary(values, c, c_prime):
-    """F(c') - F(c) for a functor given by its values.
-
-    Works for real scalars and componentwise for dict-valued tables with
-    equal key sets; anything else raises UnsupportedValueError, and a
-    missing value PreconditionError.
-    """
-    try:
-        fc, fc2 = values[c], values[c_prime]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"no value at {c!r} or {c_prime!r}") from exc
-    if isinstance(fc, Real) and isinstance(fc2, Real):
-        return fc2 - fc
-    if isinstance(fc, dict) and isinstance(fc2, dict):
-        if set(fc) != set(fc2):
-            raise UnsupportedValueError("tables with different keys cannot be subtracted")
-        return {k: fc2[k] - fc[k] for k in fc}
-    raise UnsupportedValueError(
-        f"values of type {type(fc).__name__} do not support subtraction")
-
-
-def d_psi(values, cat: FiniteCategory, psi: str):
-    """Difference of a section along a minimal outgoing morphism.
-
-    psi must belong to the minimal outgoing set of its source (no nontrivial
-    factorization), otherwise the call is out of contract."""
-    m = cat.morphism(psi)
-    if psi not in minimal_outgoing(cat, m.source):
-        raise PreconditionError(f"{psi!r} is not minimal outgoing from {m.source!r}")
-    return q_boundary(values, m.source, m.target)
 
 
 # -- the transversal cone of the Brownian sheaf -----------------------------------

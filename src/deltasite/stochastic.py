@@ -221,16 +221,6 @@ def _exact_sums(a) -> np.ndarray:
     return sums
 
 
-def delta_increments(path: DiscretePath) -> np.ndarray:
-    """The finite differences Delta_i X = X(t_{i+1}) - X(t_i), per row."""
-    return np.diff(path.values)
-
-
-def telescoped_sum(path: DiscretePath):
-    """Sum of the increments; equals X_n - X_0 by telescoping."""
-    return path.unwrap(_exact_sums(delta_increments(path)))
-
-
 def check_product_rule(x: DiscretePath, y: DiscretePath):
     """Max residual of Delta(XY) - (X DeltaY + DeltaX Y + DeltaX DeltaY), per row.
 
@@ -259,11 +249,6 @@ def check_product_rule(x: DiscretePath, y: DiscretePath):
 def quadratic_variation(path: DiscretePath):
     """Sum of squared increments over the partition."""
     return path.unwrap(_exact_sums(np.diff(path.values) ** 2))
-
-
-def cross_variation(path: DiscretePath):
-    """Sum of DeltaW * Deltat; vanishes in the fine-mesh limit."""
-    return path.unwrap(_exact_sums(np.diff(path.values) * path.partition.deltas))
 
 
 _ITO_CATALOG = {

@@ -105,19 +105,6 @@ class GradedTensorSeries:
                 out[i + j] += a * b
         return GradedTensorSeries(tuple(out))
 
-    def terms(self, symbol: str = "X"):
-        """(coefficient, tensor power, rendering) for each nonzero term."""
-        out = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                shape = "1"
-            else:
-                shape = "(x)".join([symbol] * n)
-            out.append((c, n, shape))
-        return out
-
 
 def exp_series(order: int) -> GradedTensorSeries:
     """exp as coefficients 1/n! up to the truncation order."""

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite.categories import (FiniteCategory, Morphism, PullbackSquare,
-                                  forward_cone, minimal_outgoing)
+                                  forward_cone)
 from deltasite.errors import PreconditionError, StructuralError
 
 from conftest import chain_category
@@ -82,49 +82,6 @@ def test_forward_cone_monotone():
     for a in cat.objects:
         for b in forward_cone(cat, a):
             assert forward_cone(cat, b) <= forward_cone(cat, a)
-
-
-# -- minimal outgoing ------------------------------------------------------------------
-
-def test_minimal_outgoing_chain_drops_the_composite():
-    cat = chain_category(3)
-    # enumeration oracle: f02 = f12 o f01 factors through B, f01 does not factor
-    assert minimal_outgoing(cat, "A") == frozenset(["f01"])
-    assert minimal_outgoing(cat, "B") == frozenset(["f12"])
-
-
-def test_minimal_outgoing_single_arrow():
-    cat = relation_category(2, [(0, 1)])
-    assert minimal_outgoing(cat, "o0") == frozenset(["m0_1"])
-
-
-def test_minimal_outgoing_discrete_excludes_identities():
-    cat = relation_category(1, [])
-    assert minimal_outgoing(cat, "o0") == frozenset()
-
-
-def test_minimal_outgoing_factorization_oracle():
-    cat = chain_category(4)
-    for obj in cat.objects:
-        got = minimal_outgoing(cat, obj)
-        # independent oracle: try every intermediate object and morphism pair
-        expected = set()
-        for name, m in cat.morphisms.items():
-            if m.source != obj or cat.is_identity(name):
-                continue
-            factored = False
-            for g_name, g in cat.morphisms.items():
-                for h_name, h in cat.morphisms.items():
-                    if cat.is_identity(g_name) or cat.is_identity(h_name):
-                        continue
-                    if (g.source == obj and g.target == h.source
-                            and h.target == m.target
-                            and g.target not in (obj, m.target)
-                            and cat.composition.get((h_name, g_name)) == name):
-                        factored = True
-            if not factored:
-                expected.add(name)
-        assert got == expected
 
 
 # -- axiom report ------------------------------------------------------------------
@@ -336,19 +293,6 @@ def scan_is_isomorphism(cat, name):
         for other, o in cat.morphisms.items())
 
 
-def scan_minimal_outgoing(cat, obj):
-    mor = cat.morphisms
-    ids = set(cat.identities.values())
-    outgoing = {n for n, m in mor.items() if m.source == obj and n not in ids}
-    return frozenset(
-        psi for psi in outgoing
-        if not any(g in outgoing and mor[g].target not in (obj, mor[psi].target)
-                   and mor[h].source == mor[g].target
-                   and mor[h].target == mor[psi].target
-                   and cat.composition.get((h, g)) == psi
-                   for g in mor for h in mor))
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_categories())
 def test_lookups_match_brute_force_scans(cat):
@@ -363,7 +307,6 @@ def test_lookups_match_brute_force_scans(cat):
             n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
         assert forward_cone(cat, obj) == frozenset(
             m.target for m in cat.morphisms.values() if m.source == obj)
-        assert minimal_outgoing(cat, obj) == scan_minimal_outgoing(cat, obj)
 
 
 

@@ -219,6 +219,33 @@ def test_model_of_the_wrong_type_exits_two_with_its_path(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def rename_event(doc, old, new):
+    """doc with old replaced by new in every string and key."""
+    if isinstance(doc, str):
+        return doc.replace(old, new)
+    if isinstance(doc, list):
+        return [rename_event(v, old, new) for v in doc]
+    if isinstance(doc, dict):
+        return {rename_event(k, old, new): rename_event(v, old, new) for k, v in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize("name", ("e_a\n[pass] fake b", "e_a\u2028b"))
+def test_a_name_that_is_not_printable_exits_two(tmp_path, capsys, name):
+    # a line break inside a name would start a forged record line of a text report
+    doc = rename_event(json.loads(fixtures.fixture_text("four_events")), "e_ab", name)
+    path = tmp_path / "forged_name.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-site", "--topology", "structural",
+                         "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert f"error: events: key must be a name, got {name!r}" in lines
+    assert all(line.startswith("error: ") for line in lines)
+
+
 @pytest.mark.parametrize("argv, value", (
     (("simulate", "--sigma", "40"), "terminal value X_T"),
     (("simulate", "--x0", "1e308", "--alpha", "1", "--paths", "3"), "mean terminal value"),

@@ -17,11 +17,11 @@ DIGESTS = {
     "01_sites_and_topologies.py":
         "123ea4fa12cc677b7234c5a65fbf63eeb5d7f69a60d4518494ca96a6d28c4e24",
     "02_delta_calculus.py":
-        "132d5770117d91b4a3180deb59cbcf3276434c7d075ccff49e5617653095580f",
+        "70befae47183b29cc2552a80c7a18233a16d9388f64eed8f1b1285cd9b844207",
     "03_tropical_and_series.py":
-        "c0666e470e9a8a7b60cd81b4ca6b0b452fbf733c59cb381ab0befa4e5a354c8a",
+        "9762c7dbe20f0475421748e8d5aac84fc7b965489e9db27e08735ff508ec2c61",
     "04_roofs_and_sheaves.py":
-        "e2126bbe442195b668f91330d985f6c554eb872c3f5d601ba9f577c530b281bd",
+        "2ac74e2ef88c4b9121f45337de88cc06cbb5051df94a594158b42c9e0fc47547",
 }
 
 

@@ -154,6 +154,20 @@ MALFORMED = (
     (("operad", 0, "at", 0), "1e100000", "operad[0].at"),
     (("category",), {"objects": ["e_a", "e_ab", "empty"]}, "filtration.levels[1].events[2]"),
     (("filtration", "levels", 1, "at"), ["0.0", 1], "filtration.levels[1].at"),
+    # a name must be printable, wherever it stands
+    (("events", "x\n"), {"levels": {"0": ["x"]}}, "events"),
+    (("events", "e_a", "faces"), {"1": {"x\u2028": ["a", "a"]}}, "events.e_a.faces.1"),
+    (("events", "e_a", "degeneracies"), {"0": {"a\n": {"0": "y"}}},
+     "events.e_a.degeneracies.0"),
+    (("maps", "m\t"), {"source": "e_a", "target": "e_ab", "levels": {"0": {"a": "a"}}},
+     "maps"),
+    (("category", "morphisms", "f\u2029"), {"source": "e_a", "target": "e_ab", "map": None},
+     "category.morphisms"),
+    (("category", "morphisms", "i:e_a>e_ab", "map"), "i:e_a>e_ab\n",
+     "category.morphisms.i:e_a>e_ab.map"),
+    (("category", "composition", 0, 2), "i:empty>e_ab\u2028", "category.composition[0]"),
+    (("category", "pullbacks", 0, "apex"), "e_a\n", "category.pullbacks[0]"),
+    (("events", "e_a", "levels"), {"0\n": [5]}, "events.e_a.levels"),
 )
 
 

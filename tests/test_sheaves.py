@@ -3,15 +3,13 @@ import pytest
 from scipy.special import ndtr
 
 from deltasite import fixtures
-from deltasite.errors import (PreconditionError, StructuralError,
-                              UnsupportedValueError)
+from deltasite.errors import PreconditionError, StructuralError
 from deltasite.sheaves import (Presheaf, check_sheaf_condition,
-                               constant_presheaf, d_psi, q_boundary,
-                               transversal_cone_check)
+                               constant_presheaf, transversal_cone_check)
 from deltasite.categories import FiniteCategory
 from deltasite.sites import GrothendieckSite, build_tau_P, build_tau_structural
 
-from conftest import chain_category, overlap_site
+from conftest import overlap_site
 
 GROUND = frozenset("abc")
 
@@ -132,58 +130,6 @@ def test_presheaf_needs_total_value_spaces():
     site = overlap_site()
     with pytest.raises(StructuralError, match="value space"):
         Presheaf(site, {"U": (0,)}, {})
-
-
-# -- q-boundary and d_psi -------------------------------------------------------------
-
-def test_q_boundary_identity_and_constant_vanish():
-    values = {"A": 2.5, "B": 2.5, "C": 2.5}
-    assert q_boundary(values, "A", "A") == 0.0
-    assert q_boundary(values, "A", "B") == 0.0
-
-
-def test_q_boundary_telescopes_along_chains():
-    values = {"A": 1.0, "B": 4.0, "C": 9.5}
-    total = q_boundary(values, "A", "B") + q_boundary(values, "B", "C")
-    assert total == q_boundary(values, "A", "C") == 8.5
-
-
-def test_q_boundary_componentwise_tables():
-    values = {"A": {"x": 1.0, "y": 2.0}, "B": {"x": 4.0, "y": 0.0}}
-    assert q_boundary(values, "A", "B") == {"x": 3.0, "y": -2.0}
-    with pytest.raises(UnsupportedValueError):
-        q_boundary({"A": {"x": 1}, "B": {"z": 1}}, "A", "B")
-
-
-def test_q_boundary_rejects_unsupported_values():
-    with pytest.raises(UnsupportedValueError):
-        q_boundary({"A": "yes", "B": "no"}, "A", "B")
-    with pytest.raises(PreconditionError):
-        q_boundary({"A": 1.0}, "A", "B")
-
-
-def test_d_psi_requires_minimal_morphism():
-    cat = chain_category(3)
-    values = {"A": 0.0, "B": 2.0, "C": 7.0}
-    assert d_psi(values, cat, "f01") == 2.0
-    with pytest.raises(PreconditionError):
-        d_psi(values, cat, "f02")  # factors through B
-
-
-def test_d_psi_counts_added_atoms():
-    model = fixtures.load_fixture("four_events")
-    cat = model.category
-    values = {obj: float(len(cat.event(obj).atoms)) for obj in cat.objects}
-    assert d_psi(values, cat, "i:empty>e_a") == 1.0
-    assert d_psi(values, cat, "i:e_a>e_ab") == 1.0
-
-
-def test_d_psi_telescopes_and_agrees_with_q_boundary():
-    cat = chain_category(3)
-    values = {"A": 1.0, "B": 3.0, "C": 3.5}
-    total = d_psi(values, cat, "f01") + d_psi(values, cat, "f12")
-    assert total == q_boundary(values, "A", "C")
-    assert d_psi(values, cat, "f01") == q_boundary(values, "A", "B")
 
 
 # -- transversal cones ----------------------------------------------------------------

@@ -10,12 +10,10 @@ from scipy.special import ndtri
 from deltasite.errors import PreconditionError
 from deltasite.stochastic import (BLOCK_VALUES, DiscretePath, GBMParams,
                                   Partition, check_product_rule,
-                                  cross_variation, delta_increments,
                                   estimate_log_drift, gbm_terminal_log_rates,
                                   ito_residual, normal_blocks, normal_samples,
                                   quadratic_variation, sample_brownian,
-                                  sample_brownian_batch, simulate_gbm,
-                                  telescoped_sum)
+                                  sample_brownian_batch, simulate_gbm)
 from deltasite.stochastic import _ITO_CATALOG, _exact_sums
 
 
@@ -160,27 +158,6 @@ def test_single_step_variance_matches_sample_oracle():
         assert w.terminal == pytest.approx(values[1000 * i], rel=1e-12)
 
 
-# -- delta increments ------------------------------------------------------------
-
-def test_constant_path_increments_vanish():
-    part = Partition.uniform(1.0, 8)
-    path = DiscretePath(part, np.full(9, 4.2))
-    assert np.all(delta_increments(path) == 0.0)
-    assert telescoped_sum(path) == 0.0
-
-
-def test_telescoping_identity():
-    w = sample_brownian(1.0, 1000, seed=2)
-    total = telescoped_sum(w)
-    assert total == pytest.approx(w.values[-1] - w.values[0], rel=1e-12, abs=1e-15)
-
-
-def test_telescoping_invariant_under_refinement():
-    fine = sample_brownian(1.0, 64, seed=6)
-    coarse = DiscretePath(Partition(fine.partition.times[::4]), fine.values[::4])
-    assert telescoped_sum(coarse) == pytest.approx(telescoped_sum(fine), rel=1e-12)
-
-
 # -- product rule ---------------------------------------------------------------------
 
 def test_product_rule_residual_is_rounding_noise():
@@ -245,14 +222,6 @@ def test_brownian_qv_concentrates_at_T():
         if abs(quadratic_variation(w) - 1.0) <= band:
             hits += 1
     assert hits / paths >= 0.95
-
-
-def test_cross_variation_vanishes():
-    n = 20_000
-    bound = 3 * math.sqrt(1.0 * n * (1.0 / n) ** 2)  # 3 * sqrt(T * sum(dt^2))
-    for i in range(5):
-        w = sample_brownian(1.0, n, seed=13, stream=i)
-        assert abs(cross_variation(w)) <= bound
 
 
 # -- Ito residuals -------------------------------------------------------------------
@@ -453,11 +422,8 @@ def parent_ito_residual(f, path, quadratic_term):
 
 def test_reductions_match_math_fsum_on_a_long_path():
     path = sample_brownian(1.0, 100_000, seed=21, stream=2)
-    w, dt = path.values, path.partition.deltas
-    for got, want in ((quadratic_variation(path), math.fsum(np.diff(w) ** 2)),
-                      (cross_variation(path), math.fsum(np.diff(w) * dt)),
-                      (telescoped_sum(path), math.fsum(delta_increments(path)))):
-        assert type(got) is float and bits(got) == bits(want)
+    got = quadratic_variation(path)
+    assert type(got) is float and bits(got) == bits(math.fsum(np.diff(path.values) ** 2))
     for f in sorted(_ITO_CATALOG):
         for term in ("time", "increments"):
             got = ito_residual(f, path, quadratic_term=term)
@@ -481,9 +447,7 @@ def test_gbm_log_rates_match_fsum_over_blocks():
 # every reduction of one path, by name; the product rule pairs each row of a
 # block with the same row of 1 + the block in reverse row order
 REDUCTIONS = {
-    "telescoped_sum": telescoped_sum,
     "quadratic_variation": quadratic_variation,
-    "cross_variation": cross_variation,
     "check_product_rule": lambda p: check_product_rule(
         p, DiscretePath(p.partition, 1.0 + p.values[::-1])),
     **{f"ito_residual {f} {term}": (

@@ -171,15 +171,6 @@ def test_series_arithmetic_is_exact_rational():
     assert all(isinstance(c, Fraction) for c in t.coeffs)
 
 
-def test_series_applied_to_morphism_terms():
-    s = exp_series(3)
-    terms = s.terms("f")
-    assert terms == [(Fraction(1), 0, "1"),
-                     (Fraction(1), 1, "f"),
-                     (Fraction(1, 2), 2, "f(x)f"),
-                     (Fraction(1, 6), 3, "f(x)f(x)f")]
-
-
 def test_series_coefficient_bounds():
     s = exp_series(4)
     assert s.coefficient(4) == Fraction(1, 24)
