@@ -1,11 +1,11 @@
 """deltasite: finite event categories, Grothendieck site verification, and
 the discrete delta-calculus with its tropical realization."""
 
-from .categories import FiniteCategory, Morphism, PullbackSquare, forward_cone
+from .categories import FiniteCategory, Morphism, PullbackSquare
 from .errors import (ClosureError, DeltasiteError, ModelError,
                      PreconditionError, StructuralError)
 from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
-                     fiber_product, is_monomorphism, point_event)
+                     fiber_product, is_monomorphism)
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, ProbabilityMeasure, check_operad_action,
                          check_sigma_level)
@@ -45,10 +45,10 @@ __all__ = [
     "build_tau_structural", "check_operad_action", "check_product_rule",
     "check_sheaf_condition", "check_sigma_level", "constant_presheaf",
     "discrete_event", "empty_event", "estimate_log_drift", "exp_series",
-    "fiber_product", "forward_cone", "is_monomorphism", "ito_residual",
-    "load_model", "log_inverse_series", "paper_log_series", "parse_model",
-    "point_event", "quadratic_variation", "sample_brownian",
-    "serialize_model", "simulate_gbm", "transversal_cone_check", "trop_max",
+    "fiber_product", "is_monomorphism", "ito_residual", "load_model",
+    "log_inverse_series", "paper_log_series", "parse_model",
+    "quadratic_variation", "sample_brownian", "serialize_model",
+    "simulate_gbm", "transversal_cone_check", "trop_max",
     "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",
     "verify_roof_category", "__version__",
 ]

@@ -257,12 +257,3 @@ class FiniteCategory:
                  if {sq.left, sq.right, sq.to_left_source, sq.to_right_source} <= keep
                  and sq.apex in objs]
         return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)
-
-
-def forward_cone(cat: FiniteCategory, obj: str) -> frozenset[str]:
-    """Objects reachable by a single morphism (the table is composition
-    closed, so this is the reachability cone); contains obj via its identity."""
-    if obj not in cat.objects:
-        raise KeyError(f"unknown object {obj!r}")
-    return frozenset(cat.morphisms[n].target for n in cat.morphisms_from(obj))
-

@@ -2,19 +2,14 @@
 
 An event has two faces: a simplicial set (its structure) and a subset of a
 finite ground set of atoms (its measure-theoretic content).  Both are finite
-and validated by enumeration, so products, fiber products and monomorphism
-tests are all exact.
+and validated by enumeration, so fiber products and monomorphism tests are
+exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, StructuralError
-
-# Default top dimension of the terminal event.  Stored data may use any
-# dimension.
-DEFAULT_MAX_DIM = 2
-
 
 @dataclass(eq=False)
 class SimplicialEvent:
@@ -128,9 +123,6 @@ class SimplicialEvent:
     def simplices(self, dim: int) -> frozenset[str]:
         return self.levels.get(dim, frozenset())
 
-    def level_sizes(self) -> dict[int, int]:
-        return {d: len(s) for d, s in sorted(self.levels.items())}
-
     def __repr__(self):
         return f"SimplicialEvent({self.name!r}, dims={sorted(self.levels)}, atoms={sorted(self.atoms)})"
 
@@ -194,9 +186,6 @@ class EventMap:
                 if self.atom_map[a] not in self.target.atoms:
                     raise StructuralError(f"{self.name}: atom image {self.atom_map[a]!r} invalid")
 
-    def apply(self, dim: int, simplex: str) -> str:
-        return self.level_maps[dim][simplex]
-
     def __repr__(self):
         return f"EventMap({self.name!r}: {self.source.name} -> {self.target.name})"
 
@@ -213,20 +202,6 @@ def discrete_event(name, vertices, atoms, ground_set) -> SimplicialEvent:
                            frozenset(atoms), frozenset(ground_set))
 
 
-def point_event(ground_set, max_dim: int = DEFAULT_MAX_DIM, name: str = "pt") -> SimplicialEvent:
-    """Terminal event: one simplex per dimension up to max_dim, full atoms.
-
-    All faces and degeneracies hit the unique simplex of the adjacent
-    dimension, so every simplicial identity holds trivially.
-    """
-    ids = {d: f"{name}{d}" for d in range(max_dim + 1)}
-    levels = {d: frozenset([ids[d]]) for d in ids}
-    faces = {(d, ids[d], i): ids[d - 1] for d in ids if d >= 1 for i in range(d + 1)}
-    degens = {(d, ids[d], i): ids[d + 1] for d in ids if d + 1 <= max_dim for i in range(d + 1)}
-    return SimplicialEvent(name, levels, faces, degens,
-                           frozenset(ground_set), frozenset(ground_set))
-
-
 def identity_map(event: SimplicialEvent, name: str | None = None) -> EventMap:
     lm = {d: {x: x for x in s} for d, s in event.levels.items()}
     return EventMap(name or f"id:{event.name}", event, event, lm)
@@ -241,10 +216,6 @@ def compose_event_maps(g: EventMap, f: EventMap, name: str | None = None) -> Eve
     return EventMap(name or f"{g.name}*{f.name}", f.source, g.target, lm)
 
 
-def _pair(a: str, b: str) -> str:
-    return f"({a},{b})"
-
-
 # -- operations --------------------------------------------------------------
 
 def is_monomorphism(f: EventMap) -> bool:
@@ -255,19 +226,28 @@ def is_monomorphism(f: EventMap) -> bool:
     return True
 
 
-def _paired(a: SimplicialEvent, b: SimplicialEvent, dims, keep, name: str,
-            legs: tuple[str, str]) -> tuple[SimplicialEvent, EventMap, EventMap]:
-    """The pairs (x, y) of simplices of a and b at each dimension in dims
-    with keep(d, x, y), and the projections named name.<legs[i]>.
+def fiber_product(f: EventMap, g: EventMap, name=None
+                  ) -> tuple[SimplicialEvent, EventMap, EventMap]:
+    """Levelwise pullback of the cospan f: A -> C <- B :g.
 
-    Faces and degeneracies are componentwise; a degeneracy of a pair exists
-    only where both components carry one and the pair is kept.  Atoms
-    multiply as joint occurrence: atoms(a) & atoms(b).
+    Simplices are the pairs (x, y) with f(x) = g(y), named "(x,y)", at each
+    dimension that A and B share; faces and degeneracies are componentwise
+    and stay inside the pullback because f and g commute with them, and a
+    degeneracy of a pair exists only where both components carry one.
+    Atoms multiply as joint occurrence: atoms(A) & atoms(B).  Returns
+    (P, projection .pA to A, projection .pB to B).
     """
+    if f.target is not g.target and f.target.name != g.target.name:
+        raise PreconditionError(
+            f"fiber product needs a shared target: {f.name} ends at "
+            f"{f.target.name}, {g.name} at {g.target.name}")
+    a, b = f.source, g.source
+    name = name or f"({a.name}x[{f.target.name}]{b.name})"
     pairs: dict[int, dict[tuple[str, str], str]] = {}
-    for d in dims:
-        kept = {(x, y): _pair(x, y) for x in sorted(a.simplices(d))
-                for y in sorted(b.simplices(d)) if keep(d, x, y)}
+    for d in sorted(set(a.levels) & set(b.levels)):
+        fd, gd = f.level_maps[d], g.level_maps[d]
+        kept = {(x, y): f"({x},{y})" for x in sorted(a.simplices(d))
+                for y in sorted(b.simplices(d)) if fd[x] == gd[y]}
         if kept:
             pairs[d] = kept
     faces, degens = {}, {}
@@ -276,7 +256,7 @@ def _paired(a: SimplicialEvent, b: SimplicialEvent, dims, keep, name: str,
         for (x, y), p in kept.items():
             if d - 1 in pairs:
                 for i in range(d + 1):
-                    faces[(d, p, i)] = _pair(a.faces[(d, x, i)], b.faces[(d, y, i)])
+                    faces[(d, p, i)] = f"({a.faces[(d, x, i)]},{b.faces[(d, y, i)]})"
             for i in range(d + 1):
                 up = (a.degeneracies.get((d, x, i)), b.degeneracies.get((d, y, i)))
                 if up in above:
@@ -284,59 +264,7 @@ def _paired(a: SimplicialEvent, b: SimplicialEvent, dims, keep, name: str,
     event = SimplicialEvent(name, {d: frozenset(kept.values()) for d, kept in pairs.items()},
                             faces, degens, a.atoms & b.atoms, a.ground_set)
     return (event,
-            EventMap(f"{name}.{legs[0]}", event, a,
+            EventMap(f"{name}.pA", event, a,
                      {d: {p: x for (x, _), p in kept.items()} for d, kept in pairs.items()}),
-            EventMap(f"{name}.{legs[1]}", event, b,
+            EventMap(f"{name}.pB", event, b,
                      {d: {p: y for (_, y), p in kept.items()} for d, kept in pairs.items()}))
-
-
-def product_legs(a: SimplicialEvent, b: SimplicialEvent, name=None
-                 ) -> tuple[SimplicialEvent, EventMap, EventMap]:
-    """Levelwise cartesian product with both projections .p1 and .p2: the
-    fiber product over the terminal event, with every pair kept.
-    """
-    if a.ground_set != b.ground_set:
-        raise PreconditionError(
-            f"product of events over different ground sets: {a.name}, {b.name}")
-    name = name or f"({a.name}x{b.name})"
-    return _paired(a, b, sorted(set(a.levels) & set(b.levels)),
-                   lambda d, x, y: True, name, ("p1", "p2"))
-
-
-def fiber_product(f: EventMap, g: EventMap, name=None
-                  ) -> tuple[SimplicialEvent, EventMap, EventMap]:
-    """Levelwise pullback of the cospan f: A -> C <- B :g.
-
-    Simplices are the pairs (x, y) with f(x) = g(y); faces and degeneracies
-    stay inside the pullback because f and g commute with them.  Returns
-    (P, projection .pA to A, projection .pB to B).
-    """
-    if f.target is not g.target and f.target.name != g.target.name:
-        raise PreconditionError(
-            f"fiber product needs a shared target: {f.name} ends at "
-            f"{f.target.name}, {g.name} at {g.target.name}")
-    a, b = f.source, g.source
-    return _paired(a, b, sorted(set(a.levels) & set(b.levels)),
-                   lambda d, x, y: f.apply(d, x) == g.apply(d, y),
-                   name or f"({a.name}x[{f.target.name}]{b.name})", ("pA", "pB"))
-
-
-def coproduct_event(parts, name: str, ground_set) -> SimplicialEvent:
-    """Disjoint union of events over ground_set; simplex ids are tagged with
-    the part name."""
-    levels: dict[int, set[str]] = {}
-    faces, degens = {}, {}
-    atoms: set[str] = set()
-    for ev in parts:
-        if ev.ground_set != frozenset(ground_set):
-            raise PreconditionError("coproduct parts live over different ground sets")
-        tag = ev.name
-        for d, s in ev.levels.items():
-            levels.setdefault(d, set()).update(f"{tag}.{x}" for x in s)
-        for (d, x, i), y in ev.faces.items():
-            faces[(d, f"{tag}.{x}", i)] = f"{tag}.{y}"
-        for (d, x, i), y in ev.degeneracies.items():
-            degens[(d, f"{tag}.{x}", i)] = f"{tag}.{y}"
-        atoms |= ev.atoms
-    return SimplicialEvent(name, {d: frozenset(s) for d, s in levels.items()},
-                           faces, degens, frozenset(atoms), frozenset(ground_set))

@@ -96,6 +96,10 @@ class FilteredSigmaAlgebra:
                 raise StructuralError(
                     f"filtration not increasing at {p!r}: lost {sorted(prev - self.levels[p])}")
             prev = self.levels[p]
+        for p, i in self._declared.items():
+            if p not in self.levels:
+                raise ModelError([(f"filtration.levels[{i}]",
+                                   f"level at {p!r} is not a point of the framed index")])
         for g in self.generators:
             if g.at not in self.levels:
                 raise StructuralError(f"generator {g.name!r} placed at unknown point {g.at!r}")

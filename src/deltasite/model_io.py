@@ -61,7 +61,7 @@ class _Leaf(NamedTuple):
 def _walk(shape, raw, path, errors, required=()):
     """Append (path, problem) for every value in raw that does not fit shape:
     a _Leaf; [item], a list of items; {str: item} or {int: item}, an object
-    keyed by _NAME, or by a _NAME that is an integer; or {field: shape, ...},
+    keyed by _NAME, or by an integer's canonical text; or {field: shape, ...},
     an object whose fields are checked where present, and as None where
     absent if named in `required`.  Other fields are ignored.  Every field of
     a list entry is required."""
@@ -79,7 +79,7 @@ def _walk(shape, raw, path, errors, required=()):
     elif str in shape or int in shape:
         item, = shape.values()
         if int in shape and not (_names(raw) and all(map(_integer, raw))):
-            errors.append((path, f"keys must be integers, got {sorted(raw)}"))
+            errors.append((path, f"keys must be integers in canonical form, got {sorted(raw)}"))
         elif str in shape and not _names(raw):
             errors += [(path, f"key {_NAME.problem}, got {key!r}")
                        for key in raw if not _NAME.test(key)]
@@ -90,17 +90,6 @@ def _walk(shape, raw, path, errors, required=()):
         for key, field in shape.items():
             if key in raw or key in required:
                 _walk(field, raw.get(key), f"{path}.{key}" if path else key, errors)
-
-
-def _parses(convert):
-    """A test that convert(raw) raises no ValueError or ZeroDivisionError."""
-    def test(raw) -> bool:
-        try:
-            convert(raw)
-        except (ValueError, ZeroDivisionError):
-            return False
-        return True
-    return test
 
 
 # A rational's size bound, checked on its text before any Fraction is built:
@@ -130,8 +119,24 @@ def _names(values) -> bool:
         return False
 
 
-_integer = _parses(int)
-_fraction = _parses(lambda raw: Fraction(_bounded(str(raw))))
+def _integer(key) -> bool:
+    """key is an integer as str() writes it, so that no two keys ("0", "00",
+    "+0", " 0") name one integer."""
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
+
+
+def _fraction(raw) -> bool:
+    """raw reads as a bounded rational."""
+    try:
+        Fraction(_bounded(str(raw)))
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 _NAME = _Leaf(lambda v: _names((v,)), "must be a name")
 _POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
                and type(v[1]) is int,

@@ -1,21 +1,17 @@
 """Time-independent event category whose morphisms are roof diagrams.
 
-A roof A -> B stands over the apex A x <|(A), with <|(A) the forward cone of
-A; its legs are the projection to A and the base composed with projection.
-Composites simplify to the roof of the composed bases, so a roof is named
-by its base: `RoofCategory` keeps only its fragment and reads each roof off
-the fragment's morphism table, and apexes are materialized only for reports
-and invariant checks.  For the same reason the structural roof topology is
-the fragment's own, `sites.build_tau_structural(fragment)`.
+A roof A -> B is named by its base morphism: composites simplify to the roof
+of the composed bases, so `RoofCategory` keeps only its fragment and reads
+each roof, and each roof law, off the fragment's morphism table.  For the
+same reason the structural roof topology is the fragment's own,
+`sites.build_tau_structural(fragment)`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .categories import FiniteCategory, forward_cone
-from .errors import ClosureError, PreconditionError
-from .events import (EventMap, SimplicialEvent, compose_event_maps,
-                     coproduct_event, product_legs)
+from .categories import FiniteCategory
+from .errors import ClosureError
 from .reports import Report
 
 
@@ -35,20 +31,11 @@ class RoofCategory:
     def __init__(self, fragment: FiniteCategory):
         self.fragment = fragment
 
-    def objects(self):
-        return sorted(self.fragment.objects)
-
     def roof_of(self, base: str) -> Roof:
         m = self.fragment.morphisms.get(base)
         if m is None:
             raise KeyError(f"no morphism {base!r} in the fragment")
         return Roof(m.source, base, m.target)
-
-    def identity_roof(self, obj: str) -> Roof:
-        """Roof with base id_A and legs p1, pi_A over A x <|(A)."""
-        if obj not in self.fragment.objects:
-            raise KeyError(f"unknown object {obj!r}")
-        return self.roof_of(self.fragment.identities[obj])
 
     def _composite(self, g: str, f: str) -> str:
         """The fragment's composite g o f of two base names; ClosureError
@@ -58,30 +45,6 @@ class RoofCategory:
             raise ClosureError(f"fragment is not composition closed: "
                                f"({g}, {f}) has no composite")
         return gf
-
-    # -- apex materialization -------------------------------------------------
-
-    def cone_event(self, obj: str) -> SimplicialEvent:
-        """<|(A) as the coproduct of the events in the forward cone of A."""
-        cone = sorted(forward_cone(self.fragment, obj))
-        parts = [self.fragment.event(o) for o in cone]
-        return coproduct_event(parts, name=f"cone({obj})",
-                               ground_set=self.fragment.event(obj).ground_set)
-
-    def apex_event(self, obj: str) -> SimplicialEvent:
-        return self.materialize(self.identity_roof(obj))[0]
-
-    def materialize(self, roof: Roof) -> tuple[SimplicialEvent, EventMap, EventMap]:
-        """(apex A x <|(A), leg p1 to A, leg pi_B = base o p1 to B)."""
-        a_event = self.fragment.event(roof.source)
-        apex, p1, _ = product_legs(a_event, self.cone_event(roof.source),
-                                   name=f"apex({roof.source})")
-        base_map = self.fragment.morphism(roof.base).event_map
-        if base_map is None:
-            raise PreconditionError(
-                f"base {roof.base!r} carries no event map; cannot materialize legs")
-        pi_b = compose_event_maps(base_map, p1, name=f"pi:{roof.base}")
-        return apex, p1, pi_b
 
 
 def verify_roof_category(rc: RoofCategory) -> Report:

@@ -2,86 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from deltasite.categories import (FiniteCategory, Morphism, PullbackSquare,
-                                  forward_cone)
+from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
 from deltasite.errors import PreconditionError, StructuralError
 
 from conftest import chain_category
-
-
-def relation_category(n, pairs):
-    """Category from a transitively closed relation on n objects: one
-    morphism per related ordered pair, composite = the unique arrow."""
-    objs = {f"o{i}": None for i in range(n)}
-    rel = set(pairs)
-    morphisms = [Morphism(f"m{i}_{j}", f"o{i}", f"o{j}") for i, j in sorted(rel)]
-    comp = {}
-    for (i, j) in rel:
-        for (j2, k) in rel:
-            if j == j2 and (i, k) in rel:
-                comp[(f"m{j}_{k}", f"m{i}_{j}")] = f"m{i}_{k}"
-    return FiniteCategory(objs, morphisms, comp)
-
-
-def transitive_closure(n, edges):
-    closed = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(closed):
-            for (j2, k) in list(closed):
-                if j == j2 and (i, k) not in closed and i != k:
-                    closed.add((i, k))
-                    changed = True
-    return closed
-
-
-# -- forward cones ------------------------------------------------------------------
-
-def test_forward_cone_discrete_is_self():
-    cat = relation_category(3, [])
-    assert forward_cone(cat, "o0") == frozenset(["o0"])
-
-
-def test_forward_cone_chain_includes_composite_targets():
-    cat = chain_category(3)
-    assert forward_cone(cat, "A") == frozenset(["A", "B", "C"])
-    assert forward_cone(cat, "C") == frozenset(["C"])
-
-
-def test_forward_cone_unknown_object():
-    with pytest.raises(KeyError):
-        forward_cone(chain_category(2), "Z")
-
-
-@settings(max_examples=60)
-@given(hst.integers(2, 6).flatmap(
-    lambda n: hst.tuples(hst.just(n),
-                         hst.sets(hst.tuples(hst.integers(0, n - 1),
-                                             hst.integers(0, n - 1)).filter(
-                             lambda p: p[0] < p[1]), max_size=8))))
-def test_forward_cone_matches_warshall_oracle(case):
-    n, edges = case
-    closed = transitive_closure(n, edges)
-    cat = relation_category(n, closed)
-    # Warshall closure on the raw edge set, computed independently
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for (i, j) in edges:
-        reach[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    for i in range(n):
-        assert forward_cone(cat, f"o{i}") == \
-            frozenset(f"o{j}" for j in range(n) if reach[i][j])
-
-
-def test_forward_cone_monotone():
-    cat = chain_category(4)
-    for a in cat.objects:
-        for b in forward_cone(cat, a):
-            assert forward_cone(cat, b) <= forward_cone(cat, a)
 
 
 # -- axiom report ------------------------------------------------------------------
@@ -305,8 +229,6 @@ def test_lookups_match_brute_force_scans(cat):
             n for n in sorted(cat.morphisms) if cat.morphisms[n].target == obj]
         assert cat.morphisms_from(obj) == [
             n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
-        assert forward_cone(cat, obj) == frozenset(
-            m.target for m in cat.morphisms.values() if m.source == obj)
 
 
 

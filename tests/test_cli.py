@@ -463,6 +463,20 @@ def test_level_that_is_not_sigma_closed_is_named_by_its_place_in_the_file(
     assert err == "error: filtration.levels[0]: level (1,1) is not a sigma-algebra: it lacks {b}\n"
 
 
+@pytest.mark.parametrize("at", ([5, 1], [0, 2], [0, 0], [1, -3]))
+@pytest.mark.parametrize("topology", ("probability", "operadic"))
+def test_level_at_a_point_outside_the_framed_index_exits_two(tmp_path, capsys, at, topology):
+    # the level {e_a} is not sigma-closed: no check may pass over it unseen
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    doc["filtration"]["levels"].append({"at": at, "events": ["e_a"]})
+    path = tmp_path / "level_outside_the_index.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-site", "--topology", topology, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: filtration.levels[2]: level at ({at[0]},{at[1]}) "
+                   "is not a point of the framed index\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

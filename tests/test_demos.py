@@ -21,7 +21,7 @@ DIGESTS = {
     "03_tropical_and_series.py":
         "9762c7dbe20f0475421748e8d5aac84fc7b965489e9db27e08735ff508ec2c61",
     "04_roofs_and_sheaves.py":
-        "2ac74e2ef88c4b9121f45337de88cc06cbb5051df94a594158b42c9e0fc47547",
+        "4f0b2703d843cddf3af82a5ef189dfd7b13994fb5754eb1b5c77fc3ebdd8216d",
 }
 
 

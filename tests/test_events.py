@@ -6,9 +6,8 @@ from hypothesis import strategies as hst
 
 from deltasite.errors import PreconditionError, StructuralError
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
-                              coproduct_event, discrete_event, empty_event,
-                              fiber_product, identity_map, is_monomorphism,
-                              point_event, product_legs)
+                              discrete_event, fiber_product, identity_map,
+                              is_monomorphism)
 
 GROUND = frozenset("ab")
 
@@ -21,9 +20,12 @@ def edge_event(name="edge", atoms=("a", "b")):
 
 def levelwise_isomorphic(a: SimplicialEvent, b: SimplicialEvent) -> bool:
     """Existence of a levelwise bijection commuting with faces/degeneracies:
-    the brute-force referee for products, by search over per-level
+    the brute-force referee for fiber products, by search over per-level
     bijections rather than identifier equality."""
-    if a.level_sizes() != b.level_sizes() or a.atoms != b.atoms:
+    def sizes(event):
+        return {d: len(s) for d, s in event.levels.items()}
+
+    if sizes(a) != sizes(b) or a.atoms != b.atoms:
         return False
     dims = sorted(a.levels)
     if not dims:
@@ -88,12 +90,6 @@ def test_atoms_must_be_in_ground_set():
         discrete_event("bad", ["x"], ["z"], GROUND)
 
 
-def test_point_event_is_valid_and_terminal_shaped():
-    pt = point_event(GROUND, max_dim=2)
-    assert pt.level_sizes() == {0: 1, 1: 1, 2: 1}
-    assert pt.atoms == GROUND
-
-
 def test_event_map_must_commute_with_faces():
     e = edge_event()
     twisted = {0: {"x": "y", "y": "x"}, 1: {"e": "e"}}
@@ -154,41 +150,6 @@ def test_mono_matches_per_level_injectivity_oracle(assignment):
     assert is_monomorphism(f) == oracle
 
 
-# -- product ---------------------------------------------------------------------
-
-def test_product_with_point_is_unit():
-    e = edge_event()
-    pt = point_event(GROUND, max_dim=2)
-    assert levelwise_isomorphic(product_legs(e, pt)[0], e)
-    assert levelwise_isomorphic(product_legs(pt, e)[0], e)
-
-
-def test_product_of_discrete_pairs_has_four_vertices():
-    a = discrete_event("a2", ["x", "y"], ["a"], GROUND)
-    b = discrete_event("b2", ["u", "v"], ["a", "b"], GROUND)
-    p = product_legs(a, b)[0]
-    assert p.level_sizes() == {0: 4}
-    assert p.atoms == frozenset(["a"])
-
-
-@settings(max_examples=40)
-@given(hst.integers(1, 4), hst.integers(1, 4), hst.booleans())
-def test_product_cardinality_oracle(na, nb, use_edges):
-    a = discrete_event("A", [f"x{i}" for i in range(na)], [], GROUND)
-    b = edge_event("B", atoms=()) if use_edges else \
-        discrete_event("B", [f"y{i}" for i in range(nb)], [], GROUND)
-    p = product_legs(a, b)[0]
-    for d in set(a.levels) & set(b.levels):
-        assert len(p.simplices(d)) == len(a.simplices(d)) * len(b.simplices(d))
-
-
-def test_product_ground_set_mismatch():
-    a = discrete_event("A", ["x"], [], GROUND)
-    b = discrete_event("B", ["y"], [], frozenset("xyz"))
-    with pytest.raises(PreconditionError):
-        product_legs(a, b)
-
-
 # -- fiber product ------------------------------------------------------------------
 
 def subobject_pair():
@@ -207,7 +168,7 @@ def test_fiber_product_along_identity_returns_source():
     pull, pa, pb = fiber_product(f, identity_map(e))
     assert levelwise_isomorphic(pull, v)
     # the projection to the identity's source replays f
-    assert all(f.apply(0, pa.apply(0, s)) == pb.apply(0, s)
+    assert all(f.level_maps[0][pa.level_maps[0][s]] == pb.level_maps[0][s]
                for s in pull.simplices(0))
 
 
@@ -216,10 +177,10 @@ def test_fiber_product_of_subobjects_is_intersection():
     pull, pa, pb = fiber_product(f, g)
     # oracle: enumerate all pairs and compare with plain set intersection
     expected = {(x, y) for x in left.simplices(0) for y in right.simplices(0)
-                if f.apply(0, x) == g.apply(0, y)}
-    assert {(pa.apply(0, s), pb.apply(0, s)) for s in pull.simplices(0)} == expected
+                if f.level_maps[0][x] == g.level_maps[0][y]}
+    assert {(pa.level_maps[0][s], pb.level_maps[0][s]) for s in pull.simplices(0)} == expected
     inter = frozenset(left.simplices(0)) & frozenset(right.simplices(0))
-    assert {pa.apply(0, s) for s in pull.simplices(0)} == inter
+    assert {pa.level_maps[0][s] for s in pull.simplices(0)} == inter
     assert pull.atoms == left.atoms & right.atoms
 
 
@@ -230,7 +191,7 @@ def test_fiber_product_universal_property_brute_force():
     cone = discrete_event("cone", ["p", "q"], [], GROUND)
     ca = EventMap("ca", cone, left, {0: {"p": "b", "q": "b"}})
     cb = EventMap("cb", cone, right, {0: {"p": "b", "q": "b"}})
-    assert all(f.apply(0, ca.apply(0, s)) == g.apply(0, cb.apply(0, s))
+    assert all(f.level_maps[0][ca.level_maps[0][s]] == g.level_maps[0][cb.level_maps[0][s]]
                for s in cone.simplices(0))
     # enumerate every level-0 function cone -> pull; exactly one mediates
     mediators = []
@@ -241,8 +202,8 @@ def test_fiber_product_universal_property_brute_force():
             u = EventMap("u", cone, pull, lm)
         except StructuralError:
             continue
-        if all(pa.apply(0, u.apply(0, s)) == ca.apply(0, s)
-               and pb.apply(0, u.apply(0, s)) == cb.apply(0, s)
+        if all(pa.level_maps[0][u.level_maps[0][s]] == ca.level_maps[0][s]
+               and pb.level_maps[0][u.level_maps[0][s]] == cb.level_maps[0][s]
                for s in cone.simplices(0)):
             mediators.append(lm)
     assert len(mediators) == 1
@@ -294,17 +255,31 @@ def test_mono_pullback_closure_on_generated_instances(sa, sb):
     assert pull.simplices(0) == frozenset(f"({v},{v})" for v in sa & sb)
 
 
+def terminal_event(max_dim):
+    """The terminal event: one simplex pt<d> per dimension up to max_dim, every
+    atom; each face and degeneracy hits the one simplex next to it."""
+    dims = range(max_dim + 1)
+    return SimplicialEvent("pt", {d: frozenset([f"pt{d}"]) for d in dims},
+                           {(d, f"pt{d}", i): f"pt{d - 1}" for d in dims if d for i in range(d + 1)},
+                           {(d, f"pt{d}", i): f"pt{d + 1}" for d in dims if d < max_dim
+                            for i in range(d + 1)},
+                           GROUND, GROUND)
+
+
+def to_point(event, pt):
+    """The unique map from event to the terminal event pt."""
+    return EventMap(f"!{event.name}", event, pt,
+                    {d: {x: min(pt.simplices(d)) for x in s} for d, s in event.levels.items()})
+
+
 def test_fiber_product_over_terminal_equals_product():
-    pt = point_event(GROUND, max_dim=1)
+    pt = terminal_event(1)
     a = edge_event("A")
     b = edge_event("B", atoms=("a",))
-    ta = EventMap("ta", a, pt, {0: {"x": "pt0", "y": "pt0"}, 1: {"e": "pt1"}})
-    tb = EventMap("tb", b, pt, {0: {"x": "pt0", "y": "pt0"}, 1: {"e": "pt1"}})
-    pull, _, _ = fiber_product(ta, tb)
-    prod = product_legs(a, b)[0]
-    assert pull.levels == prod.levels
-    assert pull.faces == prod.faces
-    assert pull.atoms == prod.atoms
+    pull, _, _ = fiber_product(to_point(a, pt), to_point(b, pt))
+    assert pull.levels == {d: {f"({x},{y})" for x in a.simplices(d) for y in b.simplices(d)}
+                           for d in (0, 1)}
+    assert pull.atoms == frozenset("a")
 
 
 def degenerate_edge_event(name="degen"):
@@ -319,33 +294,27 @@ PRODUCT_FACTORS = (
     lambda: discrete_event("D", ["u", "v"], ["b"], GROUND),
     edge_event,
     degenerate_edge_event,
-    lambda: point_event(GROUND, max_dim=2),
+    lambda: terminal_event(2),
 )
-
-
-def to_point(event, pt):
-    """The unique map from event to the terminal event pt."""
-    return EventMap(f"!{event.name}", event, pt,
-                    {d: {x: min(pt.simplices(d)) for x in s} for d, s in event.levels.items()})
 
 
 @pytest.mark.parametrize("make_a, make_b", itertools.product(PRODUCT_FACTORS, repeat=2))
 def test_product_legs_are_the_fiber_product_over_the_point(make_a, make_b):
+    """Over the terminal event, the fiber product is a x b written pair by
+    pair: every pair "(x,y)" of simplices in each shared dimension, faces
+    componentwise, a degeneracy where both components carry one, and the
+    two projections."""
     a, b = make_a(), make_b()
-    pt = point_event(GROUND, max_dim=2)
-    prod, p1, p2 = product_legs(a, b)
+    pt = terminal_event(2)
     pull, pa, pb = fiber_product(to_point(a, pt), to_point(b, pt))
-    assert pull.levels == prod.levels
-    assert pull.faces == prod.faces
-    assert pull.degeneracies == prod.degeneracies
-    assert pull.atoms == prod.atoms
-    assert pa.level_maps == p1.level_maps
-    assert pb.level_maps == p2.level_maps
-
-
-def test_coproduct_tags_and_unions():
-    a = discrete_event("A", ["x"], ["a"], GROUND)
-    b = edge_event("B", atoms=("b",))
-    c = coproduct_event([a, b], "AorB", GROUND)
-    assert c.level_sizes() == {0: 3, 1: 1}
-    assert c.atoms == frozenset(["a", "b"])
+    dims = set(a.levels) & set(b.levels)
+    pairs = {d: [(x, y) for x in a.simplices(d) for y in b.simplices(d)] for d in dims}
+    assert pull.levels == {d: {f"({x},{y})" for x, y in pairs[d]} for d in dims}
+    assert pull.faces == {(d, f"({x},{y})", i): f"({a.faces[(d, x, i)]},{b.faces[(d, y, i)]})"
+                          for d in dims if d for x, y in pairs[d] for i in range(d + 1)}
+    assert pull.degeneracies == {(d, f"({x},{y})", i): f"({up},{b.degeneracies[(d, y, i)]})"
+                                 for (d, x, i), up in a.degeneracies.items()
+                                 for y in b.simplices(d) if (d, y, i) in b.degeneracies}
+    assert pull.atoms == a.atoms & b.atoms
+    assert pa.level_maps == {d: {f"({x},{y})": x for x, y in pairs[d]} for d in dims}
+    assert pb.level_maps == {d: {f"({x},{y})": y for x, y in pairs[d]} for d in dims}

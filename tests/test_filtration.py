@@ -261,6 +261,17 @@ def test_filtration_requires_every_point():
         F.level(FramedPoint(Fraction(9), 1))
 
 
+def test_filtration_refuses_a_level_outside_the_index():
+    ground = frozenset("ab")
+    idx = FramedIndex([0])
+    outside = FramedPoint(Fraction(0), 2)
+    with pytest.raises(ModelError) as info:
+        FilteredSigmaAlgebra(idx, {"empty": empty_event(ground)},
+                             {outside: ["empty"], idx.points[0]: ["empty"]})
+    assert info.value.errors == [
+        ("filtration.levels[0]", "level at (0,2) is not a point of the framed index")]
+
+
 def test_operad_action_empty_passes():
     F, _ = tiny_filtration()
     report = check_operad_action(F)

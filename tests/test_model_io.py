@@ -168,6 +168,12 @@ MALFORMED = (
     (("category", "composition", 0, 2), "i:empty>e_ab\u2028", "category.composition[0]"),
     (("category", "pullbacks", 0, "apex"), "e_a\n", "category.pullbacks[0]"),
     (("events", "e_a", "levels"), {"0\n": [5]}, "events.e_a.levels"),
+    # an integer key must be written as str() writes it: no two keys name one integer
+    (("events", "e_a", "levels"), {"0": ["a"], "00": ["zz"]}, "events.e_a.levels"),
+    (("events", "e_a", "levels"), {"+0": ["a"]}, "events.e_a.levels"),
+    (("events", "e_a", "levels"), {" 0": ["a"]}, "events.e_a.levels"),
+    (("events", "e_a", "levels"), {"0_0": ["a"]}, "events.e_a.levels"),
+    (("events", "e_a", "levels"), {"\u0660": ["a"]}, "events.e_a.levels"),
 )
 
 
@@ -332,15 +338,14 @@ def test_fixture_loader_matches_parser():
 
 
 def test_degeneracies_survive_round_trip():
-    from deltasite.categories import FiniteCategory
-    from deltasite.events import point_event
-    from deltasite.model_io import ModelDescription
-
-    ground = frozenset(["a"])
-    pt = point_event(ground, max_dim=2, name="pt")
-    assert pt.degeneracies  # the terminal event stores degenerate simplices
-    model = ModelDescription(ground, {"pt": pt}, {},
-                             FiniteCategory({"pt": pt}, []))
+    doc = copy.deepcopy(MINIMAL)
+    doc["events"]["pt"] = {
+        "atoms": ["a"], "levels": {"0": ["pt0"], "1": ["pt1"], "2": ["pt2"]},
+        "faces": {"1": {"pt1": ["pt0", "pt0"]}, "2": {"pt2": ["pt1", "pt1", "pt1"]}},
+        "degeneracies": {"0": {"pt0": {"0": "pt1"}}, "1": {"pt1": {"0": "pt2", "1": "pt2"}}}}
+    model = parse_model(json.dumps(doc))
+    pt = model.events["pt"]
+    assert pt.degeneracies == {(0, "pt0", 0): "pt1", (1, "pt1", 0): "pt2", (1, "pt1", 1): "pt2"}
     text = serialize_model(model)
     back = parse_model(text)
     assert back.events["pt"].degeneracies == pt.degeneracies

@@ -26,27 +26,13 @@ import deltasite
 
 PACKAGE = pathlib.Path(deltasite.__file__).parent
 
-ITEM_7 = ("roof apex machinery: deleted after ROADMAP item 7 checks composites and "
-          "pullback squares against their event maps")
+ITEM_7 = "ROADMAP item 7 checks declared composites and pullback squares with it"
 REFEREE = "an acceptance test reads it as the referee of a command's result"
 
 # "module.qualname" -> (caller, reason)
 ALLOWED = {
-    "roofs.RoofCategory.objects": ("demos/04_roofs_and_sheaves.py", ITEM_7),
-    "roofs.RoofCategory.identity_roof": ("RoofCategory.apex_event", ITEM_7),
-    "roofs.RoofCategory.cone_event": ("RoofCategory.materialize", ITEM_7),
-    "roofs.RoofCategory.apex_event": ("demos/04_roofs_and_sheaves.py", ITEM_7),
-    "roofs.RoofCategory.materialize": ("RoofCategory.apex_event", ITEM_7),
-    "categories.forward_cone": ("RoofCategory.cone_event", ITEM_7),
-    "events.point_event": ("tests/test_events.py", ITEM_7),
-    "events.compose_event_maps": ("RoofCategory.materialize", ITEM_7),
-    "events._pair": ("events._paired", ITEM_7),
-    "events._paired": ("events.product_legs and events.fiber_product", ITEM_7),
-    "events.product_legs": ("RoofCategory.materialize", ITEM_7),
+    "events.compose_event_maps": ("tests/test_events.py", ITEM_7),
     "events.fiber_product": ("tests/test_events.py", ITEM_7),
-    "events.coproduct_event": ("RoofCategory.cone_event", ITEM_7),
-    "events.EventMap.apply": ("events.fiber_product", ITEM_7),
-    "events.SimplicialEvent.level_sizes": ("tests/test_events.py", ITEM_7),
     "tropical.compose": ("tests/test_acceptance.py, criteria 5 and 6", REFEREE),
     "tropical.GradedTensorSeries.__add__": ("tropical.compose", REFEREE),
     "tropical.GradedExpr.__add__": ("tests/test_acceptance.py, criterion 5", REFEREE),
