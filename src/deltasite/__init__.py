@@ -4,8 +4,7 @@ the discrete delta-calculus with its tropical realization."""
 from .categories import FiniteCategory, Morphism, PullbackSquare
 from .errors import (ClosureError, DeltasiteError, ModelError,
                      PreconditionError, StructuralError)
-from .events import (EventMap, SimplicialEvent, discrete_event, empty_event,
-                     fiber_product, is_monomorphism)
+from .events import EventMap, SimplicialEvent, fiber_product, is_monomorphism
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, ProbabilityMeasure, check_operad_action,
                          check_sigma_level)
@@ -44,10 +43,9 @@ __all__ = [
     "augmentation", "build_tau_P", "build_tau_operadic",
     "build_tau_structural", "check_operad_action", "check_product_rule",
     "check_sheaf_condition", "check_sigma_level", "constant_presheaf",
-    "discrete_event", "empty_event", "estimate_log_drift", "exp_series",
-    "fiber_product", "is_monomorphism", "ito_residual", "load_model",
-    "log_inverse_series", "paper_log_series", "parse_model",
-    "quadratic_variation", "sample_brownian", "serialize_model",
+    "estimate_log_drift", "exp_series", "fiber_product", "is_monomorphism",
+    "ito_residual", "load_model", "log_inverse_series", "paper_log_series",
+    "parse_model", "quadratic_variation", "sample_brownian", "serialize_model",
     "simulate_gbm", "transversal_cone_check", "trop_max",
     "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",
     "verify_roof_category", "__version__",

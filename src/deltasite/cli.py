@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("gluing", "cones"), default="gluing")
     p.add_argument("--kappa", type=_finite_float, default=3.0)
     p.add_argument("--sigma", type=_finite_float, default=1.0)
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--paths", type=_path_count, default=10_000)
     common(p, cmd_check_sheaf, model=True)
 
     for name, text, run, alpha, sigma, steps, paths in (

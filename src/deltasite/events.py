@@ -3,7 +3,8 @@
 An event has two faces: a simplicial set (its structure) and a subset of a
 finite ground set of atoms (its measure-theoretic content).  Both are finite
 and validated by enumeration, so fiber products and monomorphism tests are
-exact.
+exact.  A model's events and maps are read from its model document by
+`model_io.parse_model`.
 """
 from __future__ import annotations
 
@@ -191,16 +192,6 @@ class EventMap:
 
 
 # -- constructors -----------------------------------------------------------
-
-def empty_event(ground_set, name: str = "empty") -> SimplicialEvent:
-    return SimplicialEvent(name, {}, {}, {}, frozenset(), frozenset(ground_set))
-
-
-def discrete_event(name, vertices, atoms, ground_set) -> SimplicialEvent:
-    """Event with vertex set only (dimension 0)."""
-    return SimplicialEvent(name, {0: frozenset(vertices)}, {}, {},
-                           frozenset(atoms), frozenset(ground_set))
-
 
 def identity_map(event: SimplicialEvent, name: str | None = None) -> EventMap:
     lm = {d: {x: x for x in s} for d, s in event.levels.items()}

@@ -1,7 +1,9 @@
 """Bundled verification models.
 
 Each bundled model is defined by its JSON file in `fixtures/`, read with
-`load_fixture(name)`; `subset_model` builds further subset lattices in code.
+`load_fixture(name)`; `subset_model` writes the model document of a further
+subset lattice.  Both are read by `parse_model`, so every model passes the
+checks a user's model file gets.
 
 The passing fixtures are subset lattices: events are discrete simplicial sets
 whose vertices are their atoms (plus one genuinely one-dimensional fixture),
@@ -31,15 +33,10 @@ After a schema change a fixture is regenerated as
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import json
 from importlib import resources
 
-from .categories import FiniteCategory, Morphism, PullbackSquare
-from .errors import PreconditionError
-from .events import EventMap, SimplicialEvent, discrete_event, empty_event
-from .filtration import (FilteredSigmaAlgebra, FramedIndex, MultiArrow,
-                         ProbabilityMeasure)
-from .model_io import ModelDescription, parse_model
+from .model_io import SCHEMA_VERSION, ModelDescription, parse_model
 
 
 def _ev_name(atoms) -> str:
@@ -51,86 +48,58 @@ def _inc_name(src: str, tgt: str) -> str:
 
 
 def subset_model(ground, subsets, level_plan, weights) -> ModelDescription:
-    """Model over a family of atom subsets closed under intersection.
+    """The model document of a family of atom subsets, read by `parse_model`.
 
-    level_plan is one list of subsets per base time 0, 1, ... (one fiber step
-    each) and every level should be sigma-closed if the operadic and
-    probability topologies are to verify.
+    Events are discrete, morphisms are inclusions and pullbacks are
+    intersections, so the family must be closed under intersection: the
+    parser refuses a pullback apex that is not an event.  level_plan is one
+    list of subsets per base time 0, 1, ... (one fiber step each) and every
+    level should be sigma-closed if the operadic and probability topologies
+    are to verify.
     """
-    ground = frozenset(ground)
     subsets = sorted({frozenset(s) for s in subsets}, key=lambda s: (len(s), sorted(s)))
-    for s in subsets:
-        for t in subsets:
-            if s & t not in subsets:
-                raise PreconditionError(
-                    f"subset family not closed under intersection: {sorted(s)} & {sorted(t)}")
 
-    events: dict[str, SimplicialEvent] = {}
-    for s in subsets:
-        name = _ev_name(s)
-        events[name] = (empty_event(ground) if not s
-                        else discrete_event(name, sorted(s), s, ground))
+    def arrow(s, t):
+        """The inclusion of s in t: the identity of t where s == t."""
+        return f"id:{_ev_name(t)}" if s == t else _inc_name(_ev_name(s), _ev_name(t))
 
-    maps: dict[str, EventMap] = {}
-    morphisms: list[Morphism] = []
-    for s in subsets:
-        for t in subsets:
-            if s < t:
-                name = _inc_name(_ev_name(s), _ev_name(t))
-                maps[name] = EventMap(name, events[_ev_name(s)], events[_ev_name(t)],
-                                      {0: {a: a for a in s}} if s else {})
-                morphisms.append(Morphism(name, _ev_name(s), _ev_name(t), maps[name]))
-
-    composition = {}
-    for a in subsets:
-        for b in subsets:
-            for c in subsets:
-                if a < b < c:
-                    composition[(_inc_name(_ev_name(b), _ev_name(c)),
-                                 _inc_name(_ev_name(a), _ev_name(b)))] = \
-                        _inc_name(_ev_name(a), _ev_name(c))
-
-    pullbacks = []
-    for c in subsets:
-        into = [s for s in subsets if s < c]
-        for i, a in enumerate(into):
-            for b in into[i:]:
-                f = _inc_name(_ev_name(a), _ev_name(c))
-                g = _inc_name(_ev_name(b), _ev_name(c))
-                apex = a & b
-                leg_a = (f"id:{_ev_name(a)}" if apex == a
-                         else _inc_name(_ev_name(apex), _ev_name(a)))
-                leg_b = (f"id:{_ev_name(b)}" if apex == b
-                         else _inc_name(_ev_name(apex), _ev_name(b)))
-                pullbacks.append(PullbackSquare(f, g, _ev_name(apex), leg_a, leg_b))
-
-    category = FiniteCategory({name: ev for name, ev in events.items()},
-                              morphisms, composition, pullbacks)
-
-    index = FramedIndex([Fraction(t) for t in range(len(level_plan))], 1)
-    levels = {p: [_ev_name(frozenset(s)) for s in plan]
-              for p, plan in zip(index, level_plan)}
-
-    generators: list[MultiArrow] = []
-    seen: set[tuple[str, str]] = set()
-    for p, plan in zip(index, level_plan):
+    maps = {arrow(s, t): {"source": _ev_name(s), "target": _ev_name(t),
+                          "levels": {"0": {a: a for a in s}} if s else {}}
+            for s in subsets for t in subsets if s < t}
+    levels, operad, seen = [], [], set()
+    for t, plan in enumerate(level_plan):
+        at = [str(t), 1]
+        levels.append({"at": at, "events": [_ev_name(s) for s in plan]})
         level_sets = sorted({frozenset(s) for s in plan}, key=lambda s: (len(s), sorted(s)))
-        for t in level_sets:
-            for s in level_sets:
-                if not s < t:
-                    continue
-                key = (_ev_name(s), _ev_name(t))
-                if key in seen:
-                    continue
-                seen.add(key)
-                diff = t - s
-                name = f"asm:{_ev_name(s)}+{_ev_name(diff)}>{_ev_name(t)}"
-                generators.append(MultiArrow(name, (_ev_name(s), _ev_name(diff)),
-                                             _ev_name(t), p))
-
-    filtration = FilteredSigmaAlgebra(index, events, levels, generators)
-    measure = ProbabilityMeasure(weights)
-    return ModelDescription(ground, events, maps, category, filtration, measure)
+        for whole in level_sets:
+            for part in level_sets:
+                if part < whole and (part, whole) not in seen:
+                    seen.add((part, whole))
+                    inputs = [_ev_name(part), _ev_name(whole - part)]
+                    operad.append({"name": f"asm:{inputs[0]}+{inputs[1]}>{_ev_name(whole)}",
+                                   "inputs": inputs, "output": _ev_name(whole), "at": at})
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "ground_set": sorted(ground),
+        "events": {_ev_name(s): {"atoms": sorted(s), "levels": {"0": sorted(s)}}
+                   for s in subsets},
+        "maps": maps,
+        "category": {
+            "objects": [_ev_name(s) for s in subsets],
+            "morphisms": {name: {"source": spec["source"], "target": spec["target"],
+                                 "map": name} for name, spec in maps.items()},
+            "composition": [[arrow(b, c), arrow(a, b), arrow(a, c)]
+                            for a in subsets for b in subsets for c in subsets if a < b < c],
+            "pullbacks": [{"left": arrow(a, c), "right": arrow(b, c), "apex": _ev_name(a & b),
+                           "to_left": arrow(a & b, a), "to_right": arrow(a & b, b)}
+                          for c in subsets for i, a in enumerate(subsets)
+                          for b in subsets[i:] if a < c and b < c]},
+        "filtration": {"base_times": [str(t) for t in range(len(level_plan))],
+                       "fiber_steps": 1, "levels": levels},
+        "operad": operad,
+        "measure": weights,
+    }
+    return parse_model(json.dumps(doc))
 
 
 PASSING_FIXTURES = ("four_events", "six_events", "three_atoms_power",

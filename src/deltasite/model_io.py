@@ -237,12 +237,23 @@ def parse_model(text: str) -> ModelDescription:
         if emap is None and spec.get("map") is not None:
             errors.append((f"category.morphisms.{name}", f"unknown map {spec['map']!r}"))
         morphisms.append(Morphism(name, spec.get("source", ""), spec.get("target", ""), emap))
-    composition = {(g, f): h for g, f, h in cat_spec.get("composition", [])}
-    pullbacks = [PullbackSquare(*map(sq.get, _SQUARE)) for sq in cat_spec.get("pullbacks", [])]
+    # a pair has one composite and one pullback, so a second entry for it is
+    # refused rather than left to replace the first
+    composition, pullbacks = {}, {}
+    for i, (g, f, h) in enumerate(cat_spec.get("composition", [])):
+        if (g, f) in composition:
+            errors.append((f"category.composition[{i}]",
+                           f"({g!r}, {f!r}) already has a composite"))
+        composition[(g, f)] = h
+    for i, sq in enumerate(cat_spec.get("pullbacks", [])):
+        pair = (sq["left"], sq["right"])
+        if pair in pullbacks:
+            errors.append((f"category.pullbacks[{i}]", f"{pair!r} already has a pullback"))
+        pullbacks[pair] = PullbackSquare(*map(sq.get, _SQUARE))
     if errors:
         raise ModelError(errors)
     try:
-        category = FiniteCategory(objects, morphisms, composition, pullbacks)
+        category = FiniteCategory(objects, morphisms, composition, pullbacks.values())
     except StructuralError as exc:
         raise ModelError([("category", str(exc))]) from None
 

@@ -1,17 +1,22 @@
 import pytest
 
 from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
-from deltasite.events import EventMap, discrete_event
+from deltasite.events import EventMap, SimplicialEvent
 from deltasite.sites import GrothendieckSite
 
 
 GROUND = frozenset(["a", "b", "c", "d"])
 
 
+def discrete(name, vertices, atoms, ground):
+    """Event with vertex set only (dimension 0); no vertices make it empty."""
+    return SimplicialEvent(name, {0: frozenset(vertices)}, atoms=frozenset(atoms),
+                           ground_set=frozenset(ground))
+
+
 def disc(name, atoms, vertices=None, ground=GROUND):
     """Discrete event whose vertices default to its atoms."""
-    return discrete_event(name, vertices if vertices is not None else atoms,
-                          atoms, ground)
+    return discrete(name, vertices if vertices is not None else atoms, atoms, ground)
 
 
 def chain_category(n=3, with_event=False):
@@ -35,10 +40,10 @@ def overlap_site():
     """U covered by two subobjects V1, V2 with declared intersection W; the
     one multi-member covering family used by the gluing tests."""
     g3 = frozenset("abc")
-    top = discrete_event("U", ["a", "b", "c"], g3, g3)
-    v1 = discrete_event("V1", ["a", "b"], ["a", "b"], g3)
-    v2 = discrete_event("V2", ["b", "c"], ["b", "c"], g3)
-    w = discrete_event("W", ["b"], ["b"], g3)
+    top = discrete("U", ["a", "b", "c"], g3, g3)
+    v1 = discrete("V1", ["a", "b"], ["a", "b"], g3)
+    v2 = discrete("V2", ["b", "c"], ["b", "c"], g3)
+    w = discrete("W", ["b"], ["b"], g3)
 
     def inc(name, src, tgt):
         return EventMap(name, src, tgt, {0: {v: v for v in src.simplices(0)}})

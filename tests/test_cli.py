@@ -492,11 +492,11 @@ def test_env_seed_default_and_flag_override(capsys, monkeypatch):
     assert "seed=4" in with_flag
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify-ito"])
+@pytest.mark.parametrize("command", ["simulate", "verify-ito", "check-sheaf"])
 def test_sampling_commands_reject_paths_below_one(capsys, command):
     for paths in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--paths", paths])
+            main([command, *REQUIRED.get(command, []), "--paths", paths])
         assert exc.value.code == 2
         assert "--paths" in capsys.readouterr().err
 

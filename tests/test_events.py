@@ -6,8 +6,9 @@ from hypothesis import strategies as hst
 
 from deltasite.errors import PreconditionError, StructuralError
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
-                              discrete_event, fiber_product, identity_map,
-                              is_monomorphism)
+                              fiber_product, identity_map, is_monomorphism)
+
+from conftest import discrete
 
 GROUND = frozenset("ab")
 
@@ -87,7 +88,7 @@ def test_simplicial_identity_violation_detected():
 
 def test_atoms_must_be_in_ground_set():
     with pytest.raises(StructuralError, match="ground set"):
-        discrete_event("bad", ["x"], ["z"], GROUND)
+        discrete("bad", ["x"], ["z"], GROUND)
 
 
 def test_event_map_must_commute_with_faces():
@@ -98,8 +99,8 @@ def test_event_map_must_commute_with_faces():
 
 
 def test_event_map_needs_atom_inclusion():
-    small = discrete_event("s", ["x"], ["a"], GROUND)
-    other = discrete_event("t", ["x"], ["b"], GROUND)
+    small = discrete("s", ["x"], ["a"], GROUND)
+    other = discrete("t", ["x"], ["b"], GROUND)
     with pytest.raises(StructuralError, match="atoms"):
         EventMap("bad", small, other, {0: {"x": "x"}})
 
@@ -111,8 +112,8 @@ def test_identity_is_mono():
 
 
 def test_vertex_collapse_is_not_mono():
-    two = discrete_event("two", ["x", "y"], [], GROUND)
-    one = discrete_event("one", ["z"], [], GROUND)
+    two = discrete("two", ["x", "y"], [], GROUND)
+    one = discrete("one", ["z"], [], GROUND)
     collapse = EventMap("c", two, one, {0: {"x": "z", "y": "z"}})
     assert not is_monomorphism(collapse)
 
@@ -153,9 +154,9 @@ def test_mono_matches_per_level_injectivity_oracle(assignment):
 # -- fiber product ------------------------------------------------------------------
 
 def subobject_pair():
-    top = discrete_event("top", ["a", "b", "c"], ["a", "b"], GROUND)
-    left = discrete_event("left", ["a", "b"], ["a"], GROUND)
-    right = discrete_event("right", ["b", "c"], ["b"], GROUND)
+    top = discrete("top", ["a", "b", "c"], ["a", "b"], GROUND)
+    left = discrete("left", ["a", "b"], ["a"], GROUND)
+    right = discrete("right", ["b", "c"], ["b"], GROUND)
     f = EventMap("f", left, top, {0: {"a": "a", "b": "b"}})
     g = EventMap("g", right, top, {0: {"b": "b", "c": "c"}})
     return top, left, right, f, g
@@ -163,7 +164,7 @@ def subobject_pair():
 
 def test_fiber_product_along_identity_returns_source():
     e = edge_event()
-    v = discrete_event("v", ["w"], ["a"], GROUND)
+    v = discrete("v", ["w"], ["a"], GROUND)
     f = EventMap("f", v, e, {0: {"w": "x"}})
     pull, pa, pb = fiber_product(f, identity_map(e))
     assert levelwise_isomorphic(pull, v)
@@ -188,7 +189,7 @@ def test_fiber_product_universal_property_brute_force():
     top, left, right, f, g = subobject_pair()
     pull, pa, pb = fiber_product(f, g)
     # a cone over the cospan from a 2-vertex discrete event
-    cone = discrete_event("cone", ["p", "q"], [], GROUND)
+    cone = discrete("cone", ["p", "q"], [], GROUND)
     ca = EventMap("ca", cone, left, {0: {"p": "b", "q": "b"}})
     cb = EventMap("cb", cone, right, {0: {"p": "b", "q": "b"}})
     assert all(f.level_maps[0][ca.level_maps[0][s]] == g.level_maps[0][cb.level_maps[0][s]]
@@ -211,7 +212,7 @@ def test_fiber_product_universal_property_brute_force():
 
 def test_fiber_product_mismatched_targets_rejected():
     top, left, right, f, g = subobject_pair()
-    other = discrete_event("other", ["z"], ["a", "b"], GROUND)
+    other = discrete("other", ["z"], ["a", "b"], GROUND)
     h = EventMap("h", left, other, {0: {"a": "z", "b": "z"}})
     with pytest.raises(PreconditionError):
         fiber_product(f, h)
@@ -223,7 +224,7 @@ def test_pullback_projection_inherits_mono():
     _, _, pb = fiber_product(f, g)
     assert is_monomorphism(pb)
     # and a non-mono left arm gives no such guarantee: collapse two vertices
-    squash = discrete_event("squash", ["p", "q"], [], GROUND)
+    squash = discrete("squash", ["p", "q"], [], GROUND)
     h = EventMap("h", squash, top, {0: {"p": "b", "q": "b"}})
     _, _, pb2 = fiber_product(h, g)
     assert not is_monomorphism(pb2)
@@ -231,7 +232,7 @@ def test_pullback_projection_inherits_mono():
 
 def test_monos_closed_under_composition():
     top, left, right, f, g = subobject_pair()
-    sub = discrete_event("sub", ["a"], [], GROUND)
+    sub = discrete("sub", ["a"], [], GROUND)
     inc = EventMap("inc", sub, left, {0: {"a": "a"}})
     assert is_monomorphism(inc) and is_monomorphism(f)
     assert is_monomorphism(compose_event_maps(f, inc))
@@ -244,9 +245,9 @@ def test_mono_pullback_closure_on_generated_instances(sa, sb):
     # inclusions of arbitrary subsets into the full event: the projection of
     # their pullback to either arm is again a monomorphism
     ground = frozenset("abcd")
-    top = discrete_event("top", sorted(ground), ground, ground)
-    a = discrete_event("A", sorted(sa), sa, ground)
-    b = discrete_event("B", sorted(sb), sb, ground)
+    top = discrete("top", sorted(ground), ground, ground)
+    a = discrete("A", sorted(sa), sa, ground)
+    b = discrete("B", sorted(sb), sb, ground)
     f = EventMap("f", a, top, {0: {v: v for v in sa}} if sa else {})
     g = EventMap("g", b, top, {0: {v: v for v in sb}} if sb else {})
     assert is_monomorphism(f) and is_monomorphism(g)
@@ -291,7 +292,7 @@ def degenerate_edge_event(name="degen"):
 
 
 PRODUCT_FACTORS = (
-    lambda: discrete_event("D", ["u", "v"], ["b"], GROUND),
+    lambda: discrete("D", ["u", "v"], ["b"], GROUND),
     edge_event,
     degenerate_edge_event,
     lambda: terminal_event(2),

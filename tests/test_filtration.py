@@ -15,11 +15,12 @@ from hypothesis import strategies as hst
 import deltasite
 from deltasite import fixtures
 from deltasite.errors import ModelError, StructuralError
-from deltasite.events import discrete_event, empty_event
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   FramedPoint, MultiArrow,
                                   ProbabilityMeasure, check_operad_action,
                                   check_sigma_level)
+
+from conftest import discrete
 
 GROUND3 = frozenset("abc")
 
@@ -124,8 +125,8 @@ def test_sigma_report_matches_saturation_oracle(family):
     assert (not report.missing) == (not expected_missing)
     # the model gate on a one-level filtration of the same family refuses it
     # iff the closure differs from it, and names one of the missing sets
-    events = {"e_" + "".join(sorted(s)): discrete_event("e_" + "".join(sorted(s)),
-                                                        sorted(s), s, ground)
+    events = {"e_" + "".join(sorted(s)): discrete("e_" + "".join(sorted(s)),
+                                                  sorted(s), s, ground)
               for s in family}
     idx = FramedIndex([0])
     F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
@@ -231,10 +232,10 @@ def test_complement_sums_to_one():
 def tiny_filtration(levels=None, generators=()):
     ground = frozenset("ab")
     events = {
-        "empty": empty_event(ground),
-        "e_a": discrete_event("e_a", ["a"], ["a"], ground),
-        "e_b": discrete_event("e_b", ["b"], ["b"], ground),
-        "e_ab": discrete_event("e_ab", ["a", "b"], ["a", "b"], ground),
+        "empty": discrete("empty", [], [], ground),
+        "e_a": discrete("e_a", ["a"], ["a"], ground),
+        "e_b": discrete("e_b", ["b"], ["b"], ground),
+        "e_ab": discrete("e_ab", ["a", "b"], ["a", "b"], ground),
     }
     idx = FramedIndex([0, 1])
     if levels is None:
@@ -254,7 +255,7 @@ def test_filtration_requires_every_point():
     ground = frozenset("ab")
     idx = FramedIndex([0, 1])
     with pytest.raises(StructuralError, match="no level"):
-        FilteredSigmaAlgebra(idx, {"empty": empty_event(ground)},
+        FilteredSigmaAlgebra(idx, {"empty": discrete("empty", [], [], ground)},
                              {idx.points[0]: ["empty"]})
     F, idx = tiny_filtration()
     with pytest.raises(KeyError):
@@ -266,7 +267,7 @@ def test_filtration_refuses_a_level_outside_the_index():
     idx = FramedIndex([0])
     outside = FramedPoint(Fraction(0), 2)
     with pytest.raises(ModelError) as info:
-        FilteredSigmaAlgebra(idx, {"empty": empty_event(ground)},
+        FilteredSigmaAlgebra(idx, {"empty": discrete("empty", [], [], ground)},
                              {outside: ["empty"], idx.points[0]: ["empty"]})
     assert info.value.errors == [
         ("filtration.levels[0]", "level at (0,2) is not a point of the framed index")]
@@ -298,10 +299,10 @@ def test_operad_action_saturated_coverage_is_total():
     ]
     ground = frozenset("ab")
     events = {
-        "empty": empty_event(ground),
-        "e_a": discrete_event("e_a", ["a"], ["a"], ground),
-        "e_b": discrete_event("e_b", ["b"], ["b"], ground),
-        "e_ab": discrete_event("e_ab", ["a", "b"], ["a", "b"], ground),
+        "empty": discrete("empty", [], [], ground),
+        "e_a": discrete("e_a", ["a"], ["a"], ground),
+        "e_b": discrete("e_b", ["b"], ["b"], ground),
+        "e_ab": discrete("e_ab", ["a", "b"], ["a", "b"], ground),
     }
     F = FilteredSigmaAlgebra(idx, events,
                              {p: ["empty", "e_a", "e_b", "e_ab"]},

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pathlib
@@ -52,6 +53,37 @@ def test_round_trip_is_byte_identical_on_all_bundled_fixtures():
     for name in fixtures.ALL_FIXTURES:
         text = fixtures.fixture_text(name)
         assert serialize_model(parse_model(text)) == text, name
+
+
+def unions(parts):
+    """Every union of some of parts, each as a frozenset."""
+    return [frozenset().union(*c) for r in range(len(parts) + 1)
+            for c in itertools.combinations(parts, r)]
+
+
+# (atoms, the blocks of the middle level, atom weights, sha256 of the document)
+LATTICE_DIGESTS = (
+    ("abcd", ("ab", "cd"), (0.25,) * 4,
+     "18ad553690f63f475820d0e5cd02a7290a3d9fcea670e9ba2e95ac607135f7cd"),
+    ("abcdef", ("ab", "cd", "e", "f"), tuple((i + 1) / 21 for i in range(6)),
+     "d548b055e8382bb356e3e3ba06451a65fe6301818f84241ced28327e80a1a162"),
+)
+
+
+@pytest.mark.parametrize("atoms, blocks, weights, digest", LATTICE_DIGESTS,
+                         ids=("lattice4", "lattice6"))
+def test_lattice_documents_keep_their_bytes(atoms, blocks, weights, digest):
+    subsets = unions(atoms)
+    levels = [[frozenset(), frozenset(atoms)], unions(blocks), subsets]
+    model = fixtures.subset_model(atoms, subsets, levels, dict(zip(atoms, weights)))
+    assert model_hash(serialize_model(model)) == digest
+
+
+def test_subset_family_not_closed_under_intersection_is_refused_at_the_category():
+    family = [frozenset("ab"), frozenset("bc"), frozenset("abc")]
+    with pytest.raises(ModelError) as err:
+        fixtures.subset_model("abc", family, [family], {a: 1 / 3 for a in "abc"})
+    assert err.value.errors == [("category", "pullback apex 'e_b' is not an object")]
 
 
 def test_fixture_directory_holds_exactly_the_named_fixtures():
@@ -174,6 +206,18 @@ MALFORMED = (
     (("events", "e_a", "levels"), {" 0": ["a"]}, "events.e_a.levels"),
     (("events", "e_a", "levels"), {"0_0": ["a"]}, "events.e_a.levels"),
     (("events", "e_a", "levels"), {"\u0660": ["a"]}, "events.e_a.levels"),
+    # a pair has one composite and one pullback: a second entry for it is refused,
+    # whether it contradicts the first or repeats it
+    (("category", "composition", 0), ["i:e_b>e_ab", "i:empty>e_b", "i:e_b>e_ab"],
+     "category.composition[1]"),
+    (("category", "composition", 0), ["i:e_b>e_ab", "i:empty>e_b", "i:empty>e_ab"],
+     "category.composition[1]"),
+    (("category", "pullbacks", 1), {"left": "i:e_a>e_ab", "right": "i:e_a>e_ab", "apex": "empty",
+                                    "to_left": "i:empty>e_a", "to_right": "i:empty>e_a"},
+     "category.pullbacks[1]"),
+    (("category", "pullbacks", 1), {"left": "i:e_a>e_ab", "right": "i:e_a>e_ab", "apex": "e_a",
+                                    "to_left": "id:e_a", "to_right": "id:e_a"},
+     "category.pullbacks[1]"),
 )
 
 

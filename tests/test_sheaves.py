@@ -9,7 +9,7 @@ from deltasite.sheaves import (Presheaf, check_sheaf_condition,
 from deltasite.categories import FiniteCategory
 from deltasite.sites import GrothendieckSite, build_tau_P, build_tau_structural
 
-from conftest import overlap_site
+from conftest import discrete, overlap_site
 
 GROUND = frozenset("abc")
 
@@ -68,12 +68,12 @@ def test_planted_non_gluing_presheaf_fails_naming_covering():
 
 def test_undeclared_overlaps_are_noted_not_failed():
     from deltasite.categories import Morphism
-    from deltasite.events import EventMap, discrete_event
+    from deltasite.events import EventMap
 
     g3 = frozenset("abc")
-    top = discrete_event("U", ["a", "b"], g3, g3)
-    v1 = discrete_event("V1", ["a"], ["a"], g3)
-    v2 = discrete_event("V2", ["b"], ["b"], g3)
+    top = discrete("U", ["a", "b"], g3, g3)
+    v1 = discrete("V1", ["a"], ["a"], g3)
+    v2 = discrete("V2", ["b"], ["b"], g3)
     f1 = EventMap("f1", v1, top, {0: {"a": "a"}})
     f2 = EventMap("f2", v2, top, {0: {"b": "b"}})
     cat = FiniteCategory({"U": top, "V1": v1, "V2": v2},

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import PreconditionError
-from deltasite.events import EventMap, SimplicialEvent, discrete_event, empty_event
+from deltasite.events import EventMap, SimplicialEvent
 from deltasite.filtration import (FilteredSigmaAlgebra, FramedIndex,
                                   MultiArrow, ProbabilityMeasure)
 from deltasite.model_io import parse_model, serialize_model
@@ -20,7 +20,7 @@ from deltasite.sites import (GrothendieckSite,
                              verify_grothendieck)
 from deltasite.reports import Report
 
-from conftest import overlap_site
+from conftest import discrete, overlap_site
 
 GROUND = frozenset("abc")
 
@@ -31,8 +31,7 @@ def chain_model():
     events, maps, morphisms = {}, {}, []
     for s in subsets:
         name = "empty" if not s else "e_" + "".join(sorted(s))
-        events[name] = (discrete_event(name, sorted(s), s, GROUND) if s
-                        else empty_event(GROUND))
+        events[name] = discrete(name, sorted(s), s, GROUND)
     names = ["empty", "e_a", "e_ab", "e_abc"]
     comp = {}
     for i, src in enumerate(names):
@@ -116,11 +115,11 @@ def test_probability_excludes_measure_increasing_arrows():
     idx = FramedIndex([0])
     ground = frozenset("ab")
     P = ProbabilityMeasure({"a": 0.75, "b": 0.25})
-    big = discrete_event("big", ["x", "y"], ["a", "b"], ground)
-    small = discrete_event("small", ["z"], ["a"], ground)
+    big = discrete("big", ["x", "y"], ["a", "b"], ground)
+    small = discrete("small", ["z"], ["a"], ground)
     # the empty event and {b} complete the level to a sigma-algebra
-    events = {"big": big, "small": small, "empty": empty_event(ground),
-              "rest": discrete_event("rest", ["w"], ["b"], ground)}
+    events = {"big": big, "small": small, "empty": discrete("empty", [], [], ground),
+              "rest": discrete("rest", ["w"], ["b"], ground)}
     up = EventMap("up", small, big, {0: {"z": "x"}})
     cat = FiniteCategory(events, [Morphism("up", "small", "big", up)], {})
     F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
@@ -153,8 +152,8 @@ def test_structural_identity_family_covers():
 
 
 def test_structural_excludes_non_mono():
-    big = discrete_event("big", ["x", "y"], ["a", "b"], GROUND)
-    one = discrete_event("one", ["z"], ["a", "b"], GROUND)
+    big = discrete("big", ["x", "y"], ["a", "b"], GROUND)
+    one = discrete("one", ["z"], ["a", "b"], GROUND)
     squash = EventMap("squash", big, one, {0: {"x": "z", "y": "z"}})
     inc = EventMap("inc", one, big, {0: {"z": "x"}})
     cat = FiniteCategory({"big": big, "one": one},
@@ -290,8 +289,8 @@ def falling_site():
     """A cover big -> small along which P falls: the event map sends atom b
     onto a, so the source's mass 1 exceeds the target's 0.75."""
     ground = frozenset("ab")
-    big = discrete_event("big", ["x", "y"], ["a", "b"], ground)
-    small = discrete_event("small", ["z"], ["a"], ground)
+    big = discrete("big", ["x", "y"], ["a", "b"], ground)
+    small = discrete("small", ["z"], ["a"], ground)
     down = EventMap("down", big, small, {0: {"x": "z", "y": "z"}},
                     atom_map={"a": "a", "b": "a"})
     cat = FiniteCategory({"big": big, "small": small},
