@@ -8,12 +8,21 @@ fragments can be constructed and diagnosed.  `pullback_legs` is the one rule
 that resolves a cospan to its pullback.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
-morphisms into and out of an object) are indexed once, at construction, and
-every lookup and axiom walk reads that index instead of scanning the table.
+morphisms into and out of an object, and from one object to another) are
+indexed once, at construction, and every lookup and axiom walk reads that
+index instead of scanning the table.  Construction validates the composition
+and pullback tables a column at a time, and `check_axioms` checks most axioms
+so; a table or axiom that fails there is walked row by row, so errors and
+records keep their text and their order.  Where no hom-set holds two arrows,
+`check_axioms` decides associativity and the squares from the hom index
+alone, since construction made every composite run between the right ends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, repeat
+from operator import attrgetter, eq, itemgetter
+from typing import NamedTuple
 
 from .errors import PreconditionError, StructuralError
 from .events import EventMap, SimplicialEvent, identity_map, is_monomorphism
@@ -31,8 +40,7 @@ class Morphism:
         return f"Morphism({self.name!r}: {self.source} -> {self.target})"
 
 
-@dataclass(eq=False)
-class PullbackSquare:
+class PullbackSquare(NamedTuple):
     """Declared pullback of the cospan (left: A -> C, right: B -> C)."""
 
     left: str
@@ -47,9 +55,14 @@ class FiniteCategory:
 
     Construction checks referential integrity and synthesizes identity
     morphisms (named ``id:<object>``) together with their unit composition
-    rules, then indexes the morphism names into and out of each object, in
-    sorted order.  Everything else -- totality and associativity of
-    composition, pullback squares commuting -- is checked by `check_axioms`.
+    rules, then indexes the morphism names into and out of each object, and
+    from each object to each, in sorted order.  Everything else -- totality
+    and associativity of composition, pullback squares commuting -- is
+    checked by `check_axioms`.
+
+    The composition rules and the squares are checked a column at a time,
+    as whole columns of endpoint lookups.  Only a table whose columns fail
+    is walked row by row, so that its first bad row raises its own error.
     """
 
     def __init__(self, objects, morphisms, composition=None, pullbacks=None):
@@ -57,8 +70,6 @@ class FiniteCategory:
         self.objects: dict[str, SimplicialEvent | None] = dict(objects)
         self.morphisms: dict[str, Morphism] = {}
         self.identities: dict[str, str] = {}
-        self.composition: dict[tuple[str, str], str] = {}
-        self.pullbacks: dict[tuple[str, str], PullbackSquare] = {}
 
         for m in morphisms:
             if m.name in self.morphisms:
@@ -83,45 +94,81 @@ class FiniteCategory:
             self.morphisms[ident] = Morphism(ident, obj, obj, emap)
             self.identities[obj] = ident
 
-        for (g, f), h in (composition or {}).items():
-            for name in (g, f, h):
-                if name not in self.morphisms:
-                    raise StructuralError(f"composition rule references unknown morphism {name!r}")
-            if self.morphisms[f].target != self.morphisms[g].source:
-                raise StructuralError(f"composition rule ({g!r}, {f!r}) is not composable")
-            if (self.morphisms[h].source != self.morphisms[f].source
-                    or self.morphisms[h].target != self.morphisms[g].target):
-                raise StructuralError(f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})")
-            self.composition[(g, f)] = h
+        known = self.morphisms.keys()
+        source = dict(zip(known, map(attrgetter("source"), self.morphisms.values())))
+        target = dict(zip(known, map(attrgetter("target"), self.morphisms.values())))
 
+        # a rule (g, f) -> h: g o f is defined and h runs where it does
+        declared = composition or {}
+        gs, fs = list(map(itemgetter(0), declared)), list(map(itemgetter(1), declared))
+        hs = list(declared.values())
+        try:  # a KeyError names no morphism
+            consistent = (
+                list(map(target.__getitem__, fs)) == list(map(source.__getitem__, gs))
+                and list(map(source.__getitem__, hs)) == list(map(source.__getitem__, fs))
+                and list(map(target.__getitem__, hs)) == list(map(target.__getitem__, gs)))
+        except KeyError:
+            consistent = False
+        if not consistent:
+            for (g, f), h in declared.items():
+                for name in (g, f, h):
+                    if name not in self.morphisms:
+                        raise StructuralError(
+                            f"composition rule references unknown morphism {name!r}")
+                if self.morphisms[f].target != self.morphisms[g].source:
+                    raise StructuralError(f"composition rule ({g!r}, {f!r}) is not composable")
+                if (self.morphisms[h].source != self.morphisms[f].source
+                        or self.morphisms[h].target != self.morphisms[g].target):
+                    raise StructuralError(
+                        f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})")
+
+        self.composition: dict[tuple[str, str], str] = dict(declared)
         # unit rules: id o f = f = f o id
         for name, m in self.morphisms.items():
             self.composition.setdefault((self.identities[m.target], name), name)
             self.composition.setdefault((name, self.identities[m.source]), name)
 
-        for sq in pullbacks or []:
-            left, right = self.morphisms.get(sq.left), self.morphisms.get(sq.right)
-            if left is None or right is None:
-                raise StructuralError(f"pullback square references unknown morphism")
-            if left.target != right.target:
-                raise StructuralError(
-                    f"pullback of ({sq.left!r}, {sq.right!r}): targets differ")
-            if sq.apex not in self.objects:
-                raise StructuralError(f"pullback apex {sq.apex!r} is not an object")
-            for leg, want_tgt in ((sq.to_left_source, left.source),
-                                  (sq.to_right_source, right.source)):
-                lm = self.morphisms.get(leg)
-                if lm is None or lm.source != sq.apex or lm.target != want_tgt:
+        # a square: left and right share a target, and each leg runs from the
+        # apex (which is then an object) to the source of its side
+        squares = list(pullbacks or [])
+        lefts, rights, apexes, to_lefts, to_rights = zip(*squares) if squares else ((),) * 5
+        try:  # a KeyError names no morphism
+            consistent = (
+                tuple(map(target.__getitem__, lefts)) == tuple(map(target.__getitem__, rights))
+                and tuple(map(source.__getitem__, to_lefts)) == apexes
+                and tuple(map(source.__getitem__, to_rights)) == apexes
+                and tuple(map(target.__getitem__, to_lefts)) == tuple(map(source.__getitem__, lefts))
+                and tuple(map(target.__getitem__, to_rights))
+                == tuple(map(source.__getitem__, rights)))
+        except KeyError:
+            consistent = False
+        if not consistent:
+            for sq in squares:
+                left, right = self.morphisms.get(sq.left), self.morphisms.get(sq.right)
+                if left is None or right is None:
+                    raise StructuralError(f"pullback square references unknown morphism")
+                if left.target != right.target:
                     raise StructuralError(
-                        f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}")
-            self.pullbacks[(sq.left, sq.right)] = sq
+                        f"pullback of ({sq.left!r}, {sq.right!r}): targets differ")
+                if sq.apex not in self.objects:
+                    raise StructuralError(f"pullback apex {sq.apex!r} is not an object")
+                for leg, want_tgt in ((sq.to_left_source, left.source),
+                                      (sq.to_right_source, right.source)):
+                    lm = self.morphisms.get(leg)
+                    if lm is None or lm.source != sq.apex or lm.target != want_tgt:
+                        raise StructuralError(
+                            f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}")
+        self.pullbacks: dict[tuple[str, str], PullbackSquare] = dict(
+            zip(zip(lefts, rights), squares))
 
         self._into: dict[str, list[str]] = {o: [] for o in self.objects}
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}
+        self._hom: dict[tuple[str, str], list[str]] = {}
         for name in sorted(self.morphisms):
             m = self.morphisms[name]
             self._into[m.target].append(name)
             self._out[m.source].append(name)
+            self._hom.setdefault((m.source, m.target), []).append(name)
 
     # -- lookups ------------------------------------------------------------
 
@@ -156,13 +203,13 @@ class FiniteCategory:
         return self._out.get(obj, [])
 
     def is_isomorphism(self, name: str) -> bool:
-        """An identity, or some arrow out of the target inverts it (a
-        composite equal to id:source already forces the arrow to end there)."""
+        """An identity, or some arrow back from its target to its source
+        inverts it."""
         m = self.morphism(name)
         return self.is_identity(name) or any(
             self.composition.get((other, name)) == self.identities[m.source]
             and self.composition.get((name, other)) == self.identities[m.target]
-            for other in self._out[m.target])
+            for other in self._hom.get((m.target, m.source), ()))
 
     def is_structural(self, name: str) -> bool:
         """Monomorphism test on the attached simplicial map."""
@@ -207,35 +254,66 @@ class FiniteCategory:
         per violation (no records = pass).
 
         Composable pairs and triples are walked through the out-index, so
-        the work grows with their number rather than with M^2 and M^3."""
+        the work grows with their number rather than with M^2 and M^3.
+        Totality, associativity and the squares are first checked a column
+        at a time, and only one that fails there is walked row by row to name
+        its violations in order.  Construction checked that every composite
+        runs between the ends of its pair, so two composites of one triple,
+        or of one square, run between the same two objects: they can differ
+        only where such a hom-set holds two arrows or more.  Where none does
+        (every lattice of subsets), associativity holds, and so does every
+        square once each composable pair has its composite."""
         report = Report()
+        get = self.composition.get
 
         def bad(violation):
             report.add("category-axioms", violation, False)
 
-        for f, g in self.composable_pairs():
-            if (g, f) not in self.composition:
-                bad(f"composition undefined for ({g}, {f})")
+        def associative_at(g):
+            """h o (g o f) equals (h o g) o f for every f into and h out of
+            g; a missing composite reads None, which the walk skips."""
+            m = self.morphisms[g]
+            fs, hs = self._into[m.source], self._out[m.target]
+            return all(map(eq, map(get, product(hs, map(get, zip(repeat(g), fs)))),
+                           map(get, product(map(get, zip(hs, repeat(g))), fs))))
+
+        thin = max(map(len, self._hom.values()), default=0) <= 1
+        # the pairs (g, f) through each object o: g out of o, f into o
+        total = all(all(map(self.composition.__contains__, product(self._out[o], self._into[o])))
+                    for o in self.objects)
+        if not total:
+            for f, g in self.composable_pairs():
+                if (g, f) not in self.composition:
+                    bad(f"composition undefined for ({g}, {f})")
         for name, m in self.morphisms.items():
-            if self.composition.get((self.identities[m.target], name)) != name:
+            if get((self.identities[m.target], name)) != name:
                 bad(f"left unit fails for {name}")
-            if self.composition.get((name, self.identities[m.source])) != name:
+            if get((name, self.identities[m.source])) != name:
                 bad(f"right unit fails for {name}")
-        for f, g in self.composable_pairs():
-            gf = self.composition.get((g, f))
-            if gf is None:
-                continue
-            for h in self._out[self.morphisms[g].target]:
-                hg = self.composition.get((h, g))
-                left = self.composition.get((h, gf))
-                right = self.composition.get((hg, f)) if hg else None
-                if left is not None and right is not None and left != right:
-                    bad(f"associativity fails on ({h}, {g}, {f})")
-        for (l, r), sq in sorted(self.pullbacks.items()):
-            via_left = self.composition.get((l, sq.to_left_source))
-            via_right = self.composition.get((r, sq.to_right_source))
-            if via_left is None or via_right is None or via_left != via_right:
-                bad(f"declared pullback square ({l}, {r}) does not commute")
+        if not thin and not all(map(associative_at, self.morphisms)):
+            for f, g in self.composable_pairs():
+                gf = get((g, f))
+                if gf is None:
+                    continue
+                for h in self._out[self.morphisms[g].target]:
+                    hg = get((h, g))
+                    left = get((h, gf))
+                    right = get((hg, f)) if hg else None
+                    if left is not None and right is not None and left != right:
+                        bad(f"associativity fails on ({h}, {g}, {f})")
+        # the squares commute if their two columns of composites agree, where
+        # a missing composite reads 0 on the left and 1 on the right
+        squares = self.pullbacks.values()
+        via_lefts = map(get, zip(map(attrgetter("left"), squares),
+                                 map(attrgetter("to_left_source"), squares)), repeat(0))
+        via_rights = map(get, zip(map(attrgetter("right"), squares),
+                                  map(attrgetter("to_right_source"), squares)), repeat(1))
+        if not (thin and total) and not all(map(eq, via_lefts, via_rights)):
+            for (l, r), sq in sorted(self.pullbacks.items()):
+                via_left = get((l, sq.to_left_source))
+                via_right = get((r, sq.to_right_source))
+                if via_left is None or via_right is None or via_left != via_right:
+                    bad(f"declared pullback square ({l}, {r}) does not commute")
         return report
 
     def full_subcategory(self, objs) -> "FiniteCategory":
@@ -253,7 +331,8 @@ class FiniteCategory:
         keep = {m.name for m in morphisms} | {self.identities[o] for o in objs}
         comp = {(g, f): h for (g, f), h in self.composition.items()
                 if g in keep and f in keep and h in keep}
+        # a square's legs run from its apex to the sources of left and right,
+        # so they are kept with those two and the apex
         pulls = [sq for sq in self.pullbacks.values()
-                 if {sq.left, sq.right, sq.to_left_source, sq.to_right_source} <= keep
-                 and sq.apex in objs]
+                 if sq.left in keep and sq.right in keep and sq.apex in objs]
         return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from .errors import PreconditionError
 from .model_io import SCHEMA_VERSION, ModelDescription, parse_model
 
 
@@ -52,12 +53,22 @@ def subset_model(ground, subsets, level_plan, weights) -> ModelDescription:
 
     Events are discrete, morphisms are inclusions and pullbacks are
     intersections, so the family must be closed under intersection: the
-    parser refuses a pullback apex that is not an event.  level_plan is one
+    parser refuses a pullback apex that is not an event.  An event's name
+    joins its atoms' names, so two subsets that get one name (atoms "a",
+    "bc", "ab", "c") are refused with PreconditionError.  level_plan is one
     list of subsets per base time 0, 1, ... (one fiber step each) and every
     level should be sigma-closed if the operadic and probability topologies
     are to verify.
     """
     subsets = sorted({frozenset(s) for s in subsets}, key=lambda s: (len(s), sorted(s)))
+    # an event name joins its atoms' names, so atoms of several characters
+    # can give two subsets one name, and the document one event for both
+    named = {}
+    for s in subsets:
+        other = named.setdefault(_ev_name(s), s)
+        if other != s:
+            raise PreconditionError(f"subsets {sorted(other)} and {sorted(s)} share the "
+                                    f"event name {_ev_name(s)!r}")
 
     def arrow(s, t):
         """The inclusion of s in t: the identity of t where s == t."""

@@ -6,6 +6,13 @@ anything; the section builders then check referential integrity.  Every
 problem is collected with its JSON path (`.key` for an object key, `[i]` for
 a list entry) before raising.  Serialization is canonical (sorted keys,
 two-space indent, rationals as strings), so fixtures round-trip byte for byte.
+
+The shape table is checked a column at a time: one check per node of the
+table covers every value at that node (all 7,448 pullback entries of a
+six-atom lattice in one pass), and only a column that fails is walked value
+by value to find each problem's path.  The composition and pullback tables
+are built the same way, and their rows are walked for repeated pairs only
+when some pair repeats.
 """
 from __future__ import annotations
 
@@ -14,6 +21,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import chain, repeat
+from operator import is_not, itemgetter
 from typing import Callable, NamedTuple
 
 from .categories import FiniteCategory, Morphism, PullbackSquare
@@ -53,9 +63,12 @@ def model_hash(text: str) -> str:
 
 
 class _Leaf(NamedTuple):
-    """A value that passes `test`; else `problem, got <value>` at its path."""
+    """A value that passes `test`; else `problem, got <value>` at its path.
+    `column`, if given, tests a whole column of values at once: it is true
+    only if every one of them passes `test`."""
     test: Callable[[object], bool]
     problem: str
+    column: Callable[[list], bool] | None = None
 
 
 def _walk(shape, raw, path, errors, required=()):
@@ -64,32 +77,64 @@ def _walk(shape, raw, path, errors, required=()):
     keyed by _NAME, or by an integer's canonical text; or {field: shape, ...},
     an object whose fields are checked where present, and as None where
     absent if named in `required`.  Other fields are ignored.  Every field of
-    a list entry is required."""
+    a list entry is required.  A list or object that `_fits` is not walked."""
     if isinstance(shape, _Leaf):
         if not shape.test(raw):
             errors.append((path, f"{shape.problem}, got {raw!r}"))
+    elif _fits(shape, [raw], required):
+        return
     elif not isinstance(raw, type(shape)):
         what = "a list" if isinstance(shape, list) else "an object"
         errors.append((path or "$", f"must be {what}, got {raw!r}"))
     elif isinstance(shape, list):
         item, = shape
-        if not (isinstance(item, _Leaf) and all(map(item.test, raw))):
-            for i, value in enumerate(raw):
-                _walk(item, value, f"{path}[{i}]", errors, required=item)  # all its fields
+        for i, value in enumerate(raw):
+            _walk(item, value, f"{path}[{i}]", errors, required=item)  # all its fields
     elif str in shape or int in shape:
         item, = shape.values()
-        if int in shape and not (_names(raw) and all(map(_integer, raw))):
+        if int in shape and not (_names(raw) and _integers(list(raw))):
             errors.append((path, f"keys must be integers in canonical form, got {sorted(raw)}"))
         elif str in shape and not _names(raw):
             errors += [(path, f"key {_NAME.problem}, got {key!r}")
                        for key in raw if not _NAME.test(key)]
-        elif not (isinstance(item, _Leaf) and all(map(item.test, raw.values()))):
+        else:
             for key, value in raw.items():
                 _walk(item, value, f"{path}.{key}", errors)
     else:
         for key, field in shape.items():
             if key in raw or key in required:
                 _walk(field, raw.get(key), f"{path}.{key}" if path else key, errors)
+
+
+def _fits(shape, values, required=()) -> bool:
+    """Every one of values fits shape, so that `_walk` would find nothing: one
+    call per node of the shape, each checking the whole column of values at
+    that node.  The items of lists, and the keys and values of objects, are
+    chained into one column.  It may say no to values that fit (a subclass of
+    list or dict, which JSON does not make); `_walk` then finds nothing."""
+    if isinstance(shape, _Leaf):
+        return shape.column(values) if shape.column else all(map(shape.test, values))
+    if not set(map(type, values)) <= {type(shape)}:
+        return False
+    if isinstance(shape, list):
+        item, = shape
+        return _fits(item, list(chain.from_iterable(values)), required=item)
+    if str in shape or int in shape:
+        item, = shape.values()
+        keys = list(chain.from_iterable(values))
+        return (_names(keys) and (str in shape or _integers(keys))
+                and _fits(item, list(chain.from_iterable(map(dict.values, values)))))
+    for key, field in shape.items():
+        if key in required:
+            column = list(map(dict.get, values, repeat(key)))
+        else:
+            try:
+                column = list(map(itemgetter(key), values))
+            except KeyError:
+                column = [value[key] for value in values if key in value]
+        if not _fits(field, column):
+            return False
+    return True
 
 
 # A rational's size bound, checked on its text before any Fraction is built:
@@ -119,25 +164,48 @@ def _names(values) -> bool:
         return False
 
 
-def _integer(key) -> bool:
-    """key is an integer as str() writes it, so that no two keys ("0", "00",
-    "+0", " 0") name one integer."""
+def _integers(keys: list) -> bool:
+    """Every key is an integer as str() writes it, so that no two keys ("0",
+    "00", "+0", " 0") name one integer."""
     try:
-        return str(int(key)) == key
+        return list(map(str, map(int, keys))) == keys
     except ValueError:
         return False
+
+
+@lru_cache(maxsize=256)
+def _rational(text: str) -> Fraction:
+    """The bounded rational that text reads as, parsed once per text: a
+    model repeats a few base times across its levels and generators."""
+    return Fraction(_bounded(text))
 
 
 def _fraction(raw) -> bool:
     """raw reads as a bounded rational."""
     try:
-        Fraction(_bounded(str(raw)))
+        _rational(str(raw))
     except (ValueError, ZeroDivisionError):
         return False
     return True
 
 
-_NAME = _Leaf(lambda v: _names((v,)), "must be a name")
+def _triples(values) -> bool:
+    """Every one of values is a list of three names."""
+    return (set(map(type, values)) <= {list} and set(map(len, values)) <= {3}
+            and _names(chain.from_iterable(values)))
+
+
+def _squares(values) -> bool:
+    """Every one of values is an object whose _SQUARE fields are names."""
+    if not set(map(type, values)) <= {dict}:
+        return False
+    try:
+        return _names(chain.from_iterable(map(itemgetter(*_SQUARE), values)))
+    except KeyError:
+        return False
+
+
+_NAME = _Leaf(lambda v: _names((v,)), "must be a name", _names)
 _POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
                and type(v[1]) is int,
                "must be [base, fiber] with a bounded rational base and an integer fiber")
@@ -157,13 +225,14 @@ _MODEL = {
         "objects": [_NAME],
         "morphisms": {str: {
             "source": _NAME, "target": _NAME,
-            "map": _Leaf(lambda v: v is None or _names((v,)), "must be a name or null")}},
+            "map": _Leaf(lambda v: v is None or _names((v,)), "must be a name or null",
+                         lambda vs: _names(filter(partial(is_not, None), vs)))}},
         "composition": [_Leaf(
             lambda v: type(v) is list and len(v) == 3 and _names(v),
-            "entry must be [g, f, g*f]")],
+            "entry must be [g, f, g*f]", _triples)],
         "pullbacks": [_Leaf(
             lambda v: type(v) is dict and _names(tuple(map(v.get, _SQUARE))),
-            "entry needs left/right/apex/to_left/to_right")]},
+            "entry needs left/right/apex/to_left/to_right", _squares)]},
     "filtration": {
         "base_times": [_Leaf(_fraction, f"must be a rational number of at most {_RATIONAL_CHARS}"
                                         f" characters and exponent {_RATIONAL_EXPONENT} in size")],
@@ -173,6 +242,12 @@ _MODEL = {
     "measure": {str: _Leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
                            "weight must be a finite number")},
 }
+
+
+@lru_cache(maxsize=256)
+def _point(base: str, k: int) -> FramedPoint:
+    """The framed point [base, k] of a model file, built once per text."""
+    return FramedPoint(_rational(base), k)
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -238,34 +313,45 @@ def parse_model(text: str) -> ModelDescription:
             errors.append((f"category.morphisms.{name}", f"unknown map {spec['map']!r}"))
         morphisms.append(Morphism(name, spec.get("source", ""), spec.get("target", ""), emap))
     # a pair has one composite and one pullback, so a second entry for it is
-    # refused rather than left to replace the first
-    composition, pullbacks = {}, {}
-    for i, (g, f, h) in enumerate(cat_spec.get("composition", [])):
-        if (g, f) in composition:
-            errors.append((f"category.composition[{i}]",
-                           f"({g!r}, {f!r}) already has a composite"))
-        composition[(g, f)] = h
-    for i, sq in enumerate(cat_spec.get("pullbacks", [])):
-        pair = (sq["left"], sq["right"])
-        if pair in pullbacks:
-            errors.append((f"category.pullbacks[{i}]", f"{pair!r} already has a pullback"))
-        pullbacks[pair] = PullbackSquare(*map(sq.get, _SQUARE))
-    if errors:
-        raise ModelError(errors)
-    try:
-        category = FiniteCategory(objects, morphisms, composition, pullbacks.values())
-    except StructuralError as exc:
-        raise ModelError([("category", str(exc))]) from None
+    # refused rather than left to replace the first.  The tables are built a
+    # column at a time, and their rows walked for repeats only if there are
+    # any: fewer composites than rules, or fewer squares in the category
+    # (which keeps one per pair), or an error that a repeat may come before
+    triples = cat_spec.get("composition", [])
+    composition = {(g, f): h for g, f, h in triples}
+    if len(composition) < len(triples):
+        seen = set()
+        for i, (g, f, h) in enumerate(triples):
+            if (g, f) in seen:
+                errors.append((f"category.composition[{i}]",
+                               f"({g!r}, {f!r}) already has a composite"))
+            seen.add((g, f))
+    squares = list(map(tuple.__new__, repeat(PullbackSquare),
+                       map(itemgetter(*_SQUARE), cat_spec.get("pullbacks", []))))
+    category = problem = None
+    if not errors:
+        try:
+            category = FiniteCategory(objects, morphisms, composition, squares)
+        except StructuralError as exc:
+            problem = ("category", str(exc))
+    if category is None or len(category.pullbacks) < len(squares):
+        seen = set()
+        for i, sq in enumerate(squares):
+            pair = (sq.left, sq.right)
+            if pair in seen:
+                errors.append((f"category.pullbacks[{i}]", f"{pair!r} already has a pullback"))
+            seen.add(pair)
+        raise ModelError(errors or [problem])
 
     filtration = None
     if "filtration" in doc:
         fspec = doc["filtration"]
         generators = [MultiArrow(g["name"], tuple(g["inputs"]), g["output"],
-                                 FramedPoint(Fraction(str(g["at"][0])), g["at"][1]))
+                                 _point(str(g["at"][0]), g["at"][1]))
                       for g in doc.get("operad", [])]
         levels = {}
         for i, e in enumerate(fspec.get("levels", [])):
-            p = FramedPoint(Fraction(str(e["at"][0])), e["at"][1])
+            p = _point(str(e["at"][0]), e["at"][1])
             if p in levels:
                 raise ModelError([(f"filtration.levels[{i}].at",
                                    f"point {p!r} already has a level")])
@@ -278,7 +364,7 @@ def parse_model(text: str) -> ModelDescription:
             raise ModelError([("filtration.fiber_steps", f"{m} fiber steps over "
                                f"{len(base_times)} base times need more than {declared} levels")])
         try:
-            index = FramedIndex([Fraction(str(t)) for t in base_times], m)
+            index = FramedIndex([_rational(str(t)) for t in base_times], m)
             filtration = FilteredSigmaAlgebra(index, events, levels, generators)
         except StructuralError as exc:
             raise ModelError([("filtration", str(exc))]) from None

@@ -1,7 +1,11 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
 from deltasite.errors import PreconditionError, StructuralError
 
@@ -38,6 +42,18 @@ def test_check_axioms_flags_noncommuting_pullback():
     cat = FiniteCategory(objs, morphisms, comp,
                          [PullbackSquare("f", "g", "P", "pa", "pb")])
     assert any("does not commute" in v for v in violations(cat))
+
+
+def test_check_axioms_flags_a_square_missing_a_composite_in_a_thin_category():
+    """Every hom-set holds one arrow at most, so no two composites can differ,
+    but a square whose composite is missing still does not commute."""
+    objs = {o: None for o in "PABC"}
+    morphisms = [Morphism("f", "A", "C"), Morphism("g", "B", "C"),
+                 Morphism("pa", "P", "A"), Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
+    cat = FiniteCategory(objs, morphisms, {("f", "pa"): "u"},
+                         [PullbackSquare("f", "g", "P", "pa", "pb")])
+    assert violations(cat) == ["composition undefined for (g, pb)",
+                               "declared pullback square (f, g) does not commute"]
 
 
 # -- cospan resolution ---------------------------------------------------------------
@@ -250,3 +266,136 @@ def test_brute_force_strategy_reaches_every_violation_kind():
 
     collect()
     assert kinds == {"composition", "left", "right", "associativity", "declared"}
+
+
+# -- construction errors against a row-by-row reference ------------------------------
+
+def reference_construction_error(objects, morphisms, composition, pullbacks):
+    """The text of the first StructuralError that construction raises,
+    found one row at a time, or None if the tables are sound."""
+    known = {}
+    for m in morphisms:
+        if m.name in known:
+            return f"duplicate morphism name {m.name!r}"
+        for end in (m.source, m.target):
+            if end not in objects:
+                return f"morphism {m.name!r} references unknown object {end!r}"
+        if m.event_map is not None:
+            if objects[m.source] is not None and m.event_map.source is not objects[m.source]:
+                return f"morphism {m.name!r}: event map source mismatch"
+            if objects[m.target] is not None and m.event_map.target is not objects[m.target]:
+                return f"morphism {m.name!r}: event map target mismatch"
+        known[m.name] = m
+    for obj in objects:
+        if f"id:{obj}" in known:
+            return f"morphism name {f'id:{obj}'!r} is reserved for the identity"
+        known[f"id:{obj}"] = Morphism(f"id:{obj}", obj, obj)
+    for (g, f), h in composition.items():
+        for name in (g, f, h):
+            if name not in known:
+                return f"composition rule references unknown morphism {name!r}"
+        if known[f].target != known[g].source:
+            return f"composition rule ({g!r}, {f!r}) is not composable"
+        if known[h].source != known[f].source or known[h].target != known[g].target:
+            return f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})"
+    for sq in pullbacks:
+        left, right = known.get(sq.left), known.get(sq.right)
+        if left is None or right is None:
+            return "pullback square references unknown morphism"
+        if left.target != right.target:
+            return f"pullback of ({sq.left!r}, {sq.right!r}): targets differ"
+        if sq.apex not in objects:
+            return f"pullback apex {sq.apex!r} is not an object"
+        for leg, want in ((sq.to_left_source, left.source), (sq.to_right_source, right.source)):
+            lm = known.get(leg)
+            if lm is None or lm.source != sq.apex or lm.target != want:
+                return f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}"
+    return None
+
+
+@functools.cache
+def lattice4():
+    """The category of the power-set lattice on four atoms, read from its
+    model document."""
+    subsets = [frozenset(c) for r in range(5) for c in itertools.combinations("abcd", r)]
+    return fixtures.subset_model("abcd", subsets, [subsets], {a: 0.25 for a in "abcd"}).category
+
+
+DEFECTS = ("unknown name", "not composable", "wrong composite endpoints", "targets differ",
+           "apex not an object", "bad leg", "unknown object", "event map mismatch")
+
+
+@settings(max_examples=300, deadline=None)
+@given(defects=hst.lists(hst.sampled_from(DEFECTS), min_size=1, max_size=2), data=hst.data())
+def test_construction_errors_match_a_row_by_row_reference(defects, data):
+    """One or two rows of the lattice's tables, at random places, get a
+    defect each; construction raises the reference's first error, word for
+    word."""
+    cat = lattice4()
+    morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
+    rules = [[g, f, h] for (g, f), h in cat.composition.items()
+             if not (cat.is_identity(g) or cat.is_identity(f))]
+    squares = list(cat.pullbacks.values())
+    ends = {name: (m.source, m.target) for name, m in cat.morphisms.items()}
+
+    def other(*tests):
+        """A morphism name whose (source, target) passes one of tests: the
+        first of them, in a drawn order, that some morphism passes."""
+        for test in data.draw(hst.permutations(tests)):
+            names = sorted(n for n in ends if test(*ends[n]))
+            if names:
+                return data.draw(hst.sampled_from(names))
+        raise AssertionError("no morphism fits")
+
+    touched = set()
+
+    def row(table):
+        """The place of a row of table that no defect has touched yet."""
+        i = data.draw(hst.sampled_from([i for i in range(len(table))
+                                        if (id(table), i) not in touched]))
+        touched.add((id(table), i))
+        return i
+
+    for defect in defects:
+        if defect in ("unknown object", "event map mismatch"):
+            i = row(morphisms)
+            m = morphisms[i]
+            if defect == "unknown object":
+                morphisms[i] = Morphism(m.name, m.source, "ghost", m.event_map)
+            else:
+                stranger = data.draw(hst.sampled_from(
+                    [n.event_map for n in morphisms if n.source != m.source]))
+                morphisms[i] = Morphism(m.name, m.source, m.target, stranger)
+        elif defect in ("not composable", "wrong composite endpoints") or (
+                defect == "unknown name" and data.draw(hst.booleans())):
+            i = row(rules)
+            g, f, h = rules[i]
+            if defect == "unknown name":
+                rules[i][data.draw(hst.integers(0, 2))] = "ghost"
+            elif defect == "not composable":
+                rules[i][0] = other(lambda s, t: s != ends[f][1])
+            else:
+                rules[i][2] = other(lambda s, t: s != ends[f][0] and t == ends[g][1],
+                                    lambda s, t: s == ends[f][0] and t != ends[g][1])
+        else:
+            i = row(squares)
+            sq = squares[i]
+            if defect == "unknown name":
+                field = data.draw(hst.sampled_from(("left", "right")))
+                squares[i] = sq._replace(**{field: "ghost"})
+            elif defect == "targets differ":
+                squares[i] = sq._replace(right=other(lambda s, t: t != ends[sq.left][1]))
+            elif defect == "apex not an object":
+                squares[i] = sq._replace(apex="ghost")
+            else:
+                field = data.draw(hst.sampled_from(("to_left_source", "to_right_source")))
+                side = ends[sq.left if field == "to_left_source" else sq.right][0]
+                squares[i] = sq._replace(**{field: other(
+                    lambda s, t: s != sq.apex and t == side,
+                    lambda s, t: s == sq.apex and t != side)})
+    composition = {(g, f): h for g, f, h in rules}
+    expected = reference_construction_error(cat.objects, morphisms, composition, squares)
+    assert expected is not None
+    with pytest.raises(StructuralError) as err:
+        FiniteCategory(cat.objects, morphisms, composition, squares)
+    assert str(err.value) == expected

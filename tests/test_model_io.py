@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import math
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite import fixtures
-from deltasite.errors import ModelError
-from deltasite.model_io import (model_hash, parse_model, serialize_model)
+from deltasite.errors import ModelError, PreconditionError
+from deltasite.model_io import (_MODEL, _NAME, _Leaf, _names, _walk, model_hash, parse_model,
+                                serialize_model)
 
 MINIMAL = {
     "schema": 1,
@@ -84,6 +86,15 @@ def test_subset_family_not_closed_under_intersection_is_refused_at_the_category(
     with pytest.raises(ModelError) as err:
         fixtures.subset_model("abc", family, [family], {a: 1 / 3 for a in "abc"})
     assert err.value.errors == [("category", "pullback apex 'e_b' is not an object")]
+
+
+def test_subsets_that_share_an_event_name_are_refused_by_name():
+    atoms = ["a", "bc", "ab", "c"]
+    family = [frozenset(c) for r in range(5) for c in itertools.combinations(atoms, r)]
+    with pytest.raises(PreconditionError) as err:
+        fixtures.subset_model(atoms, family, [family], {a: 0.25 for a in atoms})
+    assert str(err.value) == ("subsets ['a', 'bc'] and ['ab', 'c'] share the event name "
+                              "'e_abc'")
 
 
 def test_fixture_directory_holds_exactly_the_named_fixtures():
@@ -320,6 +331,99 @@ def test_mutated_fixture_fails_only_with_located_model_errors(name, data):
         for path, _ in err.errors:
             assert path == "$" or path.startswith("line ") or any(
                 path == top or path.startswith((f"{top}.", f"{top}[")) for top in sections), path
+
+
+# -- the column check against a walk of one value at a time ------------------------
+
+def canonical_integer(key) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
+
+
+def reference_walk(shape, raw, path, errors, required=()):
+    """The shape walk one value at a time, with no column checks: the oracle
+    that `_walk` must agree with, error for error."""
+    if isinstance(shape, _Leaf):
+        if not shape.test(raw):
+            errors.append((path, f"{shape.problem}, got {raw!r}"))
+    elif not isinstance(raw, type(shape)):
+        what = "a list" if isinstance(shape, list) else "an object"
+        errors.append((path or "$", f"must be {what}, got {raw!r}"))
+    elif isinstance(shape, list):
+        item, = shape
+        if not (isinstance(item, _Leaf) and all(map(item.test, raw))):
+            for i, value in enumerate(raw):
+                reference_walk(item, value, f"{path}[{i}]", errors, required=item)
+    elif str in shape or int in shape:
+        item, = shape.values()
+        if int in shape and not (_names(raw) and all(map(canonical_integer, raw))):
+            errors.append((path, f"keys must be integers in canonical form, got {sorted(raw)}"))
+        elif str in shape and not _names(raw):
+            errors += [(path, f"key {_NAME.problem}, got {key!r}")
+                       for key in raw if not _NAME.test(key)]
+        elif not (isinstance(item, _Leaf) and all(map(item.test, raw.values()))):
+            for key, value in raw.items():
+                reference_walk(item, value, f"{path}.{key}", errors)
+    else:
+        for key, field in shape.items():
+            if key in raw or key in required:
+                reference_walk(field, raw.get(key), f"{path}.{key}" if path else key, errors)
+
+
+def assert_walks_agree(doc):
+    found, expected = [], []
+    _walk(_MODEL, doc, "", found, required=("schema",))
+    reference_walk(_MODEL, doc, "", expected, required=("schema",))
+    assert found == expected
+
+
+@pytest.mark.parametrize("keys, value, path", MALFORMED)
+def test_column_check_finds_what_the_reference_finds_on_malformed_rows(keys, value, path):
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    assert_walks_agree(doc)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data())
+def test_column_check_finds_what_the_reference_finds_on_mutated_fixtures(name, data):
+    assert_walks_agree(data.draw(mutated_fixture(name)))
+
+
+@functools.cache
+def lattice6_text():
+    atoms, blocks, weights, _ = LATTICE_DIGESTS[1]
+    subsets = unions(atoms)
+    levels = [[frozenset(), frozenset(atoms)], unions(blocks), subsets]
+    return serialize_model(fixtures.subset_model(atoms, subsets, levels,
+                                                 dict(zip(atoms, weights))))
+
+
+@pytest.mark.parametrize("section", (("category", "composition"), ("category", "pullbacks"),
+                                     ("maps",), ("operad",)))
+@settings(max_examples=25, deadline=None)
+@given(data=hst.data())
+def test_column_check_finds_what_the_reference_finds_at_scale(section, data):
+    """The six-atom lattice (2,702 composition rules, 7,448 squares) with one
+    value swapped at a random row of a long table."""
+    doc = json.loads(lattice6_text())
+    table = doc
+    for key in section:
+        table = table[key]
+    rows = sorted(table) if isinstance(table, dict) else range(len(table))
+    row = data.draw(hst.sampled_from(rows))
+    at = data.draw(hst.sampled_from(list(_nodes(table[row], (row,)))))
+    parent = table
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = copy.deepcopy(data.draw(hst.sampled_from(SWAPS)))
+    assert_walks_agree(doc)
 
 
 def test_unknown_top_level_key_is_ignored():
