@@ -64,11 +64,10 @@ def model_hash(text: str) -> str:
 
 class _Leaf(NamedTuple):
     """A value that passes `test`; else `problem, got <value>` at its path.
-    `column`, if given, tests a whole column of values at once: it is true
-    only if every one of them passes `test`."""
-    test: Callable[[object], bool]
+    `test` takes a whole column of values, and is true only if every one of
+    them passes: a single value is tested as a column of one."""
+    test: Callable[[list], bool]
     problem: str
-    column: Callable[[list], bool] | None = None
 
 
 def _walk(shape, raw, path, errors, required=()):
@@ -79,7 +78,7 @@ def _walk(shape, raw, path, errors, required=()):
     absent if named in `required`.  Other fields are ignored.  Every field of
     a list entry is required.  A list or object that `_fits` is not walked."""
     if isinstance(shape, _Leaf):
-        if not shape.test(raw):
+        if not shape.test([raw]):
             errors.append((path, f"{shape.problem}, got {raw!r}"))
     elif _fits(shape, [raw], required):
         return
@@ -96,7 +95,7 @@ def _walk(shape, raw, path, errors, required=()):
             errors.append((path, f"keys must be integers in canonical form, got {sorted(raw)}"))
         elif str in shape and not _names(raw):
             errors += [(path, f"key {_NAME.problem}, got {key!r}")
-                       for key in raw if not _NAME.test(key)]
+                       for key in raw if not _NAME.test([key])]
         else:
             for key, value in raw.items():
                 _walk(item, value, f"{path}.{key}", errors)
@@ -113,7 +112,7 @@ def _fits(shape, values, required=()) -> bool:
     chained into one column.  It may say no to values that fit (a subclass of
     list or dict, which JSON does not make); `_walk` then finds nothing."""
     if isinstance(shape, _Leaf):
-        return shape.column(values) if shape.column else all(map(shape.test, values))
+        return shape.test(values)
     if not set(map(type, values)) <= {type(shape)}:
         return False
     if isinstance(shape, list):
@@ -205,14 +204,19 @@ def _squares(values) -> bool:
         return False
 
 
-_NAME = _Leaf(lambda v: _names((v,)), "must be a name", _names)
-_POINT = _Leaf(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
-               and type(v[1]) is int,
+def _each(test: Callable[[object], bool]) -> Callable[[list], bool]:
+    """The column test that every value passes test."""
+    return lambda values: all(map(test, values))
+
+
+_NAME = _Leaf(_names, "must be a name")
+_POINT = _Leaf(_each(lambda v: type(v) is list and len(v) == 2 and _fraction(v[0])
+                     and type(v[1]) is int),
                "must be [base, fiber] with a bounded rational base and an integer fiber")
 _SQUARE = ("left", "right", "apex", "to_left", "to_right")
 
 _MODEL = {
-    "schema": _Leaf(lambda v: type(v) is int and v == SCHEMA_VERSION,
+    "schema": _Leaf(_each(lambda v: type(v) is int and v == SCHEMA_VERSION),
                     f"expected schema {SCHEMA_VERSION}"),
     "ground_set": [_NAME],
     "events": {str: {
@@ -225,29 +229,21 @@ _MODEL = {
         "objects": [_NAME],
         "morphisms": {str: {
             "source": _NAME, "target": _NAME,
-            "map": _Leaf(lambda v: v is None or _names((v,)), "must be a name or null",
-                         lambda vs: _names(filter(partial(is_not, None), vs)))}},
-        "composition": [_Leaf(
-            lambda v: type(v) is list and len(v) == 3 and _names(v),
-            "entry must be [g, f, g*f]", _triples)],
-        "pullbacks": [_Leaf(
-            lambda v: type(v) is dict and _names(tuple(map(v.get, _SQUARE))),
-            "entry needs left/right/apex/to_left/to_right", _squares)]},
+            "map": _Leaf(lambda vs: _names(filter(partial(is_not, None), vs)),
+                         "must be a name or null")}},
+        "composition": [_Leaf(_triples, "entry must be [g, f, g*f]")],
+        "pullbacks": [_Leaf(_squares, "entry needs left/right/apex/to_left/to_right")]},
     "filtration": {
-        "base_times": [_Leaf(_fraction, f"must be a rational number of at most {_RATIONAL_CHARS}"
-                                        f" characters and exponent {_RATIONAL_EXPONENT} in size")],
-        "fiber_steps": _Leaf(lambda v: type(v) is int, "must be an integer"),
+        "base_times": [_Leaf(_each(_fraction),
+                             f"must be a rational number of at most {_RATIONAL_CHARS}"
+                             f" characters and exponent {_RATIONAL_EXPONENT} in size")],
+        "fiber_steps": _Leaf(_each(lambda v: type(v) is int), "must be an integer"),
         "levels": [{"at": _POINT, "events": [_NAME]}]},
     "operad": [{"name": _NAME, "inputs": [_NAME], "output": _NAME, "at": _POINT}],
-    "measure": {str: _Leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "measure": {str: _Leaf(_each(lambda v: type(v) in (int, float)
+                                 and abs(v) <= sys.float_info.max),
                            "weight must be a finite number")},
 }
-
-
-@lru_cache(maxsize=256)
-def _point(base: str, k: int) -> FramedPoint:
-    """The framed point [base, k] of a model file, built once per text."""
-    return FramedPoint(_rational(base), k)
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -347,11 +343,11 @@ def parse_model(text: str) -> ModelDescription:
     if "filtration" in doc:
         fspec = doc["filtration"]
         generators = [MultiArrow(g["name"], tuple(g["inputs"]), g["output"],
-                                 _point(str(g["at"][0]), g["at"][1]))
+                                 FramedPoint(_rational(str(g["at"][0])), g["at"][1]))
                       for g in doc.get("operad", [])]
         levels = {}
         for i, e in enumerate(fspec.get("levels", [])):
-            p = _point(str(e["at"][0]), e["at"][1])
+            p = FramedPoint(_rational(str(e["at"][0])), e["at"][1])
             if p in levels:
                 raise ModelError([(f"filtration.levels[{i}].at",
                                    f"point {p!r} already has a level")])

@@ -346,14 +346,14 @@ def reference_walk(shape, raw, path, errors, required=()):
     """The shape walk one value at a time, with no column checks: the oracle
     that `_walk` must agree with, error for error."""
     if isinstance(shape, _Leaf):
-        if not shape.test(raw):
+        if not shape.test([raw]):
             errors.append((path, f"{shape.problem}, got {raw!r}"))
     elif not isinstance(raw, type(shape)):
         what = "a list" if isinstance(shape, list) else "an object"
         errors.append((path or "$", f"must be {what}, got {raw!r}"))
     elif isinstance(shape, list):
         item, = shape
-        if not (isinstance(item, _Leaf) and all(map(item.test, raw))):
+        if not (isinstance(item, _Leaf) and all(item.test([v]) for v in raw)):
             for i, value in enumerate(raw):
                 reference_walk(item, value, f"{path}[{i}]", errors, required=item)
     elif str in shape or int in shape:
@@ -362,8 +362,8 @@ def reference_walk(shape, raw, path, errors, required=()):
             errors.append((path, f"keys must be integers in canonical form, got {sorted(raw)}"))
         elif str in shape and not _names(raw):
             errors += [(path, f"key {_NAME.problem}, got {key!r}")
-                       for key in raw if not _NAME.test(key)]
-        elif not (isinstance(item, _Leaf) and all(map(item.test, raw.values()))):
+                       for key in raw if not _NAME.test([key])]
+        elif not (isinstance(item, _Leaf) and all(item.test([v]) for v in raw.values())):
             for key, value in raw.items():
                 reference_walk(item, value, f"{path}.{key}", errors)
     else:
