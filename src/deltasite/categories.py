@@ -4,8 +4,9 @@ Objects are identifiers optionally bound to simplicial events; morphisms,
 composition and declared pullbacks are explicit tables.  Axioms (unit laws,
 associativity, totality of composition, commuting pullback squares) are
 verified by enumeration into a `Report`, so that deliberately broken
-fragments can be constructed and diagnosed.  `pullback_legs` is the one rule
-that resolves a cospan to its pullback.
+fragments can be constructed and diagnosed.  `pullback_legs` states the rule
+that resolves a cospan to its pullback; the site verifier applies the same
+rule inline, to arrows it knows end at one object.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object, and from one object to another) are
@@ -20,6 +21,7 @@ run between the right ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -189,10 +191,6 @@ class FiniteCategory:
         m = self.morphisms.get(name)
         return m is not None and self.identities[m.source] == name
 
-    def compose(self, g: str, f: str) -> str:
-        """Name of g o f, or raise KeyError if the table lacks it."""
-        return self.composition[(g, f)]
-
     def morphisms_into(self, obj: str) -> list[str]:
         """Sorted names of the morphisms ending at obj (the shared index:
         read it, do not modify it)."""
@@ -210,6 +208,15 @@ class FiniteCategory:
             self.composition.get((other, name)) == self.identities[m.source]
             and self.composition.get((name, other)) == self.identities[m.target]
             for other in self._hom.get((m.target, m.source), ()))
+
+    @cached_property
+    def isomorphisms(self) -> frozenset[str]:
+        """The names of the isomorphisms, decided once per category.  Only an
+        arrow with some arrow back can be one, and a loop (every identity
+        among them) is its own way back, so only those are tested."""
+        hom = self._hom
+        return frozenset(filter(self.is_isomorphism, (
+            name for (s, t), names in hom.items() if (t, s) in hom for name in names)))
 
     def is_structural(self, name: str) -> bool:
         """Monomorphism test on the attached simplicial map."""

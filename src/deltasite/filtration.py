@@ -100,19 +100,30 @@ class FilteredSigmaAlgebra:
             if p not in self.levels:
                 raise ModelError([(f"filtration.levels[{i}]",
                                    f"level at {p!r} is not a point of the framed index")])
+        # each generator's place in the index, found once: points hash and
+        # compare through Fraction, places through int
+        place = {p: i for i, p in enumerate(index.points)}
+        self._placed: list[int] = []
         for g in self.generators:
-            if g.at not in self.levels:
+            i = place.get(g.at)
+            if i is None:
                 raise StructuralError(f"generator {g.name!r} placed at unknown point {g.at!r}")
             for ev in (*g.inputs, g.output):
                 if ev not in self.events:
                     raise StructuralError(f"generator {g.name!r} references unknown event {ev!r}")
+            self._placed.append(i)
+        self._available = {p: [g for g, i in zip(self.generators, self._placed) if i <= j]
+                           for p, j in place.items()}
 
     def generators_at(self, point: FramedPoint) -> list[MultiArrow]:
-        """Generators available at `point`: those placed at u <= point.
+        """Generators available at `point`, a point of the index: those
+        placed at u <= point, in their own order.
 
         Availability is cumulative because later levels contain everything
         assembled earlier (the filtration is increasing)."""
-        return [g for g in self.generators if g.at <= point]
+        if point not in self._available:
+            raise KeyError(f"unknown framed point {point!r}")
+        return list(self._available[point])
 
     def level(self, point: FramedPoint) -> frozenset[str]:
         if point not in self.levels:
@@ -242,8 +253,9 @@ def check_operad_action(F: FilteredSigmaAlgebra) -> Report:
     the fraction of (point, event) pairs whose event is assembled (is the
     output of a generator available at that point)."""
     report = Report()
-    for g in F.generators:
-        level = F.level(g.at)
+    levels = [F.levels[p] for p in F.index]
+    for g, i in zip(F.generators, F._placed):
+        level = levels[i]
         for ev in (*g.inputs, g.output):
             if ev not in level:
                 report.add("operad-action",

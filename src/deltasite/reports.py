@@ -1,29 +1,45 @@
 """The one result type of deltasite: every verifier returns a `Report`, a
-list of `Record`s (check id, instance, status, witness).  CLI commands add
+list of records (check id, instance, status, witness).  CLI commands add
 their own records and nest verifier reports with `extend`.  A command report
 is deterministic given (model, command, flags, seed), rendered as canonical
 JSON or stable plain text.
+
+A report stores its records as rows: `Report.rows` is a list of exact
+`tuple`s of four `str`.  The verifiers' loops append rows to it directly;
+`add` and `extend` serve the callers that write few.  The cyclic garbage
+collector untracks a tuple of strings at the first collection that sees it,
+so a report of a hundred thousand rows costs later collections nothing; a
+`Record`, a tuple subclass, would stay tracked.  `Report.records` is a view:
+reading it builds a fresh list of `Record`s from the rows, for readers that
+want the fields by name, and a `Record` equals its row.
 
 Canonical JSON is `json.dumps(doc, indent=2, sort_keys=True)` plus a
 newline, byte for byte.  Only the header (command, model hash, params) and
 the summary go through `json.dumps`; every record is written from one fixed
 template of its four sorted keys, each value escaped by
 `json.encoder.encode_basestring_ascii`, the escaper `json.dumps` itself
-uses.  So record fields are `str` by contract: the template escapes them as
-strings."""
+uses.  The rows are escaped a column at a time and the whole document is
+one join.  So record fields are `str` by contract: the template escapes them
+as strings."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple
 
 # one record at its depth in the report: the keys in sorted order
 _RECORD = ('    {\n      "check": %s,\n      "instance": %s,\n'
            '      "status": %s,\n      "witness": %s\n    }')
 
+_STATUS = itemgetter(2)
 
-@dataclass(slots=True)
-class Record:
+
+class Record(NamedTuple):
     check_id: str
     instance: str
     status: str  # "pass" | "fail" | "info"
@@ -32,38 +48,45 @@ class Record:
 
 @dataclass
 class Report:
-    """Records in order.  Verifiers fill only `records`; a CLI command also
-    sets the header fields that rendering shows."""
+    """Records in order, stored as rows.  Verifiers fill only `rows`; a CLI
+    command also sets the header fields that rendering shows.  The records
+    given to the constructor may be `Record`s: they are stored as rows."""
 
     command: str = ""
     model_hash: str | None = None
     params: dict = field(default_factory=dict)
-    records: list[Record] = field(default_factory=list)
+    rows: list[tuple[str, str, str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.rows = list(map(tuple, self.rows))
+
+    @property
+    def records(self) -> list[Record]:
+        """The rows as `Record`s, built on each read: append through `rows`,
+        `add` or `extend`, not to this list."""
+        return list(map(Record._make, self.rows))
 
     def add(self, check_id: str, instance: str, ok: bool | None, witness: str = ""):
         status = "info" if ok is None else ("pass" if ok else "fail")
-        self.records.append(Record(check_id, instance, status, witness))
+        self.rows.append((check_id, instance, status, witness))
 
     def extend(self, other: "Report", prefix: str = ""):
         """Append other's records, each instance prefixed with prefix."""
-        self.records.extend(
-            (Record(r.check_id, prefix + r.instance, r.status, r.witness)
-             for r in other.records) if prefix else other.records)
+        self.rows += ([(c, prefix + i, s, w) for c, i, s, w in other.rows]
+                      if prefix else other.rows)
 
     def failures(self) -> list[Record]:
         return [r for r in self.records if r.status == "fail"]
 
     @property
     def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.records)
+        return "fail" not in map(_STATUS, self.rows)
 
     @property
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "info": 0}
-        for r in self.records:
-            counts[r.status] += 1
-        counts["total"] = len(self.records)
-        return counts
+        counts = Counter(map(_STATUS, self.rows))
+        return {"pass": counts["pass"], "fail": counts["fail"], "info": counts["info"],
+                "total": len(self.rows)}
 
     def exit_code(self) -> int:
         return 0 if self.passed else 1
@@ -73,12 +96,24 @@ class Report:
         head = json.dumps({"command": self.command, "model_hash": self.model_hash,
                            "params": self.params}, indent=2, sort_keys=True)
         tail = json.dumps({"summary": self.summary}, indent=2, sort_keys=True)
+        rows = self.rows
+        if not rows:
+            return f'{head[:-2]},\n  "records": [],\n{tail[2:]}\n'
+        # the template's text around its four values; records end ",\n" but the last
+        opening, *keys, closing = _RECORD.split("%s")
         esc = encode_basestring_ascii
-        records = ",\n".join([
-            _RECORD % (esc(r.check_id), esc(r.instance), esc(r.status), esc(r.witness))
-            for r in self.records])
-        body = f"[\n{records}\n  ]" if self.records else "[]"
-        return f'{head[:-2]},\n  "records": {body},\n{tail[2:]}\n'
+        # check ids, statuses and many witnesses repeat: each distinct one is
+        # escaped once, with the template's text around it, and shared
+        check = cache(lambda c: f"{opening}{esc(c)}{keys[0]}")
+        status = cache(lambda s: f"{keys[1]}{esc(s)}{keys[2]}")
+        witness = cache(esc)
+        parts = [f'{head[:-2]},\n  "records": [\n']
+        parts += chain.from_iterable(zip(
+            map(check, map(itemgetter(0), rows)), map(esc, map(itemgetter(1), rows)),
+            map(status, map(itemgetter(2), rows)), map(witness, map(itemgetter(3), rows)),
+            repeat(f"{closing},\n")))
+        parts[-1] = f'{closing}\n  ],\n{tail[2:]}\n'
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

@@ -51,18 +51,16 @@ class Presheaf:
 
     def _check_functorial(self):
         cat = self.site.category
+        restrictions = self.restrictions
         for (g, f), h in cat.composition.items():
-            tgt = cat.morphisms[g].target
-            for v in self.spaces[tgt]:
-                via = self.restrictions[f][self.restrictions[g][v]]
-                direct = self.restrictions[h][v]
+            along_g, along_f, along_h = restrictions[g], restrictions[f], restrictions[h]
+            for v in self.spaces[cat.morphisms[g].target]:
+                via = along_f[along_g[v]]
+                direct = along_h[v]
                 if via != direct:
                     raise StructuralError(
                         f"restrictions not functorial on ({g}, {f}): "
                         f"{v!r} -> {via!r} vs {direct!r}")
-
-    def restrict(self, morphism: str, value):
-        return self.restrictions[morphism][value]
 
 
 def constant_presheaf(site: GrothendieckSite, values=(0.0,)) -> Presheaf:
@@ -79,6 +77,7 @@ def check_sheaf_condition(F: Presheaf) -> Report:
     `gluing-note` info record each, after all `gluing` records."""
     site = F.site
     cat = site.category
+    restrictions = F.restrictions
     report = Report()
     notes = []
     for obj in sorted(cat.objects):
@@ -94,18 +93,17 @@ def check_sheaf_condition(F: Presheaf) -> Report:
                         notes.append(
                             f"{fam}: overlap of ({members[i]}, {members[j]}) undeclared")
                         continue
-                    constraints.append((i, j, legs[1], legs[2]))
+                    constraints.append((i, j, restrictions[legs[1]], restrictions[legs[2]]))
             matching = []
             for combo in iproduct(*(F.spaces[s] for s in sources)):
-                ok = True
-                for i, j, li, lj in constraints:
-                    if F.restrict(li, combo[i]) != F.restrict(lj, combo[j]):
-                        ok = False
+                for i, j, along_i, along_j in constraints:
+                    if along_i[combo[i]] != along_j[combo[j]]:
                         break
-                if ok:
+                else:
                     matching.append(combo)
             sections = F.spaces[obj]
-            images = {tuple(F.restrict(m, s) for m in members) for s in sections}
+            alongs = [restrictions[m] for m in members]
+            images = {tuple([along[s] for along in alongs]) for s in sections}
             injective = len(images) == len(set(sections))
             missing = [c for c in matching if c not in images]
             why = []

@@ -10,10 +10,16 @@ covering axioms -- isomorphisms cover, stability under base change,
 composition -- instance by instance and reports every failure.  A
 filtered topology is a plain map from each framed point to its level's site,
 in index order; `verify_filtered` walks any such map in index order.
+
+The verifier reads its cases from tables built once per site, not from a
+method call per case: each object's covers (name, source, whether an
+identity) and the arrows into it (the same, and the covers of the source).
+It resolves each pullback inline by the rule of
+`FiniteCategory.pullback_legs` (both arrows end at the object, so the cospan
+needs no check), reads the category's isomorphism set, and appends one row
+per case to the report.
 """
 from __future__ import annotations
-
-from functools import cache
 
 from .categories import FiniteCategory
 from .errors import PreconditionError
@@ -52,9 +58,10 @@ def _singleton_site(category: FiniteCategory, admit, label: str,
                     measure: ProbabilityMeasure | None = None) -> GrothendieckSite:
     """One generating family per admitted morphism, isomorphisms always in."""
     families: dict[str, list[tuple[str]]] = {o: [] for o in category.objects}
+    isomorphisms = category.isomorphisms
     for name in sorted(category.morphisms):
         m = category.morphisms[name]
-        if category.is_isomorphism(name) or admit(m):
+        if name in isomorphisms or admit(m):
             families[m.target].append((name,))
     return GrothendieckSite(category, families, label, measure)
 
@@ -92,9 +99,13 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
     (`FilteredSigmaAlgebra.require_sigma_levels`).
     """
     F.require_sigma_levels(P.ground_set)
+    mass: dict[str, float] = {}  # P of each object, weighed on first use
 
     def admit(m):
-        return P(category.event(m.source)) <= P(category.event(m.target))
+        for end in (m.source, m.target):
+            if end not in mass:
+                mass[end] = P(category.event(end))
+        return mass[m.source] <= mass[m.target]
 
     return _level_sites(F, category, lambda p: admit, "probability", P)
 
@@ -129,74 +140,100 @@ def verify_grothendieck(site: GrothendieckSite) -> Report:
 
 
 def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
-    """`verify_grothendieck`'s records for site, added to report in order,
-    each instance prefixed with prefix."""
+    """`verify_grothendieck`'s records for site, appended to report's rows in
+    order, each instance prefixed with prefix."""
     cat = site.category
     valid = site.valid
+    morphisms = cat.morphisms
+    identities = cat.identities
+    pullbacks = cat.pullbacks
+    composition = cat.composition
+    append = report.rows.append
 
-    for name in sorted(cat.morphisms):
-        if cat.is_isomorphism(name):
-            report.add("isomorphisms-cover", prefix + name,
-                       name in valid[cat.morphisms[name].target])
+    for name in sorted(cat.isomorphisms):
+        append(("isomorphisms-cover", prefix + name,
+                "pass" if name in valid[morphisms[name].target] else "fail", ""))
 
-    # each object's generating-family members, with their sources
-    members = {obj: [(mi, cat.morphisms[mi].source)
-                     for fam in site.coverings[obj] for mi in fam]
-               for obj in sorted(cat.objects)}
+    # per object: its generating-family members (name, source, is an
+    # identity), and the arrows into it (name, source, is an identity, the
+    # covers of the source)
+    members = {}
+    arrows_in = {}
+    for obj in sorted(cat.objects):
+        members[obj] = [(mi, morphisms[mi].source, identities[obj] == mi)
+                        for fam in site.coverings[obj] for mi in fam]
+        arrows_in[obj] = [(g, morphisms[g].source, identities[obj] == g,
+                           valid[morphisms[g].source])
+                          for g in cat.morphisms_into(obj)]
 
     P = site.measure
+    if P is not None:
+        # P and its text per object; per (cover source, gamma) pair the
+        # product's P, whether it is <= P(gamma), and the chain's tail: each
+        # computed on first use
+        mass, products = {}, {}
 
-    # P and its text per object; per (cover source, gamma) pair the product's
-    # P, whether it is <= P(gamma), and the chain's tail: each computed once
-    @cache
-    def mass(obj):
-        p = P(cat.event(obj))
-        return p, f"{p}"
+        def weigh(obj):
+            p = P(cat.event(obj))
+            found = mass[obj] = (p, f"{p}")
+            return found
 
-    @cache
-    def product_mass(src, gamma):
-        p = P(cat.event(src).atoms & cat.event(gamma).atoms)
-        p_gamma, text = mass(gamma)
-        return p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={text}"
-
-    pullback_legs = cat.pullback_legs
     for obj, covers in members.items():
-        arrows = [(g, cat.morphisms[g].source) for g in cat.morphisms_into(obj)]
-        for mi, src in covers:
-            for g, gamma in arrows:
-                instance = f"{prefix}({mi}, {g})"
-                legs = pullback_legs(mi, g)
-                if legs is None:
-                    report.add("base-change", instance, False,
-                               f"missing pullback for cospan ({src} -> {obj} <- {gamma})")
-                    continue
-                apex, _, proj = legs
-                ok = proj in valid[gamma]
+        arrows = arrows_in[obj]
+        for mi, src, mi_identity in covers:
+            for g, gamma, g_identity, covers_gamma in arrows:
+                # the pullback of (mi, g), as `FiniteCategory.pullback_legs`
+                # resolves it: both arrows end at obj by construction
+                if g_identity:
+                    apex, proj = src, mi
+                elif mi_identity:
+                    apex, proj = gamma, identities[gamma]
+                else:
+                    sq = pullbacks.get((mi, g))
+                    if sq is not None:
+                        apex, proj = sq.apex, sq.to_right_source
+                    else:
+                        sq = pullbacks.get((g, mi))
+                        if sq is None:
+                            append(("base-change", f"{prefix}({mi}, {g})", "fail",
+                                    f"missing pullback for cospan ({src} -> {obj} <- {gamma})"))
+                            continue
+                        apex, proj = sq.apex, sq.to_left_source
+                ok = proj in covers_gamma
                 witness = f"projection {proj}: {apex} -> {gamma}"
                 if P is not None:
-                    p_apex, text = mass(apex)
-                    p_prod, tail_ok, tail = product_mass(src, gamma)
+                    p_apex, text = mass.get(apex) or weigh(apex)
+                    product = products.get((src, gamma))
+                    if product is None:
+                        p = P(cat.event(src).atoms & cat.event(gamma).atoms)
+                        p_gamma, gamma_text = mass.get(gamma) or weigh(gamma)
+                        product = products[src, gamma] = (
+                            p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={gamma_text}")
+                    p_prod, tail_ok, tail = product
                     ok = ok and p_apex <= p_prod and tail_ok
-                    witness += f"; P={text}{tail}"
-                report.add("base-change", instance, ok, witness)
+                    witness = f"{witness}; P={text}{tail}"
+                append(("base-change", f"{prefix}({mi}, {g})", "pass" if ok else "fail",
+                        witness))
 
     for obj, covers in members.items():
-        for mi, src in covers:
-            for mij, src2 in members[src]:
+        covers_obj = valid[obj]
+        for mi, src, _ in covers:
+            for mij, src2, _ in members[src]:
                 instance = f"{prefix}({mi}, {mij})"
-                comp = cat.composition.get((mi, mij))
+                comp = composition.get((mi, mij))
                 if comp is None:
-                    report.add("composition", instance, False,
-                               f"composite of {mi} after {mij} missing from the table")
+                    append(("composition", instance, "fail",
+                            f"composite of {mi} after {mij} missing from the table"))
                     continue
-                ok = comp in valid[obj]
+                ok = comp in covers_obj
                 witness = f"composite {comp}"
                 if P is not None:
                     (p_ij, t_ij), (p_i, t_i), (p_o, t_o) = (
-                        mass(src2), mass(src), mass(obj))
+                        mass.get(src2) or weigh(src2), mass.get(src) or weigh(src),
+                        mass.get(obj) or weigh(obj))
                     ok = ok and p_ij <= p_i <= p_o
-                    witness += f"; P chain {t_ij}<={t_i}<={t_o}"
-                report.add("composition", instance, ok, witness)
+                    witness = f"{witness}; P chain {t_ij}<={t_i}<={t_o}"
+                append(("composition", instance, "pass" if ok else "fail", witness))
 
 
 def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
@@ -209,12 +246,15 @@ def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     pairs = [(p, levels[p]) for p in sorted(levels)]
     for p, site in pairs:
         _add_site_records(report, site, f"level {p!r}: ")
+    append = report.rows.append
     for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):
+        step = f" at {earlier!r}->{later!r}"
         for obj in sorted(s_site.valid):
+            if obj not in t_site.valid:
+                continue
+            covers_later = t_site.valid[obj]
             for m in sorted(s_site.valid[obj]):
-                if obj in t_site.valid and m in t_site.category.morphisms:
-                    report.add(
-                        "level-monotone", f"{m} at {earlier!r}->{later!r}",
-                        m in t_site.valid[obj],
-                        "cover lost at later level" if m not in t_site.valid[obj] else "")
+                if m in t_site.category.morphisms:
+                    append(("level-monotone", m + step, "pass", "") if m in covers_later
+                           else ("level-monotone", m + step, "fail", "cover lost at later level"))
     return report

@@ -5,14 +5,16 @@ whole document to `json.dumps(indent=2, sort_keys=True)`.  The oracle here
 builds that whole document, as the renderer once did, and the two must agree
 byte for byte on any header, params and record text.
 """
+import gc
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from deltasite import reports
+from deltasite import fixtures, reports
 from deltasite.reports import Record, Report
+from deltasite.sites import build_tau_P, build_tau_structural, verify_grothendieck
 
 
 def oracle(report: Report) -> str:
@@ -72,3 +74,34 @@ def test_oracle_rejects_a_broken_template(monkeypatch, mutant):
     assert rep.to_json() == oracle(rep)
     monkeypatch.setattr(reports, "_RECORD", mutant)
     assert rep.to_json() != oracle(rep)
+
+
+def four_events_reports():
+    """verify_grothendieck's reports on four_events: its structural site and
+    each probability level."""
+    model = fixtures.load_fixture("four_events")
+    sites = [build_tau_structural(model.category),
+             *build_tau_P(model.filtration, model.measure, model.category).values()]
+    return [verify_grothendieck(site) for site in sites]
+
+
+def test_rows_are_plain_tuples_of_str_that_the_collector_untracks():
+    """A report stores exact tuples of four str, which the cyclic collector
+    stops tracking; `records` reads them back as `Record`s."""
+    reports_ = four_events_reports()
+    assert all(rep.rows for rep in reports_)
+    gc.collect()
+    for rep in reports_:
+        for row in rep.rows:
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(field) is str for field in row)
+            assert not gc.is_tracked(row)
+        records = rep.records
+        assert [type(r) for r in records] == [Record] * len(rep.rows)
+        assert [(r.check_id, r.instance, r.status, r.witness) for r in records] == rep.rows
+        assert Record._fields == ("check_id", "instance", "status", "witness")
+        # a report built from Records holds rows too, and renders the same bytes
+        rebuilt = Report("check-site", "ab", {"seed": 0}, records)
+        assert all(type(row) is tuple for row in rebuilt.rows)
+        assert rebuilt.to_json() == Report("check-site", "ab", {"seed": 0}, rep.rows).to_json()
+        assert rebuilt.to_text() == Report("check-site", "ab", {"seed": 0}, rep.rows).to_text()

@@ -21,6 +21,7 @@ from deltasite.sites import (GrothendieckSite,
 from deltasite.reports import Report
 
 from conftest import discrete, overlap_site
+from test_categories import small_categories
 
 GROUND = frozenset("abc")
 
@@ -454,7 +455,7 @@ def assert_filtered_referee_agrees(model):
         expected = Report()
         for p, site in levels.items():
             expected.extend(referee_grothendieck(site), prefix=f"level {p!r}: ")
-        expected.records += [r for r in records if r.check_id == "level-monotone"]
+        expected.rows += [r for r in records if r.check_id == "level-monotone"]
         assert records == expected.records
 
 
@@ -546,3 +547,57 @@ def test_verifiers_match_referee_with_one_declaration_dropped(case, kind, pick):
         missing = {r.instance for r in report.failures()
                    if r.check_id == "base-change" and "missing pullback" in r.witness}
         assert f"({dropped['left']}, {dropped['right']})" in missing
+
+
+# -- categories that are not thin ----------------------------------------------------
+
+def every_arrow_site(cat):
+    """Every arrow into each object covers it, as a singleton family."""
+    return GrothendieckSite(cat, {obj: [(g,) for g in cat.morphisms_into(obj)]
+                                  for obj in cat.objects}, "every-arrow")
+
+
+def paths_taken(cat):
+    """Which of the paths that no lattice reaches cat takes: parallel arrows,
+    an isomorphism that is not an identity, and a base change resolved by a
+    square declared the other way round."""
+    taken = set()
+    if any(len(cat.morphisms_into(s)) > len(set(cat.morphisms[g].source
+                                                for g in cat.morphisms_into(s)))
+           for s in cat.objects):
+        taken.add("parallel")
+    if any(not cat.is_identity(n) and cat.is_isomorphism(n) for n in cat.morphisms):
+        taken.add("isomorphism")
+    for obj in cat.objects:
+        for mi in cat.morphisms_into(obj):
+            for g in cat.morphisms_into(obj):
+                if (not (cat.is_identity(mi) or cat.is_identity(g))
+                        and (mi, g) not in cat.pullbacks and (g, mi) in cat.pullbacks):
+                    taken.add("swapped")
+    return taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_categories())
+def test_verifier_matches_referee_on_categories_that_are_not_thin(cat):
+    assert_referee_agrees(every_arrow_site(cat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_categories())
+def test_isomorphism_set_is_every_arrow_that_inverts(cat):
+    assert cat.isomorphisms == {n for n in cat.morphisms if cat.is_isomorphism(n)}
+
+
+def test_categories_that_are_not_thin_reach_every_path():
+    """The random categories above have parallel arrows, isomorphisms that
+    are not identities, and squares that resolve only swapped."""
+    taken = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_categories())
+    def collect(cat):
+        taken.update(paths_taken(cat))
+
+    collect()
+    assert taken == {"parallel", "isomorphism", "swapped"}
