@@ -1,12 +1,13 @@
 """Finite categories: the computable fragment of the event category.
 
 Objects are identifiers optionally bound to simplicial events; morphisms,
-composition and declared pullbacks are explicit tables.  Axioms (unit laws,
-associativity, totality of composition, commuting pullback squares) are
-verified by enumeration into a `Report`, so that deliberately broken
-fragments can be constructed and diagnosed.  `pullback_legs` states the rule
-that resolves a cospan to its pullback; the site verifier applies the same
-rule inline, to arrows it knows end at one object.
+composition and declared pullbacks are explicit tables.  `violations` is the
+one place that decides the category laws (unit laws, associativity, totality
+of composition, commuting pullback squares), by enumeration, and it returns
+each broken law as keyed data: `check_axioms` writes them into a `Report`,
+and the roof verifier reads its roof laws off them.  `pullback_legs` states
+the rule that resolves a cospan to its pullback; the site verifier applies
+the same rule inline, to arrows it knows end at one object.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object, and from one object to another) are
@@ -14,7 +15,7 @@ indexed once, at construction, and every lookup and axiom walk reads that
 index instead of scanning the table.  Construction validates the composition
 and pullback tables a column at a time, and walks a table row by row only
 when its columns fail, so its errors keep their text and their order.  Where
-no hom-set holds two arrows, `check_axioms` decides associativity and the
+no hom-set holds two arrows, `violations` decides associativity and the
 squares from the hom index alone, since construction made every composite
 run between the right ends.
 """
@@ -29,6 +30,12 @@ from typing import NamedTuple
 from .errors import PreconditionError, StructuralError
 from .events import EventMap, SimplicialEvent, identity_map, is_monomorphism
 from .reports import Report
+
+# the text of a violation's `category-axioms` record, by its kind
+_VIOLATION = {"undefined": "composition undefined for ({}, {})",
+              "left-unit": "left unit fails for {}", "right-unit": "right unit fails for {}",
+              "associativity": "associativity fails on ({}, {}, {})",
+              "square": "declared pullback square ({}, {}) does not commute"}
 
 
 @dataclass(eq=False)
@@ -60,7 +67,7 @@ class FiniteCategory:
     rules, then indexes the morphism names into and out of each object, and
     from each object to each, in sorted order.  Everything else -- totality
     and associativity of composition, pullback squares commuting -- is
-    checked by `check_axioms`.
+    decided by `violations`.
 
     The composition rules and the squares are checked a column at a time,
     as whole columns of endpoint lookups.  Only a table whose columns fail
@@ -148,7 +155,8 @@ class FiniteCategory:
             for sq in squares:
                 left, right = self.morphisms.get(sq.left), self.morphisms.get(sq.right)
                 if left is None or right is None:
-                    raise StructuralError(f"pullback square references unknown morphism")
+                    raise StructuralError("pullback square references unknown morphism "
+                                          f"{sq.left if left is None else sq.right!r}")
                 if left.target != right.target:
                     raise StructuralError(
                         f"pullback of ({sq.left!r}, {sq.right!r}): targets differ")
@@ -256,36 +264,31 @@ class FiniteCategory:
 
     # -- axiom report ---------------------------------------------------------
 
-    def check_axioms(self) -> Report:
-        """Enumerate the category axioms: one `category-axioms` fail record
-        per violation (no records = pass).
+    def violations(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The category laws this category breaks, as (kind, arrows) in
+        report order: ("undefined", (g, f)) per composable pair with no
+        composite, ("left-unit", (f,)), ("right-unit", (f,)),
+        ("associativity", (h, g, f)) where h o (g o f) and (h o g) o f are
+        both defined and differ, and ("square", (l, r)) per declared square
+        that does not commute.  No entries = a category.
 
-        Composable pairs and triples are walked through the out-index, so
-        the work grows with their number rather than with M^2 and M^3.
-        Construction checked that every composite runs between the ends of
-        its pair, so the two composites of one triple, or of one square, run
-        between the same two objects: they can differ only where such a
-        hom-set holds two arrows or more.  Where none does (every lattice of
-        subsets), associativity holds, and so does every square once each
-        composable pair has its composite, and those walks are skipped."""
-        report = Report()
-
-        def bad(violation):
-            report.add("category-axioms", violation, False)
-
+        Pairs and triples are walked through the out-index.  The two
+        composites of one triple or square run between the same two objects,
+        so where no hom-set holds two arrows, associativity holds, and so
+        does every square once composition is total: those walks are skipped."""
+        found = []
         thin = max(map(len, self._hom.values()), default=0) <= 1
         # the pairs (g, f) through each object o: g out of o, f into o
         total = all(all(map(self.composition.__contains__, product(self._out[o], self._into[o])))
                     for o in self.objects)
         if not total:
-            for f, g in self.composable_pairs():
-                if (g, f) not in self.composition:
-                    bad(f"composition undefined for ({g}, {f})")
+            found += [("undefined", (g, f)) for f, g in self.composable_pairs()
+                      if (g, f) not in self.composition]
         for name, m in self.morphisms.items():
             if self.composition.get((self.identities[m.target], name)) != name:
-                bad(f"left unit fails for {name}")
+                found.append(("left-unit", (name,)))
             if self.composition.get((name, self.identities[m.source])) != name:
-                bad(f"right unit fails for {name}")
+                found.append(("right-unit", (name,)))
         if not thin:
             for f, g in self.composable_pairs():
                 gf = self.composition.get((g, f))
@@ -296,14 +299,19 @@ class FiniteCategory:
                     left = self.composition.get((h, gf))
                     right = self.composition.get((hg, f)) if hg else None
                     if left is not None and right is not None and left != right:
-                        bad(f"associativity fails on ({h}, {g}, {f})")
+                        found.append(("associativity", (h, g, f)))
         if not (thin and total):
             for (l, r), sq in sorted(self.pullbacks.items()):
                 via_left = self.composition.get((l, sq.to_left_source))
                 via_right = self.composition.get((r, sq.to_right_source))
                 if via_left is None or via_right is None or via_left != via_right:
-                    bad(f"declared pullback square ({l}, {r}) does not commute")
-        return report
+                    found.append(("square", (l, r)))
+        return found
+
+    def check_axioms(self) -> Report:
+        """One `category-axioms` fail record per violation (none = pass)."""
+        return Report(rows=[("category-axioms", _VIOLATION[kind].format(*arrows), "fail", "")
+                            for kind, arrows in self.violations()])
 
     def full_subcategory(self, objs) -> "FiniteCategory":
         """Restriction to a subset of objects (morphisms with both ends inside).

@@ -1,10 +1,11 @@
 """Time-independent event category whose morphisms are roof diagrams.
 
 A roof A -> B is named by its base morphism: composites simplify to the roof
-of the composed bases, so `RoofCategory` keeps only its fragment and reads
-each roof, and each roof law, off the fragment's morphism table.  For the
-same reason the structural roof topology is the fragment's own,
-`sites.build_tau_structural(fragment)`.
+of the composed bases, so `RoofCategory` keeps only its fragment, and each
+roof law is a category law of the fragment.  `FiniteCategory.violations`
+decides those laws; the roof verifier lists the roofs and reads each status
+off it.  For the same reason the structural roof topology is the fragment's
+own, `sites.build_tau_structural(fragment)`.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ class Roof:
 
 
 class RoofCategory:
-    """Roofs over a composition-closed fragment; one roof per base morphism."""
+    """Roofs over a closed fragment; one roof per base morphism."""
 
     def __init__(self, fragment: FiniteCategory):
         self.fragment = fragment
@@ -40,52 +41,34 @@ class RoofCategory:
 
 def verify_roof_category(rc: RoofCategory) -> Report:
     """Unit laws and associativity over all composable roofs, plus
-    functoriality of f |-> roof(f).  Raises ClosureError at the first needed
-    composite the fragment lacks: the units, then each pair (g, f), then for
-    each triple (h, g o f), (h, g) and (h o g, f).
+    functoriality of f |-> roof(f), read off `FiniteCategory.violations`:
+    roof `left-unit` of f fails iff the fragment's right unit fails for f,
+    `right-unit` iff its left unit does, and `associativity` on (f, g, h)
+    iff the fragment's fails on (h, g, f).  Raises ClosureError, before any
+    record, on the first composable pair (g, f) with no composite: the units
+    always have theirs, and each triple composes three composable pairs, so
+    that pair is the first composite the roof laws need.
 
     `base-functorial` holds by construction: it compares the roof of the
     composite with the roof of the fragment's composite, and a missing
     composite raises ClosureError before the record is made, so the record
     can only pass."""
-    report = Report()
-    append = report.rows.append
     frag = rc.fragment
+    violations = frag.violations()
+    if violations and violations[0][0] == "undefined":
+        raise ClosureError(_UNCLOSED.format(*violations[0][1]))
+    failed = {(kind, *arrows) for kind, arrows in violations}
     morphisms = frag.morphisms
-    identities = frag.identities
-    get = frag.composition.get
-
-    # roofs are canonical in their bases: each law is read off base composites
+    report = Report()
     for name in sorted(morphisms):
         m = morphisms[name]
         roof = _ROOF.format(m.source, name, m.target)
-        for check, key in (("left-unit", (name, identities[m.source])),
-                           ("right-unit", (identities[m.target], name))):
-            composite = get(key)
-            if composite is None:
-                raise ClosureError(_UNCLOSED.format(*key))
-            append((check, roof, "pass" if composite == name else "fail", ""))
-
-    # each composable pair with its composite, and the arrows that can follow g
-    pairs = []
-    for f, g in frag.composable_pairs():
-        gf = get((g, f))
-        if gf is None:
-            raise ClosureError(_UNCLOSED.format(g, f))
-        append(("base-functorial", f"({f}, {g})", "pass", ""))
-        pairs.append((f, g, gf))
-
-    after = {name: frag.morphisms_from(m.target) for name, m in morphisms.items()}
-    for f, g, gf in pairs:
-        for h in after[g]:
-            one = get((h, gf))
-            if one is None:
-                raise ClosureError(_UNCLOSED.format(h, gf))
-            hg = get((h, g))
-            if hg is None:
-                raise ClosureError(_UNCLOSED.format(h, g))
-            two = get((hg, f))
-            if two is None:
-                raise ClosureError(_UNCLOSED.format(hg, f))
-            append(("associativity", f"({f}, {g}, {h})", "pass" if one == two else "fail", ""))
+        report.rows += (
+            ("left-unit", roof, "fail" if ("right-unit", name) in failed else "pass", ""),
+            ("right-unit", roof, "fail" if ("left-unit", name) in failed else "pass", ""))
+    pairs = list(frag.composable_pairs())
+    report.rows += [("base-functorial", f"({f}, {g})", "pass", "") for f, g in pairs]
+    report.rows += [("associativity", f"({f}, {g}, {h})",
+                     "fail" if ("associativity", h, g, f) in failed else "pass", "")
+                    for f, g in pairs for h in frag.morphisms_from(morphisms[g].target)]
     return report

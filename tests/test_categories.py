@@ -299,9 +299,10 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
         if known[h].source != known[f].source or known[h].target != known[g].target:
             return f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})"
     for sq in pullbacks:
-        left, right = known.get(sq.left), known.get(sq.right)
-        if left is None or right is None:
-            return "pullback square references unknown morphism"
+        for name in (sq.left, sq.right):
+            if name not in known:
+                return f"pullback square references unknown morphism {name!r}"
+        left, right = known[sq.left], known[sq.right]
         if left.target != right.target:
             return f"pullback of ({sq.left!r}, {sq.right!r}): targets differ"
         if sq.apex not in objects:

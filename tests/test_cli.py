@@ -590,3 +590,15 @@ def test_series_order_above_the_bound_is_usage_error(capsys, op, order):
 def test_series_order_at_the_bound_is_accepted(capsys, op):
     code, out, _ = run(capsys, "series", "--op", op, "--order", str(MAX_SERIES_ORDER))
     assert code == 0 and "coefficients" in out
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_a_square_naming_an_unknown_morphism_exits_two_and_names_it(tmp_path, capsys, side):
+    doc = json.loads(fixtures.fixture_text("six_events"))
+    doc["category"]["pullbacks"][0][side] = "no_such_arrow"
+    path = tmp_path / "unknown_square_arrow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-roofs", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: category: pullback square references unknown morphism 'no_such_arrow'\n"

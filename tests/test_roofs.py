@@ -1,7 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
-from deltasite import fixtures
+from deltasite import cli, fixtures, model_io
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import ClosureError
 from deltasite.reports import Report
@@ -243,3 +245,105 @@ def test_every_roof_law_failure_comes_with_a_category_axiom_failure(cat):
 def test_roof_law_failures_on_fixtures_come_with_category_axiom_failures():
     for name in fixtures.ALL_FIXTURES:
         assert roof_failures_without_their_axiom(fixtures.load_fixture(name).category) == [], name
+
+
+# -- every failing category axiom comes with its roof verdict ----------------------
+
+def axiom_failures_without_their_roof_verdict(cat):
+    """The check_axioms violations of cat whose roof verdict is missing.
+    `left unit fails for b` needs a failing right-unit on b's roof, `right
+    unit fails for b` a failing left-unit, `associativity fails on (h, g,
+    f)` a failing associativity (f, g, h), and the first `composition
+    undefined for (g, f)` a ClosureError on (g, f); a square has no roof
+    law."""
+    axioms = [r.instance for r in cat.check_axioms().records]
+    undefined = [a for a in axioms if a.startswith("composition undefined for ")]
+    try:
+        records = verify_roof_category(RoofCategory(cat)).records
+    except ClosureError as exc:
+        pair = str(exc).split(": ", 1)[1].removesuffix(" has no composite")
+        return [] if undefined[:1] == [f"composition undefined for {pair}"] else [str(exc)]
+    failing = {(r.check_id, r.instance) for r in records if r.status == "fail"}
+    roof = {name: repr(Roof(m.source, name, m.target)) for name, m in cat.morphisms.items()}
+    verdicts = {
+        "left unit fails for ": lambda base: ("right-unit", roof[base]),
+        "right unit fails for ": lambda base: ("left-unit", roof[base]),
+        "associativity fails on ": lambda triple: ("associativity", "({})".format(
+            ", ".join(reversed(triple[1:-1].split(", "))))),
+    }
+    return undefined + [axiom for axiom in axioms for head, verdict in verdicts.items()
+                        if axiom.startswith(head)
+                        and verdict(axiom.removeprefix(head)) not in failing]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_categories())
+def test_every_category_axiom_failure_comes_with_its_roof_verdict(cat):
+    assert axiom_failures_without_their_roof_verdict(cat) == []
+
+
+def test_category_axiom_failures_on_fixtures_come_with_their_roof_verdicts():
+    for name in fixtures.ALL_FIXTURES:
+        category = fixtures.load_fixture(name).category
+        assert axiom_failures_without_their_roof_verdict(category) == [], name
+
+
+# -- a category that is not thin, through the command line -------------------------
+
+def swap_model(extra_rule=None):
+    """four_events cut to e_ab and empty, plus s:e_ab swapping the vertices a
+    and b, with s o s = id and s o i = i; extra_rule (g, f, h) is declared
+    after those two."""
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    kept = ["e_ab", "empty"]
+    doc["events"] = {e: doc["events"][e] for e in kept}
+    doc["maps"] = {"i:empty>e_ab": doc["maps"]["i:empty>e_ab"],
+                   "s:e_ab": {"levels": {"0": {"a": "b", "b": "a"}},
+                              "source": "e_ab", "target": "e_ab"}}
+    doc["category"] = {
+        "objects": kept,
+        "morphisms": {name: {"map": name, "source": m["source"], "target": m["target"]}
+                      for name, m in doc["maps"].items()},
+        "composition": [["s:e_ab", "s:e_ab", "id:e_ab"],
+                        ["s:e_ab", "i:empty>e_ab", "i:empty>e_ab"],
+                        *([list(extra_rule)] if extra_rule else [])],
+        "pullbacks": [
+            {"left": "i:empty>e_ab", "right": "i:empty>e_ab", "apex": "empty",
+             "to_left": "id:empty", "to_right": "id:empty"},
+            {"left": "s:e_ab", "right": "s:e_ab", "apex": "e_ab",
+             "to_left": "id:e_ab", "to_right": "id:e_ab"},
+            {"left": "s:e_ab", "right": "i:empty>e_ab", "apex": "empty",
+             "to_left": "i:empty>e_ab", "to_right": "id:empty"}],
+    }
+    for level in doc["filtration"]["levels"]:
+        level["events"] = kept
+    doc["operad"] = [g for g in doc["operad"] if {*g["inputs"], g["output"]} <= set(kept)]
+    return json.dumps(doc)
+
+
+ROOF_LAWS = ("left-unit", "right-unit", "base-functorial", "associativity")
+
+
+@pytest.mark.parametrize("extra_rule, code", ((None, 0), (("s:e_ab", "id:e_ab", "id:e_ab"), 1)))
+def test_check_roofs_on_a_non_thin_model_gives_the_reference_roof_records(
+        tmp_path, capsys, extra_rule, code):
+    text = swap_model(extra_rule)
+    cat = model_io.parse_model(text).category
+    assert cat.morphisms_from("e_ab") == ["id:e_ab", "s:e_ab"]  # two arrows e_ab -> e_ab
+    path = tmp_path / "swap.json"
+    path.write_text(text)
+    assert cli.main(["check-roofs", "--format", "json", "--model", str(path)]) == code
+    records = [(r["check"], r["instance"], r["status"], r["witness"])
+               for r in json.loads(capsys.readouterr().out)["records"]]
+    assert [r for r in records if r[0] in ROOF_LAWS] == \
+        reference_verify_roof_category(RoofCategory(cat)).rows
+    if extra_rule:
+        assert ("category-axioms", "right unit fails for s:e_ab", "fail", "") in records
+        assert ("left-unit", "Roof(e_ab -[s:e_ab]-> e_ab)", "fail", "") in records
+
+
+@pytest.mark.parametrize("extra_rule", (None, ("s:e_ab", "id:e_ab", "id:e_ab")))
+def test_the_laws_agree_both_ways_on_the_non_thin_model(extra_rule):
+    cat = model_io.parse_model(swap_model(extra_rule)).category
+    assert roof_failures_without_their_axiom(cat) == []
+    assert axiom_failures_without_their_roof_verdict(cat) == []
