@@ -12,19 +12,17 @@ the same rule inline, to arrows it knows end at one object.
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object, and from one object to another) are
 indexed once, at construction, and every lookup and axiom walk reads that
-index instead of scanning the table.  Construction validates the composition
-and pullback tables a column at a time, and walks a table row by row only
-when its columns fail, so its errors keep their text and their order.  Where
-no hom-set holds two arrows, `violations` decides associativity and the
-squares from the hom index alone, since construction made every composite
-run between the right ends.
+index instead of scanning the table.  Construction checks each row of the
+composition and pullback tables once, in one pass per table, and raises the
+first bad row's error.  Where no hom-set holds two arrows, `violations`
+decides associativity and the squares from the hom index alone, since
+construction made every composite run between the right ends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import PreconditionError, StructuralError
@@ -67,11 +65,7 @@ class FiniteCategory:
     rules, then indexes the morphism names into and out of each object, and
     from each object to each, in sorted order.  Everything else -- totality
     and associativity of composition, pullback squares commuting -- is
-    decided by `violations`.
-
-    The composition rules and the squares are checked a column at a time,
-    as whole columns of endpoint lookups.  Only a table whose columns fail
-    is walked row by row, so that its first bad row raises its own error.
+    decided by `violations`.  A cospan (left, right) has at most one square.
     """
 
     def __init__(self, objects, morphisms, composition=None, pullbacks=None):
@@ -103,33 +97,19 @@ class FiniteCategory:
             self.morphisms[ident] = Morphism(ident, obj, obj, emap)
             self.identities[obj] = ident
 
-        known = self.morphisms.keys()
-        source = dict(zip(known, map(attrgetter("source"), self.morphisms.values())))
-        target = dict(zip(known, map(attrgetter("target"), self.morphisms.values())))
+        source = {name: m.source for name, m in self.morphisms.items()}
+        target = {name: m.target for name, m in self.morphisms.items()}
 
         # a rule (g, f) -> h: g o f is defined and h runs where it does
         declared = composition or {}
-        gs, fs = list(map(itemgetter(0), declared)), list(map(itemgetter(1), declared))
-        hs = list(declared.values())
-        try:  # a KeyError names no morphism
-            consistent = (
-                list(map(target.__getitem__, fs)) == list(map(source.__getitem__, gs))
-                and list(map(source.__getitem__, hs)) == list(map(source.__getitem__, fs))
-                and list(map(target.__getitem__, hs)) == list(map(target.__getitem__, gs)))
-        except KeyError:
-            consistent = False
-        if not consistent:
-            for (g, f), h in declared.items():
-                for name in (g, f, h):
-                    if name not in self.morphisms:
-                        raise StructuralError(
-                            f"composition rule references unknown morphism {name!r}")
-                if self.morphisms[f].target != self.morphisms[g].source:
-                    raise StructuralError(f"composition rule ({g!r}, {f!r}) is not composable")
-                if (self.morphisms[h].source != self.morphisms[f].source
-                        or self.morphisms[h].target != self.morphisms[g].target):
-                    raise StructuralError(
-                        f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})")
+        for (g, f), h in declared.items():
+            if g not in source or f not in source or h not in source:
+                raise StructuralError("composition rule references unknown morphism "
+                                      f"{next(n for n in (g, f, h) if n not in source)!r}")
+            if target[f] != source[g]:
+                raise StructuralError(f"composition rule ({g!r}, {f!r}) is not composable")
+            if source[h] != source[f] or target[h] != target[g]:
+                raise StructuralError(f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})")
 
         self.composition: dict[tuple[str, str], str] = dict(declared)
         # unit rules: id o f = f = f o id
@@ -137,39 +117,25 @@ class FiniteCategory:
             self.composition.setdefault((self.identities[m.target], name), name)
             self.composition.setdefault((name, self.identities[m.source]), name)
 
-        # a square: left and right share a target, and each leg runs from the
-        # apex (which is then an object) to the source of its side
-        squares = list(pullbacks or [])
-        lefts, rights, apexes, to_lefts, to_rights = zip(*squares) if squares else ((),) * 5
-        try:  # a KeyError names no morphism
-            consistent = (
-                tuple(map(target.__getitem__, lefts)) == tuple(map(target.__getitem__, rights))
-                and tuple(map(source.__getitem__, to_lefts)) == apexes
-                and tuple(map(source.__getitem__, to_rights)) == apexes
-                and tuple(map(target.__getitem__, to_lefts)) == tuple(map(source.__getitem__, lefts))
-                and tuple(map(target.__getitem__, to_rights))
-                == tuple(map(source.__getitem__, rights)))
-        except KeyError:
-            consistent = False
-        if not consistent:
-            for sq in squares:
-                left, right = self.morphisms.get(sq.left), self.morphisms.get(sq.right)
-                if left is None or right is None:
-                    raise StructuralError("pullback square references unknown morphism "
-                                          f"{sq.left if left is None else sq.right!r}")
-                if left.target != right.target:
-                    raise StructuralError(
-                        f"pullback of ({sq.left!r}, {sq.right!r}): targets differ")
-                if sq.apex not in self.objects:
-                    raise StructuralError(f"pullback apex {sq.apex!r} is not an object")
-                for leg, want_tgt in ((sq.to_left_source, left.source),
-                                      (sq.to_right_source, right.source)):
-                    lm = self.morphisms.get(leg)
-                    if lm is None or lm.source != sq.apex or lm.target != want_tgt:
-                        raise StructuralError(
-                            f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}")
-        self.pullbacks: dict[tuple[str, str], PullbackSquare] = dict(
-            zip(zip(lefts, rights), squares))
+        # a square: left and right share a target, each leg runs from the apex
+        # (an object) to the source of its side, and no other square has the pair
+        self.pullbacks: dict[tuple[str, str], PullbackSquare] = {}
+        for sq in pullbacks or ():
+            left, right, apex, to_left, to_right = sq
+            if left not in source or right not in source:
+                raise StructuralError("pullback square references unknown morphism "
+                                      f"{right if left in source else left!r}")
+            if target[left] != target[right]:
+                raise StructuralError(f"pullback of ({left!r}, {right!r}): targets differ")
+            if apex not in self.objects:
+                raise StructuralError(f"pullback apex {apex!r} is not an object")
+            if source.get(to_left) != apex or target[to_left] != source[left]:
+                raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_left!r}")
+            if source.get(to_right) != apex or target[to_right] != source[right]:
+                raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_right!r}")
+            if (left, right) in self.pullbacks:
+                raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
+            self.pullbacks[left, right] = sq
 
         self._into: dict[str, list[str]] = {o: [] for o in self.objects}
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}

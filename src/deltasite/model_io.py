@@ -10,9 +10,9 @@ two-space indent, rationals as strings), so fixtures round-trip byte for byte.
 The shape table is checked a column at a time: one check per node of the
 table covers every value at that node (all 7,448 pullback entries of a
 six-atom lattice in one pass), and only a column that fails is walked value
-by value to find each problem's path.  The composition and pullback tables
-are built the same way, and their rows are walked for repeated pairs only
-when some pair repeats.
+by value to find each problem's path.  The composition rules are walked for
+repeated pairs only when some pair repeats, and the pullback entries only
+when the category refuses them.
 """
 from __future__ import annotations
 
@@ -309,10 +309,9 @@ def parse_model(text: str) -> ModelDescription:
             errors.append((f"category.morphisms.{name}", f"unknown map {spec['map']!r}"))
         morphisms.append(Morphism(name, spec.get("source", ""), spec.get("target", ""), emap))
     # a pair has one composite and one pullback, so a second entry for it is
-    # refused rather than left to replace the first.  The tables are built a
-    # column at a time, and their rows walked for repeats only if there are
-    # any: fewer composites than rules, or fewer squares in the category
-    # (which keeps one per pair), or an error that a repeat may come before
+    # refused rather than left to replace the first.  The rules are walked for
+    # repeats only if there are fewer composites than rules, and the squares
+    # only if the category is refused (it refuses a repeated pair too)
     triples = cat_spec.get("composition", [])
     composition = {(g, f): h for g, f, h in triples}
     if len(composition) < len(triples):
@@ -330,7 +329,7 @@ def parse_model(text: str) -> ModelDescription:
             category = FiniteCategory(objects, morphisms, composition, squares)
         except StructuralError as exc:
             problem = ("category", str(exc))
-    if category is None or len(category.pullbacks) < len(squares):
+    if category is None:
         seen = set()
         for i, sq in enumerate(squares):
             pair = (sq.left, sq.right)

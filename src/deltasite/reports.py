@@ -122,10 +122,10 @@ class Report:
         if self.params:
             lines.append("params: " + " ".join(
                 f"{k}={self.params[k]}" for k in sorted(self.params)))
-        for r in self.records:
-            entry = f"[{r.status}] {r.check_id} {r.instance}"
-            if r.witness:
-                entry += f" :: {r.witness}"
+        for check_id, instance, status, witness in self.rows:
+            entry = f"[{status}] {check_id} {instance}"
+            if witness:
+                entry += f" :: {witness}"
             lines.append(entry)
         s = self.summary
         verdict = "OK" if self.passed else "FAIL"

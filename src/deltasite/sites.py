@@ -44,7 +44,9 @@ class GrothendieckSite:
         for obj in sorted(category.objects):
             fams = tuple(tuple(fam) for fam in coverings.get(obj, ()))
             for m in (m for fam in fams for m in fam):
-                if category.morphism(m).target != obj:
+                if m not in category.morphisms:
+                    raise PreconditionError(f"covering morphism {m!r} is not in the category")
+                if category.morphisms[m].target != obj:
                     raise PreconditionError(
                         f"covering morphism {m!r} does not end at {obj!r}")
             self.coverings[obj] = fams

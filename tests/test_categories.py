@@ -102,6 +102,19 @@ def test_constructor_rejects_bad_references():
         FiniteCategory({"A": None}, [], {("f", "g"): "h"})
 
 
+def test_constructor_refuses_a_second_square_for_one_cospan():
+    """A repeat would silently replace the first square; the swapped pair
+    (g, f) is another cospan and may have its own."""
+    cat = square_category()
+    morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
+    first = PullbackSquare("f", "g", "P", "pa", "pb")
+    swapped = PullbackSquare("g", "f", "P", "pb", "pa")
+    assert len(FiniteCategory(cat.objects, morphisms, cat.composition,
+                              [first, swapped]).pullbacks) == 2
+    with pytest.raises(StructuralError, match=r"^\('f', 'g'\) already has a pullback$"):
+        FiniteCategory(cat.objects, morphisms, cat.composition, [first, swapped, first])
+
+
 def test_full_subcategory_restricts_tables():
     cat = chain_category(3)
     sub = cat.full_subcategory(["A", "B"])
@@ -177,19 +190,20 @@ def small_categories(draw):
                 h = draw(hst.sampled_from([None, *fitting(ends_of[f][0], ends_of[g][1])]))
                 if h is not None:
                     comp[(g, f)] = h
-    pullbacks = []
+    pullbacks = {}  # one square per cospan at most
     for _ in range(draw(hst.integers(0, 2))):
         left, right = draw(hst.sampled_from(names)), draw(hst.sampled_from(names))
         apex = draw(hst.sampled_from(objs))
         to_left = fitting(apex, ends_of[left][0])
         to_right = fitting(apex, ends_of[right][0])
-        if ends_of[left][1] == ends_of[right][1] and to_left and to_right:
-            pullbacks.append(PullbackSquare(left, right, apex,
-                                            draw(hst.sampled_from(to_left)),
-                                            draw(hst.sampled_from(to_right))))
+        if (ends_of[left][1] == ends_of[right][1] and to_left and to_right
+                and (left, right) not in pullbacks):
+            pullbacks[left, right] = PullbackSquare(left, right, apex,
+                                                    draw(hst.sampled_from(to_left)),
+                                                    draw(hst.sampled_from(to_right)))
     return FiniteCategory({o: None for o in objs},
                           [Morphism(name, s, t) for name, s, t in arrows],
-                          comp, pullbacks)
+                          comp, pullbacks.values())
 
 
 def scan_check_axioms(cat):
@@ -298,6 +312,7 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
             return f"composition rule ({g!r}, {f!r}) is not composable"
         if known[h].source != known[f].source or known[h].target != known[g].target:
             return f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})"
+    paired = set()
     for sq in pullbacks:
         for name in (sq.left, sq.right):
             if name not in known:
@@ -311,6 +326,9 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
             lm = known.get(leg)
             if lm is None or lm.source != sq.apex or lm.target != want:
                 return f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}"
+        if (sq.left, sq.right) in paired:
+            return f"{(sq.left, sq.right)!r} already has a pullback"
+        paired.add((sq.left, sq.right))
     return None
 
 
@@ -323,7 +341,8 @@ def lattice4():
 
 
 DEFECTS = ("unknown name", "not composable", "wrong composite endpoints", "targets differ",
-           "apex not an object", "bad leg", "unknown object", "event map mismatch")
+           "apex not an object", "bad leg", "repeated square", "unknown object",
+           "event map mismatch")
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,6 +407,11 @@ def test_construction_errors_match_a_row_by_row_reference(defects, data):
                 squares[i] = sq._replace(right=other(lambda s, t: t != ends[sq.left][1]))
             elif defect == "apex not an object":
                 squares[i] = sq._replace(apex="ghost")
+            elif defect == "repeated square":
+                # another row's square, kept as it is, in place of this one
+                j = data.draw(hst.sampled_from([j for j in range(len(squares)) if j != i]))
+                touched.add((id(squares), j))
+                squares[i] = squares[j]
             else:
                 field = data.draw(hst.sampled_from(("to_left_source", "to_right_source")))
                 side = ends[sq.left if field == "to_left_source" else sq.right][0]

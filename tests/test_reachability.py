@@ -39,6 +39,8 @@ ALLOWED = {
     "tropical.GradedTensorSeries.coefficient": ("tests/test_acceptance.py, criterion 6",
                                                 REFEREE),
     "reports.Report.failures": ("tests/test_acceptance.py", REFEREE),
+    "reports.Report.records": ("bench/spans.py and demos 01 and 04",
+                               "they read records by field name; commands read rows"),
 }
 
 PROBE = r"""

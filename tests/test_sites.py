@@ -264,6 +264,14 @@ def test_covering_filed_under_an_unknown_object_is_refused():
         GrothendieckSite(overlap.category, coverings, "misspelled")
 
 
+def test_covering_member_that_is_not_a_morphism_is_refused():
+    overlap = overlap_site()
+    coverings = dict(overlap.coverings)
+    coverings["U"] = (*coverings["U"], ("nope",))
+    with pytest.raises(PreconditionError, match="covering morphism 'nope' is not in the category$"):
+        GrothendieckSite(overlap.category, coverings, "misspelled")
+
+
 def test_cover_dropped_at_a_later_level_fails_level_monotone():
     cat, _, _, _ = chain_model()
     early, late = FramedIndex([0, 1]).points
