@@ -249,7 +249,8 @@ def cmd_verify_ito(args, model, report: Report):
         carried = values[-1]
         k = len(paired) // 2
         x, y = (stochastic.DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
-        scale = np.maximum(np.abs(x.values * y.values).max(axis=1), 1.0)
+        xy = x.values * y.values
+        scale = np.maximum(np.abs(xy, out=xy).max(axis=1), 1.0)
         worst = float(np.max(stochastic.check_product_rule(x, y) / scale, initial=worst))
         rows = values[:max(0, args.paths - start)]
         qvs[start:start + len(rows)] = stochastic.quadratic_variation(

@@ -15,6 +15,11 @@ zero or span an extreme exponent range.  A reduction takes a DiscretePath
 of one path (a float) or of a block of rows (one float64 per row, bit-equal
 to that row's own call).  Only ito_residual's end points f(T, W_T) - f(0, W_0)
 go row by row, on scalars: NumPy's vectorised power differs from pow in the last bit.
+
+Ownership: normal_blocks reuses one buffer of raw words, but each float block
+it yields, and each values block of brownian_blocks, is a fresh array that
+belongs to the consumer, which may scale it in place or keep it.  A reduction
+never writes to its argument: it works in arrays it allocated itself.
 """
 from __future__ import annotations
 
@@ -148,19 +153,28 @@ def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> Discret
     """Standard Brownian path on the uniform grid: W_0 = 0, independent
     normal increments with variance equal to the step: the one row of
     brownian_blocks(T, n, seed, (stream,))."""
-    (_, values), = brownian_blocks(T, n, seed, (stream,))
-    return DiscretePath(Partition.uniform(T, n), values[0])
+    grid = Partition.uniform(T, n)
+    (_, values), = _brownian(grid, seed, (stream,))
+    return DiscretePath(grid, values[0])
 
 
 def brownian_blocks(T: float, n: int, seed: int, streams):
     """Brownian paths of many streams in the blocks of normal_blocks: yields
     (streams[a:b], values) where row r of values reproduces
     sample_brownian(T, n, seed, streams[a + r]).values."""
-    sq = np.sqrt(Partition.uniform(T, n).deltas)
+    return _brownian(Partition.uniform(T, n), seed, streams)
+
+
+def _brownian(grid: Partition, seed: int, streams):
+    """brownian_blocks on a grid the caller built (sample_brownian keeps it)."""
+    n = grid.times.size - 1
+    sq = grid.deltas
+    np.sqrt(sq, out=sq)
     for part, block in normal_blocks(seed, n, streams):
+        block *= sq
         values = np.empty((len(part), n + 1))
         values[:, 0] = 0.0
-        np.cumsum(block * sq, axis=1, out=values[:, 1:])
+        np.cumsum(block, axis=1, out=values[:, 1:])
         yield part, values
 
 
@@ -287,11 +301,17 @@ def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time"):
         raise PreconditionError("quadratic_term must be 'time' or 'increments'")
     func, dt_, dw_, dww_ = _ITO_CATALOG[f]
     t, w = path.partition.times, path.values
-    dts = path.partition.deltas
-    second = dts if quadratic_term == "time" else np.diff(w) ** 2
-    # the increments inline, so no local keeps them while the terms are summed
-    expansion = _exact_sums(dt_(t[:-1], w[..., :-1]) * dts + dw_(t[:-1], w[..., :-1]) * np.diff(w)
-                            + 0.5 * dww_(t[:-1], w[..., :-1]) * second)
+    t0, w0 = t[:-1], w[..., :-1]
+    dts, dws = path.partition.deltas, np.diff(w)
+    second = dts if quadratic_term == "time" else np.square(dws)
+    # (f_t dt + f_w dW) + (0.5 f_ww) second in arrays made here, three at most at a
+    # time with "time": a product or sum of two floats does not depend on operand order
+    dws *= dw_(t0, w0)
+    expansion = np.multiply(dt_(t0, w0), dts)
+    expansion += dws
+    expansion += np.multiply(np.multiply(0.5, dww_(t0, w0), out=dws), second, out=dws)
+    del dws, second  # before _exact_sums allocates its two
+    expansion = _exact_sums(expansion)
     # on scalars, row by row (see the module docstring)
     total = np.fromiter((func(t[-1], end) - func(t[0], start)
                          for start, end in zip(w[..., 0].flat, w[..., -1].flat)), float)
@@ -312,10 +332,12 @@ def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:
 
 def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
     """log(X_T / x0) / T for n_paths independent streams of one seed."""
-    sq = np.sqrt(Partition.uniform(p.T, p.n).deltas)
+    sq = Partition.uniform(p.T, p.n).deltas
+    np.sqrt(sq, out=sq)
     w_T = np.empty(n_paths)
     for part, block in normal_blocks(p.seed, p.n, range(n_paths)):
-        w_T[part.start:part.stop] = _exact_sums(block * sq)
+        block *= sq
+        w_T[part.start:part.stop] = _exact_sums(block)
     return (p.drift * p.T + p.sigma * w_T) / p.T
 
 

@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from deltasite.errors import PreconditionError
 from deltasite.stochastic import (BLOCK_VALUES, DiscretePath, GBMParams,
-                                  Partition, check_product_rule,
+                                  Partition, brownian_blocks, check_product_rule,
                                   estimate_log_drift, gbm_terminal_log_rates,
                                   ito_residual, normal_blocks, normal_samples,
                                   quadratic_variation, sample_brownian,
@@ -134,7 +134,8 @@ def per_stream_log_rates(p, n_paths):
 
 
 @pytest.mark.parametrize("n, n_paths, seed", [(1, 3, 0), (7, 30, 2**64 + 3),
-                                              (100, 700, 1), (1000, 70, 2**128 - 1)])
+                                              (100, 700, 1), (1000, 70, 2**128 - 1),
+                                              (500, 1, 3), (BLOCK_VALUES + 10, 2, 2**64 + 3)])
 def test_gbm_log_rates_match_per_stream_fsum(n, n_paths, seed):
     p = GBMParams(alpha=0.07, sigma=0.3, x0=2.0, T=0.75, n=n, seed=seed)
     got = gbm_terminal_log_rates(p, n_paths)
@@ -410,14 +411,29 @@ def bits(x):
 
 
 def parent_ito_residual(f, path, quadratic_term):
-    """ito_residual as one math.fsum over the expansion terms."""
+    """ito_residual as one expression over the expansion terms, each row
+    summed by math.fsum: a float for a path, one float64 per row for a block."""
     func, dt_, dw_, dww_ = _ITO_CATALOG[f]
     t, w = path.partition.times, path.values
     dts, dws = path.partition.deltas, np.diff(w)
     second = dts if quadratic_term == "time" else dws ** 2
-    expansion = math.fsum(dt_(t[:-1], w[:-1]) * dts + dw_(t[:-1], w[:-1]) * dws
-                          + 0.5 * dww_(t[:-1], w[:-1]) * second)
-    return abs(float(func(t[-1], w[-1]) - func(t[0], w[0])) - expansion)
+    terms = (dt_(t[:-1], w[..., :-1]) * dts + dw_(t[:-1], w[..., :-1]) * dws
+             + 0.5 * dww_(t[:-1], w[..., :-1]) * second)
+    return path.unwrap(np.array([
+        abs(float(func(t[-1], row[-1]) - func(t[0], row[0])) - math.fsum(row_terms))
+        for row, row_terms in zip(np.atleast_2d(w), np.atleast_2d(terms))]))
+
+
+def parent_quadratic_variation(path):
+    """quadratic_variation as one expression, each row summed by math.fsum."""
+    squares = np.diff(path.values) ** 2
+    return path.unwrap(np.array([math.fsum(row) for row in np.atleast_2d(squares).tolist()]))
+
+
+def same_bytes(got, want):
+    """got and want are the same type (float or array) with the same bits."""
+    return type(got) is type(want) and \
+        np.asarray(got, dtype=np.float64).tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
 def test_reductions_match_math_fsum_on_a_long_path():
@@ -440,6 +456,24 @@ def test_gbm_log_rates_match_fsum_over_blocks():
                     for row in (block * sq).tolist()])
     want = (p.drift * p.T + p.sigma * w_T) / p.T
     assert gbm_terminal_log_rates(p, 2000).tobytes() == want.tobytes()
+
+
+# a path (rows None) or a block of rows, with fewer than 1024 values in all (which
+# _exact_sums leaves to math.fsum), more, and rows longer than BLOCK_VALUES
+REFEREE_SHAPES = [(None, 500), (2, 300), (None, 5000), (3, 2000),
+                  (None, BLOCK_VALUES + 10), (2, BLOCK_VALUES + 10)]
+
+
+@pytest.mark.parametrize("rows, n", REFEREE_SHAPES)
+def test_reductions_match_the_one_expression_referees(rows, n):
+    values = sample_brownian(1.0, n, 31, 4).values if rows is None else \
+        sample_brownian_batch(1.0, n, rows, 31)
+    path = DiscretePath(Partition.uniform(1.0, n), values)
+    assert same_bytes(quadratic_variation(path), parent_quadratic_variation(path))
+    for f in sorted(_ITO_CATALOG):
+        for term in ("time", "increments"):
+            want = parent_ito_residual(f, path, term)
+            assert same_bytes(ito_residual(f, path, quadratic_term=term), want), (f, term)
 
 
 # -- reductions over blocks of paths --------------------------------------------------
@@ -527,3 +561,41 @@ def test_discrete_path_shape_is_checked_on_the_last_axis():
         check_product_rule(x, DiscretePath(part, np.zeros((3, 5))))
     with pytest.raises(PreconditionError):
         check_product_rule(x, DiscretePath(part, np.zeros(5)))
+
+
+# -- who owns which array -------------------------------------------------------------
+
+@pytest.mark.parametrize("n, streams", [(1000, range(3, 140)),           # three 65-row blocks
+                                        (BLOCK_VALUES + 1, range(2))])  # one row per block
+def test_brownian_blocks_rows_stay_their_paths(n, streams):
+    blocks = list(brownian_blocks(1.5, n, 6, streams))
+    assert [s for part, _ in blocks for s in part] == list(streams)
+    for part, values in blocks:
+        for stream, row in zip(part, values):
+            assert row.tobytes() == sample_brownian(1.5, n, 6, stream).values.tobytes()
+
+
+def test_overwriting_a_normal_block_leaves_the_next_one():
+    blocks = normal_blocks(9, 1000, range(130))  # two 65-row blocks
+    _, first = next(blocks)
+    first[...] = math.nan
+    part, second = next(blocks)
+    for stream, row in zip(part, second):
+        assert row.tobytes() == reference_normals(9, 1000, stream).tobytes()
+    assert np.isnan(first).all()  # and the next block was not drawn into it
+
+
+def test_sample_brownian_keeps_its_partition_steps():
+    path = sample_brownian(2.5, 1000, 3, 1)
+    assert path.partition.times.tobytes() == Partition.uniform(2.5, 1000).times.tobytes()
+    assert path.partition.deltas.tobytes() == np.diff(path.partition.times).tobytes()
+
+
+def test_reductions_leave_their_argument():
+    block = DiscretePath(Partition.uniform(1.0, 2000), sample_brownian_batch(1.0, 2000, 3, seed=6))
+    values, times = block.values.copy(), block.partition.times.copy()
+    for reduce in REDUCTIONS.values():
+        reduce(block)
+    _exact_sums(block.values)
+    assert block.values.tobytes() == values.tobytes()
+    assert block.partition.times.tobytes() == times.tobytes()
