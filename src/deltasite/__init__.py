@@ -1,7 +1,7 @@
 """deltasite: finite event categories, Grothendieck site verification, and
 the discrete delta-calculus with its tropical realization."""
 
-from .categories import FiniteCategory, Morphism, PullbackSquare
+from .categories import FiniteCategory, Morphism
 from .errors import (ClosureError, DeltasiteError, ModelError,
                      PreconditionError, StructuralError)
 from .events import EventMap, SimplicialEvent, fiber_product, is_monomorphism
@@ -38,8 +38,8 @@ __all__ = [
     "FilteredSigmaAlgebra", "FiniteCategory", "FramedIndex", "FramedPoint",
     "GBMParams", "GradedExpr", "GradedTensorSeries", "GrothendieckSite",
     "ModelDescription", "ModelError", "Morphism", "MultiArrow", "Partition",
-    "PreconditionError", "Presheaf", "ProbabilityMeasure", "PullbackSquare",
-    "Roof", "RoofCategory", "SimplicialEvent", "StructuralError",
+    "PreconditionError", "Presheaf", "ProbabilityMeasure", "Roof",
+    "RoofCategory", "SimplicialEvent", "StructuralError",
     "augmentation", "build_tau_P", "build_tau_operadic",
     "build_tau_structural", "check_operad_action", "check_product_rule",
     "check_sheaf_condition", "check_sigma_level", "constant_presheaf",

@@ -5,9 +5,10 @@ composition and declared pullbacks are explicit tables.  `violations` is the
 one place that decides the category laws (unit laws, associativity, totality
 of composition, commuting pullback squares), by enumeration, and it returns
 each broken law as keyed data: `check_axioms` writes them into a `Report`,
-and the roof verifier reads its roof laws off them.  `pullback_legs` states
-the rule that resolves a cospan to its pullback; the site verifier applies
-the same rule inline, to arrows it knows end at one object.
+and the roof verifier reads its roof laws off them.  A declared square is
+filed under its cospan as the plain tuple of its legs (apex, to_left,
+to_right); `pullback_legs` resolves a cospan to that tuple, or to its swap
+for the reversed pair, and the site verifier applies the same rule inline.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object, and from one object to another) are
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 from .errors import PreconditionError, StructuralError
 from .events import EventMap, SimplicialEvent, identity_map, is_monomorphism
@@ -45,16 +45,6 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.name!r}: {self.source} -> {self.target})"
-
-
-class PullbackSquare(NamedTuple):
-    """Declared pullback of the cospan (left: A -> C, right: B -> C)."""
-
-    left: str
-    right: str
-    apex: str
-    to_left_source: str
-    to_right_source: str
 
 
 class FiniteCategory:
@@ -117,11 +107,11 @@ class FiniteCategory:
             self.composition.setdefault((self.identities[m.target], name), name)
             self.composition.setdefault((name, self.identities[m.source]), name)
 
-        # a square: left and right share a target, each leg runs from the apex
-        # (an object) to the source of its side, and no other square has the pair
-        self.pullbacks: dict[tuple[str, str], PullbackSquare] = {}
-        for sq in pullbacks or ():
-            left, right, apex, to_left, to_right = sq
+        # a square (left, right, apex, to_left, to_right), filed as its legs under
+        # (left, right): left and right share a target, each leg runs from the
+        # apex (an object) to the source of its side, and no other has the pair
+        self.pullbacks: dict[tuple[str, str], tuple[str, str, str]] = {}
+        for left, right, apex, to_left, to_right in pullbacks or ():
             if left not in source or right not in source:
                 raise StructuralError("pullback square references unknown morphism "
                                       f"{right if left in source else left!r}")
@@ -135,7 +125,7 @@ class FiniteCategory:
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_right!r}")
             if (left, right) in self.pullbacks:
                 raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
-            self.pullbacks[left, right] = sq
+            self.pullbacks[left, right] = (apex, to_left, to_right)
 
         self._into: dict[str, list[str]] = {o: [] for o in self.objects}
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}
@@ -200,10 +190,10 @@ class FiniteCategory:
         return is_monomorphism(m.event_map)
 
     def pullback_legs(self, left: str, right: str) -> tuple[str, str, str] | None:
-        """The pullback of the cospan (left, right) as (apex, to_left_source,
-        to_right_source), or None if it is not declared.  Along an identity
-        leg the pullback is the other leg's source; otherwise the declaration
-        under (left, right), or under (right, left) with its legs swapped.
+        """The pullback of the cospan (left, right) as (apex, to_left,
+        to_right), or None if it is not declared.  Along an identity leg the
+        pullback is the other leg's source; otherwise the legs stored under
+        (left, right), or under (right, left) with its legs swapped.
         PreconditionError if the two do not share a target."""
         lm, rm = self.morphism(left), self.morphism(right)
         if lm.target != rm.target:
@@ -213,13 +203,11 @@ class FiniteCategory:
             return lm.source, identities[lm.source], left
         if identities[lm.source] == left:
             return rm.source, right, identities[rm.source]
-        sq = self.pullbacks.get((left, right))
-        if sq is not None:
-            return sq.apex, sq.to_left_source, sq.to_right_source
-        sq = self.pullbacks.get((right, left))
-        if sq is not None:
-            return sq.apex, sq.to_right_source, sq.to_left_source
-        return None
+        legs = self.pullbacks.get((left, right))
+        if legs is None and (right, left) in self.pullbacks:
+            apex, to_right, to_left = self.pullbacks[right, left]
+            return apex, to_left, to_right
+        return legs
 
     def composable_pairs(self):
         """Every (f, g) with g o f defined by endpoints: f in name order, g
@@ -267,9 +255,9 @@ class FiniteCategory:
                     if left is not None and right is not None and left != right:
                         found.append(("associativity", (h, g, f)))
         if not (thin and total):
-            for (l, r), sq in sorted(self.pullbacks.items()):
-                via_left = self.composition.get((l, sq.to_left_source))
-                via_right = self.composition.get((r, sq.to_right_source))
+            for (l, r), (_, to_left, to_right) in sorted(self.pullbacks.items()):
+                via_left = self.composition.get((l, to_left))
+                via_right = self.composition.get((r, to_right))
                 if via_left is None or via_right is None or via_left != via_right:
                     found.append(("square", (l, r)))
         return found
@@ -296,6 +284,6 @@ class FiniteCategory:
                 if g in keep and f in keep and h in keep}
         # a square's legs run from its apex to the sources of left and right,
         # so they are kept with those two and the apex
-        pulls = [sq for sq in self.pullbacks.values()
-                 if sq.left in keep and sq.right in keep and sq.apex in objs]
+        pulls = [(l, r, *legs) for (l, r), legs in self.pullbacks.items()
+                 if l in keep and r in keep and legs[0] in objs]
         return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)

@@ -241,7 +241,7 @@ def cmd_verify_ito(args, model, report: Report):
     part = stochastic.Partition.uniform(T, n)
     worst, qvs = 0.0, np.empty(args.paths)
     for streams, values in stochastic.brownian_blocks(
-            T, n, seed, range(max(args.paths, 2 * pairs))):
+            part, seed, range(max(args.paths, 2 * pairs))):
         start = streams.start
         paired = values[:max(0, 2 * pairs - start)]
         if start % 2 and len(paired):
@@ -274,7 +274,7 @@ def cmd_verify_ito(args, model, report: Report):
         fine = stochastic.Partition.uniform(T, steps)
         residuals = np.concatenate([
             stochastic.ito_residual("w3", stochastic.DiscretePath(fine, values))
-            for _, values in stochastic.brownian_blocks(T, steps, seed + 1, range(pairs))])
+            for _, values in stochastic.brownian_blocks(fine, seed + 1, range(pairs))])
         # squared by the scalar pow, which NumPy's square differs from in the last bit
         rms.append(math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs))
     ratio = rms[0] / rms[1] if rms[1] else float("inf")

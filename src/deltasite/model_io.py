@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from operator import is_not, itemgetter
 from typing import Callable, NamedTuple
 
-from .categories import FiniteCategory, Morphism, PullbackSquare
+from .categories import FiniteCategory, Morphism
 from .errors import ModelError, StructuralError
 from .events import EventMap, SimplicialEvent
 from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
@@ -311,7 +311,8 @@ def parse_model(text: str) -> ModelDescription:
     # a pair has one composite and one pullback, so a second entry for it is
     # refused rather than left to replace the first.  The rules are walked for
     # repeats only if there are fewer composites than rules, and the squares
-    # only if the category is refused (it refuses a repeated pair too)
+    # only if the category is refused (it refuses a repeated pair too).  The
+    # category reads the squares lazily, so each row's tuple is freed once filed
     triples = cat_spec.get("composition", [])
     composition = {(g, f): h for g, f, h in triples}
     if len(composition) < len(triples):
@@ -321,18 +322,17 @@ def parse_model(text: str) -> ModelDescription:
                 errors.append((f"category.composition[{i}]",
                                f"({g!r}, {f!r}) already has a composite"))
             seen.add((g, f))
-    squares = list(map(tuple.__new__, repeat(PullbackSquare),
-                       map(itemgetter(*_SQUARE), cat_spec.get("pullbacks", []))))
+    squares = cat_spec.get("pullbacks", [])
     category = problem = None
     if not errors:
         try:
-            category = FiniteCategory(objects, morphisms, composition, squares)
+            category = FiniteCategory(objects, morphisms, composition,
+                                      map(itemgetter(*_SQUARE), squares))
         except StructuralError as exc:
             problem = ("category", str(exc))
     if category is None:
         seen = set()
-        for i, sq in enumerate(squares):
-            pair = (sq.left, sq.right)
+        for i, pair in enumerate(map(itemgetter("left", "right"), squares)):
             if pair in seen:
                 errors.append((f"category.pullbacks[{i}]", f"{pair!r} already has a pullback"))
             seen.add(pair)
@@ -447,9 +447,9 @@ def serialize_model(model: ModelDescription) -> str:
                 [g, f, h] for (g, f), h in cat.composition.items()
                 if not (cat.is_identity(g) or cat.is_identity(f))),
             "pullbacks": [
-                {"left": sq.left, "right": sq.right, "apex": sq.apex,
-                 "to_left": sq.to_left_source, "to_right": sq.to_right_source}
-                for (_, _), sq in sorted(cat.pullbacks.items())
+                {"left": left, "right": right, "apex": apex,
+                 "to_left": to_left, "to_right": to_right}
+                for (left, right), (apex, to_left, to_right) in sorted(cat.pullbacks.items())
             ],
         },
     }

@@ -101,13 +101,9 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
     (`FilteredSigmaAlgebra.require_sigma_levels`).
     """
     F.require_sigma_levels(P.ground_set)
-    mass: dict[str, float] = {}  # P of each object, weighed on first use
 
     def admit(m):
-        for end in (m.source, m.target):
-            if end not in mass:
-                mass[end] = P(category.event(end))
-        return mass[m.source] <= mass[m.target]
+        return P(category.event(m.source)) <= P(category.event(m.target))
 
     return _level_sites(F, category, lambda p: admit, "probability", P)
 
@@ -191,16 +187,16 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
                 elif mi_identity:
                     apex, proj = gamma, identities[gamma]
                 else:
-                    sq = pullbacks.get((mi, g))
-                    if sq is not None:
-                        apex, proj = sq.apex, sq.to_right_source
+                    legs = pullbacks.get((mi, g))
+                    if legs is not None:
+                        apex, _, proj = legs
                     else:
-                        sq = pullbacks.get((g, mi))
-                        if sq is None:
+                        legs = pullbacks.get((g, mi))
+                        if legs is None:
                             append(("base-change", f"{prefix}({mi}, {g})", "fail",
                                     f"missing pullback for cospan ({src} -> {obj} <- {gamma})"))
                             continue
-                        apex, proj = sq.apex, sq.to_left_source
+                        apex, proj, _ = legs
                 ok = proj in covers_gamma
                 witness = f"projection {proj}: {apex} -> {gamma}"
                 if P is not None:

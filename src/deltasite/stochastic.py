@@ -152,21 +152,17 @@ class GBMParams:
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:
     """Standard Brownian path on the uniform grid: W_0 = 0, independent
     normal increments with variance equal to the step: the one row of
-    brownian_blocks(T, n, seed, (stream,))."""
+    brownian_blocks(Partition.uniform(T, n), seed, (stream,)), on that grid."""
     grid = Partition.uniform(T, n)
-    (_, values), = _brownian(grid, seed, (stream,))
+    (_, values), = brownian_blocks(grid, seed, (stream,))
     return DiscretePath(grid, values[0])
 
 
-def brownian_blocks(T: float, n: int, seed: int, streams):
-    """Brownian paths of many streams in the blocks of normal_blocks: yields
-    (streams[a:b], values) where row r of values reproduces
-    sample_brownian(T, n, seed, streams[a + r]).values."""
-    return _brownian(Partition.uniform(T, n), seed, streams)
-
-
-def _brownian(grid: Partition, seed: int, streams):
-    """brownian_blocks on a grid the caller built (sample_brownian keeps it)."""
+def brownian_blocks(grid: Partition, seed: int, streams):
+    """Brownian paths of many streams on grid, in the blocks of
+    normal_blocks: yields (streams[a:b], values) where row r of values is the
+    path of stream streams[a + r]; on a uniform grid of T and n steps it
+    reproduces sample_brownian(T, n, seed, streams[a + r]).values."""
     n = grid.times.size - 1
     sq = grid.deltas
     np.sqrt(sq, out=sq)
@@ -182,7 +178,7 @@ def sample_brownian_batch(T: float, n: int, n_paths: int, seed: int = 0) -> np.n
     """(n_paths, n+1) array of Brownian paths; row i reproduces
     sample_brownian(T, n, seed, stream=i)."""
     out = np.empty((n_paths, n + 1))
-    for part, values in brownian_blocks(T, n, seed, range(n_paths)):
+    for part, values in brownian_blocks(Partition.uniform(T, n), seed, range(n_paths)):
         out[part.start:part.stop] = values
     return out
 

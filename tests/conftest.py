@@ -1,6 +1,6 @@
 import pytest
 
-from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
+from deltasite.categories import FiniteCategory, Morphism
 from deltasite.events import EventMap, SimplicialEvent
 from deltasite.sites import GrothendieckSite
 
@@ -54,14 +54,14 @@ def overlap_site():
     morphisms = [Morphism(n, m.source.name, m.target.name, m)
                  for n, m in maps.items()]
     comp = {("f1", "g1"): "h", ("f2", "g2"): "h"}
-    pullbacks = [PullbackSquare("f1", "f2", "W", "g1", "g2"),
-                 PullbackSquare("f1", "f1", "V1", "id:V1", "id:V1"),
-                 PullbackSquare("f2", "f2", "V2", "id:V2", "id:V2"),
-                 PullbackSquare("h", "h", "W", "id:W", "id:W"),
-                 PullbackSquare("f1", "h", "W", "g1", "id:W"),
-                 PullbackSquare("f2", "h", "W", "g2", "id:W"),
-                 PullbackSquare("g1", "g1", "W", "id:W", "id:W"),
-                 PullbackSquare("g2", "g2", "W", "id:W", "id:W")]
+    pullbacks = [("f1", "f2", "W", "g1", "g2"),
+                 ("f1", "f1", "V1", "id:V1", "id:V1"),
+                 ("f2", "f2", "V2", "id:V2", "id:V2"),
+                 ("h", "h", "W", "id:W", "id:W"),
+                 ("f1", "h", "W", "g1", "id:W"),
+                 ("f2", "h", "W", "g2", "id:W"),
+                 ("g1", "g1", "W", "id:W", "id:W"),
+                 ("g2", "g2", "W", "id:W", "id:W")]
     cat = FiniteCategory({"U": top, "V1": v1, "V2": v2, "W": w},
                          morphisms, comp, pullbacks)
     coverings = {"U": [("f1", "f2")], "V1": [("id:V1",)], "V2": [("id:V2",)],

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from deltasite import fixtures
-from deltasite.categories import FiniteCategory, Morphism, PullbackSquare
+from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import PreconditionError, StructuralError
 
 from conftest import chain_category
@@ -40,7 +41,7 @@ def test_check_axioms_flags_noncommuting_pullback():
                  Morphism("u", "P", "C"), Morphism("v", "P", "C")]
     comp = {("f", "pa"): "u", ("g", "pb"): "v"}  # legs disagree
     cat = FiniteCategory(objs, morphisms, comp,
-                         [PullbackSquare("f", "g", "P", "pa", "pb")])
+                         [("f", "g", "P", "pa", "pb")])
     assert any("does not commute" in v for v in violations(cat))
 
 
@@ -51,7 +52,7 @@ def test_check_axioms_flags_a_square_missing_a_composite_in_a_thin_category():
     morphisms = [Morphism("f", "A", "C"), Morphism("g", "B", "C"),
                  Morphism("pa", "P", "A"), Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
     cat = FiniteCategory(objs, morphisms, {("f", "pa"): "u"},
-                         [PullbackSquare("f", "g", "P", "pa", "pb")])
+                         [("f", "g", "P", "pa", "pb")])
     assert violations(cat) == ["composition undefined for (g, pb)",
                                "declared pullback square (f, g) does not commute"]
 
@@ -67,7 +68,7 @@ def square_category():
                  Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
     comp = {("f", "pa"): "u", ("g", "pb"): "u"}
     return FiniteCategory(objs, morphisms, comp,
-                          [PullbackSquare("f", "g", "P", "pa", "pb")])
+                          [("f", "g", "P", "pa", "pb")])
 
 
 @pytest.mark.parametrize("left, right, expected", [
@@ -95,6 +96,23 @@ def test_pullback_of_refuses_a_non_cospan():
         cat.pullback_legs("f", "id:A")
 
 
+def test_parsed_squares_are_plain_legs_that_pullback_legs_returns():
+    """A parsed category files each square as the tuple of its legs, three
+    names, which the collector stops tracking; pullback_legs hands that
+    tuple back, and its swap for the reversed cospan."""
+    for cat in (fixtures.load_fixture("six_events").category, lattice4()):
+        gc.collect()
+        assert cat.pullbacks
+        for (l, r), legs in cat.pullbacks.items():
+            assert type(legs) is tuple and len(legs) == 3
+            assert all(type(name) is str for name in legs)
+            assert not gc.is_tracked(legs)
+            assert cat.pullback_legs(l, r) == legs
+            if (r, l) not in cat.pullbacks:
+                apex, to_left, to_right = legs
+                assert cat.pullback_legs(r, l) == (apex, to_right, to_left)
+
+
 def test_constructor_rejects_bad_references():
     with pytest.raises(StructuralError):
         FiniteCategory({"A": None}, [Morphism("f", "A", "Z")])
@@ -107,8 +125,8 @@ def test_constructor_refuses_a_second_square_for_one_cospan():
     (g, f) is another cospan and may have its own."""
     cat = square_category()
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
-    first = PullbackSquare("f", "g", "P", "pa", "pb")
-    swapped = PullbackSquare("g", "f", "P", "pb", "pa")
+    first = ("f", "g", "P", "pa", "pb")
+    swapped = ("g", "f", "P", "pb", "pa")
     assert len(FiniteCategory(cat.objects, morphisms, cat.composition,
                               [first, swapped]).pullbacks) == 2
     with pytest.raises(StructuralError, match=r"^\('f', 'g'\) already has a pullback$"):
@@ -128,8 +146,7 @@ def tables(cat):
     return (cat.objects,
             {n: (m.source, m.target) for n, m in cat.morphisms.items()},
             cat.identities, cat.composition,
-            {key: (sq.left, sq.right, sq.apex, sq.to_left_source, sq.to_right_source)
-             for key, sq in cat.pullbacks.items()},
+            dict(cat.pullbacks),
             {o: cat.morphisms_into(o) for o in cat.objects},
             {o: cat.morphisms_from(o) for o in cat.objects})
 
@@ -198,9 +215,8 @@ def small_categories(draw):
         to_right = fitting(apex, ends_of[right][0])
         if (ends_of[left][1] == ends_of[right][1] and to_left and to_right
                 and (left, right) not in pullbacks):
-            pullbacks[left, right] = PullbackSquare(left, right, apex,
-                                                    draw(hst.sampled_from(to_left)),
-                                                    draw(hst.sampled_from(to_right)))
+            pullbacks[left, right] = (left, right, apex, draw(hst.sampled_from(to_left)),
+                                      draw(hst.sampled_from(to_right)))
     return FiniteCategory({o: None for o in objs},
                           [Morphism(name, s, t) for name, s, t in arrows],
                           comp, pullbacks.values())
@@ -230,9 +246,9 @@ def scan_check_axioms(cat):
                 left, right = comp.get((h, gf)), comp.get((hg, f))
                 if left is not None and right is not None and left != right:
                     bad.append(f"associativity fails on ({h}, {g}, {f})")
-    for (l, r), sq in sorted(cat.pullbacks.items()):
-        via_left = comp.get((l, sq.to_left_source))
-        via_right = comp.get((r, sq.to_right_source))
+    for (l, r), (_, to_left, to_right) in sorted(cat.pullbacks.items()):
+        via_left = comp.get((l, to_left))
+        via_right = comp.get((r, to_right))
         if via_left is None or via_right is None or via_left != via_right:
             bad.append(f"declared pullback square ({l}, {r}) does not commute")
     return bad
@@ -313,22 +329,22 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
         if known[h].source != known[f].source or known[h].target != known[g].target:
             return f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})"
     paired = set()
-    for sq in pullbacks:
-        for name in (sq.left, sq.right):
+    for l, r, apex, to_left, to_right in pullbacks:
+        for name in (l, r):
             if name not in known:
                 return f"pullback square references unknown morphism {name!r}"
-        left, right = known[sq.left], known[sq.right]
+        left, right = known[l], known[r]
         if left.target != right.target:
-            return f"pullback of ({sq.left!r}, {sq.right!r}): targets differ"
-        if sq.apex not in objects:
-            return f"pullback apex {sq.apex!r} is not an object"
-        for leg, want in ((sq.to_left_source, left.source), (sq.to_right_source, right.source)):
+            return f"pullback of ({l!r}, {r!r}): targets differ"
+        if apex not in objects:
+            return f"pullback apex {apex!r} is not an object"
+        for leg, want in ((to_left, left.source), (to_right, right.source)):
             lm = known.get(leg)
-            if lm is None or lm.source != sq.apex or lm.target != want:
-                return f"pullback of ({sq.left!r}, {sq.right!r}): bad leg {leg!r}"
-        if (sq.left, sq.right) in paired:
-            return f"{(sq.left, sq.right)!r} already has a pullback"
-        paired.add((sq.left, sq.right))
+            if lm is None or lm.source != apex or lm.target != want:
+                return f"pullback of ({l!r}, {r!r}): bad leg {leg!r}"
+        if (l, r) in paired:
+            return f"{(l, r)!r} already has a pullback"
+        paired.add((l, r))
     return None
 
 
@@ -355,7 +371,7 @@ def test_construction_errors_match_a_row_by_row_reference(defects, data):
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
     rules = [[g, f, h] for (g, f), h in cat.composition.items()
              if not (cat.is_identity(g) or cat.is_identity(f))]
-    squares = list(cat.pullbacks.values())
+    squares = [(l, r, *legs) for (l, r), legs in cat.pullbacks.items()]
     ends = {name: (m.source, m.target) for name, m in cat.morphisms.items()}
 
     def other(*tests):
@@ -398,26 +414,27 @@ def test_construction_errors_match_a_row_by_row_reference(defects, data):
                 rules[i][2] = other(lambda s, t: s != ends[f][0] and t == ends[g][1],
                                     lambda s, t: s == ends[f][0] and t != ends[g][1])
         else:
+            # a square is (left, right, apex, to_left, to_right)
             i = row(squares)
             sq = squares[i]
+            left, right, apex = sq[:3]
             if defect == "unknown name":
-                field = data.draw(hst.sampled_from(("left", "right")))
-                squares[i] = sq._replace(**{field: "ghost"})
+                k = data.draw(hst.sampled_from((0, 1)))
+                squares[i] = (*sq[:k], "ghost", *sq[k + 1:])
             elif defect == "targets differ":
-                squares[i] = sq._replace(right=other(lambda s, t: t != ends[sq.left][1]))
+                squares[i] = (left, other(lambda s, t: t != ends[left][1]), *sq[2:])
             elif defect == "apex not an object":
-                squares[i] = sq._replace(apex="ghost")
+                squares[i] = (left, right, "ghost", *sq[3:])
             elif defect == "repeated square":
                 # another row's square, kept as it is, in place of this one
                 j = data.draw(hst.sampled_from([j for j in range(len(squares)) if j != i]))
                 touched.add((id(squares), j))
                 squares[i] = squares[j]
             else:
-                field = data.draw(hst.sampled_from(("to_left_source", "to_right_source")))
-                side = ends[sq.left if field == "to_left_source" else sq.right][0]
-                squares[i] = sq._replace(**{field: other(
-                    lambda s, t: s != sq.apex and t == side,
-                    lambda s, t: s == sq.apex and t != side)})
+                k = data.draw(hst.sampled_from((3, 4)))
+                side = ends[left if k == 3 else right][0]
+                squares[i] = (*sq[:k], other(lambda s, t: s != apex and t == side,
+                                             lambda s, t: s == apex and t != side), *sq[k + 1:])
     composition = {(g, f): h for g, f, h in rules}
     expected = reference_construction_error(cat.objects, morphisms, composition, squares)
     assert expected is not None

@@ -70,7 +70,7 @@ def test_missing_composite_raises_before_base_functorial_can_fail():
                    if key != ("i:e_a>e_ab", "i:empty>e_a")}
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
     unclosed = FiniteCategory(cat.objects, morphisms, composition,
-                              list(cat.pullbacks.values()))
+                              [(l, r, *legs) for (l, r), legs in cat.pullbacks.items()])
     with pytest.raises(ClosureError) as exc:
         verify_roof_category(RoofCategory(unclosed))
     assert str(exc.value) == ("fragment is not composition closed: "

@@ -101,7 +101,7 @@ def test_two_member_family_is_named_by_its_members_and_target():
     # sections that disagree on W no longer have to agree
     cat = site.category
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
-    squares = [sq for sq in cat.pullbacks.values() if {sq.left, sq.right} != {"f1", "f2"}]
+    squares = [(l, r, *legs) for (l, r), legs in cat.pullbacks.items() if {l, r} != {"f1", "f2"}]
     gap = GrothendieckSite(FiniteCategory(cat.objects, morphisms, cat.composition, squares),
                            site.coverings, "overlap-gap")
     report = check_sheaf_condition(constant_presheaf(gap, (0, 1)))

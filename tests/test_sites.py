@@ -371,11 +371,11 @@ def referee_grothendieck(site):
         if cat.is_identity(left):
             return rm.source, right, cat.identities[rm.source]
         if (left, right) in cat.pullbacks:
-            sq = cat.pullbacks[(left, right)]
-            return sq.apex, sq.to_left_source, sq.to_right_source
+            apex, to_left, to_right = cat.pullbacks[(left, right)]
+            return apex, to_left, to_right
         if (right, left) in cat.pullbacks:
-            sq = cat.pullbacks[(right, left)]
-            return sq.apex, sq.to_right_source, sq.to_left_source
+            apex, to_right, to_left = cat.pullbacks[(right, left)]
+            return apex, to_left, to_right
         return None
 
     def measure_chain(cover_src, gamma, apex):

@@ -568,7 +568,7 @@ def test_discrete_path_shape_is_checked_on_the_last_axis():
 @pytest.mark.parametrize("n, streams", [(1000, range(3, 140)),           # three 65-row blocks
                                         (BLOCK_VALUES + 1, range(2))])  # one row per block
 def test_brownian_blocks_rows_stay_their_paths(n, streams):
-    blocks = list(brownian_blocks(1.5, n, 6, streams))
+    blocks = list(brownian_blocks(Partition.uniform(1.5, n), 6, streams))
     assert [s for part, _ in blocks for s in part] == list(streams)
     for part, values in blocks:
         for stream, row in zip(part, values):
