@@ -16,14 +16,31 @@ of one path (a float) or of a block of rows (one float64 per row, bit-equal
 to that row's own call).  Only ito_residual's end points f(T, W_T) - f(0, W_0)
 go row by row, on scalars: NumPy's vectorised power differs from pow in the last bit.
 
-Ownership: normal_blocks reuses one buffer of raw words, but each float block
-it yields, and each values block of brownian_blocks, is a fresh array that
-belongs to the consumer, which may scale it in place or keep it.  A reduction
-never writes to its argument: it works in arrays it allocated itself.
+Ownership: each float block that normal_blocks yields, and each values block
+of brownian_blocks, is a fresh array that belongs to the consumer, which may
+scale it in place or keep it.  normal_blocks keeps no buffer of words:
+NumPy's Generator.random writes (raw >> 11) * 2^-53 of each word straight
+into the block.  A reduction never writes to its argument: it works in
+arrays it allocated itself.
+
+Lanes: a block whose rows hold SPLIT_VALUES values or more is filled in two
+lanes at once, the first half on the calling thread and the second on the
+process's one worker thread, started on first use (a block of several rows
+is split by rows, one row by columns at a multiple of 4, where Philox's
+counter steps).  Each lane owns a Philox generator and its state, made per
+normal_blocks call, and turns words into normals in place in its own slice
+of the fresh block; the calling thread waits for the worker before it
+yields the block, so between blocks the worker only waits.  The worker runs
+only NumPy and SciPy, never a public function of the package, and its
+errors are raised in the caller.  A lane's values depend only on the seed,
+its streams and its first word, so no value depends on the number of CPUs:
+on one CPU both lanes run on the calling thread, and blocks of shorter rows
+are one lane on the calling thread.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +49,16 @@ from .errors import PreconditionError
 
 # Values per sampling block, unless one row is longer.
 BLOCK_VALUES = 1 << 16
+# Rows of at least this many values are filled in two lanes; shorter rows
+# spend most of their time in the per-stream Python, which two threads
+# cannot run at once.
+SPLIT_VALUES = 1000
+# pid -> the executor of that process's worker thread (see _lane_worker)
+_WORKERS = {}
 
 
 def normal_cdf(x: float) -> float:
-    # scipy.special is imported on first use, here and in normal_blocks: it is
+    # scipy.special is imported on first use, here and where normals are made: it is
     # most of the package's import time, and only sampling and the cone check need it
     from scipy.special import ndtr
     return float(ndtr(x))
@@ -47,28 +70,83 @@ def normal_blocks(seed: int, count: int, streams):
     Yields (streams[a:b], block) with block of shape (b - a, count): row r is
     stream streams[a + r], from the documented Philox + inverse-CDF
     transform.  A block holds at most BLOCK_VALUES values, or one row when
-    it is longer.  The seed must fit the 128-bit key.
+    it is longer.  Rows of SPLIT_VALUES values or more are filled in two
+    lanes (see the module docstring).  The seed must fit the 128-bit key.
     """
-    from scipy.special import ndtri
+    import scipy.special  # on the calling thread, before a lane needs it
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
-    bg = np.random.Philox(key=int(seed))
-    state = bg.state  # counter 0, empty buffer; each stream rewrites the counter
-    counter = state["state"]["counter"]
     rows = max(1, BLOCK_VALUES // max(count, 1))
-    raw = np.empty((min(rows, len(streams)), count), dtype=np.uint64)
+    split = count >= SPLIT_VALUES
+    lanes = []
+    for _ in range(1 + split):
+        # counter 0, empty buffer; the lane rewrites the counter for each stream
+        bg = np.random.Philox(key=int(seed))
+        lanes.append((bg, bg.state, np.random.Generator(bg).random))
     for start in range(0, len(streams), rows):
         part = streams[start:start + rows]
-        words = raw[:len(part)]
-        for r, stream in enumerate(part):
-            counter[2] = stream
-            bg.state = state
-            words[r] = bg.random_raw(count)
-        words >>= np.uint64(11)
-        block = words.astype(np.float64)
-        block *= 2.0**-53
-        block += 2.0**-54
-        yield part, ndtri(block, out=block)
+        block = np.empty((len(part), count))
+        if split:
+            _fill_halves(lanes, part, block)
+        else:
+            _fill_lane(lanes[0], part, 0, block)
+        yield part, block
+
+
+def _fill_halves(lanes, part, block: np.ndarray):
+    """Fill the first half of block in lanes[0] on the calling thread and the
+    second in lanes[1] on the worker at the same time: a block of several
+    rows is cut between rows, one row between columns."""
+    if len(part) > 1:
+        half = (len(part) + 1) // 2
+        head, tail = (part[:half], 0, block[:half]), (part[half:], 0, block[half:])
+    else:
+        cut = block.shape[1] // 8 * 4  # a multiple of 4: a Philox counter step
+        head, tail = (part, 0, block[:, :cut]), (part, cut, block[:, cut:])
+    worker = _lane_worker()
+    if worker is None:
+        _fill_lane(lanes[0], *head)
+        _fill_lane(lanes[1], *tail)
+        return
+    future = worker.submit(_fill_lane, lanes[1], *tail)
+    try:
+        _fill_lane(lanes[0], *head)
+    finally:
+        future.result()  # waits for the worker, and raises its error here
+
+
+def _fill_lane(lane, streams, first: int, out: np.ndarray):
+    """Row r of out: the normals of stream streams[r] from its word first on
+    (a multiple of 4), through the lane's own generator and state.  It runs
+    on either thread, so it calls only NumPy and SciPy."""
+    from scipy.special import ndtri
+    bg, state, uniforms = lane
+    counter = state["state"]["counter"]
+    counter[0] = first // 4  # Philox makes 4 words per counter value
+    for row, stream in zip(out, streams):
+        counter[2] = stream
+        bg.state = state
+        uniforms(out=row)  # (raw >> 11) * 2**-53 of each word, in place
+    out += 2.0**-54
+    ndtri(out, out=out)
+
+
+def _lane_worker():
+    """The executor of this process's one worker thread, started on first
+    use (again in a forked child, whose copy of it has no thread), or None
+    where the process may run on one CPU only."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    pid = os.getpid()
+    worker = _WORKERS.get(pid)
+    if worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        # setdefault is atomic: of two threads that race here, one executor
+        # wins and the other is dropped before its thread is started
+        worker = _WORKERS.setdefault(pid, ThreadPoolExecutor(1, "deltasite-lane"))
+    return worker
 
 
 def normal_samples(seed: int, count: int, stream: int = 0) -> np.ndarray:

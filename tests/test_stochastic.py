@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.special import ndtri
 
+from deltasite import cli, fixtures, stochastic
 from deltasite.errors import PreconditionError
-from deltasite.stochastic import (BLOCK_VALUES, DiscretePath, GBMParams,
+from deltasite.stochastic import (BLOCK_VALUES, SPLIT_VALUES, DiscretePath, GBMParams,
                                   Partition, brownian_blocks, check_product_rule,
                                   estimate_log_drift, gbm_terminal_log_rates,
                                   ito_residual, normal_blocks, normal_samples,
@@ -80,6 +87,16 @@ def drawn_blocks(seed, count, streams):
     (5, range(2, 9)),
     (1000, range(5, 140)),            # 65 rows per block: three blocks
     ((1 << 16) + 1, range(9, 14)),    # one row per block, longer than the bound
+    # around the split: one row is cut between columns at a multiple of 4
+    (SPLIT_VALUES - 1, range(4, 5)),
+    (SPLIT_VALUES, range(4, 5)),
+    (SPLIT_VALUES + 1, range(4, 5)),
+    (2001, range(1, 2)), (2002, range(1, 2)), (3003, range(1, 2)),  # 1, 2, 3 mod 8
+    (4005, range(1, 2)), (5007, range(1, 2)),                       # 5, 7 mod 8
+    # several long rows are cut between rows, an odd count unevenly
+    (SPLIT_VALUES, range(6, 8)),
+    (4099, range(1, 4)),
+    (1500, (9, 2, 7)),                # streams out of order
 ])
 def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
     rows = drawn_blocks(seed, count, streams)
@@ -87,6 +104,129 @@ def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
         assert row.tobytes() == reference_normals(seed, count, stream).tobytes()
     stream, row = rows[-1]
     assert normal_samples(seed, count, stream).tobytes() == row.tobytes()
+
+
+def cpus(monkeypatch, count):
+    """Make the process look as if it may run on count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_one_cpu_fills_both_lanes_on_the_calling_thread(monkeypatch):
+    two = [row.tobytes() for _, row in drawn_blocks(3, 4005, (9, 2, 7))]
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(stochastic, "_WORKERS", {})
+    one = [row.tobytes() for _, row in drawn_blocks(3, 4005, (9, 2, 7))]
+    assert one == two == [reference_normals(3, 4005, s).tobytes() for s in (9, 2, 7)]
+    assert stochastic._WORKERS == {}  # no worker was started
+
+
+def test_threads_drawing_at_once_each_get_their_streams(monkeypatch):
+    cpus(monkeypatch, 2)
+    seed, count, streams, n = 2**64 + 3, 3001, (4, 0, 9), 20_001
+    rows_ref = [reference_normals(seed, count, s).tobytes() for s in streams]
+    sq = np.sqrt(Partition.uniform(1.0, n).deltas)
+    paths_ref = [np.concatenate(([0.0], np.cumsum(reference_normals(seed, n, k) * sq))).tobytes()
+                 for k in range(4)]
+    results, errors = {k: [] for k in range(4)}, []
+
+    def drain(k):
+        try:
+            for _ in range(5):
+                rows = [row.tobytes() for _, block in normal_blocks(seed, count, streams)
+                        for row in block]
+                results[k].append((rows, sample_brownian(1.0, n, seed, k).values.tobytes()))
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drain, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for k in range(4):
+        assert results[k] == [(rows_ref, paths_ref[k])] * 5
+
+
+def test_a_worker_error_reaches_the_caller_and_the_next_call_samples(monkeypatch, capsys):
+    cpus(monkeypatch, 2)
+    fill = stochastic._fill_lane
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("lane on the worker")
+        return fill(*args)
+
+    monkeypatch.setattr(stochastic, "_fill_lane", failing)
+    with pytest.raises(MemoryError, match="lane on the worker"):
+        list(normal_blocks(3, 4001, (2,)))
+    with pytest.raises(MemoryError, match="lane on the worker"):
+        sample_brownian_batch(1.0, 1000, 5, 3)
+    code = cli.main(["check-sheaf", "--mode", "cones", "--paths", "5000",
+                     "--model", fixtures.fixture_path("four_events")])
+    assert (code, capsys.readouterr().err) == (2, "error: out of memory: lane on the worker\n")
+    monkeypatch.setattr(stochastic, "_fill_lane", fill)
+    assert normal_samples(3, 4001, 2).tobytes() == reference_normals(3, 4001, 2).tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_the_worker_started_samples(monkeypatch):
+    cpus(monkeypatch, 2)
+    normal_samples(3, 4001, 2)
+    assert os.getpid() in stochastic._WORKERS  # the worker has started
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn that a process with threads forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        code = 1
+        try:
+            got = normal_samples(7, 100_003, 5).tobytes()
+            code = 0 if got == reference_normals(7, 100_003, 5).tobytes() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+def test_the_worker_enters_no_public_function(monkeypatch):
+    """bench/spans.py keeps one span stack per process and the reachability
+    probe traces one thread, so only private code of the package may run on
+    the worker."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(stochastic, "_WORKERS", {})  # a worker started under the profile
+    package = os.path.dirname(stochastic.__file__)
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and threading.current_thread() is not threading.main_thread():
+            entered.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    threading.setprofile(hook)
+    try:
+        list(normal_blocks(5, 1000, range(70)))
+        sample_brownian(1.0, 100_003, 5, 1)
+        gbm_terminal_log_rates(GBMParams(0.1, 0.2, 1.0, 1.0, 2000, 5), 3)
+    finally:
+        threading.setprofile(None)
+        for worker in stochastic._WORKERS.values():
+            worker.shutdown()
+    names = {name for path, name in entered if path.startswith(package)}
+    assert "_fill_lane" in names
+    assert sorted(name for name in names if not name.startswith(("_", "<"))) == []
 
 
 def test_normal_blocks_cross_a_boundary_of_short_streams():
