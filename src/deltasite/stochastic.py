@@ -23,19 +23,19 @@ NumPy's Generator.random writes (raw >> 11) * 2^-53 of each word straight
 into the block.  A reduction never writes to its argument: it works in
 arrays it allocated itself.
 
-Lanes: a block whose rows hold SPLIT_VALUES values or more is filled in two
-lanes at once, the first half on the calling thread and the second on the
-process's one worker thread, started on first use (a block of several rows
-is split by rows, one row by columns at a multiple of 4, where Philox's
-counter steps).  Each lane owns a Philox generator and its state, made per
-normal_blocks call, and turns words into normals in place in its own slice
-of the fresh block; the calling thread waits for the worker before it
-yields the block, so between blocks the worker only waits.  The worker runs
-only NumPy and SciPy, never a public function of the package, and its
-errors are raised in the caller.  A lane's values depend only on the seed,
-its streams and its first word, so no value depends on the number of CPUs:
-on one CPU both lanes run on the calling thread, and blocks of shorter rows
-are one lane on the calling thread.
+Lanes: a block whose rows hold SPLIT_VALUES values or more, and which holds
+SPLIT_BLOCK_VALUES values in all, is filled in two lanes at once, the first
+half on the calling thread and the second on the process's one worker
+thread, started on first use (a block of several rows is split by rows, one
+row by columns at a multiple of 4, where Philox's counter steps).  Each lane
+owns a Philox generator and its state, made per normal_blocks call, and
+turns words into normals in place in its own slice of the fresh block; the
+calling thread waits for the worker before it yields the block, so between
+blocks the worker only waits.  The worker runs only NumPy and SciPy, never a
+public function of the package, and its errors are raised in the caller.
+A lane's values depend only on the seed, its streams and its first word, so
+no value depends on the number of CPUs: on one CPU, and for smaller blocks,
+one lane on the calling thread fills the whole block.
 """
 from __future__ import annotations
 
@@ -49,12 +49,14 @@ from .errors import PreconditionError
 
 # Values per sampling block, unless one row is longer.
 BLOCK_VALUES = 1 << 16
-# Rows of at least this many values are filled in two lanes; shorter rows
-# spend most of their time in the per-stream Python, which two threads
-# cannot run at once.
+# A block is filled in two lanes when each row holds at least SPLIT_VALUES
+# values (shorter rows spend most of their time in per-stream Python, which
+# two threads cannot run at once) and the block SPLIT_BLOCK_VALUES in all
+# (below that, handing half to the worker costs about what it saves).
 SPLIT_VALUES = 1000
-# pid -> the executor of that process's worker thread (see _lane_worker)
-_WORKERS = {}
+SPLIT_BLOCK_VALUES = 1 << 14
+# (pid, executor) of the worker thread that process started (see _lane_worker)
+_WORKER = None
 
 
 def normal_cdf(x: float) -> float:
@@ -70,49 +72,40 @@ def normal_blocks(seed: int, count: int, streams):
     Yields (streams[a:b], block) with block of shape (b - a, count): row r is
     stream streams[a + r], from the documented Philox + inverse-CDF
     transform.  A block holds at most BLOCK_VALUES values, or one row when
-    it is longer.  Rows of SPLIT_VALUES values or more are filled in two
-    lanes (see the module docstring).  The seed must fit the 128-bit key.
+    it is longer.  Blocks of long rows are filled in two lanes (see the
+    module docstring).  The seed must fit the 128-bit key.
     """
     import scipy.special  # on the calling thread, before a lane needs it
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     rows = max(1, BLOCK_VALUES // max(count, 1))
-    split = count >= SPLIT_VALUES
+    worker = None
+    if count >= SPLIT_VALUES and len(streams) * count >= SPLIT_BLOCK_VALUES:
+        worker = _lane_worker()  # then the first block, at least, splits
     lanes = []
-    for _ in range(1 + split):
+    for _ in range(1 + (worker is not None)):
         # counter 0, empty buffer; the lane rewrites the counter for each stream
         bg = np.random.Philox(key=int(seed))
         lanes.append((bg, bg.state, np.random.Generator(bg).random))
     for start in range(0, len(streams), rows):
         part = streams[start:start + rows]
         block = np.empty((len(part), count))
-        if split:
-            _fill_halves(lanes, part, block)
-        else:
+        if worker is None or block.size < SPLIT_BLOCK_VALUES:
             _fill_lane(lanes[0], part, 0, block)
+        else:
+            # the caller fills the head and the worker the tail, at once
+            if len(part) > 1:
+                half = (len(part) + 1) // 2
+                head, tail = (part[:half], 0, block[:half]), (part[half:], 0, block[half:])
+            else:
+                cut = count // 8 * 4  # a multiple of 4: a Philox counter step
+                head, tail = (part, 0, block[:, :cut]), (part, cut, block[:, cut:])
+            future = worker.submit(_fill_lane, lanes[1], *tail)
+            try:
+                _fill_lane(lanes[0], *head)
+            finally:
+                future.result()  # waits for the worker, and raises its error here
         yield part, block
-
-
-def _fill_halves(lanes, part, block: np.ndarray):
-    """Fill the first half of block in lanes[0] on the calling thread and the
-    second in lanes[1] on the worker at the same time: a block of several
-    rows is cut between rows, one row between columns."""
-    if len(part) > 1:
-        half = (len(part) + 1) // 2
-        head, tail = (part[:half], 0, block[:half]), (part[half:], 0, block[half:])
-    else:
-        cut = block.shape[1] // 8 * 4  # a multiple of 4: a Philox counter step
-        head, tail = (part, 0, block[:, :cut]), (part, cut, block[:, cut:])
-    worker = _lane_worker()
-    if worker is None:
-        _fill_lane(lanes[0], *head)
-        _fill_lane(lanes[1], *tail)
-        return
-    future = worker.submit(_fill_lane, lanes[1], *tail)
-    try:
-        _fill_lane(lanes[0], *head)
-    finally:
-        future.result()  # waits for the worker, and raises its error here
 
 
 def _fill_lane(lane, streams, first: int, out: np.ndarray):
@@ -135,18 +128,17 @@ def _lane_worker():
     """The executor of this process's one worker thread, started on first
     use (again in a forked child, whose copy of it has no thread), or None
     where the process may run on one CPU only."""
+    global _WORKER
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if cpus < 2:
         return None
-    pid = os.getpid()
-    worker = _WORKERS.get(pid)
-    if worker is None:
+    if _WORKER is None or _WORKER[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
-        # setdefault is atomic: of two threads that race here, one executor
-        # wins and the other is dropped before its thread is started
-        worker = _WORKERS.setdefault(pid, ThreadPoolExecutor(1, "deltasite-lane"))
-    return worker
+        # two threads that race here may each make one; the spare one ends
+        # with its caller's call
+        _WORKER = (os.getpid(), ThreadPoolExecutor(1, "deltasite-lane"))
+    return _WORKER[1]
 
 
 def normal_samples(seed: int, count: int, stream: int = 0) -> np.ndarray:

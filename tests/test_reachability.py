@@ -5,7 +5,7 @@ before the first `import deltasite` so that import-time calls count:
 - the five model commands, in both formats, on every bundled fixture and on
   a `fixtures.subset_model` lattice of four atoms;
 - the cone check, `simulate` with 1, 5 and 40 paths and with 2 paths of
-  1000 steps (rows long enough to be filled in two lanes), `verify-ito`,
+  10000 steps (a block large enough to be filled in two lanes), `verify-ito`,
   `tropicalize` with and without markers, and `series` for each op;
 - one malformed model, which must exit 2;
 - every name of `deltasite.__all__`, resolved on the package;
@@ -95,7 +95,7 @@ run("check-sheaf", "--mode", "cones", "--paths", "100",
 run("simulate")
 run("simulate", "--paths", "5")
 run("simulate", "--paths", "40")
-run("simulate", "--paths", "2", "--steps", "1000")
+run("simulate", "--paths", "2", "--steps", "10000")
 run("verify-ito", "--paths", "20", "--steps", "100")
 run("tropicalize", "--alpha", "0.1", "--sigma", "0.2")
 run("tropicalize", "--alpha", "0.1", "--sigma", "0.2", "--with-markers")

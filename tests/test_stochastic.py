@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from scipy.special import ndtri
 
 from deltasite import cli, fixtures, stochastic
 from deltasite.errors import PreconditionError
-from deltasite.stochastic import (BLOCK_VALUES, SPLIT_VALUES, DiscretePath, GBMParams,
+from deltasite.stochastic import (BLOCK_VALUES, SPLIT_BLOCK_VALUES, SPLIT_VALUES,
+                                  DiscretePath, GBMParams,
                                   Partition, brownian_blocks, check_product_rule,
                                   estimate_log_drift, gbm_terminal_log_rates,
                                   ito_residual, normal_blocks, normal_samples,
@@ -87,16 +89,23 @@ def drawn_blocks(seed, count, streams):
     (5, range(2, 9)),
     (1000, range(5, 140)),            # 65 rows per block: three blocks
     ((1 << 16) + 1, range(9, 14)),    # one row per block, longer than the bound
-    # around the split: one row is cut between columns at a multiple of 4
-    (SPLIT_VALUES - 1, range(4, 5)),
-    (SPLIT_VALUES, range(4, 5)),
-    (SPLIT_VALUES + 1, range(4, 5)),
-    (2001, range(1, 2)), (2002, range(1, 2)), (3003, range(1, 2)),  # 1, 2, 3 mod 8
-    (4005, range(1, 2)), (5007, range(1, 2)),                       # 5, 7 mod 8
-    # several long rows are cut between rows, an odd count unevenly
-    (SPLIT_VALUES, range(6, 8)),
-    (4099, range(1, 4)),
-    (1500, (9, 2, 7)),                # streams out of order
+    # one row around the split, cut between columns at a multiple of 4
+    (SPLIT_BLOCK_VALUES - 1, range(4, 5)),        # one lane
+    (SPLIT_BLOCK_VALUES, range(4, 5)),
+    (SPLIT_BLOCK_VALUES + 1, range(4, 5)),        # 1 mod 8
+    (20_002, range(1, 2)), (30_003, range(1, 2)),  # 2, 3 mod 8
+    (40_005, range(1, 2)), (50_007, range(1, 2)),  # 5, 7 mod 8
+    (100_003, (5,)),
+    # several rows, cut between rows: around the row length ...
+    (SPLIT_VALUES - 1, range(4, 24)),             # one lane
+    (SPLIT_VALUES, range(4, 24)),
+    (SPLIT_VALUES + 1, range(4, 24)),
+    # ... and the block size, and odd counts of rows, cut unevenly
+    (SPLIT_BLOCK_VALUES // 4 - 1, range(0, 4)),   # one lane
+    (SPLIT_BLOCK_VALUES // 4, range(0, 4)),
+    (9001, range(6, 8)),
+    (6001, range(1, 4)),
+    (6000, (9, 2, 7)),                            # streams out of order
 ])
 def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
     rows = drawn_blocks(seed, count, streams)
@@ -112,18 +121,47 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
-def test_one_cpu_fills_both_lanes_on_the_calling_thread(monkeypatch):
-    two = [row.tobytes() for _, row in drawn_blocks(3, 4005, (9, 2, 7))]
+def test_only_large_blocks_of_long_rows_are_split(monkeypatch):
+    tails = []
+
+    class Inline:
+        """A worker that fills its lane at once, on the calling thread."""
+        def submit(self, fill, lane, streams, first, out):
+            tails.append((tuple(streams), first, out.shape))
+            future = Future()
+            future.set_result(fill(lane, streams, first, out))
+            return future
+
+    monkeypatch.setattr(stochastic, "_lane_worker", Inline)
+
+    def split(count, streams):
+        tails.clear()
+        for stream, row in drawn_blocks(3, count, streams):
+            assert row.tobytes() == reference_normals(3, count, stream).tobytes()
+        return tails
+
+    assert split(SPLIT_BLOCK_VALUES - 1, (4,)) == []
+    assert split(SPLIT_BLOCK_VALUES, (4,)) == [((4,), SPLIT_BLOCK_VALUES // 2, (1, 8192))]
+    assert split(SPLIT_VALUES - 1, range(20)) == []
+    assert split(SPLIT_BLOCK_VALUES // 4 - 1, range(4)) == []
+    assert split(6001, (9, 2, 7)) == [((7,), 0, (1, 6001))]
+    # 65-row blocks split, the last block of 5 rows does not
+    assert split(1000, range(5, 140)) == [(tuple(range(38, 70)), 0, (32, 1000)),
+                                          (tuple(range(103, 135)), 0, (32, 1000))]
+
+
+def test_one_cpu_fills_each_block_in_one_lane(monkeypatch):
+    two = [row.tobytes() for _, row in drawn_blocks(3, 6001, (9, 2, 7))]
     cpus(monkeypatch, 1)
-    monkeypatch.setattr(stochastic, "_WORKERS", {})
-    one = [row.tobytes() for _, row in drawn_blocks(3, 4005, (9, 2, 7))]
-    assert one == two == [reference_normals(3, 4005, s).tobytes() for s in (9, 2, 7)]
-    assert stochastic._WORKERS == {}  # no worker was started
+    monkeypatch.setattr(stochastic, "_WORKER", None)
+    one = [row.tobytes() for _, row in drawn_blocks(3, 6001, (9, 2, 7))]
+    assert one == two == [reference_normals(3, 6001, s).tobytes() for s in (9, 2, 7)]
+    assert stochastic._WORKER is None  # no worker was started
 
 
 def test_threads_drawing_at_once_each_get_their_streams(monkeypatch):
     cpus(monkeypatch, 2)
-    seed, count, streams, n = 2**64 + 3, 3001, (4, 0, 9), 20_001
+    seed, count, streams, n = 2**64 + 3, 6001, (4, 0, 9), 20_001
     rows_ref = [reference_normals(seed, count, s).tobytes() for s in streams]
     sq = np.sqrt(Partition.uniform(1.0, n).deltas)
     paths_ref = [np.concatenate(([0.0], np.cumsum(reference_normals(seed, n, k) * sq))).tobytes()
@@ -166,21 +204,21 @@ def test_a_worker_error_reaches_the_caller_and_the_next_call_samples(monkeypatch
 
     monkeypatch.setattr(stochastic, "_fill_lane", failing)
     with pytest.raises(MemoryError, match="lane on the worker"):
-        list(normal_blocks(3, 4001, (2,)))
+        list(normal_blocks(3, 20_001, (2,)))
     with pytest.raises(MemoryError, match="lane on the worker"):
-        sample_brownian_batch(1.0, 1000, 5, 3)
-    code = cli.main(["check-sheaf", "--mode", "cones", "--paths", "5000",
+        sample_brownian_batch(1.0, 1000, 20, 3)
+    code = cli.main(["check-sheaf", "--mode", "cones", "--paths", "20000",
                      "--model", fixtures.fixture_path("four_events")])
     assert (code, capsys.readouterr().err) == (2, "error: out of memory: lane on the worker\n")
     monkeypatch.setattr(stochastic, "_fill_lane", fill)
-    assert normal_samples(3, 4001, 2).tobytes() == reference_normals(3, 4001, 2).tobytes()
+    assert normal_samples(3, 20_001, 2).tobytes() == reference_normals(3, 20_001, 2).tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_the_worker_started_samples(monkeypatch):
     cpus(monkeypatch, 2)
-    normal_samples(3, 4001, 2)
-    assert os.getpid() in stochastic._WORKERS  # the worker has started
+    normal_samples(3, 20_001, 2)
+    assert stochastic._WORKER[0] == os.getpid()  # the worker has started
     with warnings.catch_warnings():
         # Python 3.12 and later warn that a process with threads forks
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -207,7 +245,7 @@ def test_the_worker_enters_no_public_function(monkeypatch):
     probe traces one thread, so only private code of the package may run on
     the worker."""
     cpus(monkeypatch, 2)
-    monkeypatch.setattr(stochastic, "_WORKERS", {})  # a worker started under the profile
+    monkeypatch.setattr(stochastic, "_WORKER", None)  # a worker started under the profile
     package = os.path.dirname(stochastic.__file__)
     entered = set()
 
@@ -219,11 +257,10 @@ def test_the_worker_enters_no_public_function(monkeypatch):
     try:
         list(normal_blocks(5, 1000, range(70)))
         sample_brownian(1.0, 100_003, 5, 1)
-        gbm_terminal_log_rates(GBMParams(0.1, 0.2, 1.0, 1.0, 2000, 5), 3)
+        gbm_terminal_log_rates(GBMParams(0.1, 0.2, 1.0, 1.0, 2000, 5), 10)
     finally:
         threading.setprofile(None)
-        for worker in stochastic._WORKERS.values():
-            worker.shutdown()
+        stochastic._WORKER[1].shutdown()
     names = {name for path, name in entered if path.startswith(package)}
     assert "_fill_lane" in names
     assert sorted(name for name in names if not name.startswith(("_", "<"))) == []
@@ -247,11 +284,13 @@ def test_normal_blocks_refuse_seed_outside_the_key(seed):
 
 
 def test_brownian_batch_rows_match_reference_paths_across_blocks():
-    batch = sample_brownian_batch(1.0, 1000, 70, seed=2**128 - 1)
-    sq = np.sqrt(Partition.uniform(1.0, 1000).deltas)
-    for i in (0, 1, 63, 64, 65, 69):
-        ref = np.concatenate(([0.0], np.cumsum(reference_normals(2**128 - 1, 1000, i) * sq)))
-        assert batch[i].tobytes() == ref.tobytes()
+    for n, paths, rows in ((1000, 70, (0, 1, 63, 64, 65, 69)),  # blocks of 65 rows and of 5
+                           (10_000, 13, range(13))):            # blocks of 6, 6 and 1 rows
+        batch = sample_brownian_batch(1.0, n, paths, seed=2**128 - 1)
+        sq = np.sqrt(Partition.uniform(1.0, n).deltas)
+        for i in rows:
+            ref = np.concatenate(([0.0], np.cumsum(reference_normals(2**128 - 1, n, i) * sq)))
+            assert batch[i].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", (20, (1 << 16) + 1))  # one row of a two-row block
