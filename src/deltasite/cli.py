@@ -231,6 +231,10 @@ def cmd_verify_ito(args, model, report: Report):
 
     from . import stochastic
     seed, T, n = args.seed, args.T, args.steps
+    # the trend draws from seed + 1 and the log drift from seed + 2
+    if not 0 <= seed < 2**128 - 2:
+        raise PreconditionError(f"seed must lie in [0, 2**128 - 2) on verify-ito, "
+                                f"got {seed}")
     params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, T,
                                   max(1, n // 10), seed + 2)
     pairs = min(args.paths, 100)
@@ -269,14 +273,9 @@ def cmd_verify_ito(args, model, report: Report):
     exact = stochastic.ito_residual("w2", w0, quadratic_term="increments")
     scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
     report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
-    rms = []
-    for steps in (n, 2 * n):
-        fine = stochastic.Partition.uniform(T, steps)
-        residuals = np.concatenate([
-            stochastic.ito_residual("w3", stochastic.DiscretePath(fine, values))
-            for _, values in stochastic.brownian_blocks(fine, seed + 1, range(pairs))])
-        # squared by the scalar pow, which NumPy's square differs from in the last bit
-        rms.append(math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs))
+    # squared by the scalar pow, which NumPy's square differs from in the last bit
+    rms = [math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs)
+           for residuals in stochastic.ito_residual_halving("w3", T, n, seed + 1, range(pairs))]
     ratio = rms[0] / rms[1] if rms[1] else float("inf")
     report.add("ito-w3-trend",
                f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)

@@ -23,19 +23,23 @@ NumPy's Generator.random writes (raw >> 11) * 2^-53 of each word straight
 into the block.  A reduction never writes to its argument: it works in
 arrays it allocated itself.
 
-Lanes: a block whose rows hold SPLIT_VALUES values or more, and which holds
-SPLIT_BLOCK_VALUES values in all, is filled in two lanes at once, the first
-half on the calling thread and the second on the process's one worker
-thread, started on first use (a block of several rows is split by rows, one
-row by columns at a multiple of 4, where Philox's counter steps).  Each lane
-owns a Philox generator and its state, made per normal_blocks call, and
-turns words into normals in place in its own slice of the fresh block; the
-calling thread waits for the worker before it yields the block, so between
-blocks the worker only waits.  The worker runs only NumPy and SciPy, never a
-public function of the package, and its errors are raised in the caller.
-A lane's values depend only on the seed, its streams and its first word, so
-no value depends on the number of CPUs: on one CPU, and for smaller blocks,
-one lane on the calling thread fills the whole block.
+Lanes: a block of SPLIT_BLOCK_VALUES values or more is made in two lanes
+at once, the first half on the calling thread and the second on the
+process's one worker thread, started on first use.  Where its rows hold
+SPLIT_VALUES values or more, each lane fills its half: a block of several
+rows is split by rows, one row by columns at a multiple of 4, where Philox's
+counter steps, and each lane owns a Philox generator and its state, made per
+normal_blocks call (the state a dict of plain lists, which the setter reads
+fastest).  Shorter rows spend most of their time in the per-stream Python
+loop, which two threads cannot run at once, so the caller draws the
+uniforms of every row and the two lanes then turn half of the rows each
+into normals.  Either way each lane writes in place in its own slice of the
+fresh block; the calling thread waits for the worker before it yields the
+block, so between blocks the worker only waits.  The worker runs only NumPy
+and SciPy, never a public function of the package, and its errors are
+raised in the caller.  A value depends only on the seed, its stream and its
+word's place, so no value depends on the number of CPUs: on one CPU, and
+for smaller blocks, one lane on the calling thread fills the whole block.
 """
 from __future__ import annotations
 
@@ -49,10 +53,11 @@ from .errors import PreconditionError
 
 # Values per sampling block, unless one row is longer.
 BLOCK_VALUES = 1 << 16
-# A block is filled in two lanes when each row holds at least SPLIT_VALUES
-# values (shorter rows spend most of their time in per-stream Python, which
-# two threads cannot run at once) and the block SPLIT_BLOCK_VALUES in all
-# (below that, handing half to the worker costs about what it saves).
+# A block of SPLIT_BLOCK_VALUES values or more is made in two lanes (below
+# that, handing half to the worker costs about what it saves); both lanes
+# draw words only where each row holds at least SPLIT_VALUES values (shorter
+# rows spend most of their time in per-stream Python, which two threads
+# cannot run at once), and otherwise only make normals.
 SPLIT_VALUES = 1000
 SPLIT_BLOCK_VALUES = 1 << 14
 # (pid, executor) of the worker thread that process started (see _lane_worker)
@@ -71,55 +76,87 @@ def normal_blocks(seed: int, count: int, streams):
 
     Yields (streams[a:b], block) with block of shape (b - a, count): row r is
     stream streams[a + r], from the documented Philox + inverse-CDF
-    transform.  A block holds at most BLOCK_VALUES values, or one row when
-    it is longer.  Blocks of long rows are filled in two lanes (see the
-    module docstring).  The seed must fit the 128-bit key.
+    transform, so its first k values are normal_blocks(seed, k, ...)'s row.
+    A block holds at most BLOCK_VALUES values, or one row when it is longer.
+    Large blocks are made in two lanes (see the module docstring).  The
+    seed must fit the 128-bit key.
     """
     import scipy.special  # on the calling thread, before a lane needs it
     if not 0 <= seed < 2**128:
         raise PreconditionError(f"seed must lie in [0, 2**128), got {seed}")
     rows = max(1, BLOCK_VALUES // max(count, 1))
     worker = None
-    if count >= SPLIT_VALUES and len(streams) * count >= SPLIT_BLOCK_VALUES:
+    if len(streams) * count >= SPLIT_BLOCK_VALUES:
         worker = _lane_worker()  # then the first block, at least, splits
-    lanes = []
-    for _ in range(1 + (worker is not None)):
-        # counter 0, empty buffer; the lane rewrites the counter for each stream
-        bg = np.random.Philox(key=int(seed))
-        lanes.append((bg, bg.state, np.random.Generator(bg).random))
+    long_rows = count >= SPLIT_VALUES
+    lanes = [_lane(seed) for _ in range(1 + (worker is not None and long_rows))]
     for start in range(0, len(streams), rows):
         part = streams[start:start + rows]
         block = np.empty((len(part), count))
+        half = (len(part) + 1) // 2  # the caller takes the odd row
         if worker is None or block.size < SPLIT_BLOCK_VALUES:
             _fill_lane(lanes[0], part, 0, block)
+        elif not long_rows:
+            # the per-stream loop holds the GIL: the caller draws every row,
+            # then both threads turn half of them into normals
+            _uniforms(lanes[0], part, 0, block)
+            _two_lanes(worker, _normals, (block[:half],), (block[half:],))
+        elif len(part) > 1:
+            _two_lanes(worker, _fill_lane, (lanes[0], part[:half], 0, block[:half]),
+                       (lanes[1], part[half:], 0, block[half:]))
         else:
-            # the caller fills the head and the worker the tail, at once
-            if len(part) > 1:
-                half = (len(part) + 1) // 2
-                head, tail = (part[:half], 0, block[:half]), (part[half:], 0, block[half:])
-            else:
-                cut = count // 8 * 4  # a multiple of 4: a Philox counter step
-                head, tail = (part, 0, block[:, :cut]), (part, cut, block[:, cut:])
-            future = worker.submit(_fill_lane, lanes[1], *tail)
-            try:
-                _fill_lane(lanes[0], *head)
-            finally:
-                future.result()  # waits for the worker, and raises its error here
+            cut = count // 8 * 4  # a multiple of 4: a Philox counter step
+            _two_lanes(worker, _fill_lane, (lanes[0], part, 0, block[:, :cut]),
+                       (lanes[1], part, cut, block[:, cut:]))
         yield part, block
+
+
+def _two_lanes(worker, function, head, tail):
+    """function(*head) on the calling thread and function(*tail) on the
+    worker, at once."""
+    future = worker.submit(function, *tail)
+    try:
+        function(*head)
+    finally:
+        future.result()  # waits for the worker, and raises its error here
+
+
+def _lane(seed: int):
+    """(generator, state, uniforms) of one lane, at counter 0 with an empty
+    buffer.  The state dict holds plain lists and ints, not the getter's
+    arrays: the setter reads them in less than half the time."""
+    seed = int(seed)
+    bg = np.random.Philox(key=seed)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [seed % 2**64, seed >> 64]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bg, state, np.random.Generator(bg).random
 
 
 def _fill_lane(lane, streams, first: int, out: np.ndarray):
     """Row r of out: the normals of stream streams[r] from its word first on
     (a multiple of 4), through the lane's own generator and state.  It runs
     on either thread, so it calls only NumPy and SciPy."""
-    from scipy.special import ndtri
+    _uniforms(lane, streams, first, out)
+    _normals(out)
+
+
+def _uniforms(lane, streams, first: int, out: np.ndarray):
+    """Row r of out: (raw >> 11) * 2**-53 of each word of stream streams[r]
+    from its word first on, written in place."""
     bg, state, uniforms = lane
     counter = state["state"]["counter"]
     counter[0] = first // 4  # Philox makes 4 words per counter value
     for row, stream in zip(out, streams):
         counter[2] = stream
         bg.state = state
-        uniforms(out=row)  # (raw >> 11) * 2**-53 of each word, in place
+        uniforms(out=row)
+
+
+def _normals(out: np.ndarray):
+    """The uniforms of _uniforms in out, shifted by 2**-54 and turned into
+    normals in place.  NumPy and SciPy release the GIL here."""
+    from scipy.special import ndtri
     out += 2.0**-54
     ndtri(out, out=out)
 
@@ -233,15 +270,22 @@ def brownian_blocks(grid: Partition, seed: int, streams):
     normal_blocks: yields (streams[a:b], values) where row r of values is the
     path of stream streams[a + r]; on a uniform grid of T and n steps it
     reproduces sample_brownian(T, n, seed, streams[a + r]).values."""
-    n = grid.times.size - 1
     sq = grid.deltas
     np.sqrt(sq, out=sq)
-    for part, block in normal_blocks(seed, n, streams):
-        block *= sq
-        values = np.empty((len(part), n + 1))
-        values[:, 0] = 0.0
-        np.cumsum(block, axis=1, out=values[:, 1:])
-        yield part, values
+    for part, block in normal_blocks(seed, sq.size, streams):
+        yield part, _paths(block, sq)
+
+
+def _paths(normals: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Rows of Brownian paths from rows of normals: W_0 = 0, then the
+    cumulative sums of the normals scaled by sq, the square roots of the
+    steps, made in the one array returned."""
+    values = np.empty((len(normals), normals.shape[1] + 1))
+    values[:, 0] = 0.0
+    steps = values[:, 1:]
+    np.multiply(normals, sq, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
+    return values
 
 
 def sample_brownian_batch(T: float, n: int, n_paths: int, seed: int = 0) -> np.ndarray:
@@ -382,6 +426,24 @@ def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time"):
     total = np.fromiter((func(t[-1], end) - func(t[0], start)
                          for start, end in zip(w[..., 0].flat, w[..., -1].flat)), float)
     return path.unwrap(np.abs(total - expansion))
+
+
+def ito_residual_halving(f: str, T: float, n: int, seed: int, streams):
+    """(coarse, fine): ito_residual(f, ...) of the Brownian path of each
+    stream on the uniform grids of n and of 2n steps over [0, T], one value
+    per stream in each array.
+
+    Each stream is drawn once, 2n normals: its n-step path is built from the
+    first n of them, which are the stream's n normals (see normal_blocks),
+    so each array equals the residuals of brownian_blocks on its own grid.
+    """
+    coarse_grid, fine_grid = Partition.uniform(T, n), Partition.uniform(T, 2 * n)
+    coarse_sq, fine_sq = np.sqrt(coarse_grid.deltas), np.sqrt(fine_grid.deltas)
+    coarse, fine = [], []
+    for _, block in normal_blocks(seed, 2 * n, streams):
+        coarse.append(ito_residual(f, DiscretePath(coarse_grid, _paths(block[:, :n], coarse_sq))))
+        fine.append(ito_residual(f, DiscretePath(fine_grid, _paths(block, fine_sq))))
+    return np.concatenate(coarse), np.concatenate(fine)
 
 
 def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:

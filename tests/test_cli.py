@@ -546,6 +546,24 @@ def test_seed_outside_the_philox_key_is_usage_error(capsys, monkeypatch, env, ar
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("seed", (2**128 - 2, 2**128 - 1, -1))
+@pytest.mark.parametrize("from_env", (False, True))
+def test_verify_ito_names_the_given_seed_before_any_draw(capsys, monkeypatch, seed, from_env):
+    # the trend draws from seed + 1 and the log drift from seed + 2
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(stochastic, "normal_blocks", no_draw)
+    argv = ["verify-ito", "--paths", "2", "--steps", "4"]
+    if from_env:
+        monkeypatch.setenv("DELTASITE_SEED", str(seed))
+    else:
+        argv += ["--seed", str(seed)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must lie in [0, 2**128 - 2) on verify-ito, got {seed}\n"
+
+
 def test_model_commands_echo_any_integer_seed(capsys):
     code, out, _ = run(capsys, "check-site", "--topology", "structural", "--seed", "-1",
                        "--model", fixtures.fixture_path("four_events"))

@@ -4,8 +4,9 @@ A fresh interpreter runs a fixed matrix under `sys.setprofile`, installed
 before the first `import deltasite` so that import-time calls count:
 - the five model commands, in both formats, on every bundled fixture and on
   a `fixtures.subset_model` lattice of four atoms;
-- the cone check, `simulate` with 1, 5 and 40 paths and with 2 paths of
-  10000 steps (a block large enough to be filled in two lanes), `verify-ito`,
+- the cone check, `simulate` with 1, 5, 40 and 200 paths (one block of 200
+  rows of 100 values, whose normals are made in two lanes) and with 2 paths
+  of 10000 steps (a block filled in two lanes), `verify-ito`,
   `tropicalize` with and without markers, and `series` for each op;
 - one malformed model, which must exit 2;
 - every name of `deltasite.__all__`, resolved on the package;
@@ -95,6 +96,7 @@ run("check-sheaf", "--mode", "cones", "--paths", "100",
 run("simulate")
 run("simulate", "--paths", "5")
 run("simulate", "--paths", "40")
+run("simulate", "--paths", "200")
 run("simulate", "--paths", "2", "--steps", "10000")
 run("verify-ito", "--paths", "20", "--steps", "100")
 run("tropicalize", "--alpha", "0.1", "--sigma", "0.2")

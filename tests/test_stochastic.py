@@ -20,7 +20,8 @@ from deltasite.stochastic import (BLOCK_VALUES, SPLIT_BLOCK_VALUES, SPLIT_VALUES
                                   DiscretePath, GBMParams,
                                   Partition, brownian_blocks, check_product_rule,
                                   estimate_log_drift, gbm_terminal_log_rates,
-                                  ito_residual, normal_blocks, normal_samples,
+                                  ito_residual, ito_residual_halving,
+                                  normal_blocks, normal_samples,
                                   quadratic_variation, sample_brownian,
                                   sample_brownian_batch, simulate_gbm)
 from deltasite.stochastic import _ITO_CATALOG, _exact_sums
@@ -97,7 +98,7 @@ def drawn_blocks(seed, count, streams):
     (40_005, range(1, 2)), (50_007, range(1, 2)),  # 5, 7 mod 8
     (100_003, (5,)),
     # several rows, cut between rows: around the row length ...
-    (SPLIT_VALUES - 1, range(4, 24)),             # one lane
+    (SPLIT_VALUES - 1, range(4, 24)),             # uniforms on the caller
     (SPLIT_VALUES, range(4, 24)),
     (SPLIT_VALUES + 1, range(4, 24)),
     # ... and the block size, and odd counts of rows, cut unevenly
@@ -106,6 +107,11 @@ def drawn_blocks(seed, count, streams):
     (9001, range(6, 8)),
     (6001, range(1, 4)),
     (6000, (9, 2, 7)),                            # streams out of order
+    # short rows: uniforms on the caller, normals cut between rows
+    (100, range(0, 163)),                         # 16,300 values: one lane
+    (100, range(0, 164)),                         # 16,400
+    (100, range(3, 168)),                         # 165 rows
+    (100, range(5, 760)),                         # 655 rows, then 100 in one lane
 ])
 def test_normal_blocks_match_jumped_streams_bit_for_bit(seed, count, streams):
     rows = drawn_blocks(seed, count, streams)
@@ -121,15 +127,19 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
-def test_only_large_blocks_of_long_rows_are_split(monkeypatch):
+def test_large_blocks_split_long_rows_by_lanes_and_short_rows_by_normals(monkeypatch):
     tails = []
 
     class Inline:
-        """A worker that fills its lane at once, on the calling thread."""
-        def submit(self, fill, lane, streams, first, out):
-            tails.append((tuple(streams), first, out.shape))
+        """A worker that runs its part at once, on the calling thread."""
+        def submit(self, function, *args):
+            if function is stochastic._normals:
+                tails.append(("normals", args[0].shape))
+            else:
+                lane, streams, first, out = args
+                tails.append((tuple(streams), first, out.shape))
             future = Future()
-            future.set_result(fill(lane, streams, first, out))
+            future.set_result(function(*args))
             return future
 
     monkeypatch.setattr(stochastic, "_lane_worker", Inline)
@@ -142,12 +152,18 @@ def test_only_large_blocks_of_long_rows_are_split(monkeypatch):
 
     assert split(SPLIT_BLOCK_VALUES - 1, (4,)) == []
     assert split(SPLIT_BLOCK_VALUES, (4,)) == [((4,), SPLIT_BLOCK_VALUES // 2, (1, 8192))]
-    assert split(SPLIT_VALUES - 1, range(20)) == []
     assert split(SPLIT_BLOCK_VALUES // 4 - 1, range(4)) == []
     assert split(6001, (9, 2, 7)) == [((7,), 0, (1, 6001))]
     # 65-row blocks split, the last block of 5 rows does not
     assert split(1000, range(5, 140)) == [(tuple(range(38, 70)), 0, (32, 1000)),
                                           (tuple(range(103, 135)), 0, (32, 1000))]
+    # short rows: the worker makes the normals of the tail rows
+    assert split(SPLIT_VALUES - 1, range(20)) == [("normals", (10, 999))]
+    assert split(100, range(163)) == []
+    assert split(100, range(164)) == [("normals", (82, 100))]
+    assert split(100, range(3, 168)) == [("normals", (82, 100))]
+    # a 655-row block splits, the last block of 100 rows does not
+    assert split(100, range(5, 760)) == [("normals", (327, 100))]
 
 
 def test_one_cpu_fills_each_block_in_one_lane(monkeypatch):
@@ -156,6 +172,8 @@ def test_one_cpu_fills_each_block_in_one_lane(monkeypatch):
     monkeypatch.setattr(stochastic, "_WORKER", None)
     one = [row.tobytes() for _, row in drawn_blocks(3, 6001, (9, 2, 7))]
     assert one == two == [reference_normals(3, 6001, s).tobytes() for s in (9, 2, 7)]
+    short = [row.tobytes() for _, row in drawn_blocks(3, 100, range(200))]
+    assert short == [reference_normals(3, 100, s).tobytes() for s in range(200)]
     assert stochastic._WORKER is None  # no worker was started
 
 
@@ -163,6 +181,7 @@ def test_threads_drawing_at_once_each_get_their_streams(monkeypatch):
     cpus(monkeypatch, 2)
     seed, count, streams, n = 2**64 + 3, 6001, (4, 0, 9), 20_001
     rows_ref = [reference_normals(seed, count, s).tobytes() for s in streams]
+    short_ref = [reference_normals(seed, 100, s).tobytes() for s in range(200)]
     sq = np.sqrt(Partition.uniform(1.0, n).deltas)
     paths_ref = [np.concatenate(([0.0], np.cumsum(reference_normals(seed, n, k) * sq))).tobytes()
                  for k in range(4)]
@@ -173,7 +192,10 @@ def test_threads_drawing_at_once_each_get_their_streams(monkeypatch):
             for _ in range(5):
                 rows = [row.tobytes() for _, block in normal_blocks(seed, count, streams)
                         for row in block]
-                results[k].append((rows, sample_brownian(1.0, n, seed, k).values.tobytes()))
+                short = [row.tobytes() for _, block in normal_blocks(seed, 100, range(200))
+                         for row in block]
+                results[k].append((rows, short,
+                                   sample_brownian(1.0, n, seed, k).values.tobytes()))
         except Exception as exc:  # reported by the main thread below
             errors.append(exc)
 
@@ -190,28 +212,39 @@ def test_threads_drawing_at_once_each_get_their_streams(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     for k in range(4):
-        assert results[k] == [(rows_ref, paths_ref[k])] * 5
+        assert results[k] == [(rows_ref, short_ref, paths_ref[k])] * 5
 
 
 def test_a_worker_error_reaches_the_caller_and_the_next_call_samples(monkeypatch, capsys):
     cpus(monkeypatch, 2)
-    fill = stochastic._fill_lane
+    parts = {name: getattr(stochastic, name) for name in ("_fill_lane", "_normals")}
 
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("lane on the worker")
-        return fill(*args)
+    def failing(name):
+        def run(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError(f"{name} on the worker")
+            return parts[name](*args)
+        return run
 
-    monkeypatch.setattr(stochastic, "_fill_lane", failing)
-    with pytest.raises(MemoryError, match="lane on the worker"):
+    for name in parts:
+        monkeypatch.setattr(stochastic, name, failing(name))
+    with pytest.raises(MemoryError, match="_fill_lane on the worker"):
         list(normal_blocks(3, 20_001, (2,)))
-    with pytest.raises(MemoryError, match="lane on the worker"):
+    with pytest.raises(MemoryError, match="_fill_lane on the worker"):
         sample_brownian_batch(1.0, 1000, 20, 3)
+    with pytest.raises(MemoryError, match="_normals on the worker"):
+        list(normal_blocks(3, 100, range(200)))
     code = cli.main(["check-sheaf", "--mode", "cones", "--paths", "20000",
                      "--model", fixtures.fixture_path("four_events")])
-    assert (code, capsys.readouterr().err) == (2, "error: out of memory: lane on the worker\n")
-    monkeypatch.setattr(stochastic, "_fill_lane", fill)
+    assert (code, capsys.readouterr().err) == (
+        2, "error: out of memory: _fill_lane on the worker\n")
+    code = cli.main(["simulate", "--paths", "2000"])
+    assert (code, capsys.readouterr().err) == (2, "error: out of memory: _normals on the worker\n")
+    for name, part in parts.items():
+        monkeypatch.setattr(stochastic, name, part)
     assert normal_samples(3, 20_001, 2).tobytes() == reference_normals(3, 20_001, 2).tobytes()
+    rows = [row.tobytes() for _, block in normal_blocks(3, 100, range(200)) for row in block]
+    assert rows == [reference_normals(3, 100, s).tobytes() for s in range(200)]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -228,6 +261,11 @@ def test_a_child_forked_after_the_worker_started_samples(monkeypatch):
         try:
             got = normal_samples(7, 100_003, 5).tobytes()
             code = 0 if got == reference_normals(7, 100_003, 5).tobytes() else 3
+            # a short-row block: the child's worker makes half of its normals
+            got = [row.tobytes() for _, block in normal_blocks(7, 100, range(200))
+                   for row in block]
+            if code == 0 and got != [reference_normals(7, 100, s).tobytes() for s in range(200)]:
+                code = 4
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -256,13 +294,14 @@ def test_the_worker_enters_no_public_function(monkeypatch):
     threading.setprofile(hook)
     try:
         list(normal_blocks(5, 1000, range(70)))
+        list(normal_blocks(5, 100, range(200)))
         sample_brownian(1.0, 100_003, 5, 1)
         gbm_terminal_log_rates(GBMParams(0.1, 0.2, 1.0, 1.0, 2000, 5), 10)
     finally:
         threading.setprofile(None)
         stochastic._WORKER[1].shutdown()
     names = {name for path, name in entered if path.startswith(package)}
-    assert "_fill_lane" in names
+    assert {"_fill_lane", "_normals"} <= names
     assert sorted(name for name in names if not name.startswith(("_", "<"))) == []
 
 
@@ -281,6 +320,37 @@ def test_normal_blocks_refuse_seed_outside_the_key(seed):
         next(normal_blocks(seed, 3, range(2)))
     with pytest.raises(PreconditionError):
         normal_samples(seed, 3)
+
+
+@pytest.mark.parametrize("seed", (0, 2**64 + 3, 2**128 - 3))
+@pytest.mark.parametrize("n, streams", [
+    (3, range(5)),          # one lane at n and at 2n
+    (50, range(200)),       # one lane at n, normals in two lanes at 2n
+    (100, range(3, 170)),   # normals in two lanes at both
+    (600, range(40)),       # normals in two lanes at n, two lanes by rows at 2n
+    (8193, (4,)),           # one lane at n, one row in two lanes by columns at 2n
+    (9000, (5, 1, 3)),      # two lanes by rows at both
+])
+def test_the_first_n_normals_of_a_stream_are_its_n_normals(seed, n, streams):
+    rows = [row.tobytes() for _, block in normal_blocks(seed, n, streams) for row in block]
+    heads = [row[:n].tobytes() for _, block in normal_blocks(seed, 2 * n, streams)
+             for row in block]
+    assert heads == rows
+
+
+@pytest.mark.parametrize("seed", (0, 2**128 - 3))
+@pytest.mark.parametrize("f, T, n, pairs", [
+    ("w3", 1.0, 4, 3), ("w3", 1.0, 100, 100), ("w3", 2.0, 1000, 40),
+    ("w3", 1.0, 10_000, 5), ("exp", 0.5, 300, 60),
+])
+def test_halving_residuals_equal_two_separate_draws(seed, f, T, n, pairs):
+    want = []
+    for steps in (n, 2 * n):
+        grid = Partition.uniform(T, steps)
+        want.append(np.concatenate([ito_residual(f, DiscretePath(grid, values))
+                                    for _, values in brownian_blocks(grid, seed, range(pairs))]))
+    got = ito_residual_halving(f, T, n, seed, range(pairs))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_brownian_batch_rows_match_reference_paths_across_blocks():
