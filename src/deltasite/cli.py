@@ -24,7 +24,7 @@ USAGE_EXIT = 2
 # `series --op`: its choices, and the builder of each
 SERIES = {"exp": tropical.exp_series, "log": tropical.log_inverse_series,
           "paper-log": tropical.paper_log_series}
-# `series --order` stops here: the log reversion costs about order**4
+# `series --order` stops here, far below where exp's 1/n! passes the int-to-str digit limit
 MAX_SERIES_ORDER = 100
 
 

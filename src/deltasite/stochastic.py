@@ -396,6 +396,13 @@ _ITO_CATALOG = {
 }
 
 
+def _ito_terms(f: str):
+    """f's entry (f, f_t, f_w, f_ww) of the catalog; an unknown f is refused."""
+    if f not in _ITO_CATALOG:
+        raise PreconditionError(f"unsupported function {f!r}; catalog: {sorted(_ITO_CATALOG)}")
+    return _ITO_CATALOG[f]
+
+
 def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time"):
     """Absolute gap between f(T, W_T) - f(0, W_0) and the second-order
     expansion summed over the partition, per row.
@@ -405,11 +412,9 @@ def ito_residual(f: str, path: DiscretePath, quadratic_term: str = "time"):
     "increments" uses (1/2) f_ww (Delta_i W)^2 (the raw finite-difference
     expansion, exact for quadratic f).
     """
-    if f not in _ITO_CATALOG:
-        raise PreconditionError(f"unsupported function {f!r}; catalog: {sorted(_ITO_CATALOG)}")
+    func, dt_, dw_, dww_ = _ito_terms(f)
     if quadratic_term not in ("time", "increments"):
         raise PreconditionError("quadratic_term must be 'time' or 'increments'")
-    func, dt_, dw_, dww_ = _ITO_CATALOG[f]
     t, w = path.partition.times, path.values
     t0, w0 = t[:-1], w[..., :-1]
     dts, dws = path.partition.deltas, np.diff(w)
@@ -437,9 +442,10 @@ def ito_residual_halving(f: str, T: float, n: int, seed: int, streams):
     first n of them, which are the stream's n normals (see normal_blocks),
     so each array equals the residuals of brownian_blocks on its own grid.
     """
+    _ito_terms(f)  # an unknown f is refused before any block is drawn
     coarse_grid, fine_grid = Partition.uniform(T, n), Partition.uniform(T, 2 * n)
     coarse_sq, fine_sq = np.sqrt(coarse_grid.deltas), np.sqrt(fine_grid.deltas)
-    coarse, fine = [], []
+    coarse, fine = [np.empty(0)], [np.empty(0)]
     for _, block in normal_blocks(seed, 2 * n, streams):
         coarse.append(ito_residual(f, DiscretePath(coarse_grid, _paths(block[:, :n], coarse_sq))))
         fine.append(ito_residual(f, DiscretePath(fine_grid, _paths(block, fine_sq))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import PreconditionError
 
@@ -110,19 +111,14 @@ def exp_series(order: int) -> GradedTensorSeries:
     """exp as coefficients 1/n! up to the truncation order."""
     if order < 0:
         raise PreconditionError("order must be >= 0")
-    coeffs, fact = [], 1
-    for n in range(order + 1):
-        fact = fact * n if n else 1
-        coeffs.append(Fraction(1, fact))
-    return GradedTensorSeries(tuple(coeffs))
+    return GradedTensorSeries(tuple(Fraction(1, factorial(n)) for n in range(order + 1)))
 
 
 def paper_log_series(order: int) -> GradedTensorSeries:
     """The literal coefficients (-1)^n / n for n >= 1 (constant term 0)."""
     if order < 1:
         raise PreconditionError("order must be >= 1")
-    return GradedTensorSeries(tuple(
-        Fraction(0) if n == 0 else Fraction((-1) ** n, n) for n in range(order + 1)))
+    return GradedTensorSeries((0, *(Fraction((-1) ** n, n) for n in range(1, order + 1))))
 
 
 def compose(outer: GradedTensorSeries, inner: GradedTensorSeries) -> GradedTensorSeries:
@@ -141,33 +137,10 @@ def compose(outer: GradedTensorSeries, inner: GradedTensorSeries) -> GradedTenso
     return out
 
 
-def reversion(series: GradedTensorSeries) -> GradedTensorSeries:
-    """Compositional inverse g of a series f with f_0 = 0 and f_1 != 0,
-    solved degree by degree so that g(f(X)) = X up to the stored order."""
-    f = series.coeffs
-    n = series.order
-    if n < 1 or f[0] != 0:
-        raise PreconditionError("reversion needs zero constant term and order >= 1")
-    if f[1] == 0:
-        raise PreconditionError("reversion needs an invertible linear coefficient")
-    g = [Fraction(0), Fraction(1) / f[1]]
-    powers = [None, series]  # powers[k] = f^k up to degree n
-    for _ in range(2, n + 1):
-        powers.append(powers[-1] * series)
-    for m in range(2, n + 1):
-        # coefficient of x^m in sum_k g_k f^k must vanish
-        acc = Fraction(0)
-        for k in range(1, m):
-            acc += g[k] * powers[k].coeffs[m]
-        g.append(-acc / powers[m].coeffs[m])
-    return GradedTensorSeries(tuple(g))
-
-
 def log_inverse_series(order: int) -> GradedTensorSeries:
-    """The true compositional inverse of exp: obtained by reverting
-    exp - 1, so that compose(log_inverse_series, exp_series) is the identity."""
+    """The true compositional inverse of exp: log(1 + X), coefficients
+    (-1)^(n+1) / n for n >= 1 (constant term 0), the negation of the literal
+    series, so that compose(log_inverse_series, exp_series) is the identity."""
     if order < 1:
         raise PreconditionError("order must be >= 1")
-    e = exp_series(order)
-    shifted = GradedTensorSeries((Fraction(0),) + e.coeffs[1:])
-    return reversion(shifted)
+    return GradedTensorSeries((0, *(Fraction((-1) ** (n + 1), n) for n in range(1, order + 1))))

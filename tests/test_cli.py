@@ -604,7 +604,7 @@ def test_series_order_above_the_bound_is_usage_error(capsys, op, order):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("op", ["exp", "paper-log"])
+@pytest.mark.parametrize("op", sorted(SERIES))
 def test_series_order_at_the_bound_is_accepted(capsys, op):
     code, out, _ = run(capsys, "series", "--op", op, "--order", str(MAX_SERIES_ORDER))
     assert code == 0 and "coefficients" in out

@@ -37,6 +37,8 @@ ALLOWED = {
     "events.fiber_product": ("tests/test_events.py", ITEM_7),
     "tropical.compose": ("tests/test_acceptance.py, criteria 5 and 6", REFEREE),
     "tropical.GradedTensorSeries.__add__": ("tropical.compose", REFEREE),
+    "tropical.GradedTensorSeries.__mul__": ("tropical.compose", REFEREE),
+    "tropical.GradedTensorSeries.order": ("tropical.compose", REFEREE),
     "tropical.GradedExpr.__add__": ("tests/test_acceptance.py, criterion 5", REFEREE),
     "tropical.GradedTensorSeries.coefficient": ("tests/test_acceptance.py, criterion 6",
                                                 REFEREE),

@@ -353,6 +353,25 @@ def test_halving_residuals_equal_two_separate_draws(seed, f, T, n, pairs):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def test_halving_residuals_of_no_streams_are_empty():
+    for residuals in ito_residual_halving("w3", 1.0, 10, 0, range(0)):
+        assert residuals.dtype == np.float64 and residuals.shape == (0,)
+
+
+@pytest.mark.parametrize("streams", (range(0), range(3)))
+def test_halving_refuses_an_unknown_function_before_drawing(monkeypatch, streams):
+    with pytest.raises(PreconditionError) as want:
+        ito_residual("w4", DiscretePath(Partition.uniform(1.0, 2), np.zeros(3)))
+
+    def no_draws(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(stochastic, "normal_blocks", no_draws)
+    with pytest.raises(PreconditionError) as got:
+        ito_residual_halving("w4", 1.0, 10, 0, streams)
+    assert str(got.value) == str(want.value)
+
+
 def test_brownian_batch_rows_match_reference_paths_across_blocks():
     for n, paths, rows in ((1000, 70, (0, 1, 63, 64, 65, 69)),  # blocks of 65 rows and of 5
                            (10_000, 13, range(13))):            # blocks of 6, 6 and 1 rows
