@@ -56,9 +56,10 @@ class FiniteCategory:
     from each object to each, in sorted order.  Everything else -- totality
     and associativity of composition, pullback squares commuting -- is
     decided by `violations`.  A cospan (left, right) has at most one square.
+    `identities` maps an object to its identity, built and checked already.
     """
 
-    def __init__(self, objects, morphisms, composition=None, pullbacks=None):
+    def __init__(self, objects, morphisms, composition=None, pullbacks=None, identities=None):
         # objects: mapping object id -> SimplicialEvent | None
         self.objects: dict[str, SimplicialEvent | None] = dict(objects)
         self.morphisms: dict[str, Morphism] = {}
@@ -78,27 +79,27 @@ class FiniteCategory:
                     raise StructuralError(f"morphism {m.name!r}: event map target mismatch")
             self.morphisms[m.name] = m
 
-        for obj in self.objects:
+        for obj, ev in self.objects.items():
             ident = f"id:{obj}"
             if ident in self.morphisms:
                 raise StructuralError(f"morphism name {ident!r} is reserved for the identity")
-            ev = self.objects[obj]
-            emap = identity_map(ev, ident) if ev is not None else None
-            self.morphisms[ident] = Morphism(ident, obj, obj, emap)
+            self.morphisms[ident] = (identities or {}).get(obj) or Morphism(
+                ident, obj, obj, identity_map(ev, ident) if ev is not None else None)
             self.identities[obj] = ident
 
-        source = {name: m.source for name, m in self.morphisms.items()}
-        target = {name: m.target for name, m in self.morphisms.items()}
+        ends = {name: (m.source, m.target) for name, m in self.morphisms.items()}
 
         # a rule (g, f) -> h: g o f is defined and h runs where it does
         declared = composition or {}
         for (g, f), h in declared.items():
-            if g not in source or f not in source or h not in source:
+            try:
+                (g_src, g_tgt), (f_src, f_tgt), h_ends = ends[g], ends[f], ends[h]
+            except KeyError:
                 raise StructuralError("composition rule references unknown morphism "
-                                      f"{next(n for n in (g, f, h) if n not in source)!r}")
-            if target[f] != source[g]:
+                                      f"{next(n for n in (g, f, h) if n not in ends)!r}") from None
+            if f_tgt != g_src:
                 raise StructuralError(f"composition rule ({g!r}, {f!r}) is not composable")
-            if source[h] != source[f] or target[h] != target[g]:
+            if h_ends != (f_src, g_tgt):
                 raise StructuralError(f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})")
 
         self.composition: dict[tuple[str, str], str] = dict(declared)
@@ -112,16 +113,18 @@ class FiniteCategory:
         # apex (an object) to the source of its side, and no other has the pair
         self.pullbacks: dict[tuple[str, str], tuple[str, str, str]] = {}
         for left, right, apex, to_left, to_right in pullbacks or ():
-            if left not in source or right not in source:
+            try:
+                (l_src, l_tgt), (r_src, r_tgt) = ends[left], ends[right]
+            except KeyError:
                 raise StructuralError("pullback square references unknown morphism "
-                                      f"{right if left in source else left!r}")
-            if target[left] != target[right]:
+                                      f"{right if left in ends else left!r}") from None
+            if l_tgt != r_tgt:
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): targets differ")
             if apex not in self.objects:
                 raise StructuralError(f"pullback apex {apex!r} is not an object")
-            if source.get(to_left) != apex or target[to_left] != source[left]:
+            if ends.get(to_left) != (apex, l_src):
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_left!r}")
-            if source.get(to_right) != apex or target[to_right] != source[right]:
+            if ends.get(to_right) != (apex, r_src):
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_right!r}")
             if (left, right) in self.pullbacks:
                 raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
@@ -268,8 +271,9 @@ class FiniteCategory:
                             for kind, arrows in self.violations()])
 
     def full_subcategory(self, objs) -> "FiniteCategory":
-        """Restriction to a subset of objects (morphisms with both ends inside).
-        The whole object set gives the category itself: its tables are fixed."""
+        """Restriction to a subset of objects (morphisms with both ends inside),
+        sharing this category's checked `Morphism`s, identities included.  The
+        whole object set gives the category itself: its tables are fixed."""
         objs = set(objs)
         unknown = objs - set(self.objects)
         if unknown:
@@ -286,4 +290,5 @@ class FiniteCategory:
         # so they are kept with those two and the apex
         pulls = [(l, r, *legs) for (l, r), legs in self.pullbacks.items()
                  if l in keep and r in keep and legs[0] in objs]
-        return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)
+        return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls,
+                              {o: self.morphisms[self.identities[o]] for o in objs})

@@ -219,10 +219,13 @@ def cmd_simulate(args, model, report: Report):
             report.add("mean-terminal", f"{terminal_mean!r}", None)
             if args.paths >= 30:
                 est = stochastic.estimate_log_drift(rates)
-                report.add("log-drift",
-                           f"mean={est.mean!r} stderr={est.stderr!r}", None)
+                figures = {"mean": est.mean, "stderr": est.stderr}
             else:
-                report.add("log-drift", f"mean={float(np.mean(rates))!r}", None)
+                figures = {"mean": float(np.mean(rates))}
+            drift = " ".join(f"{name}={value!r}" for name, value in figures.items())
+            if not all(map(math.isfinite, figures.values())):  # a spread that overflows
+                raise FloatingPointError(f"log-drift {drift}")
+            report.add("log-drift", drift, None)
 
 
 @_float_traps()
@@ -276,9 +279,11 @@ def cmd_verify_ito(args, model, report: Report):
     # squared by the scalar pow, which NumPy's square differs from in the last bit
     rms = [math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs)
            for residuals in stochastic.ito_residual_halving("w3", T, n, seed + 1, range(pairs))]
-    ratio = rms[0] / rms[1] if rms[1] else float("inf")
-    report.add("ito-w3-trend",
-               f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
+    if rms[1]:
+        ratio = rms[0] / rms[1]
+        report.add("ito-w3-trend", f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
+    else:  # every fine-mesh residual squares to 0: there is no ratio to judge
+        report.add("ito-w3-trend", f"residuals underflow at T={T!r}", None)
 
     # log drift of the simulated SDE
     n_paths = max(args.paths, 30)

@@ -23,11 +23,15 @@ from .reports import Report
 
 @dataclass(frozen=True, order=True)
 class FramedPoint:
-    """Index point (t, k/m): base time t with fiber position k of m.  Points
-    compare as (base, k): the index order, since base times strictly increase."""
+    """Index point (t, k/m): base time t, a Fraction, with fiber position k
+    of m.  Points compare as (base, k): the index order, since base times
+    strictly increase.  They hash over exact integers, not Fraction's hash."""
 
     base: Fraction
     k: int
+
+    def __hash__(self):
+        return hash((self.base.numerator, self.base.denominator, self.k))
 
     def __repr__(self):
         return f"({self.base},{self.k})"
@@ -100,8 +104,7 @@ class FilteredSigmaAlgebra:
             if p not in self.levels:
                 raise ModelError([(f"filtration.levels[{i}]",
                                    f"level at {p!r} is not a point of the framed index")])
-        # each generator's place in the index, found once: points hash and
-        # compare through Fraction, places through int
+        # each generator's place in the index, found once
         place = {p: i for i, p in enumerate(index.points)}
         self._placed: list[int] = []
         for g in self.generators:

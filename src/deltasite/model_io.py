@@ -7,10 +7,10 @@ problem is collected with its JSON path (`.key` for an object key, `[i]` for
 a list entry) before raising.  Serialization is canonical (sorted keys,
 two-space indent, rationals as strings), so fixtures round-trip byte for byte.
 
-The shape table is checked a column at a time: one check per node of the
-table covers every value at that node (all 7,448 pullback entries of a
-six-atom lattice in one pass), and only a column that fails is walked value
-by value to find each problem's path.  The composition rules are walked for
+The shape table is compiled once per process, at import, into one column
+check per node that covers every value at that node (all 7,448 pullback
+entries of a six-atom lattice in one pass), and only a column that fails is
+walked value by value to find each problem's path.  The composition rules are walked for
 repeated pairs only when some pair repeats, and the pullback entries only
 when the category refuses them.
 """
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain
 from operator import is_not, itemgetter
 from typing import Callable, NamedTuple
 
@@ -76,11 +76,11 @@ def _walk(shape, raw, path, errors, required=()):
     keyed by _NAME, or by an integer's canonical text; or {field: shape, ...},
     an object whose fields are checked where present, and as None where
     absent if named in `required`.  Other fields are ignored.  Every field of
-    a list entry is required.  A list or object that `_fits` is not walked."""
+    a list entry is required.  A value its node's check in _CHECKS passes is not walked."""
     if isinstance(shape, _Leaf):
         if not shape.test([raw]):
             errors.append((path, f"{shape.problem}, got {raw!r}"))
-    elif _fits(shape, [raw], required):
+    elif _CHECKS[id(shape)]([raw]):
         return
     elif not isinstance(raw, type(shape)):
         what = "a list" if isinstance(shape, list) else "an object"
@@ -105,35 +105,41 @@ def _walk(shape, raw, path, errors, required=()):
                 _walk(field, raw.get(key), f"{path}.{key}" if path else key, errors)
 
 
-def _fits(shape, values, required=()) -> bool:
-    """Every one of values fits shape, so that `_walk` would find nothing: one
-    call per node of the shape, each checking the whole column of values at
-    that node.  The items of lists, and the keys and values of objects, are
-    chained into one column.  It may say no to values that fit (a subclass of
-    list or dict, which JSON does not make); `_walk` then finds nothing."""
+_CHECKS: dict[int, Callable[[list], bool]] = {}  # each list or object node's, by id
+
+
+def _compile(shape, required=()) -> Callable[[list], bool]:
+    """The column check of shape, compiled with those below it into _CHECKS:
+    true only if every one of a column of values fits, so that `_walk` would
+    find nothing.  The items of lists, and the keys and values of objects, are
+    chained into one column for the node below.  It may say no to values that
+    fit (a subclass of list or dict, which JSON does not make)."""
     if isinstance(shape, _Leaf):
-        return shape.test(values)
-    if not set(map(type, values)) <= {type(shape)}:
-        return False
+        return shape.test
+    kind = {type(shape)}
     if isinstance(shape, list):
-        item, = shape
-        return _fits(item, list(chain.from_iterable(values)), required=item)
-    if str in shape or int in shape:
-        item, = shape.values()
-        keys = list(chain.from_iterable(values))
-        return (_names(keys) and (str in shape or _integers(keys))
-                and _fits(item, list(chain.from_iterable(map(dict.values, values)))))
-    for key, field in shape.items():
-        if key in required:
-            column = list(map(dict.get, values, repeat(key)))
-        else:
-            try:
-                column = list(map(itemgetter(key), values))
-            except KeyError:
-                column = [value[key] for value in values if key in value]
-        if not _fits(field, column):
-            return False
-    return True
+        items = _compile(shape[0], required=shape[0])
+        def check(values):
+            return set(map(type, values)) <= kind and items(list(chain.from_iterable(values)))
+    elif str in shape or int in shape:
+        items, integers = _compile(*shape.values()), int in shape
+        def check(values):
+            return (set(map(type, values)) <= kind
+                    and _names(keys := list(chain.from_iterable(values)))
+                    and (not integers or _integers(keys))
+                    and items(list(chain.from_iterable(map(dict.values, values)))))
+    else:
+        fields = [(key, key in required, _compile(field)) for key, field in shape.items()]
+        def check(values):
+            if not set(map(type, values)) <= kind:
+                return False
+            for key, needed, fits in fields:
+                if not fits([value.get(key) for value in values] if needed
+                            else [value[key] for value in values if key in value]):
+                    return False
+            return True
+    _CHECKS[id(shape)] = check
+    return check
 
 
 # A rational's size bound, checked on its text before any Fraction is built:
@@ -244,6 +250,7 @@ _MODEL = {
                                  and abs(v) <= sys.float_info.max),
                            "weight must be a finite number")},
 }
+_compile(_MODEL, required=("schema",))
 
 
 def parse_model(text: str) -> ModelDescription:

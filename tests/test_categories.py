@@ -167,6 +167,30 @@ def test_full_subcategory_on_every_object_keeps_the_tables():
         cat.full_subcategory(["A", "Z"])
 
 
+@pytest.mark.parametrize("name", ("six_events", "three_atoms_power"))
+def test_restriction_takes_the_parents_identity_morphisms(name):
+    model = fixtures.load_fixture(name)
+    cat, F = model.category, model.filtration
+    for p in F.index:
+        level = F.level(p)
+        sub = cat.full_subcategory(level)
+        for obj in level:
+            ident = sub.identities[obj]
+            assert sub.morphisms[ident] is cat.morphisms[ident]
+        # the same restriction with identities built afresh answers alike
+        fresh = FiniteCategory(sub.objects,
+                               [m for n, m in sub.morphisms.items() if not sub.is_identity(n)],
+                               {k: h for k, h in sub.composition.items()
+                                if not (sub.is_identity(k[0]) or sub.is_identity(k[1]))},
+                               [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
+        assert all(fresh.morphisms[sub.identities[o]] is not sub.morphisms[sub.identities[o]]
+                   for o in level)
+        assert tables(fresh) == tables(sub)
+        assert {n: sub.is_structural(n) for n in sub.morphisms} == \
+            {n: fresh.is_structural(n) for n in fresh.morphisms}
+        assert sub.check_axioms().records == fresh.check_axioms().records
+
+
 def test_isomorphism_detection():
     objs = {"A": None, "B": None}
     morphisms = [Morphism("f", "A", "B"), Morphism("g", "B", "A")]

@@ -279,6 +279,41 @@ def test_computation_out_of_float_range_is_usage_error(capsys, argv):
     assert err.startswith("error: out of numeric range: ")
 
 
+@pytest.mark.parametrize("argv, figures", (
+    # the log rates are finite, but their spread overflows
+    (("--T", "1e-310", "--sigma", "0.2", "--paths", "40"),
+     "mean=-3.640745376217246e+153 stderr=inf"),
+    # below 30 paths, the plain mean of rates of which some overflow
+    (("--T", "1e-320", "--sigma", "1.8e148", "--paths", "3", "--steps", "1", "--seed", "1"),
+     "mean=-inf"),
+))
+def test_log_drift_that_leaves_the_float_range_is_usage_error(capsys, argv, figures):
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of numeric range: log-drift {figures}\n"
+
+
+def test_verify_ito_log_drift_that_overflows_is_usage_error(capsys):
+    # the log drift's spread squares past the float range inside the NumPy traps
+    code, out, err = run(capsys, "verify-ito", "--T", "1e-300", "--sigma", "1e150",
+                         "--paths", "30", "--steps", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of numeric range: overflow encountered in square\n"
+
+
+@pytest.mark.parametrize("T", ("1e-110", "1e-305"))
+def test_w3_trend_whose_residuals_underflow_is_info(capsys, T):
+    # every squared w3 residual is 0.0 on both meshes: there is no ratio
+    code, out, _ = run(capsys, "verify-ito", "--T", T, "--paths", "3", "--steps", "10",
+                       "--format", "json")
+    records = {r["check"]: r for r in json.loads(out)["records"]}
+    assert code == 0
+    trend = records["ito-w3-trend"]
+    assert (trend["status"], trend["instance"]) == ("info", f"residuals underflow at T={T}")
+
+
 @pytest.mark.parametrize("argv", (
     ("check-sheaf", "--mode", "cones", "--paths", str(2**50),
      "--model", fixtures.fixture_path("four_events")),

@@ -43,6 +43,26 @@ def test_framed_index_points_and_projection():
     assert not idx.points[4] <= idx.points[1]
 
 
+def test_equal_framed_points_hash_equal_whatever_the_base_spelling():
+    spellings = [(Fraction(2, 4), Fraction("1/2"), Fraction("0.5")),
+                 (1, Fraction(1), Fraction("3/3")), (0, Fraction(0), Fraction("-0"))]
+    for bases in spellings:
+        points = [FramedPoint(b, 2) for b in bases]
+        assert len(set(points)) == 1, bases
+        assert {hash(p) for p in points} == {hash((bases[1].numerator,
+                                                   bases[1].denominator, 2))}
+    assert FramedPoint(Fraction(1, 2), 1) != FramedPoint(Fraction(1, 2), 2)
+
+
+def test_level_lookup_with_a_freshly_built_point_finds_the_level():
+    F = fixtures.load_fixture("fibered_pair").filtration
+    for p in F.index:
+        fresh = FramedPoint(Fraction(f"{p.base.numerator * 3}/{p.base.denominator * 3}"), p.k)
+        assert fresh is not p and fresh.base is not p.base
+        assert F.level(fresh) is F.level(p)
+        assert fresh in F.levels
+
+
 def test_framed_points_sort_in_index_order():
     idx = FramedIndex([0, Fraction(1, 2), 1], m=2)
     assert sorted(reversed(idx.points)) == idx.points

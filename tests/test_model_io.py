@@ -13,8 +13,8 @@ from hypothesis import strategies as hst
 
 from deltasite import fixtures
 from deltasite.errors import ModelError, PreconditionError
-from deltasite.model_io import (_MODEL, _NAME, _Leaf, _names, _walk, model_hash, parse_model,
-                                serialize_model)
+from deltasite.model_io import (_CHECKS, _MODEL, _NAME, _Leaf, _names, _walk, model_hash,
+                                parse_model, serialize_model)
 
 MINIMAL = {
     "schema": 1,
@@ -377,6 +377,9 @@ def assert_walks_agree(doc):
     _walk(_MODEL, doc, "", found, required=("schema",))
     reference_walk(_MODEL, doc, "", expected, required=("schema",))
     assert found == expected
+    # the compiled check of the whole table passes a JSON document exactly
+    # when the walk finds nothing in it
+    assert _CHECKS[id(_MODEL)]([doc]) == (not expected)
 
 
 @pytest.mark.parametrize("keys, value, path", MALFORMED)
@@ -424,6 +427,17 @@ def test_column_check_finds_what_the_reference_finds_at_scale(section, data):
         parent = parent[key]
     parent[at[-1]] = copy.deepcopy(data.draw(hst.sampled_from(SWAPS)))
     assert_walks_agree(doc)
+
+
+def test_compiled_check_passes_every_bundled_fixture_and_the_lattice():
+    """A valid document is never walked: the compiled check of the whole
+    table passes it, and so does the check of each of its sections."""
+    texts = [fixtures.fixture_text(name) for name in sorted(fixtures.ALL_FIXTURES)]
+    for doc in map(json.loads, [*texts, lattice6_text()]):
+        assert _CHECKS[id(_MODEL)]([doc])
+        for key, value in doc.items():
+            if key in _MODEL and not isinstance(_MODEL[key], _Leaf):
+                assert _CHECKS[id(_MODEL[key])]([value]), key
 
 
 def test_unknown_top_level_key_is_ignored():
