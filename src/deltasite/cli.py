@@ -1,9 +1,11 @@
-"""Command-line dispatcher.
+"""Command-line dispatcher: flag parsing, dispatch and exit codes.
 
 Grammar: deltasite <command> [--model PATH] [flags] [--format {json,text}]
 [--seed N].  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
 model errors.  DELTASITE_SEED sets the default seed, read on every call;
-flags always win.  Only the commands that compute with NumPy import it.
+flags always win.  stochastic.simulate and stochastic.verify_ito judge the
+sampling commands on the report's params; only the commands that compute
+with NumPy import it.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import sys
 from contextlib import contextmanager
 
 from . import sheaves, sites, tropical
-from .errors import ClosureError, DeltasiteError, ModelError, PreconditionError
+from .errors import ClosureError, DeltasiteError, ModelError
 from .filtration import check_operad_action
 from .model_io import ModelDescription, load_model
 from .reports import Report
@@ -100,10 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_path_count, default=10_000)
     common(p, cmd_check_sheaf, model=True)
 
-    for name, text, run, alpha, sigma, steps, paths in (
-            ("simulate", "simulate geometric Brownian motion", cmd_simulate, 0.0, 0.0, 100, 1),
-            ("verify-ito", "delta-calculus identity and limit checks", cmd_verify_ito,
-             0.1, 0.2, 1000, 200)):
+    for name, text, alpha, sigma, steps, paths in (
+            ("simulate", "simulate geometric Brownian motion", 0.0, 0.0, 100, 1),
+            ("verify-ito", "delta-calculus identity and limit checks", 0.1, 0.2, 1000, 200)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--alpha", type=_finite_float, default=alpha)
         p.add_argument("--sigma", type=_finite_float, default=sigma)
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=_finite_float, default=1.0)
         p.add_argument("--steps", type=int, default=steps)
         p.add_argument("--paths", type=_path_count, default=paths)
-        common(p, run)
+        common(p, cmd_sample)
 
     p = sub.add_parser("tropicalize", help="tropical value of the log-SDE")
     p.add_argument("--alpha", type=_finite_float, required=True)
@@ -191,112 +192,11 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
                                                      n_paths=args.paths, seed=args.seed))
 
 
-def _positive_finite(label: str, value: float) -> float:
-    """value, if it is a positive finite number; else a usage error."""
-    if not (math.isfinite(value) and value > 0):
-        raise PreconditionError(f"{label} is not a positive finite number: {value!r}")
-    return value
-
-
 @_float_traps()
-def cmd_simulate(args, model, report: Report):
-    import numpy as np
-
+def cmd_sample(args, model, report: Report):
+    """simulate and verify-ito: the verdict of that name in `stochastic`, on the params."""
     from . import stochastic
-    params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, args.T,
-                                  args.steps, args.seed)
-    # an overflow shows up as a terminal value that is not positive and finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.paths == 1:
-            terminal = _positive_finite("terminal value X_T",
-                                        stochastic.simulate_gbm(params).terminal)
-            report.add("terminal-value", f"X_T={terminal!r}", None)
-            report.add("log-rate", f"{math.log(terminal / args.x0) / args.T!r}", None)
-        else:
-            rates = stochastic.gbm_terminal_log_rates(params, args.paths)
-            terminal_mean = _positive_finite(
-                "mean terminal value", float(np.mean(args.x0 * np.exp(rates * args.T))))
-            report.add("mean-terminal", f"{terminal_mean!r}", None)
-            if args.paths >= 30:
-                est = stochastic.estimate_log_drift(rates)
-                figures = {"mean": est.mean, "stderr": est.stderr}
-            else:
-                figures = {"mean": float(np.mean(rates))}
-            drift = " ".join(f"{name}={value!r}" for name, value in figures.items())
-            if not all(map(math.isfinite, figures.values())):  # a spread that overflows
-                raise FloatingPointError(f"log-drift {drift}")
-            report.add("log-drift", drift, None)
-
-
-@_float_traps()
-def cmd_verify_ito(args, model, report: Report):
-    import numpy as np
-
-    from . import stochastic
-    seed, T, n = args.seed, args.T, args.steps
-    # the trend draws from seed + 1 and the log drift from seed + 2
-    if not 0 <= seed < 2**128 - 2:
-        raise PreconditionError(f"seed must lie in [0, 2**128 - 2) on verify-ito, "
-                                f"got {seed}")
-    params = stochastic.GBMParams(args.alpha, args.sigma, args.x0, T,
-                                  max(1, n // 10), seed + 2)
-    pairs = min(args.paths, 100)
-
-    # One pass over the blocks of streams 0.. serves the product-rule pairs (2i, 2i+1),
-    # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
-    # a block that starts at an odd stream pairs its first row with the last one before.
-    part = stochastic.Partition.uniform(T, n)
-    worst, qvs = 0.0, np.empty(args.paths)
-    for streams, values in stochastic.brownian_blocks(
-            part, seed, range(max(args.paths, 2 * pairs))):
-        start = streams.start
-        paired = values[:max(0, 2 * pairs - start)]
-        if start % 2 and len(paired):
-            paired = np.concatenate((carried[None], paired))
-        carried = values[-1]
-        k = len(paired) // 2
-        x, y = (stochastic.DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
-        xy = x.values * y.values
-        scale = np.maximum(np.abs(xy, out=xy).max(axis=1), 1.0)
-        worst = float(np.max(stochastic.check_product_rule(x, y) / scale, initial=worst))
-        rows = values[:max(0, args.paths - start)]
-        qvs[start:start + len(rows)] = stochastic.quadratic_variation(
-            stochastic.DiscretePath(part, rows))
-        if start == 0:
-            w0 = stochastic.DiscretePath(part, values[0])
-    report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
-
-    # quadratic variation concentration
-    band = 3.0 * math.sqrt(2.0 / n) * T
-    hits = int(np.count_nonzero(np.abs(qvs - T) <= band))
-    report.add("quadratic-variation",
-               f"{hits}/{args.paths} paths within {band!r} of T", hits / args.paths >= 0.95)
-
-    # Ito residual: quadratic case exact, cubic case shrinking with the mesh
-    exact = stochastic.ito_residual("w2", w0, quadratic_term="increments")
-    scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
-    report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
-    # squared by the scalar pow, which NumPy's square differs from in the last bit
-    rms = [math.sqrt(math.fsum(r ** 2 for r in residuals.tolist()) / pairs)
-           for residuals in stochastic.ito_residual_halving("w3", T, n, seed + 1, range(pairs))]
-    if rms[1]:
-        ratio = rms[0] / rms[1]
-        report.add("ito-w3-trend", f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
-    else:  # every fine-mesh residual squares to 0: there is no ratio to judge
-        report.add("ito-w3-trend", f"residuals underflow at T={T!r}", None)
-
-    # log drift of the simulated SDE
-    n_paths = max(args.paths, 30)
-    rates = stochastic.gbm_terminal_log_rates(params, n_paths)
-    est = stochastic.estimate_log_drift(rates)
-    target = params.drift
-    lo, hi = est.interval
-    # the rates are a rounding or two from the drift, so at sigma = 0, where
-    # the band has no width, the mean may miss it by a few ulps
-    slack = 32 * math.ulp(target)
-    report.add("log-drift",
-               f"mean={est.mean!r} target={target!r} 3se={3 * est.stderr!r}",
-               lo - slack <= target <= hi + slack)
+    report.extend(getattr(stochastic, args.command.replace("-", "_"))(**report.params))
 
 
 def cmd_tropicalize(args, model, report: Report):

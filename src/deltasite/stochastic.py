@@ -1,4 +1,5 @@
-"""Discrete Brownian paths on partitions and the delta operator.
+"""Discrete Brownian paths on partitions, the delta operator, and the
+verdicts of the sampling commands.
 
 Sampling is reproducible across platforms: a counter-based Philox generator
 supplies raw 64-bit words, which become uniforms in (0,1) via
@@ -40,16 +41,24 @@ and SciPy, never a public function of the package, and its errors are
 raised in the caller.  A value depends only on the seed, its stream and its
 word's place, so no value depends on the number of CPUs: on one CPU, and
 for smaller blocks, one lane on the calling thread fills the whole block.
+
+Verdicts: simulate and verify_ito return the records of the commands of
+those names as a Report, from the commands' flag values, so their stream
+layout, seed bound and bands live here alone: verify_ito draws its pairs,
+quadratic variations and w2 path from seed, the Ito trend from seed + 1 and
+the log drift from seed + 2.  Bad parameters raise PreconditionError.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
+from .reports import Report
 
 # Values per sampling block, unless one row is longer.
 BLOCK_VALUES = 1 << 16
@@ -222,10 +231,6 @@ class DiscretePath:
     def unwrap(self, per_row: np.ndarray):
         """per_row, one value per row: a Python float for a path."""
         return float(per_row[0]) if self.values.ndim == 1 else per_row
-
-    @property
-    def terminal(self):
-        return self.unwrap(np.atleast_2d(self.values)[:, -1])
 
 
 @dataclass(frozen=True)
@@ -480,11 +485,6 @@ class LogDriftEstimate:
     mean: float
     stderr: float
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        """Three-standard-error band around the sample mean."""
-        return (self.mean - 3 * self.stderr, self.mean + 3 * self.stderr)
-
 
 def estimate_log_drift(paths) -> LogDriftEstimate:
     """Sample mean and standard error of the log rates log(X_T/X_0)/T of
@@ -495,3 +495,103 @@ def estimate_log_drift(paths) -> LogDriftEstimate:
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))
     return LogDriftEstimate(mean, stderr)
+
+
+def _positive_finite(label: str, value: float) -> float:
+    """value, if it is a positive finite number; else a usage error."""
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionError(f"{label} is not a positive finite number: {value!r}")
+    return value
+
+
+def simulate(alpha: float, sigma: float, x0: float, T: float, steps: int, paths: int,
+             seed: int) -> Report:
+    """`deltasite simulate`: X_T and its log rate for one path; for more, the
+    mean X_T and the log drift (its mean and, from 30 paths, its standard error)."""
+    params = GBMParams(alpha, sigma, x0, T, steps, seed)
+    report = Report()
+    # an overflow shows up as a terminal value that is not positive and finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if paths == 1:
+            terminal = _positive_finite("terminal value X_T",
+                                        float(simulate_gbm(params).values[-1]))
+            report.add("terminal-value", f"X_T={terminal!r}", None)
+            report.add("log-rate", f"{math.log(terminal / x0) / T!r}", None)
+        else:
+            rates = gbm_terminal_log_rates(params, paths)
+            terminal_mean = _positive_finite(
+                "mean terminal value", float(np.mean(x0 * np.exp(rates * T))))
+            report.add("mean-terminal", f"{terminal_mean!r}", None)
+            figures = (asdict(estimate_log_drift(rates)) if paths >= 30
+                       else {"mean": float(np.mean(rates))})
+            drift = " ".join(f"{name}={value!r}" for name, value in figures.items())
+            if not all(map(math.isfinite, figures.values())):  # a spread that overflows
+                raise FloatingPointError(f"log-drift {drift}")
+            report.add("log-drift", drift, None)
+    return report
+
+
+def verify_ito(alpha: float, sigma: float, x0: float, T: float, steps: int, paths: int,
+               seed: int) -> Report:
+    """`deltasite verify-ito` on `paths` streams of `steps` steps: the product
+    rule with its cross term, quadratic variation near T, Ito's formula for w2
+    (exact) and w3 (shrinking with the mesh), and the simulated log drift."""
+    # the trend draws from seed + 1 and the log drift from seed + 2
+    if not 0 <= seed < 2**128 - 2:
+        raise PreconditionError(f"seed must lie in [0, 2**128 - 2) on verify-ito, "
+                                f"got {seed}")
+    params = GBMParams(alpha, sigma, x0, T, max(1, steps // 10), seed + 2)
+    pairs = min(paths, 100)
+    report = Report()
+
+    # One pass over the blocks of streams 0.. serves the product-rule pairs (2i, 2i+1),
+    # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
+    # a block that starts at an odd stream pairs its first row with the last one before.
+    part = Partition.uniform(T, steps)
+    worst, qvs = 0.0, np.empty(paths)
+    for streams, values in brownian_blocks(part, seed, range(max(paths, 2 * pairs))):
+        start = streams.start
+        paired = values[:max(0, 2 * pairs - start)]
+        if start % 2 and len(paired):
+            paired = np.concatenate((carried[None], paired))
+        carried = values[-1]
+        k = len(paired) // 2
+        x, y = (DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
+        xy = x.values * y.values
+        scale = np.maximum(np.abs(xy, out=xy).max(axis=1), 1.0)
+        worst = float(np.max(check_product_rule(x, y) / scale, initial=worst))
+        rows = values[:max(0, paths - start)]
+        qvs[start:start + len(rows)] = quadratic_variation(DiscretePath(part, rows))
+        if start == 0:
+            w0 = DiscretePath(part, values[0])
+    report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
+
+    # quadratic variation concentration
+    band = 3.0 * math.sqrt(2.0 / steps) * T
+    hits = int(np.count_nonzero(np.abs(qvs - T) <= band))
+    report.add("quadratic-variation",
+               f"{hits}/{paths} paths within {band!r} of T", hits / paths >= 0.95)
+
+    # Ito residual: quadratic case exact, cubic case shrinking with the mesh
+    exact = ito_residual("w2", w0, quadratic_term="increments")
+    scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
+    report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
+    # squared by the scalar pow, which NumPy's square differs from in the last bit
+    squares = [[r ** 2 for r in residuals.tolist()]
+               for residuals in ito_residual_halving("w3", T, steps, seed + 1, range(pairs))]
+    if min(map(max, squares)) >= sys.float_info.min:
+        coarse, fine = (math.sqrt(math.fsum(mesh) / pairs) for mesh in squares)
+        ratio = coarse / fine
+        report.add("ito-w3-trend", f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
+    else:  # a mesh whose squares are all subnormal or 0 keeps too few bits for a ratio
+        report.add("ito-w3-trend", f"residuals underflow at T={T!r}", None)
+
+    # log drift of the simulated SDE
+    est = estimate_log_drift(gbm_terminal_log_rates(params, max(paths, 30)))
+    target, three_se = params.drift, 3 * est.stderr
+    # the rates are a rounding or two from the drift, so at sigma = 0, where
+    # the band has no width, the mean may miss it by a few ulps
+    slack = 32 * math.ulp(target)
+    report.add("log-drift", f"mean={est.mean!r} target={target!r} 3se={three_se!r}",
+               est.mean - three_se - slack <= target <= est.mean + three_se + slack)
+    return report

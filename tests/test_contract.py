@@ -1,27 +1,39 @@
 """The command-line contract: what every run may and may not write.
 
-Three kinds of check live here.  The module boundary check reads the
+Four kinds of check live here.  The module boundary check reads the
 source: no module of the package imports or uses a private name of another.
 The model error checks feed malformed model files to the model commands,
 each of which must exit 2 with one `error: <path>: ` line and no traceback.
-The generative check draws the argv of the commands that take no model
-(and of the cone check, on a bundled model), with float flags at the
-extremes of the float range and seeds at the ends of theirs: each run exits
-0, 1 or 2; an exit 2 writes nothing to stdout and one error line to stderr;
-an exit 0 or 1 writes a report where no figure is `nan` or `inf`.
+The output checks pin what the reports promise: the model commands load no
+NumPy, a JSON report is canonical JSON, `series` at its order bound is exact
+and one past it is refused, and the sampled reductions of two paths at full
+size equal `math.fsum`.  The generative check draws the argv of the commands
+that take no model (and of the cone check, on a bundled model), with float
+flags at the extremes of the float range and seeds at the ends of theirs:
+each run exits 0, 1 or 2; an exit 2 writes nothing to stdout and one error
+line to stderr; an exit 0 or 1 writes a report where no figure is `nan` or
+`inf`.
 """
 import ast
 import io
 import json
+import math
+import os
 import pathlib
 import re
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from deltasite import fixtures
+import deltasite
+from deltasite import fixtures, stochastic
 from deltasite.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasite"
@@ -124,6 +136,69 @@ def test_a_level_that_is_not_sigma_closed_is_named(tmp_path):
     for command in (("check-site", "--topology", "probability"),
                     ("check-sheaf", "--mode", "gluing")):
         assert_model_error(command, path, "error: filtration.levels[1]")
+
+
+# -- what the reports promise ------------------------------------------------------------
+
+def test_model_commands_load_neither_numpy_nor_scipy():
+    # in one fresh interpreter, through cli.main: only the sampling commands
+    # and the cone check load NumPy and SciPy
+    model = fixtures.fixture_path("four_events")
+    argvs = [["check-site", "--topology", topology, "--model", model]
+             for topology in ("operadic", "probability", "structural")]
+    argvs += [["check-roofs", "--model", model],
+              ["check-sheaf", "--mode", "gluing", "--model", model],
+              ["tropicalize", "--alpha", "0.1", "--sigma", "0.2", "--with-markers"],
+              ["series", "--op", "log", "--order", "6"]]
+    probe = ("import contextlib, io, json, sys\n"
+             "from deltasite.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(codes, [m for m in ('numpy', 'scipy') if m in sys.modules])")
+    src = str(pathlib.Path(deltasite.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{[0] * len(argvs)} []\n"
+
+
+@pytest.mark.parametrize("command", (("check-roofs",), ("check-site", "--topology", "probability")))
+@pytest.mark.parametrize("name, code", (("six_events", 0), ("defect_missing_pullback", 1)))
+def test_a_json_report_is_canonical_json(command, name, code):
+    got, out, _ = run([*command, "--format", "json", "--model", fixtures.fixture_path(name)])
+    assert got == code
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_series_at_the_order_bound_is_exact_and_one_past_it_is_refused():
+    # log at the bound is quick and is log(1 + X), (-1)^(n+1)/n
+    start = time.perf_counter()
+    code, out, _ = run(["series", "--op", "log", "--order", "100", "--format", "json"])
+    assert time.perf_counter() - start < 10
+    want = "[" + ", ".join(["0"] + [str(Fraction((-1) ** (n + 1), n))
+                                    for n in range(1, 101)]) + "]"
+    records = json.loads(out)["records"]
+    assert (code, [(r["check"], r["instance"]) for r in records]) == (0, [("coefficients", want)])
+    code, out, _ = run(["series", "--op", "log", "--order", "101"])
+    assert (code, out) == (2, "")
+
+
+def test_long_paths_reduce_as_math_fsum_and_equal_their_batch_rows():
+    # two 100k-step streams: the reductions equal math.fsum of the plain
+    # one-expression terms, and a path equals its row of a batch
+    n, seed = 100_000, 2024
+    batch = stochastic.sample_brownian_batch(1.0, n, 2, seed)
+    for stream in (0, 1):
+        path = stochastic.sample_brownian(1.0, n, seed, stream)
+        w, dts, dws = path.values, path.partition.deltas, np.diff(path.values)
+        assert path.values.tobytes() == batch[stream].tobytes(), stream
+        qv = stochastic.quadratic_variation(path)
+        assert qv == math.fsum(dws ** 2), (stream, qv)
+        w0 = w[:-1]
+        terms = 0.0 * w0 * dts + 3.0 * w0 ** 2 * dws + 0.5 * (6.0 * w0) * dts
+        want = abs(float(w[-1] ** 3 - w[0] ** 3) - math.fsum(terms))
+        got = stochastic.ito_residual("w3", path)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (stream, got, want)
 
 
 # -- the generative contract ------------------------------------------------------------

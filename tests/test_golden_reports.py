@@ -21,8 +21,12 @@ category's axiom violations into records itself, and the `series` entries
 at orders 12 and 100 while the `log` series was still found by general
 power-series reversion, and the entries at T 1e-110 (verify-ito, whose w3
 residuals underflow: an `info` trend) and 1e-310 (simulate, whose log-drift
-spread overflows: exit 2 and no report) once those two were mended, so the
-table guards that reports stay byte for byte the same.
+spread overflows: exit 2 and no report) once those two were mended, and the
+entries at T 1e-105 (verify-ito, whose w3 squares are subnormal: an `info`
+trend) once that band was mended, so the table guards that reports stay byte
+for byte the same.  The sampling entries are also rebuilt from
+`stochastic.simulate` and `stochastic.verify_ito` called directly, which
+must give the same bytes.
 """
 import hashlib
 import io
@@ -31,8 +35,11 @@ import json
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
-from deltasite import fixtures
-from deltasite.cli import main
+import numpy as np
+
+from deltasite import fixtures, stochastic
+from deltasite.cli import build_parser, main
+from deltasite.reports import Report
 from deltasite.model_io import serialize_model
 
 TABLE = pathlib.Path(__file__).with_name("golden_reports.json")
@@ -68,6 +75,7 @@ SAMPLING = (("simulate", "--paths", "1", "--alpha", "0.1", "--sigma", "0.2",
             ("verify-ito", "--paths", "2000", "--seed", "0"),
             ("verify-ito", "--paths", "7", "--steps", "20000", "--seed", "0"),
             ("verify-ito", "--paths", "3", "--steps", "10", "--T", "1e-110", "--seed", "0"),
+            ("verify-ito", "--paths", "3", "--steps", "10", "--T", "1e-105", "--seed", "0"),
             ("simulate", "--paths", "40", "--T", "1e-310", "--sigma", "0.2", "--seed", "0"))
 
 # the algebra commands, which read no model and draw nothing
@@ -167,3 +175,31 @@ def test_report_bytes_match_golden_table(tmp_path):
     assert sorted(got) == sorted(table)
     changed = [key for key in sorted(table) if got[key] != table[key]]
     assert not changed, f"{len(changed)} reports changed, first: {changed[0]}"
+
+
+VERDICTS = {"simulate": stochastic.simulate, "verify-ito": stochastic.verify_ito}
+
+
+def test_the_sampling_verdicts_give_the_command_reports():
+    # each verdict, called with the flag values of a sampling entry (every
+    # flag but --format), returns that entry's records row for row: rendered
+    # under the entry's header they give its bytes and exit code
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    for command in SAMPLING:
+        params = vars(build_parser().parse_args(command))
+        name = params.pop("command")
+        del params["format"], params["run"]
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                report = VERDICTS[name](**params)
+        except FloatingPointError:
+            report = None
+        for fmt in ("json", "text"):
+            want = table[" ".join((*command, fmt))]
+            if report is None:
+                assert want == {"exit": 2, "sha256": hashlib.sha256(b"").hexdigest()}, command
+                continue
+            text = Report(name, None, params, report.rows).render(fmt)
+            got = {"exit": report.exit_code(),
+                   "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+            assert got == want, (command, fmt)

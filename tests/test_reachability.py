@@ -170,6 +170,8 @@ def test_every_function_is_run_by_a_command_or_listed(tmp_path):
     reached = {functions[key] for key in entered if key in functions}
     unreached = sorted(set(functions.values()) - reached - ALLOWED.keys())
     assert not unreached, f"no command runs these; delete or list them: {unreached}"
+    # the sampling verdicts are entered through their commands
+    assert {"stochastic.simulate", "stochastic.verify_ito"} <= reached
     ran = sorted(ALLOWED.keys() & reached)
     assert not ran, f"a command runs these now; take them off ALLOWED: {ran}"
     gone = sorted(ALLOWED.keys() - set(functions.values()))

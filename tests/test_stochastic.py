@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -424,7 +426,7 @@ def test_single_step_variance_matches_sample_oracle():
     # spot-check agreement with the path sampler itself on a few streams
     for i in range(3):
         w = sample_brownian(T, 1, 5, stream=i)
-        assert w.terminal == pytest.approx(values[1000 * i], rel=1e-12)
+        assert w.values[-1] == pytest.approx(values[1000 * i], rel=1e-12)
 
 
 # -- product rule ---------------------------------------------------------------------
@@ -544,7 +546,7 @@ def test_ito_rejects_unknown_function_and_mode():
 def test_gbm_sigma_zero_is_exact_exponential():
     p = GBMParams(alpha=0.1, sigma=0.0, x0=1.0, T=1.0, n=100, seed=0)
     path = simulate_gbm(p)
-    assert path.terminal == math.exp(0.1)
+    assert path.values[-1] == math.exp(0.1)
     assert path.values[0] == 1.0
 
 
@@ -560,8 +562,7 @@ def test_gbm_log_drift_monte_carlo():
     rates = gbm_terminal_log_rates(p, 2000)
     est = estimate_log_drift(rates)
     target = 0.1 - 0.5 * 0.2 ** 2
-    lo, hi = est.interval
-    assert lo <= target <= hi
+    assert est.mean - 3 * est.stderr <= target <= est.mean + 3 * est.stderr
 
 
 def test_gbm_mean_terminal_matches_lognormal_identity():
@@ -586,8 +587,7 @@ def test_estimate_log_drift_balanced_drift_is_zero():
     p = GBMParams(alpha=0.02, sigma=0.2, x0=1.0, T=1.0, n=8, seed=23)
     rates = gbm_terminal_log_rates(p, 2000)
     est = estimate_log_drift(rates)
-    lo, hi = est.interval
-    assert lo <= 0.0 <= hi  # alpha = sigma^2 / 2
+    assert est.mean - 3 * est.stderr <= 0.0 <= est.mean + 3 * est.stderr  # alpha = sigma^2 / 2
 
 
 def test_estimate_log_drift_needs_thirty_paths():
@@ -812,13 +812,6 @@ def test_w3_residual_of_a_block_keeps_the_scalar_end_points():
         assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_terminal_of_a_path_and_of_a_block():
-    block = DiscretePath(Partition.uniform(1.0, 4), sample_brownian_batch(1.0, 4, 3, seed=2))
-    assert np.array_equal(block.terminal, block.values[:, -1])
-    path = DiscretePath(block.partition, block.values[1])
-    assert type(path.terminal) is float and path.terminal == block.values[1, -1]
-
-
 def test_discrete_path_shape_is_checked_on_the_last_axis():
     part = Partition.uniform(1.0, 4)
     for values in (np.zeros((2, 4)), np.zeros((2, 2, 5)), np.float64(0.0), np.zeros(6)):
@@ -867,3 +860,38 @@ def test_reductions_leave_their_argument():
     _exact_sums(block.values)
     assert block.values.tobytes() == values.tobytes()
     assert block.partition.times.tobytes() == times.tobytes()
+
+
+# -- the verdicts ---------------------------------------------------------------------
+
+VERDICT_PROBE = r"""
+import argparse, json, sys
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an argv was parsed")
+
+
+argparse.ArgumentParser.parse_args = refuse
+from deltasite import stochastic
+
+report = stochastic.verify_ito(alpha=0.1, sigma=0.2, x0=1.0, T=1.0, steps=100, paths=20, seed=3)
+print(json.dumps({"rows": report.rows, "cli": "deltasite.cli" in sys.modules}))
+"""
+
+
+def test_verify_ito_runs_as_a_library_function(capsys):
+    # the entry point of size and power runs: no argv is parsed and the CLI
+    # is never loaded, yet the rows are those of the command
+    src = os.path.dirname(os.path.dirname(stochastic.__file__))
+    out = subprocess.run([sys.executable, "-c", VERDICT_PROBE],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out)
+    assert doc["cli"] is False
+    code = cli.main(["verify-ito", "--steps", "100", "--paths", "20", "--seed", "3",
+                     "--format", "json"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert code == 0
+    assert doc["rows"] == [[r["check"], r["instance"], r["status"], r["witness"]]
+                           for r in records]
