@@ -9,7 +9,7 @@ from .filtration import (FilteredSigmaAlgebra, FramedIndex, FramedPoint,
                          MultiArrow, ProbabilityMeasure, check_operad_action,
                          check_sigma_level)
 from .model_io import ModelDescription, load_model, parse_model, serialize_model
-from .roofs import Roof, RoofCategory, verify_roof_category
+from .roofs import RoofCategory, verify_roof_category
 from .sheaves import (Presheaf, check_sheaf_condition, constant_presheaf,
                       transversal_cone_check)
 from .sites import (GrothendieckSite, build_tau_operadic, build_tau_P,
@@ -38,8 +38,8 @@ __all__ = [
     "FilteredSigmaAlgebra", "FiniteCategory", "FramedIndex", "FramedPoint",
     "GBMParams", "GradedExpr", "GradedTensorSeries", "GrothendieckSite",
     "ModelDescription", "ModelError", "Morphism", "MultiArrow", "Partition",
-    "PreconditionError", "Presheaf", "ProbabilityMeasure", "Roof",
-    "RoofCategory", "SimplicialEvent", "StructuralError",
+    "PreconditionError", "Presheaf", "ProbabilityMeasure", "RoofCategory",
+    "SimplicialEvent", "StructuralError",
     "augmentation", "build_tau_P", "build_tau_operadic",
     "build_tau_structural", "check_operad_action", "check_product_rule",
     "check_sheaf_condition", "check_sigma_level", "constant_presheaf",

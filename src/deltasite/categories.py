@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import PreconditionError, StructuralError
-from .events import EventMap, SimplicialEvent, identity_map, is_monomorphism
+from .events import EventMap, SimplicialEvent, is_monomorphism
 from .reports import Report
 
 # the text of a violation's `category-axioms` record, by its kind
@@ -51,15 +51,16 @@ class FiniteCategory:
     """Morphism/composition tables over identifier-named objects.
 
     Construction checks referential integrity and synthesizes identity
-    morphisms (named ``id:<object>``) together with their unit composition
-    rules, then indexes the morphism names into and out of each object, and
-    from each object to each, in sorted order.  Everything else -- totality
-    and associativity of composition, pullback squares commuting -- is
-    decided by `violations`.  A cospan (left, right) has at most one square.
-    `identities` maps an object to its identity, built and checked already.
+    morphisms (named ``id:<object>``, with no event map: in a concrete
+    category an identity's map is forced) together with their unit
+    composition rules, then indexes the morphism names into and out of each
+    object, and from each object to each, in sorted order.  Everything else
+    -- totality and associativity of composition, pullback squares
+    commuting -- is decided by `violations`.  A cospan (left, right) has at
+    most one square.
     """
 
-    def __init__(self, objects, morphisms, composition=None, pullbacks=None, identities=None):
+    def __init__(self, objects, morphisms, composition=None, pullbacks=None):
         # objects: mapping object id -> SimplicialEvent | None
         self.objects: dict[str, SimplicialEvent | None] = dict(objects)
         self.morphisms: dict[str, Morphism] = {}
@@ -79,12 +80,11 @@ class FiniteCategory:
                     raise StructuralError(f"morphism {m.name!r}: event map target mismatch")
             self.morphisms[m.name] = m
 
-        for obj, ev in self.objects.items():
+        for obj in self.objects:
             ident = f"id:{obj}"
             if ident in self.morphisms:
                 raise StructuralError(f"morphism name {ident!r} is reserved for the identity")
-            self.morphisms[ident] = (identities or {}).get(obj) or Morphism(
-                ident, obj, obj, identity_map(ev, ident) if ev is not None else None)
+            self.morphisms[ident] = Morphism(ident, obj, obj)
             self.identities[obj] = ident
 
         ends = {name: (m.source, m.target) for name, m in self.morphisms.items()}
@@ -186,7 +186,8 @@ class FiniteCategory:
             name for (s, t), names in hom.items() if (t, s) in hom for name in names)))
 
     def is_structural(self, name: str) -> bool:
-        """Monomorphism test on the attached simplicial map."""
+        """Monomorphism test on the attached simplicial map; an arrow with
+        none is structural when it is an identity."""
         m = self.morphism(name)
         if m.event_map is None:
             return self.is_identity(name)
@@ -272,8 +273,9 @@ class FiniteCategory:
 
     def full_subcategory(self, objs) -> "FiniteCategory":
         """Restriction to a subset of objects (morphisms with both ends inside),
-        sharing this category's checked `Morphism`s, identities included.  The
-        whole object set gives the category itself: its tables are fixed."""
+        sharing this category's checked `Morphism`s; the identities are built
+        afresh, as they carry no map.  The whole object set gives the category
+        itself: its tables are fixed."""
         objs = set(objs)
         unknown = objs - set(self.objects)
         if unknown:
@@ -290,5 +292,4 @@ class FiniteCategory:
         # so they are kept with those two and the apex
         pulls = [(l, r, *legs) for (l, r), legs in self.pullbacks.items()
                  if l in keep and r in keep and legs[0] in objs]
-        return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls,
-                              {o: self.morphisms[self.identities[o]] for o in objs})
+        return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)

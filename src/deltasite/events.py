@@ -193,11 +193,6 @@ class EventMap:
 
 # -- constructors -----------------------------------------------------------
 
-def identity_map(event: SimplicialEvent, name: str | None = None) -> EventMap:
-    lm = {d: {x: x for x in s} for d, s in event.levels.items()}
-    return EventMap(name or f"id:{event.name}", event, event, lm)
-
-
 def compose_event_maps(g: EventMap, f: EventMap, name: str | None = None) -> EventMap:
     """g after f.  Requires f.target is g.source."""
     if f.target is not g.source and f.target.name != g.source.name:

@@ -444,8 +444,7 @@ def serialize_model(model: ModelDescription) -> str:
                 name: {
                     "source": m.source,
                     "target": m.target,
-                    "map": m.event_map.name if m.event_map is not None
-                           and not cat.is_identity(name) else None,
+                    "map": m.event_map.name if m.event_map is not None else None,
                 }
                 for name, m in sorted(cat.morphisms.items())
                 if not cat.is_identity(name)

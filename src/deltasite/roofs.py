@@ -9,8 +9,6 @@ own, `sites.build_tau_structural(fragment)`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .categories import FiniteCategory
 from .errors import ClosureError
 from .reports import Report
@@ -20,16 +18,6 @@ from .reports import Report
 _ROOF = "Roof({} -[{}]-> {})"
 # the ClosureError of a pair (g, f) the fragment has no composite for
 _UNCLOSED = "fragment is not composition closed: ({}, {}) has no composite"
-
-
-@dataclass(frozen=True)
-class Roof:
-    source: str
-    base: str
-    target: str
-
-    def __repr__(self):
-        return _ROOF.format(self.source, self.base, self.target)
 
 
 class RoofCategory:

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from deltasite import fixtures
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.events import EventMap, SimplicialEvent
 from deltasite.sites import GrothendieckSite
@@ -67,6 +70,37 @@ def overlap_site():
     coverings = {"U": [("f1", "f2")], "V1": [("id:V1",)], "V2": [("id:V2",)],
                  "W": [("id:W",)]}
     return GrothendieckSite(cat, coverings, label="overlap")
+
+
+def swap_model(extra_rule=None):
+    """four_events cut to e_ab and empty, plus s:e_ab swapping the vertices a
+    and b, with s o s = id and s o i = i; extra_rule (g, f, h) is declared
+    after those two."""
+    doc = json.loads(fixtures.fixture_text("four_events"))
+    kept = ["e_ab", "empty"]
+    doc["events"] = {e: doc["events"][e] for e in kept}
+    doc["maps"] = {"i:empty>e_ab": doc["maps"]["i:empty>e_ab"],
+                   "s:e_ab": {"levels": {"0": {"a": "b", "b": "a"}},
+                              "source": "e_ab", "target": "e_ab"}}
+    doc["category"] = {
+        "objects": kept,
+        "morphisms": {name: {"map": name, "source": m["source"], "target": m["target"]}
+                      for name, m in doc["maps"].items()},
+        "composition": [["s:e_ab", "s:e_ab", "id:e_ab"],
+                        ["s:e_ab", "i:empty>e_ab", "i:empty>e_ab"],
+                        *([list(extra_rule)] if extra_rule else [])],
+        "pullbacks": [
+            {"left": "i:empty>e_ab", "right": "i:empty>e_ab", "apex": "empty",
+             "to_left": "id:empty", "to_right": "id:empty"},
+            {"left": "s:e_ab", "right": "s:e_ab", "apex": "e_ab",
+             "to_left": "id:e_ab", "to_right": "id:e_ab"},
+            {"left": "s:e_ab", "right": "i:empty>e_ab", "apex": "empty",
+             "to_left": "i:empty>e_ab", "to_right": "id:empty"}],
+    }
+    for level in doc["filtration"]["levels"]:
+        level["events"] = kept
+    doc["operad"] = [g for g in doc["operad"] if {*g["inputs"], g["output"]} <= set(kept)]
+    return json.dumps(doc)
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from deltasite import fixtures
+from deltasite import fixtures, model_io
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import PreconditionError, StructuralError
 
-from conftest import chain_category
+from conftest import chain_category, swap_model
 
 
 # -- axiom report ------------------------------------------------------------------
@@ -167,24 +167,24 @@ def test_full_subcategory_on_every_object_keeps_the_tables():
         cat.full_subcategory(["A", "Z"])
 
 
-@pytest.mark.parametrize("name", ("six_events", "three_atoms_power"))
-def test_restriction_takes_the_parents_identity_morphisms(name):
-    model = fixtures.load_fixture(name)
+@pytest.mark.parametrize("name", (*fixtures.ALL_FIXTURES, "swap"))
+def test_identities_carry_no_map_and_restrictions_answer_afresh(name):
+    # every bundled fixture, and the swap model, where id:e_ab shares its
+    # hom-set with s:e_ab; the whole category and each level's restriction
+    model = model_io.parse_model(swap_model() if name == "swap"
+                                 else fixtures.fixture_text(name))
     cat, F = model.category, model.filtration
-    for p in F.index:
-        level = F.level(p)
-        sub = cat.full_subcategory(level)
-        for obj in level:
+    for sub in (cat, *(cat.full_subcategory(F.level(p)) for p in F.index)):
+        for obj in sub.objects:
             ident = sub.identities[obj]
-            assert sub.morphisms[ident] is cat.morphisms[ident]
-        # the same restriction with identities built afresh answers alike
+            assert sub.morphisms[ident].event_map is None
+            assert sub.is_structural(ident)
+        # the same category built afresh from its rows answers alike
         fresh = FiniteCategory(sub.objects,
                                [m for n, m in sub.morphisms.items() if not sub.is_identity(n)],
                                {k: h for k, h in sub.composition.items()
                                 if not (sub.is_identity(k[0]) or sub.is_identity(k[1]))},
                                [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
-        assert all(fresh.morphisms[sub.identities[o]] is not sub.morphisms[sub.identities[o]]
-                   for o in level)
         assert tables(fresh) == tables(sub)
         assert {n: sub.is_structural(n) for n in sub.morphisms} == \
             {n: fresh.is_structural(n) for n in fresh.morphisms}

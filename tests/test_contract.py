@@ -1,13 +1,16 @@
 """The command-line contract: what every run may and may not write.
 
-Four kinds of check live here.  The module boundary check reads the
+Five kinds of check live here.  The module boundary check reads the
 source: no module of the package imports or uses a private name of another.
 The model error checks feed malformed model files to the model commands,
 each of which must exit 2 with one `error: <path>: ` line and no traceback.
 The output checks pin what the reports promise: the model commands load no
 NumPy, a JSON report is canonical JSON, `series` at its order bound is exact
 and one past it is refused, and the sampled reductions of two paths at full
-size equal `math.fsum`.  The generative check draws the argv of the commands
+size equal `math.fsum`.  The scale checks run the power-set lattice on six
+atoms: it round-trips byte for byte and passes every record, and one bad
+leg, one repeated square or one dropped composite among its thousands of
+rows is named exactly.  The generative check draws the argv of the commands
 that take no model (and of the cone check, on a bundled model), with float
 flags at the extremes of the float range and seeds at the ends of theirs:
 each run exits 0, 1 or 2; an exit 2 writes nothing to stdout and one error
@@ -16,6 +19,7 @@ line to stderr; an exit 0 or 1 writes a report where no figure is `nan` or
 """
 import ast
 import io
+import itertools
 import json
 import math
 import os
@@ -33,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import deltasite
-from deltasite import fixtures, stochastic
+from deltasite import fixtures, model_io, stochastic
 from deltasite.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "deltasite"
@@ -199,6 +203,90 @@ def test_long_paths_reduce_as_math_fsum_and_equal_their_batch_rows():
         want = abs(float(w[-1] ** 3 - w[0] ** 3) - math.fsum(terms))
         got = stochastic.ito_residual("w3", path)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (stream, got, want)
+
+
+# -- a model at scale ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def lattice6(tmp_path_factory):
+    """The power-set lattice on six atoms, one level: 729 morphisms, 7,448
+    declared squares and 2,702 composition rules, as its model file."""
+    atoms = "abcdef"
+    subsets = [frozenset(c) for r in range(len(atoms) + 1)
+               for c in itertools.combinations(atoms, r)]
+    model = fixtures.subset_model(atoms, subsets, [subsets], {a: 1 / 6 for a in atoms})
+    path = tmp_path_factory.mktemp("scale") / "lattice6.json"
+    path.write_text(model_io.serialize_model(model), encoding="utf-8")
+    return path
+
+
+def test_a_model_at_scale_round_trips_and_passes_every_record(lattice6):
+    # the serializer writes the squares back from their stored legs, byte for byte
+    text = lattice6.read_text(encoding="utf-8")
+    assert model_io.serialize_model(model_io.parse_model(text)) == text
+    # the structural and probability sites and the roofs: every record counted, none failing
+    for command in (("check-site", "--topology", "structural"),
+                    ("check-site", "--topology", "probability"), ("check-roofs",)):
+        code, out, _ = run([*command, "--format", "json", "--model", lattice6])
+        report = json.loads(out)
+        summary = report["summary"]
+        assert code == 0 and summary["total"] == len(report["records"]), summary
+        assert summary["fail"] == 0, summary
+
+
+def edited(lattice6, tmp_path, edit):
+    """The path of a copy of lattice6 whose document edit(doc) changed."""
+    doc = json.loads(lattice6.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_a_bad_leg_in_the_middle_of_the_squares_is_named_and_nothing_else(lattice6, tmp_path):
+    def bad_leg(doc):
+        squares = doc["category"]["pullbacks"]
+        square = squares[len(squares) // 2]
+        assert (len(squares), square["left"], square["right"]) == \
+            (7448, "i:e_bdf>e_abcdf", "i:e_bdf>e_abcdf"), square
+        square["to_left"] = "id:e_abcdef"
+
+    code, out, err = run(["check-site", "--topology", "structural", "--format", "json",
+                          "--model", edited(lattice6, tmp_path, bad_leg)])
+    assert (code, out, err) == (2, "", "error: category: pullback of ('i:e_bdf>e_abcdf', "
+                                       "'i:e_bdf>e_abcdf'): bad leg 'id:e_abcdef'\n")
+
+
+def test_a_second_square_for_one_cospan_is_named_by_its_entry(lattice6, tmp_path):
+    def repeat(doc):
+        squares = doc["category"]["pullbacks"]
+        squares.append(dict(squares[len(squares) // 2]))
+        assert len(squares) == 7449, len(squares)
+
+    code, out, err = run(["check-site", "--topology", "structural", "--format", "json",
+                          "--model", edited(lattice6, tmp_path, repeat)])
+    assert (code, out, err) == (2, "", "error: category.pullbacks[7448]: ('i:e_bdf>e_abcdf', "
+                                       "'i:e_bdf>e_abcdf') already has a pullback\n")
+
+
+def test_one_composite_dropped_is_one_roof_axioms_record_and_no_roof_law(lattice6, tmp_path):
+    def unclose(doc):
+        rules = doc["category"]["composition"]
+        rule = rules.pop(len(rules) // 2)
+        assert (len(rules) + 1, rule) == \
+            (2702, ["i:e_b>e_ab", "i:empty>e_b", "i:empty>e_ab"]), rule
+
+    code, out, _ = run(["check-roofs", "--format", "json",
+                        "--model", edited(lattice6, tmp_path, unclose)])
+    assert code == 1
+    records = json.loads(out)["records"]
+    closure = [(r["instance"], r["status"], r["witness"])
+               for r in records if r["check"] == "roof-axioms"]
+    assert closure == [("composition closure", "fail", "fragment is not composition closed: "
+                        "(i:e_b>e_ab, i:empty>e_b) has no composite")], closure
+    laws = [r for r in records
+            if r["check"] in ("left-unit", "right-unit", "base-functorial", "associativity")]
+    assert laws == [], laws[:3]
 
 
 # -- the generative contract ------------------------------------------------------------

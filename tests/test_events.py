@@ -6,7 +6,7 @@ from hypothesis import strategies as hst
 
 from deltasite.errors import PreconditionError, StructuralError
 from deltasite.events import (EventMap, SimplicialEvent, compose_event_maps,
-                              fiber_product, identity_map, is_monomorphism)
+                              fiber_product, is_monomorphism)
 
 from conftest import discrete
 
@@ -17,6 +17,12 @@ def edge_event(name="edge", atoms=("a", "b")):
     return SimplicialEvent(name, {0: frozenset("xy"), 1: frozenset(["e"])},
                            {(1, "e", 0): "y", (1, "e", 1): "x"}, {},
                            frozenset(atoms), GROUND)
+
+
+def identity_map(event: SimplicialEvent) -> EventMap:
+    """The identity map of an event, level by level."""
+    return EventMap(f"id:{event.name}", event, event,
+                    {d: {x: x for x in s} for d, s in event.levels.items()})
 
 
 def levelwise_isomorphic(a: SimplicialEvent, b: SimplicialEvent) -> bool:

@@ -23,7 +23,9 @@ power-series reversion, and the entries at T 1e-110 (verify-ito, whose w3
 residuals underflow: an `info` trend) and 1e-310 (simulate, whose log-drift
 spread overflows: exit 2 and no report) once those two were mended, and the
 entries at T 1e-105 (verify-ito, whose w3 squares are subnormal: an `info`
-trend) once that band was mended, so the table guards that reports stay byte
+trend) once that band was mended, and the `swap` entries (`swap_model`, the
+one model where an identity shares its hom-set) while every identity arrow
+still carried an identity event map, so the table guards that reports stay byte
 for byte the same.  The sampling entries are also rebuilt from
 `stochastic.simulate` and `stochastic.verify_ito` called directly, which
 must give the same bytes.
@@ -41,6 +43,8 @@ from deltasite import fixtures, stochastic
 from deltasite.cli import build_parser, main
 from deltasite.reports import Report
 from deltasite.model_io import serialize_model
+
+from conftest import swap_model
 
 TABLE = pathlib.Path(__file__).with_name("golden_reports.json")
 
@@ -135,12 +139,13 @@ def unclosed_model_text() -> str:
 
 
 def cases(directory):
-    """(key, argv) for every model x command x format; the lattice models
-    and the unclosed model are written into directory."""
+    """(key, argv) for every model x command x format; the lattice models,
+    the unclosed model and the swap model are written into directory."""
     models = {name: fixtures.fixture_path(name) for name in fixtures.ALL_FIXTURES}
     texts = {name: serialize_model(lattice_model(weights, blocks))
              for name, (weights, blocks) in LATTICES.items()}
     texts["unclosed"] = unclosed_model_text()
+    texts["swap"] = swap_model()
     for name, text in texts.items():
         path = pathlib.Path(directory) / f"{name}.json"
         path.write_text(text, encoding="utf-8")

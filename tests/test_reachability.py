@@ -2,8 +2,9 @@
 
 A fresh interpreter runs a fixed matrix under `sys.setprofile`, installed
 before the first `import deltasite` so that import-time calls count:
-- the five model commands, in both formats, on every bundled fixture and on
-  a `fixtures.subset_model` lattice of four atoms;
+- the five model commands, in both formats, on every bundled fixture, on
+  a `fixtures.subset_model` lattice of four atoms and on `swap_model`, whose
+  hom-set from e_ab to itself holds two arrows;
 - the cone check, `simulate` with 1, 5, 40 and 200 paths (one block of 200
   rows of 100 values, whose normals are made in two lanes) and with 2 paths
   of 10000 steps (a block filled in two lanes), `verify-ito`,
@@ -25,6 +26,8 @@ import subprocess
 import sys
 
 import deltasite
+
+from conftest import swap_model
 
 PACKAGE = pathlib.Path(deltasite.__file__).parent
 
@@ -86,7 +89,8 @@ lattice = fixtures.subset_model(atoms, subsets, [[frozenset(), frozenset(atoms)]
 lattice4 = workdir / "lattice4.json"
 lattice4.write_text(model_io.serialize_model(lattice), encoding="utf-8")
 
-models = [fixtures.fixture_path(name) for name in fixtures.ALL_FIXTURES] + [str(lattice4)]
+models = [fixtures.fixture_path(name) for name in fixtures.ALL_FIXTURES]
+models += [str(lattice4), str(workdir / "swap.json")]
 commands = [["check-site", "--topology", t] for t in ("operadic", "probability", "structural")]
 commands += [["check-roofs"], ["check-sheaf", "--mode", "gluing"]]
 for model in models:
@@ -152,6 +156,7 @@ def defined_functions():
 
 
 def run_matrix(tmp_path):
+    (tmp_path / "swap.json").write_text(swap_model(), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout

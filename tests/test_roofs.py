@@ -1,4 +1,5 @@
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,22 @@ from deltasite import cli, fixtures, model_io
 from deltasite.categories import FiniteCategory, Morphism
 from deltasite.errors import ClosureError
 from deltasite.reports import Report
-from deltasite.roofs import Roof, RoofCategory, verify_roof_category
+from deltasite.roofs import RoofCategory, verify_roof_category
 from deltasite.sites import build_tau_structural, verify_grothendieck
 
-from conftest import chain_category, disc
+from conftest import chain_category, disc, swap_model
 from test_categories import small_categories
+
+
+class Roof(NamedTuple):
+    """A roof value for the roof-by-roof reference, written as the verifier
+    writes a roof."""
+    source: str
+    base: str
+    target: str
+
+    def __repr__(self):
+        return f"Roof({self.source} -[{self.base}]-> {self.target})"
 
 
 def roof_of(rc, base):
@@ -289,37 +301,6 @@ def test_category_axiom_failures_on_fixtures_come_with_their_roof_verdicts():
 
 
 # -- a category that is not thin, through the command line -------------------------
-
-def swap_model(extra_rule=None):
-    """four_events cut to e_ab and empty, plus s:e_ab swapping the vertices a
-    and b, with s o s = id and s o i = i; extra_rule (g, f, h) is declared
-    after those two."""
-    doc = json.loads(fixtures.fixture_text("four_events"))
-    kept = ["e_ab", "empty"]
-    doc["events"] = {e: doc["events"][e] for e in kept}
-    doc["maps"] = {"i:empty>e_ab": doc["maps"]["i:empty>e_ab"],
-                   "s:e_ab": {"levels": {"0": {"a": "b", "b": "a"}},
-                              "source": "e_ab", "target": "e_ab"}}
-    doc["category"] = {
-        "objects": kept,
-        "morphisms": {name: {"map": name, "source": m["source"], "target": m["target"]}
-                      for name, m in doc["maps"].items()},
-        "composition": [["s:e_ab", "s:e_ab", "id:e_ab"],
-                        ["s:e_ab", "i:empty>e_ab", "i:empty>e_ab"],
-                        *([list(extra_rule)] if extra_rule else [])],
-        "pullbacks": [
-            {"left": "i:empty>e_ab", "right": "i:empty>e_ab", "apex": "empty",
-             "to_left": "id:empty", "to_right": "id:empty"},
-            {"left": "s:e_ab", "right": "s:e_ab", "apex": "e_ab",
-             "to_left": "id:e_ab", "to_right": "id:e_ab"},
-            {"left": "s:e_ab", "right": "i:empty>e_ab", "apex": "empty",
-             "to_left": "i:empty>e_ab", "to_right": "id:empty"}],
-    }
-    for level in doc["filtration"]["levels"]:
-        level["events"] = kept
-    doc["operad"] = [g for g in doc["operad"] if {*g["inputs"], g["output"]} <= set(kept)]
-    return json.dumps(doc)
-
 
 ROOF_LAWS = ("left-unit", "right-unit", "base-functorial", "associativity")
 
