@@ -15,7 +15,8 @@ morphisms into and out of an object, and from one object to another) are
 indexed once, at construction, and every lookup and axiom walk reads that
 index instead of scanning the table.  Construction checks each row of the
 composition and pullback tables once, in one pass per table, and raises the
-first bad row's error.  Where no hom-set holds two arrows, `violations`
+first bad row's error; a restriction (`full_subcategory`) is cut from those
+checked tables, so no row is checked twice.  Where no hom-set holds two arrows, `violations`
 decides associativity and the squares from the hom index alone, since
 construction made every composite run between the right ends.
 """
@@ -130,6 +131,11 @@ class FiniteCategory:
                 raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
             self.pullbacks[left, right] = (apex, to_left, to_right)
 
+        self._index()
+
+    def _index(self):
+        """Index the morphism names into and out of each object, and from each
+        object to each, in sorted order."""
         self._into: dict[str, list[str]] = {o: [] for o in self.objects}
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}
         self._hom: dict[tuple[str, str], list[str]] = {}
@@ -272,24 +278,42 @@ class FiniteCategory:
                             for kind, arrows in self.violations()])
 
     def full_subcategory(self, objs) -> "FiniteCategory":
-        """Restriction to a subset of objects (morphisms with both ends inside),
-        sharing this category's checked `Morphism`s; the identities are built
-        afresh, as they carry no map.  The whole object set gives the category
-        itself: its tables are fixed."""
+        """Restriction to a subset of objects, cut from this category's tables.
+        It relies on construction having checked every row, and on the tables
+        staying fixed, so no row is checked again.  It keeps the arrows with
+        both ends inside (this category's `Morphism`s, identities included,
+        read off the hom index), the rules at the composable pairs through each
+        kept object, and the squares at the cospans into each kept object whose
+        apex is kept (a composite, and a square's legs, run between kept
+        objects).  It answers like the category the constructor builds from
+        those rows: objects in this category's order, the other arrows, then
+        the identities.  The whole object set gives the category itself."""
         objs = set(objs)
-        unknown = objs - set(self.objects)
+        unknown = objs - self.objects.keys()
         if unknown:
             raise KeyError(f"unknown objects {sorted(unknown)}")
         if len(objs) == len(self.objects):
             return self
-        morphisms = [m for m in self.morphisms.values()
-                     if m.source in objs and m.target in objs
-                     and not self.is_identity(m.name)]
-        keep = {m.name for m in morphisms} | {self.identities[o] for o in objs}
-        comp = {(g, f): h for (g, f), h in self.composition.items()
-                if g in keep and f in keep and h in keep}
-        # a square's legs run from its apex to the sources of left and right,
-        # so they are kept with those two and the apex
-        pulls = [(l, r, *legs) for (l, r), legs in self.pullbacks.items()
-                 if l in keep and r in keep and legs[0] in objs]
-        return FiniteCategory({o: self.objects[o] for o in objs}, morphisms, comp, pulls)
+        sub = FiniteCategory.__new__(FiniteCategory)
+        sub.objects = {o: ev for o, ev in self.objects.items() if o in objs}
+        sub.identities = {o: self.identities[o] for o in sub.objects}
+        identities = set(sub.identities.values())
+        arrows = sorted(name for s in sub.objects for t in sub.objects
+                        for name in self._hom.get((s, t), ()) if name not in identities)
+        sub.morphisms = {name: self.morphisms[name]
+                         for name in (*arrows, *sub.identities.values())}
+        sub._index()
+        composition, pullbacks = self.composition, self.pullbacks
+        sub.composition, sub.pullbacks = {}, {}
+        for o in sub.objects:
+            into, out = sub._into[o], sub._out[o]
+            for f in into:
+                for g in out:
+                    h = composition.get((g, f))
+                    if h is not None:
+                        sub.composition[g, f] = h
+                for r in into:
+                    legs = pullbacks.get((f, r))
+                    if legs is not None and legs[0] in objs:
+                        sub.pullbacks[f, r] = legs
+        return sub

@@ -25,13 +25,21 @@ from .reports import Report
 class FramedPoint:
     """Index point (t, k/m): base time t, a Fraction, with fiber position k
     of m.  Points compare as (base, k): the index order, since base times
-    strictly increase.  They hash over exact integers, not Fraction's hash."""
+    strictly increase.  A point hashes over exact integers, not Fraction's
+    hash, computed once at construction: it relies on the point and its
+    base staying unchanged.  Points that share their base object compare
+    without `Fraction.__eq__`, as tuple comparison tries identity first."""
 
     base: Fraction
     k: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.base.numerator, self.base.denominator, self.k)))
 
     def __hash__(self):
-        return hash((self.base.numerator, self.base.denominator, self.k))
+        return self._hash
 
     def __repr__(self):
         return f"({self.base},{self.k})"
@@ -41,11 +49,13 @@ class FramedIndex:
     """Finite increasing base grid with an m-step fiber over each base time.
 
     `points` lists the points in their own (index) order; a point's `base`
-    is its bundle projection q, which drops the fiber coordinate.
+    is its bundle projection q, which drops the fiber coordinate.  A base
+    time that is already a Fraction is kept as given, so the points share it
+    with the points a parser makes from the same text.
     """
 
     def __init__(self, base_times, m: int = 1):
-        base = [Fraction(t) for t in base_times]
+        base = [t if type(t) is Fraction else Fraction(t) for t in base_times]
         if any(b >= a for b, a in zip(base, base[1:])):
             raise StructuralError("base times must be strictly increasing")
         if not base:
@@ -90,7 +100,7 @@ class FilteredSigmaAlgebra:
             if p not in levels:
                 raise StructuralError(f"no level declared at framed point {p!r}")
             ids = frozenset(levels[p])
-            missing = ids - set(self.events)
+            missing = ids.difference(self.events)
             if missing:
                 raise StructuralError(f"level {p!r} references unknown events {sorted(missing)}")
             self.levels[p] = ids
@@ -104,19 +114,17 @@ class FilteredSigmaAlgebra:
             if p not in self.levels:
                 raise ModelError([(f"filtration.levels[{i}]",
                                    f"level at {p!r} is not a point of the framed index")])
-        # each generator's place in the index, found once
-        place = {p: i for i, p in enumerate(index.points)}
+        # each point's and each generator's position in the index, found once
+        self._position: dict[FramedPoint, int] = {p: i for i, p in enumerate(index.points)}
         self._placed: list[int] = []
         for g in self.generators:
-            i = place.get(g.at)
+            i = self._position.get(g.at)
             if i is None:
                 raise StructuralError(f"generator {g.name!r} placed at unknown point {g.at!r}")
             for ev in (*g.inputs, g.output):
                 if ev not in self.events:
                     raise StructuralError(f"generator {g.name!r} references unknown event {ev!r}")
             self._placed.append(i)
-        self._available = {p: [g for g, i in zip(self.generators, self._placed) if i <= j]
-                           for p, j in place.items()}
 
     def generators_at(self, point: FramedPoint) -> list[MultiArrow]:
         """Generators available at `point`, a point of the index: those
@@ -124,9 +132,10 @@ class FilteredSigmaAlgebra:
 
         Availability is cumulative because later levels contain everything
         assembled earlier (the filtration is increasing)."""
-        if point not in self._available:
+        j = self._position.get(point)
+        if j is None:
             raise KeyError(f"unknown framed point {point!r}")
-        return list(self._available[point])
+        return [g for g, i in zip(self.generators, self._placed) if i <= j]
 
     def level(self, point: FramedPoint) -> frozenset[str]:
         if point not in self.levels:

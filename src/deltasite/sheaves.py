@@ -19,7 +19,8 @@ class Presheaf:
     `spaces` maps each object to its finite value space; `restrictions` maps
     each morphism f: a -> b to a dict F(b) -> F(a).  Identity restrictions
     default to identity maps; functoriality is checked on every composable
-    pair present in the composition table.
+    pair present in the composition table.  A map given for several arrows
+    is copied once, and those arrows share the copy.
     """
 
     def __init__(self, site: GrothendieckSite, spaces, restrictions):
@@ -31,10 +32,15 @@ class Presheaf:
                 raise StructuralError(f"presheaf has no value space at {obj!r}")
             self.spaces[obj] = tuple(spaces[obj])
         self.restrictions: dict[str, dict] = {}
+        # per given map, by id: the map (kept alive, so no id is reused) and its copy
+        copies: dict[int, tuple[object, dict]] = {}
         for name in sorted(cat.morphisms):
             m = cat.morphisms[name]
             if name in restrictions:
-                rmap = dict(restrictions[name])
+                given = restrictions[name]
+                if id(given) not in copies:
+                    copies[id(given)] = given, dict(given)
+                rmap = copies[id(given)][1]
             elif cat.is_identity(name):
                 rmap = {v: v for v in self.spaces[m.target]}
             else:
@@ -50,8 +56,19 @@ class Presheaf:
         self._check_functorial()
 
     def _check_functorial(self):
+        """Raise on the first rule (g, f) -> h, in table order, and value v
+        over g's target where restricting along g then f differs from along h.
+        When every arrow restricts along one shared map r, a rule asks
+        r(r(v)) == r(v), and every object is the target of its identity's unit
+        rule (construction files one per arrow), so r o r = r on every value
+        decides that no rule fails.  Otherwise, or when some value breaks
+        r o r = r, the rules are walked."""
         cat = self.site.category
         restrictions = self.restrictions
+        shared = next(iter(restrictions.values()), None)
+        if all(rmap is shared for rmap in restrictions.values()) and not any(
+                shared[shared[v]] != shared[v] for v in set().union(*self.spaces.values())):
+            return
         for (g, f), h in cat.composition.items():
             along_g, along_f, along_h = restrictions[g], restrictions[f], restrictions[h]
             for v in self.spaces[cat.morphisms[g].target]:
@@ -64,10 +81,12 @@ class Presheaf:
 
 
 def constant_presheaf(site: GrothendieckSite, values=(0.0,)) -> Presheaf:
+    """Every object takes `values`, and every arrow restricts along one
+    shared identity map."""
     values = tuple(values)
-    spaces = {obj: values for obj in site.category.objects}
-    restrictions = {name: {v: v for v in values} for name in site.category.morphisms}
-    return Presheaf(site, spaces, restrictions)
+    identity = {v: v for v in values}
+    return Presheaf(site, dict.fromkeys(site.category.objects, values),
+                    dict.fromkeys(site.category.morphisms, identity))
 
 
 def check_sheaf_condition(F: Presheaf) -> Report:

@@ -28,6 +28,14 @@ from .reports import Report
 
 
 class GrothendieckSite:
+    """A category with its generating covering families, filed per object.
+
+    Construction checks each object's family members as one set against the
+    arrows into that object (the category's into-index, which it relies on
+    being complete).  Only when that check fails are the members walked one
+    by one, so the error raised names the first bad member in sorted-object,
+    family, member order."""
+
     def __init__(self, category: FiniteCategory, coverings, label: str,
                  measure: ProbabilityMeasure | None = None):
         # coverings: mapping object -> iterable of families, each an iterable
@@ -42,15 +50,17 @@ class GrothendieckSite:
             raise PreconditionError(
                 f"coverings name objects not in the category: {', '.join(map(repr, unknown))}")
         for obj in sorted(category.objects):
-            fams = tuple(tuple(fam) for fam in coverings.get(obj, ()))
-            for m in (m for fam in fams for m in fam):
-                if m not in category.morphisms:
-                    raise PreconditionError(f"covering morphism {m!r} is not in the category")
-                if category.morphisms[m].target != obj:
-                    raise PreconditionError(
-                        f"covering morphism {m!r} does not end at {obj!r}")
+            fams = tuple(map(tuple, coverings.get(obj, ())))
+            valid = frozenset().union(*fams)
+            if not valid.issubset(category.morphisms_into(obj)):
+                for m in (m for fam in fams for m in fam):
+                    if m not in category.morphisms:
+                        raise PreconditionError(f"covering morphism {m!r} is not in the category")
+                    if category.morphisms[m].target != obj:
+                        raise PreconditionError(
+                            f"covering morphism {m!r} does not end at {obj!r}")
             self.coverings[obj] = fams
-            self.valid[obj] = frozenset(m for fam in fams for m in fam)
+            self.valid[obj] = valid
 
 
 # -- builders -----------------------------------------------------------------

@@ -174,21 +174,14 @@ def test_identities_carry_no_map_and_restrictions_answer_afresh(name):
     model = model_io.parse_model(swap_model() if name == "swap"
                                  else fixtures.fixture_text(name))
     cat, F = model.category, model.filtration
-    for sub in (cat, *(cat.full_subcategory(F.level(p)) for p in F.index)):
+    for level in (cat.objects, *(F.level(p) for p in F.index)):
+        sub, fresh = assert_restriction_answers_afresh(cat, level)
         for obj in sub.objects:
             ident = sub.identities[obj]
             assert sub.morphisms[ident].event_map is None
             assert sub.is_structural(ident)
-        # the same category built afresh from its rows answers alike
-        fresh = FiniteCategory(sub.objects,
-                               [m for n, m in sub.morphisms.items() if not sub.is_identity(n)],
-                               {k: h for k, h in sub.composition.items()
-                                if not (sub.is_identity(k[0]) or sub.is_identity(k[1]))},
-                               [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
-        assert tables(fresh) == tables(sub)
         assert {n: sub.is_structural(n) for n in sub.morphisms} == \
             {n: fresh.is_structural(n) for n in fresh.morphisms}
-        assert sub.check_axioms().records == fresh.check_axioms().records
 
 
 def test_isomorphism_detection():
@@ -465,3 +458,64 @@ def test_construction_errors_match_a_row_by_row_reference(defects, data):
     with pytest.raises(StructuralError) as err:
         FiniteCategory(cat.objects, morphisms, composition, squares)
     assert str(err.value) == expected
+
+
+# -- restrictions against a category built afresh ---------------------------------------
+
+def restriction_rows(cat, objs):
+    """The rows of cat's full subcategory on objs, kept by their definition
+    from a scan of cat's tables: the arrows with both ends in objs, the rules
+    among them, and the squares whose sides and apex lie in objs."""
+    objs = set(objs)
+    arrows = {n: m for n, m in cat.morphisms.items() if m.source in objs and m.target in objs}
+    rules = {(g, f): h for (g, f), h in cat.composition.items() if g in arrows and f in arrows}
+    squares = {(l, r): legs for (l, r), legs in cat.pullbacks.items()
+               if l in arrows and r in arrows and legs[0] in objs}
+    return arrows, rules, squares
+
+
+def assert_restriction_answers_afresh(cat, objs):
+    """cat's restriction to objs keeps the rows the definition keeps, and
+    answers every lookup and the axiom report like the category the
+    constructor builds from those rows; returns the two."""
+    sub = cat.full_subcategory(objs)
+    arrows, rules, squares = restriction_rows(cat, objs)
+    assert sub.objects == {o: cat.objects[o] for o in set(objs)}
+    assert {n: (m.source, m.target, m.event_map) for n, m in sub.morphisms.items()} == \
+        {n: (m.source, m.target, m.event_map) for n, m in arrows.items()}
+    assert sub.composition == rules
+    assert sub.pullbacks == squares
+    fresh = FiniteCategory(sub.objects,
+                           [m for n, m in sub.morphisms.items() if not sub.is_identity(n)],
+                           sub.composition,
+                           [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
+    assert tables(sub) == tables(fresh)
+    assert sub.isomorphisms == fresh.isomorphisms
+    for obj in sub.objects:
+        into = sub.morphisms_into(obj)
+        assert [sub.pullback_legs(l, r) for l in into for r in into] == \
+            [fresh.pullback_legs(l, r) for l in into for r in into]
+    assert sub.check_axioms().records == fresh.check_axioms().records
+    return sub, fresh
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_lattice_restrictions_answer_like_their_rows_built_afresh(n):
+    atoms = "abcd"[:n]
+    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(atoms, r)]
+    model = fixtures.subset_model(atoms, subsets, [[frozenset(), frozenset(atoms)], subsets],
+                                  {a: 1 / n for a in atoms})
+    cat, F = model.category, model.filtration
+    cuts = [F.level(p) for p in F.index]
+    # without the empty event, every square of two disjoint events loses its apex
+    cuts.append([o for o in cat.objects if o != "empty"])
+    cuts.append(["empty", *(f"e_{atoms[:k]}" for k in range(1, n))])
+    for objs in cuts:
+        assert_restriction_answers_afresh(cat, objs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cat=small_categories(), data=hst.data())
+def test_restrictions_to_random_objects_answer_like_their_rows_built_afresh(cat, data):
+    objs = data.draw(hst.sets(hst.sampled_from(sorted(cat.objects))))
+    assert_restriction_answers_afresh(cat, objs)

@@ -12,6 +12,7 @@ import pytest
 
 import deltasite
 from deltasite import cli, fixtures, stochastic
+from deltasite.categories import FiniteCategory
 from deltasite.cli import MAX_SERIES_ORDER, SERIES, main
 
 
@@ -54,6 +55,27 @@ def test_check_roofs_and_sheaf_commands(capsys):
                        "--kappa", "3", "--paths", "4000", "--seed", "7",
                        "--model", fixtures.fixture_path("six_events"))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("check-site", "--topology", "operadic"), ("check-site", "--topology", "probability"),
+    ("check-site", "--topology", "structural"), ("check-roofs",),
+    ("check-sheaf", "--mode", "gluing")])
+def test_a_model_command_builds_one_category_the_parsed_one(capsys, monkeypatch, command):
+    """A level's restriction is cut from the parsed category's checked
+    tables: the constructor runs once per command, in the parse, however
+    many levels the filtration has."""
+    built = []
+    init = FiniteCategory.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteCategory, "__init__", counted)
+    code, _, _ = run(capsys, *command, "--model", fixtures.fixture_path("three_atoms_power"))
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_tropicalize_prints_forced_value(capsys):

@@ -126,6 +126,33 @@ def test_presheaf_validation_catches_non_functorial_restrictions():
         Presheaf(site, spaces, restr)
 
 
+SWAP = {0: 1, 1: 0}
+
+
+def test_restrictions_along_one_shared_swap_are_not_functorial():
+    """Every arrow of the overlap site, whose rules include (f1, g1) -> h,
+    restricts along one swap; refused with the text of the first rule
+    walked, whether the swap is one dict or equal copies of it."""
+    site = overlap_site()
+    spaces = dict.fromkeys(site.category.objects, (0, 1))
+    error = "restrictions not functorial on (f1, g1): 0 -> 0 vs 1"
+    with pytest.raises(StructuralError) as shared:
+        Presheaf(site, spaces, dict.fromkeys(site.category.morphisms, SWAP))
+    assert str(shared.value) == error
+    with pytest.raises(StructuralError) as copies:
+        Presheaf(site, spaces, {name: dict(SWAP) for name in site.category.morphisms})
+    assert str(copies.value) == error
+
+
+def test_restrictions_along_one_shared_idempotent_map_are_functorial():
+    site = overlap_site()
+    spaces = dict.fromkeys(site.category.objects, (0, 1))
+    collapse = {0: 0, 1: 0}
+    F = Presheaf(site, spaces, dict.fromkeys(site.category.morphisms, collapse))
+    assert F.restrictions == dict.fromkeys(site.category.morphisms, collapse)
+    assert F.spaces == spaces
+
+
 def test_presheaf_needs_total_value_spaces():
     site = overlap_site()
     with pytest.raises(StructuralError, match="value space"):

@@ -272,6 +272,27 @@ def test_covering_member_that_is_not_a_morphism_is_refused():
         GrothendieckSite(overlap.category, coverings, "misspelled")
 
 
+@pytest.mark.parametrize("bad, error", [
+    # bad members at W, V2 and V1 (in both of its families), filed out of
+    # sorted order: V1 is the first object in sorted order, f2 its first bad member
+    ({"W": [("nope",)], "V2": [("h",)], "V1": [("id:V1", "f2"), ("nope",)]},
+     "covering morphism 'f2' does not end at 'V1'"),
+    # V1's first family is sound, its second holds two bad members
+    ({"W": [("f1",)], "V1": [("id:V1", "g1"), ("g2", "nope")]},
+     "covering morphism 'g2' does not end at 'V1'"),
+    # a name that is no morphism, before a member ending at another object
+    ({"W": [("f1",)], "V1": [("id:V1", "nope", "f2")]},
+     "covering morphism 'nope' is not in the category"),
+    # every member is a morphism, but one of the last object's ends elsewhere
+    ({"W": [("id:W",), ("g1",)]}, "covering morphism 'g1' does not end at 'W'"),
+])
+def test_the_first_bad_covering_member_is_named_in_object_family_member_order(bad, error):
+    overlap = overlap_site()
+    with pytest.raises(PreconditionError) as refused:
+        GrothendieckSite(overlap.category, {**overlap.coverings, **bad}, "bad members")
+    assert str(refused.value) == error
+
+
 def test_cover_dropped_at_a_later_level_fails_level_monotone():
     cat, _, _, _ = chain_model()
     early, late = FramedIndex([0, 1]).points
