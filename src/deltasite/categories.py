@@ -173,6 +173,18 @@ class FiniteCategory:
         """Sorted names of the morphisms starting at obj (the shared index)."""
         return self._out.get(obj, [])
 
+    @cached_property
+    def arrows_in(self) -> dict[str, dict[str, tuple[str, str, bool]]]:
+        """Per object, in sorted order, the arrows into it by name, in name
+        order, each as (name, source, whether it is the object's identity).
+        Built once per category, on first use: the site builders, the site
+        constructor and the site verifier read it, and a restriction to every
+        object (the category itself) shares it."""
+        morphisms, identities = self.morphisms, self.identities
+        return {obj: {g: (g, morphisms[g].source, g == identities[obj])
+                      for g in self.morphisms_into(obj)}
+                for obj in sorted(self.objects)}
+
     def is_isomorphism(self, name: str) -> bool:
         """An identity, or some arrow back from its target to its source
         inverts it."""
@@ -287,7 +299,8 @@ class FiniteCategory:
         apex is kept (a composite, and a square's legs, run between kept
         objects).  It answers like the category the constructor builds from
         those rows: objects in this category's order, the other arrows, then
-        the identities.  The whole object set gives the category itself."""
+        the identities.  Its isomorphisms are this category's that it keeps.
+        The whole object set gives the category itself."""
         objs = set(objs)
         unknown = objs - self.objects.keys()
         if unknown:
@@ -316,4 +329,6 @@ class FiniteCategory:
                     legs = pullbacks.get((f, r))
                     if legs is not None and legs[0] in objs:
                         sub.pullbacks[f, r] = legs
+        # an inverse runs between kept objects, and its two unit rules are kept
+        sub.isomorphisms = self.isomorphisms.intersection(sub.morphisms)
         return sub

@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         if "model" in args:
             try:
                 model, model_hash = load_model(args.model)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read model: {exc}", file=sys.stderr)
                 return USAGE_EXIT
         report = Report(args.command, model_hash, params)

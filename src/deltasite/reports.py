@@ -14,19 +14,22 @@ reading it builds a fresh list of `Record`s from the rows, for readers that
 want the fields by name, and a `Record` equals its row.
 
 Canonical JSON is `json.dumps(doc, indent=2, sort_keys=True)` plus a
-newline, byte for byte.  Only the header (command, model hash, params) and
-the summary go through `json.dumps`; every record is written from one fixed
-template of its four sorted keys, each value escaped by
-`json.encoder.encode_basestring_ascii`, the escaper `json.dumps` itself
-uses.  The rows are escaped a column at a time and the whole document is
-one join.  So record fields are `str` by contract: the template escapes them
-as strings."""
+newline, byte for byte, but the indenting encoder, which is pure Python, is
+not run on the whole document.  The frame is written from fixed text: the
+header's keys in sorted order, each params key escaped, each header value by
+`json.dumps` (only a non-empty list or dict value goes through the indenting
+encoder, re-indented to its depth), and the summary's four counts from one
+template.  Every record is written from one fixed template of its four
+sorted keys, each value escaped by `json.encoder.encode_basestring_ascii`,
+the escaper `json.dumps` itself uses.  The rows are split into columns, each
+distinct check id, status and witness is escaped once (a dict over the
+distinct values), and the whole document is one join.  So record fields are
+`str` by contract, and so are params keys, as flag names are."""
 from __future__ import annotations
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -37,6 +40,15 @@ _RECORD = ('    {\n      "check": %s,\n      "instance": %s,\n'
            '      "status": %s,\n      "witness": %s\n    }')
 
 _STATUS = itemgetter(2)
+
+
+def _value(value, depth: int) -> str:
+    """A header value as the indenting encoder writes it `depth` levels deep.
+    Only a non-empty list or dict goes through that encoder, re-indented; a
+    scalar or an empty container reads the same from the C encoder."""
+    if value and isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    return json.dumps(value)
 
 
 class Record(NamedTuple):
@@ -92,27 +104,31 @@ class Report:
         return 0 if self.passed else 1
 
     def to_json(self) -> str:
-        # the keys before "records" end "\n}", the one after starts "{\n"
-        head = json.dumps({"command": self.command, "model_hash": self.model_hash,
-                           "params": self.params}, indent=2, sort_keys=True)
-        tail = json.dumps({"summary": self.summary}, indent=2, sort_keys=True)
+        esc = encode_basestring_ascii
+        params = ",\n".join(f"    {esc(k)}: {_value(v, 2)}" for k, v in sorted(self.params.items()))
+        params = f"{{\n{params}\n  }}" if params else "{}"
+        head = (f'{{\n  "command": {_value(self.command, 1)},\n'
+                f'  "model_hash": {_value(self.model_hash, 1)},\n  "params": {params},\n')
+        n = self.summary
+        tail = (f'  "summary": {{\n    "fail": {n["fail"]},\n    "info": {n["info"]},\n'
+                f'    "pass": {n["pass"]},\n    "total": {n["total"]}\n  }}\n}}\n')
         rows = self.rows
         if not rows:
-            return f'{head[:-2]},\n  "records": [],\n{tail[2:]}\n'
+            return f'{head}  "records": [],\n{tail}'
         # the template's text around its four values; records end ",\n" but the last
         opening, *keys, closing = _RECORD.split("%s")
-        esc = encode_basestring_ascii
+        checks, instances, statuses, witnesses = zip(*rows)
         # check ids, statuses and many witnesses repeat: each distinct one is
         # escaped once, with the template's text around it, and shared
-        check = cache(lambda c: f"{opening}{esc(c)}{keys[0]}")
-        status = cache(lambda s: f"{keys[1]}{esc(s)}{keys[2]}")
-        witness = cache(esc)
-        parts = [f'{head[:-2]},\n  "records": [\n']
+        check = {c: f"{opening}{esc(c)}{keys[0]}" for c in set(checks)}
+        status = {s: f"{keys[1]}{esc(s)}{keys[2]}" for s in set(statuses)}
+        witness = {w: esc(w) for w in set(witnesses)}
+        parts = [f'{head}  "records": [\n']
         parts += chain.from_iterable(zip(
-            map(check, map(itemgetter(0), rows)), map(esc, map(itemgetter(1), rows)),
-            map(status, map(itemgetter(2), rows)), map(witness, map(itemgetter(3), rows)),
+            map(check.__getitem__, checks), map(esc, instances),
+            map(status.__getitem__, statuses), map(witness.__getitem__, witnesses),
             repeat(f"{closing},\n")))
-        parts[-1] = f'{closing}\n  ],\n{tail[2:]}\n'
+        parts[-1] = f'{closing}\n  ],\n{tail}'
         return "".join(parts)
 
     def to_text(self) -> str:

@@ -2,6 +2,10 @@
 transversal-cone containment check for the filtered sheaf of Brownian
 values.  Like every verifier, the gluing and cone checks return a
 `reports.Report`.
+
+A presheaf checks each distinct given map once per pair of spaces it runs
+between, and the gluing check counts each object's distinct sections once
+per object and reads each member's source off the category's `arrows_in`.
 """
 from __future__ import annotations
 
@@ -20,7 +24,9 @@ class Presheaf:
     each morphism f: a -> b to a dict F(b) -> F(a).  Identity restrictions
     default to identity maps; functoriality is checked on every composable
     pair present in the composition table.  A map given for several arrows
-    is copied once, and those arrows share the copy.
+    is copied once, and those arrows share the copy.  Each distinct (map,
+    target space, source space) is checked once, on the first arrow in
+    sorted order that has it, so the first error names the first bad arrow.
     """
 
     def __init__(self, site: GrothendieckSite, spaces, restrictions):
@@ -34,24 +40,31 @@ class Presheaf:
         self.restrictions: dict[str, dict] = {}
         # per given map, by id: the map (kept alive, so no id is reused) and its copy
         copies: dict[int, tuple[object, dict]] = {}
+        # the (map, target space, source space) triples found valid, by id
+        # (the maps and spaces are kept alive by `copies` and `self.spaces`)
+        valid: set[tuple[int, int, int]] = set()
         for name in sorted(cat.morphisms):
             m = cat.morphisms[name]
+            target, source = self.spaces[m.target], self.spaces[m.source]
             if name in restrictions:
                 given = restrictions[name]
                 if id(given) not in copies:
                     copies[id(given)] = given, dict(given)
                 rmap = copies[id(given)][1]
             elif cat.is_identity(name):
-                rmap = {v: v for v in self.spaces[m.target]}
+                rmap = {v: v for v in target}
             else:
                 raise StructuralError(f"presheaf lacks a restriction along {name!r}")
-            for v in self.spaces[m.target]:
-                if v not in rmap:
-                    raise StructuralError(
-                        f"restriction along {name!r} undefined on value {v!r}")
-                if rmap[v] not in self.spaces[m.source]:
-                    raise StructuralError(
-                        f"restriction along {name!r} leaves the value space at {m.source!r}")
+            key = (id(rmap), id(target), id(source))
+            if key not in valid:
+                for v in target:
+                    if v not in rmap:
+                        raise StructuralError(
+                            f"restriction along {name!r} undefined on value {v!r}")
+                    if rmap[v] not in source:
+                        raise StructuralError(
+                            f"restriction along {name!r} leaves the value space at {m.source!r}")
+                valid.add(key)
             self.restrictions[name] = rmap
         self._check_functorial()
 
@@ -93,46 +106,54 @@ def check_sheaf_condition(F: Presheaf) -> Report:
     """Gluing over every stored covering family: sections over the target
     must biject with families over the sources that agree on all declared
     fiber products.  Undeclared overlaps are noted, not failed: one
-    `gluing-note` info record each, after all `gluing` records."""
+    `gluing-note` info record each, after all `gluing` records.
+
+    Per object, its distinct sections are counted once.  Per family, the
+    sections' restrictions are tabled once, and the families over the
+    sources are walked in product order only until the first one that
+    agrees on every declared overlap and is no section's restriction: that
+    one is named."""
     site = F.site
     cat = site.category
-    restrictions = F.restrictions
+    restrictions, spaces = F.restrictions, F.spaces
+    pullback_legs = cat.pullback_legs
     report = Report()
+    append = report.rows.append
     notes = []
-    for obj in sorted(cat.objects):
-        for members in site.coverings[obj]:
+    for obj, families in site.coverings.items():
+        if not families:
+            continue
+        sections = spaces[obj]
+        distinct = len(set(sections))
+        arrows = cat.arrows_in[obj]
+        for members in families:
             fam = f"{{{', '.join(members)}}} -> {obj}"
-            sources = [cat.morphisms[m].source for m in members]
             # compatibility constraints from declared pairwise pullbacks
             constraints = []
-            for i in range(len(members)):
+            for i, left in enumerate(members):
                 for j in range(i, len(members)):
-                    legs = cat.pullback_legs(members[i], members[j])
+                    legs = pullback_legs(left, members[j])
                     if legs is None:
-                        notes.append(
-                            f"{fam}: overlap of ({members[i]}, {members[j]}) undeclared")
-                        continue
-                    constraints.append((i, j, restrictions[legs[1]], restrictions[legs[2]]))
-            matching = []
-            for combo in iproduct(*(F.spaces[s] for s in sources)):
+                        notes.append(("gluing-note",
+                                      f"{fam}: overlap of ({left}, {members[j]}) undeclared",
+                                      "info", ""))
+                    else:
+                        constraints.append((i, j, restrictions[legs[1]], restrictions[legs[2]]))
+            alongs = [restrictions[m] for m in members]
+            images = {tuple([along[s] for along in alongs]) for s in sections}
+            why = "" if len(images) == distinct else "sections collide under restriction"
+            for combo in iproduct(*[spaces[arrows[m][1]] for m in members]):
+                if combo in images:
+                    continue
                 for i, j, along_i, along_j in constraints:
                     if along_i[combo[i]] != along_j[combo[j]]:
                         break
                 else:
-                    matching.append(combo)
-            sections = F.spaces[obj]
-            alongs = [restrictions[m] for m in members]
-            images = {tuple([along[s] for along in alongs]) for s in sections}
-            injective = len(images) == len(set(sections))
-            missing = [c for c in matching if c not in images]
-            why = []
-            if not injective:
-                why.append("sections collide under restriction")
-            if missing:
-                why.append(f"unglued matching family {missing[0]!r}")
-            report.add("gluing", fam, injective and not missing, "; ".join(why))
-    for note in notes:
-        report.add("gluing-note", note, None)
+                    unglued = f"unglued matching family {combo!r}"
+                    why = f"{why}; {unglued}" if why else unglued
+                    break
+            append(("gluing", fam, "fail" if why else "pass", why))
+    report.rows += notes
     return report
 
 

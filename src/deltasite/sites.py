@@ -11,13 +11,19 @@ composition -- instance by instance and reports every failure.  A
 filtered topology is a plain map from each framed point to its level's site,
 in index order; `verify_filtered` walks any such map in index order.
 
-The verifier reads its cases from tables built once per site, not from a
-method call per case: each object's covers (name, source, whether an
-identity) and the arrows into it (the same, and the covers of the source).
-It resolves each pullback inline by the rule of
-`FiniteCategory.pullback_legs` (both arrows end at the object, so the cospan
-needs no check), reads the category's isomorphism set, and appends one row
-per case to the report.
+What depends only on the category is built once per category, on first
+use: `FiniteCategory.arrows_in`, each object's arrows in with their sources
+and identity flags, and the isomorphism set (a level restriction takes its
+parent's).  The full level is the category itself, so the structural site
+and the full tau_P level share them.  The singleton builders read each
+object's arrows in off that table, the site constructor checks each
+object's members against it, and the verifier reads each case from it, not
+from a method call per case.  It resolves each pullback inline by the rule
+of `FiniteCategory.pullback_legs` (both arrows end at the object, so the
+cospan needs no check) and appends one row per case to the report.  tau_P
+reads P of each object once, on first use, for all its levels, and
+`verify_filtered` keeps one P memo per object and per product for levels
+that share a measure and their objects' events.
 """
 from __future__ import annotations
 
@@ -31,9 +37,9 @@ class GrothendieckSite:
     """A category with its generating covering families, filed per object.
 
     Construction checks each object's family members as one set against the
-    arrows into that object (the category's into-index, which it relies on
-    being complete).  Only when that check fails are the members walked one
-    by one, so the error raised names the first bad member in sorted-object,
+    arrows into that object (the category's `arrows_in`, built once per
+    category).  Only when that check fails are the members walked one by
+    one, so the error raised names the first bad member in sorted-object,
     family, member order."""
 
     def __init__(self, category: FiniteCategory, coverings, label: str,
@@ -45,14 +51,14 @@ class GrothendieckSite:
         self.measure = measure
         self.coverings: dict[str, tuple[tuple[str, ...], ...]] = {}
         self.valid: dict[str, frozenset[str]] = {}
-        unknown = sorted(set(coverings) - category.objects.keys())
-        if unknown:
+        if not coverings.keys() <= category.objects.keys():
+            unknown = sorted(coverings.keys() - category.objects.keys())
             raise PreconditionError(
                 f"coverings name objects not in the category: {', '.join(map(repr, unknown))}")
-        for obj in sorted(category.objects):
+        for obj, arrows in category.arrows_in.items():
             fams = tuple(map(tuple, coverings.get(obj, ())))
             valid = frozenset().union(*fams)
-            if not valid.issubset(category.morphisms_into(obj)):
+            if not arrows.keys() >= valid:
                 for m in (m for fam in fams for m in fam):
                     if m not in category.morphisms:
                         raise PreconditionError(f"covering morphism {m!r} is not in the category")
@@ -68,13 +74,21 @@ class GrothendieckSite:
 
 def _singleton_site(category: FiniteCategory, admit, label: str,
                     measure: ProbabilityMeasure | None = None) -> GrothendieckSite:
-    """One generating family per admitted morphism, isomorphisms always in."""
-    families: dict[str, list[tuple[str]]] = {o: [] for o in category.objects}
+    """One generating family per admitted morphism, isomorphisms always in.
+    admit(name, source, target) is asked about every other arrow.  Should it
+    raise, it is asked again in name order, so the first arrow that it cannot
+    decide names the error, whatever order the objects come in."""
     isomorphisms = category.isomorphisms
-    for name in sorted(category.morphisms):
-        m = category.morphisms[name]
-        if name in isomorphisms or admit(m):
-            families[m.target].append((name,))
+    try:
+        families = {obj: [(name,) for name, source, identity in arrows.values()
+                          if identity or name in isomorphisms or admit(name, source, obj)]
+                    for obj, arrows in category.arrows_in.items()}
+    except Exception:
+        for name in sorted(category.morphisms):
+            m = category.morphisms[name]
+            if name not in isomorphisms:
+                admit(name, m.source, m.target)
+        raise
     return GrothendieckSite(category, families, label, measure)
 
 
@@ -97,7 +111,7 @@ def build_tau_operadic(F: FilteredSigmaAlgebra,
     def admit_at(p):
         witnessed = {(inp, g.output) for g in F.generators_at(p)
                      for inp in g.inputs}
-        return lambda m: (m.source, m.target) in witnessed
+        return lambda name, source, target: (source, target) in witnessed
 
     return _level_sites(F, category, admit_at, "operadic")
 
@@ -108,12 +122,20 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
     P(w) >= P(w').  (Its ends always share a component of the level.)
 
     Each level must be a sigma-algebra on P's ground set, else ModelError
-    (`FilteredSigmaAlgebra.require_sigma_levels`).
+    (`FilteredSigmaAlgebra.require_sigma_levels`).  P of each object is
+    read on the first arrow that asks for it and kept for every level.
     """
     F.require_sigma_levels(P.ground_set)
+    mass: dict[str, float] = {}
 
-    def admit(m):
-        return P(category.event(m.source)) <= P(category.event(m.target))
+    def weight(obj):
+        p = mass.get(obj)
+        if p is None:
+            p = mass[obj] = P(category.event(obj))
+        return p
+
+    def admit(name, source, target):
+        return weight(source) <= weight(target)
 
     return _level_sites(F, category, lambda p: admit, "probability", P)
 
@@ -121,7 +143,7 @@ def build_tau_P(F: FilteredSigmaAlgebra, P: ProbabilityMeasure,
 def build_tau_structural(category: FiniteCategory) -> GrothendieckSite:
     """Structural topology: covers are families of monomorphisms of
     simplicial sets (the attached event maps, tested levelwise)."""
-    return _singleton_site(category, lambda m: category.is_structural(m.name),
+    return _singleton_site(category, lambda name, source, target: category.is_structural(name),
                            "structural")
 
 
@@ -147,11 +169,14 @@ def verify_grothendieck(site: GrothendieckSite) -> Report:
     return report
 
 
-def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
+def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = "",
+                      mass: dict | None = None, products: dict | None = None):
     """`verify_grothendieck`'s records for site, appended to report's rows in
-    order, each instance prefixed with prefix."""
+    order, each instance prefixed with prefix.  mass and products are the P
+    memos (below), given when sites that share them are verified in turn."""
     cat = site.category
     valid = site.valid
+    into = cat.arrows_in
     morphisms = cat.morphisms
     identities = cat.identities
     pullbacks = cat.pullbacks
@@ -162,24 +187,17 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
         append(("isomorphisms-cover", prefix + name,
                 "pass" if name in valid[morphisms[name].target] else "fail", ""))
 
-    # per object: its generating-family members (name, source, is an
-    # identity), and the arrows into it (name, source, is an identity, the
-    # covers of the source)
-    members = {}
-    arrows_in = {}
-    for obj in sorted(cat.objects):
-        members[obj] = [(mi, morphisms[mi].source, identities[obj] == mi)
-                        for fam in site.coverings[obj] for mi in fam]
-        arrows_in[obj] = [(g, morphisms[g].source, identities[obj] == g,
-                           valid[morphisms[g].source])
-                          for g in cat.morphisms_into(obj)]
+    # per object: its generating-family members, as `arrows_in` files them
+    members = {obj: [arrows[mi] for fam in site.coverings[obj] for mi in fam]
+               for obj, arrows in into.items()}
 
     P = site.measure
     if P is not None:
         # P and its text per object; per (cover source, gamma) pair the
         # product's P, whether it is <= P(gamma), and the chain's tail: each
         # computed on first use
-        mass, products = {}, {}
+        if mass is None:
+            mass, products = {}, {}
 
         def weigh(obj):
             p = P(cat.event(obj))
@@ -187,9 +205,9 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
             return found
 
     for obj, covers in members.items():
-        arrows = arrows_in[obj]
+        arrows = into[obj].values()
         for mi, src, mi_identity in covers:
-            for g, gamma, g_identity, covers_gamma in arrows:
+            for g, gamma, g_identity in arrows:
                 # the pullback of (mi, g), as `FiniteCategory.pullback_legs`
                 # resolves it: both arrows end at obj by construction
                 if g_identity:
@@ -207,21 +225,22 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
                                     f"missing pullback for cospan ({src} -> {obj} <- {gamma})"))
                             continue
                         apex, proj, _ = legs
-                ok = proj in covers_gamma
-                witness = f"projection {proj}: {apex} -> {gamma}"
-                if P is not None:
-                    p_apex, text = mass.get(apex) or weigh(apex)
-                    product = products.get((src, gamma))
-                    if product is None:
-                        p = P(cat.event(src).atoms & cat.event(gamma).atoms)
-                        p_gamma, gamma_text = mass.get(gamma) or weigh(gamma)
-                        product = products[src, gamma] = (
-                            p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={gamma_text}")
-                    p_prod, tail_ok, tail = product
-                    ok = ok and p_apex <= p_prod and tail_ok
-                    witness = f"{witness}; P={text}{tail}"
-                append(("base-change", f"{prefix}({mi}, {g})", "pass" if ok else "fail",
-                        witness))
+                ok = proj in valid[gamma]
+                if P is None:
+                    append(("base-change", f"{prefix}({mi}, {g})", "pass" if ok else "fail",
+                            f"projection {proj}: {apex} -> {gamma}"))
+                    continue
+                p_apex, text = mass.get(apex) or weigh(apex)
+                product = products.get((src, gamma))
+                if product is None:
+                    p = P(cat.event(src).atoms & cat.event(gamma).atoms)
+                    p_gamma, gamma_text = mass.get(gamma) or weigh(gamma)
+                    product = products[src, gamma] = (
+                        p, p <= p_gamma, f"<=P(product)={p}<=P({gamma})={gamma_text}")
+                p_prod, tail_ok, tail = product
+                append(("base-change", f"{prefix}({mi}, {g})",
+                        "pass" if ok and p_apex <= p_prod and tail_ok else "fail",
+                        f"projection {proj}: {apex} -> {gamma}; P={text}{tail}"))
 
     for obj, covers in members.items():
         covers_obj = valid[obj]
@@ -234,14 +253,15 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
                             f"composite of {mi} after {mij} missing from the table"))
                     continue
                 ok = comp in covers_obj
-                witness = f"composite {comp}"
-                if P is not None:
-                    (p_ij, t_ij), (p_i, t_i), (p_o, t_o) = (
-                        mass.get(src2) or weigh(src2), mass.get(src) or weigh(src),
-                        mass.get(obj) or weigh(obj))
-                    ok = ok and p_ij <= p_i <= p_o
-                    witness = f"{witness}; P chain {t_ij}<={t_i}<={t_o}"
-                append(("composition", instance, "pass" if ok else "fail", witness))
+                if P is None:
+                    append(("composition", instance, "pass" if ok else "fail",
+                            f"composite {comp}"))
+                    continue
+                (p_ij, t_ij), (p_i, t_i), (p_o, t_o) = (
+                    mass.get(src2) or weigh(src2), mass.get(src) or weigh(src),
+                    mass.get(obj) or weigh(obj))
+                append(("composition", instance, "pass" if ok and p_ij <= p_i <= p_o else "fail",
+                        f"composite {comp}; P chain {t_ij}<={t_i}<={t_o}"))
 
 
 def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
@@ -252,8 +272,15 @@ def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     each level's records are added under the prefix "level <point>: "."""
     report = Report()
     pairs = [(p, levels[p]) for p in sorted(levels)]
+    # the levels share their P memos when they weigh with one measure and
+    # give each object one event, as the restrictions of one category do
+    events = {}
+    shared = len({id(site.measure) for _, site in pairs}) == 1 and all(
+        events.setdefault(obj, ev) is ev
+        for _, site in pairs for obj, ev in site.category.objects.items())
+    mass, products = ({}, {}) if shared else (None, None)
     for p, site in pairs:
-        _add_site_records(report, site, f"level {p!r}: ")
+        _add_site_records(report, site, f"level {p!r}: ", mass, products)
     append = report.rows.append
     for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):
         step = f" at {earlier!r}->{later!r}"

@@ -172,6 +172,20 @@ def test_missing_model_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("check-site", "--topology", "structural"),
+                                     ("check-sheaf", "--mode", "gluing")])
+def test_a_model_file_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    """Bytes that do not decode as UTF-8 are a model that cannot be read: one
+    error line and no report, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"schema": 1}')
+    code, out, err = run(capsys, *command, "--model", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot read model: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
 def test_model_without_measure_exits_two_for_probability(tmp_path, capsys):
     import json as j
     doc = j.loads(fixtures.fixture_text("four_events"))
