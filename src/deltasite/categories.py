@@ -55,7 +55,11 @@ class FiniteCategory:
     morphisms (named ``id:<object>``, with no event map: in a concrete
     category an identity's map is forced) together with their unit
     composition rules, then indexes the morphism names into and out of each
-    object, and from each object to each, in sorted order.  Everything else
+    object, and from each object to each, in sorted order.  `arrows_in` files
+    per object, in sorted order, the arrows into it by name, in name order,
+    each as (name, source, whether it is the object's identity): the site
+    builders, the site constructor, the site verifier and the gluing check
+    read it, and a restriction filters its parent's.  Everything else
     -- totality and associativity of composition, pullback squares
     commuting -- is decided by `violations`.  A cospan (left, right) has at
     most one square.
@@ -131,19 +135,19 @@ class FiniteCategory:
                 raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
             self.pullbacks[left, right] = (apex, to_left, to_right)
 
-        self._index()
-
-    def _index(self):
-        """Index the morphism names into and out of each object, and from each
-        object to each, in sorted order."""
+        # the index: the names into and out of each object, and from each
+        # object to each, in sorted order; and `arrows_in`
         self._into: dict[str, list[str]] = {o: [] for o in self.objects}
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}
         self._hom: dict[tuple[str, str], list[str]] = {}
-        for name in sorted(self.morphisms):
-            m = self.morphisms[name]
-            self._into[m.target].append(name)
-            self._out[m.source].append(name)
-            self._hom.setdefault((m.source, m.target), []).append(name)
+        self.arrows_in: dict[str, dict[str, tuple[str, str, bool]]] = {
+            o: {} for o in sorted(self.objects)}
+        for name in sorted(ends):
+            source, target = ends[name]
+            self._into[target].append(name)
+            self._out[source].append(name)
+            self._hom.setdefault((source, target), []).append(name)
+            self.arrows_in[target][name] = (name, source, name == self.identities[target])
 
     # -- lookups ------------------------------------------------------------
 
@@ -173,18 +177,6 @@ class FiniteCategory:
         """Sorted names of the morphisms starting at obj (the shared index)."""
         return self._out.get(obj, [])
 
-    @cached_property
-    def arrows_in(self) -> dict[str, dict[str, tuple[str, str, bool]]]:
-        """Per object, in sorted order, the arrows into it by name, in name
-        order, each as (name, source, whether it is the object's identity).
-        Built once per category, on first use: the site builders, the site
-        constructor and the site verifier read it, and a restriction to every
-        object (the category itself) shares it."""
-        morphisms, identities = self.morphisms, self.identities
-        return {obj: {g: (g, morphisms[g].source, g == identities[obj])
-                      for g in self.morphisms_into(obj)}
-                for obj in sorted(self.objects)}
-
     def is_isomorphism(self, name: str) -> bool:
         """An identity, or some arrow back from its target to its source
         inverts it."""
@@ -196,12 +188,14 @@ class FiniteCategory:
 
     @cached_property
     def isomorphisms(self) -> frozenset[str]:
-        """The names of the isomorphisms, decided once per category.  Only an
-        arrow with some arrow back can be one, and a loop (every identity
-        among them) is its own way back, so only those are tested."""
+        """The names of the isomorphisms, decided once per category.  Every
+        identity is one; of the other arrows only one with some arrow back
+        can be, so only those are tested."""
         hom = self._hom
-        return frozenset(filter(self.is_isomorphism, (
-            name for (s, t), names in hom.items() if (t, s) in hom for name in names)))
+        identities = frozenset(self.identities.values())
+        return identities.union(filter(self.is_isomorphism, (
+            name for (s, t), names in hom.items() if (t, s) in hom
+            for name in names if name not in identities)))
 
     def is_structural(self, name: str) -> bool:
         """Monomorphism test on the attached simplicial map; an arrow with
@@ -310,16 +304,23 @@ class FiniteCategory:
         sub = FiniteCategory.__new__(FiniteCategory)
         sub.objects = {o: ev for o, ev in self.objects.items() if o in objs}
         sub.identities = {o: self.identities[o] for o in sub.objects}
-        identities = set(sub.identities.values())
-        arrows = sorted(name for s in sub.objects for t in sub.objects
-                        for name in self._hom.get((s, t), ()) if name not in identities)
-        sub.morphisms = {name: self.morphisms[name]
-                         for name in (*arrows, *sub.identities.values())}
-        sub._index()
+        # the index is this category's, filtered: each list stays sorted
+        sub.arrows_in = {o: {g: arrow for g, arrow in arrows.items() if arrow[1] in objs}
+                         for o, arrows in self.arrows_in.items() if o in objs}
+        morphisms = self.morphisms
+        sub._into = {o: list(sub.arrows_in[o]) for o in sub.objects}
+        sub._out = {o: [g for g in self._out[o] if morphisms[g].target in objs]
+                    for o in sub.objects}
+        hom = self._hom
+        sub._hom = {(s, t): hom[s, t] for s in sub.objects for t in sub.objects
+                    if (s, t) in hom}
+        arrows = sorted(g for arrows in sub.arrows_in.values()
+                        for g, _, identity in arrows.values() if not identity)
+        sub.morphisms = {name: morphisms[name] for name in (*arrows, *sub.identities.values())}
         composition, pullbacks = self.composition, self.pullbacks
         sub.composition, sub.pullbacks = {}, {}
         for o in sub.objects:
-            into, out = sub._into[o], sub._out[o]
+            into, out = sub.morphisms_into(o), sub.morphisms_from(o)
             for f in into:
                 for g in out:
                     h = composition.get((g, f))

@@ -21,16 +21,15 @@ header's keys in sorted order, each params key escaped, each header value by
 encoder, re-indented to its depth), and the summary's four counts from one
 template.  Every record is written from one fixed template of its four
 sorted keys, each value escaped by `json.encoder.encode_basestring_ascii`,
-the escaper `json.dumps` itself uses.  The rows are split into columns, each
-distinct check id, status and witness is escaped once (a dict over the
-distinct values), and the whole document is one join.  So record fields are
-`str` by contract, and so are params keys, as flag names are."""
+the escaper `json.dumps` itself uses; each distinct check id, status and
+witness is escaped once, on first use (a dict over the distinct values),
+and the document is one join of those pieces.  So record fields are `str`
+by contract, and so are params keys, as flag names are."""
 from __future__ import annotations
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -115,20 +114,18 @@ class Report:
         rows = self.rows
         if not rows:
             return f'{head}  "records": [],\n{tail}'
-        # the template's text around its four values; records end ",\n" but the last
-        opening, *keys, closing = _RECORD.split("%s")
-        checks, instances, statuses, witnesses = zip(*rows)
         # check ids, statuses and many witnesses repeat: each distinct one is
-        # escaped once, with the template's text around it, and shared
-        check = {c: f"{opening}{esc(c)}{keys[0]}" for c in set(checks)}
-        status = {s: f"{keys[1]}{esc(s)}{keys[2]}" for s in set(statuses)}
-        witness = {w: esc(w) for w in set(witnesses)}
+        # escaped once, on first use, and kept with the template's text around
+        # it; every record ends ",\n", and the last one's is cut
+        opening, to_instance, to_status, to_witness, closing = _RECORD.split("%s")
+        check, status, witness = {}, {}, {}
         parts = [f'{head}  "records": [\n']
-        parts += chain.from_iterable(zip(
-            map(check.__getitem__, checks), map(esc, instances),
-            map(status.__getitem__, statuses), map(witness.__getitem__, witnesses),
-            repeat(f"{closing},\n")))
-        parts[-1] = f'{closing}\n  ],\n{tail}'
+        extend = parts.extend
+        for c, i, s, w in rows:
+            extend((check.get(c) or check.setdefault(c, opening + esc(c) + to_instance), esc(i),
+                    status.get(s) or status.setdefault(s, to_status + esc(s) + to_witness),
+                    witness.get(w) or witness.setdefault(w, f"{esc(w)}{closing},\n")))
+        parts[-1] = f"{parts[-1][:-2]}\n  ],\n{tail}"
         return "".join(parts)
 
     def to_text(self) -> str:
@@ -138,13 +135,11 @@ class Report:
         if self.params:
             lines.append("params: " + " ".join(
                 f"{k}={self.params[k]}" for k in sorted(self.params)))
-        for check_id, instance, status, witness in self.rows:
-            entry = f"[{status}] {check_id} {instance}"
-            if witness:
-                entry += f" :: {witness}"
-            lines.append(entry)
+        lines += [f"[{status}] {check_id} {instance} :: {witness}" if witness
+                  else f"[{status}] {check_id} {instance}"
+                  for check_id, instance, status, witness in self.rows]
         s = self.summary
-        verdict = "OK" if self.passed else "FAIL"
+        verdict = "FAIL" if s["fail"] else "OK"
         lines.append(f"summary: {s['pass']} pass, {s['fail']} fail, "
                      f"{s['info']} info -> {verdict}")
         return "\n".join(lines) + "\n"

@@ -11,11 +11,12 @@ composition -- instance by instance and reports every failure.  A
 filtered topology is a plain map from each framed point to its level's site,
 in index order; `verify_filtered` walks any such map in index order.
 
-What depends only on the category is built once per category, on first
-use: `FiniteCategory.arrows_in`, each object's arrows in with their sources
-and identity flags, and the isomorphism set (a level restriction takes its
-parent's).  The full level is the category itself, so the structural site
-and the full tau_P level share them.  The singleton builders read each
+What depends only on the category is built once per category:
+`FiniteCategory.arrows_in`, each object's arrows in with their sources and
+identity flags, at construction, and the isomorphism set, on first use.  A
+level restriction filters its parent's table and keeps its parent's
+isomorphisms.  The full level is the category itself, so the structural
+site and the full tau_P level share them.  The singleton builders read each
 object's arrows in off that table, the site constructor checks each
 object's members against it, and the verifier reads each case from it, not
 from a method call per case.  It resolves each pullback inline by the rule
@@ -37,10 +38,9 @@ class GrothendieckSite:
     """A category with its generating covering families, filed per object.
 
     Construction checks each object's family members as one set against the
-    arrows into that object (the category's `arrows_in`, built once per
-    category).  Only when that check fails are the members walked one by
-    one, so the error raised names the first bad member in sorted-object,
-    family, member order."""
+    arrows into that object (the category's `arrows_in`).  Only when that
+    check fails are the members walked one by one, so the error raised names
+    the first bad member in sorted-object, family, member order."""
 
     def __init__(self, category: FiniteCategory, coverings, label: str,
                  measure: ProbabilityMeasure | None = None):

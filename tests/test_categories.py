@@ -292,6 +292,15 @@ def test_lookups_match_brute_force_scans(cat):
             n for n in sorted(cat.morphisms) if cat.morphisms[n].target == obj]
         assert cat.morphisms_from(obj) == [
             n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
+    assert arrows_in(cat) == [
+        (obj, [(n, (n, cat.morphisms[n].source, cat.is_identity(n)))
+               for n in sorted(cat.morphisms) if cat.morphisms[n].target == obj])
+        for obj in sorted(cat.objects)]
+
+
+def arrows_in(cat):
+    """`FiniteCategory.arrows_in` as lists, so that its order counts."""
+    return [(obj, list(arrows.items())) for obj, arrows in cat.arrows_in.items()]
 
 
 
@@ -491,6 +500,7 @@ def assert_restriction_answers_afresh(cat, objs):
                            [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
     assert tables(sub) == tables(fresh)
     assert sub.isomorphisms == fresh.isomorphisms
+    assert arrows_in(sub) == arrows_in(fresh)
     for obj in sub.objects:
         into = sub.morphisms_into(obj)
         assert [sub.pullback_legs(l, r) for l in into for r in into] == \
