@@ -12,13 +12,14 @@ for the reversed pair, and the site verifier applies the same rule inline.
 
 The tables are fixed once a category is constructed.  Hom lookups (the
 morphisms into and out of an object, and from one object to another) are
-indexed once, at construction, and every lookup and axiom walk reads that
-index instead of scanning the table.  Construction checks each row of the
-composition and pullback tables once, in one pass per table, and raises the
-first bad row's error; a restriction (`full_subcategory`) is cut from those
-checked tables, so no row is checked twice.  Where no hom-set holds two arrows, `violations`
-decides associativity and the squares from the hom index alone, since
-construction made every composite run between the right ends.
+indexed once, at construction, each in one table, and every lookup and axiom
+walk reads that index instead of scanning the table.  Construction checks
+each row of the composition and pullback tables once, in one pass per
+table, and raises the first bad row's error; a restriction
+(`full_subcategory`) is cut from those checked tables, so no row is checked
+twice.  Where no hom-set holds two arrows, `violations` decides
+associativity and the squares from the hom index alone, since construction
+made every composite run between the right ends.
 """
 from __future__ import annotations
 
@@ -54,12 +55,13 @@ class FiniteCategory:
     Construction checks referential integrity and synthesizes identity
     morphisms (named ``id:<object>``, with no event map: in a concrete
     category an identity's map is forced) together with their unit
-    composition rules, then indexes the morphism names into and out of each
-    object, and from each object to each, in sorted order.  `arrows_in` files
-    per object, in sorted order, the arrows into it by name, in name order,
-    each as (name, source, whether it is the object's identity): the site
-    builders, the site constructor, the site verifier and the gluing check
-    read it, and a restriction filters its parent's.  Everything else
+    composition rules, then indexes the morphism names out of each object,
+    and from each object to each, in sorted order.  `arrows_in` is the one
+    index of the arrows into an object: it files per object, in sorted
+    order, the arrows into it by name, in name order, each as (name, source,
+    whether it is the object's identity).  The law walks, the site
+    constructor, the site verifier and the gluing check read it, and a
+    restriction filters its parent's.  Everything else
     -- totality and associativity of composition, pullback squares
     commuting -- is decided by `violations`.  A cospan (left, right) has at
     most one square.
@@ -135,16 +137,14 @@ class FiniteCategory:
                 raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
             self.pullbacks[left, right] = (apex, to_left, to_right)
 
-        # the index: the names into and out of each object, and from each
-        # object to each, in sorted order; and `arrows_in`
-        self._into: dict[str, list[str]] = {o: [] for o in self.objects}
+        # the index: the names out of each object, and from each object to
+        # each, in sorted order; and `arrows_in`, the arrows into each object
         self._out: dict[str, list[str]] = {o: [] for o in self.objects}
         self._hom: dict[tuple[str, str], list[str]] = {}
         self.arrows_in: dict[str, dict[str, tuple[str, str, bool]]] = {
             o: {} for o in sorted(self.objects)}
         for name in sorted(ends):
             source, target = ends[name]
-            self._into[target].append(name)
             self._out[source].append(name)
             self._hom.setdefault((source, target), []).append(name)
             self.arrows_in[target][name] = (name, source, name == self.identities[target])
@@ -167,11 +167,6 @@ class FiniteCategory:
     def is_identity(self, name: str) -> bool:
         m = self.morphisms.get(name)
         return m is not None and self.identities[m.source] == name
-
-    def morphisms_into(self, obj: str) -> list[str]:
-        """Sorted names of the morphisms ending at obj (the shared index:
-        read it, do not modify it)."""
-        return self._into.get(obj, [])
 
     def morphisms_from(self, obj: str) -> list[str]:
         """Sorted names of the morphisms starting at obj (the shared index)."""
@@ -249,8 +244,8 @@ class FiniteCategory:
         found = []
         thin = max(map(len, self._hom.values()), default=0) <= 1
         # the pairs (g, f) through each object o: g out of o, f into o
-        total = all(all(map(self.composition.__contains__, product(self._out[o], self._into[o])))
-                    for o in self.objects)
+        total = all(all(map(self.composition.__contains__, product(self._out[o], into)))
+                    for o, into in self.arrows_in.items())
         if not total:
             found += [("undefined", (g, f)) for f, g in self.composable_pairs()
                       if (g, f) not in self.composition]
@@ -308,7 +303,6 @@ class FiniteCategory:
         sub.arrows_in = {o: {g: arrow for g, arrow in arrows.items() if arrow[1] in objs}
                          for o, arrows in self.arrows_in.items() if o in objs}
         morphisms = self.morphisms
-        sub._into = {o: list(sub.arrows_in[o]) for o in sub.objects}
         sub._out = {o: [g for g in self._out[o] if morphisms[g].target in objs]
                     for o in sub.objects}
         hom = self._hom
@@ -320,7 +314,7 @@ class FiniteCategory:
         composition, pullbacks = self.composition, self.pullbacks
         sub.composition, sub.pullbacks = {}, {}
         for o in sub.objects:
-            into, out = sub.morphisms_into(o), sub.morphisms_from(o)
+            into, out = sub.arrows_in[o], sub._out[o]
             for f in into:
                 for g in out:
                     h = composition.get((g, f))

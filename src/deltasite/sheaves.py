@@ -3,8 +3,8 @@ transversal-cone containment check for the filtered sheaf of Brownian
 values.  Like every verifier, the gluing and cone checks return a
 `reports.Report`.
 
-A presheaf checks each distinct given map once per pair of spaces it runs
-between, and the gluing check counts each object's distinct sections once
+A presheaf copies each distinct given map once and checks it on each arrow's
+own spaces, and the gluing check counts each object's distinct sections once
 per object and reads each member's source off the category's `arrows_in`.
 """
 from __future__ import annotations
@@ -24,9 +24,9 @@ class Presheaf:
     each morphism f: a -> b to a dict F(b) -> F(a).  Identity restrictions
     default to identity maps; functoriality is checked on every composable
     pair present in the composition table.  A map given for several arrows
-    is copied once, and those arrows share the copy.  Each distinct (map,
-    target space, source space) is checked once, on the first arrow in
-    sorted order that has it, so the first error names the first bad arrow.
+    is copied once, and those arrows share the copy.  Each arrow's map is
+    checked on its own spaces, in sorted arrow order, so the first error
+    names the first bad arrow.
     """
 
     def __init__(self, site: GrothendieckSite, spaces, restrictions):
@@ -40,9 +40,6 @@ class Presheaf:
         self.restrictions: dict[str, dict] = {}
         # per given map, by id: the map (kept alive, so no id is reused) and its copy
         copies: dict[int, tuple[object, dict]] = {}
-        # the (map, target space, source space) triples found valid, by id
-        # (the maps and spaces are kept alive by `copies` and `self.spaces`)
-        valid: set[tuple[int, int, int]] = set()
         for name in sorted(cat.morphisms):
             m = cat.morphisms[name]
             target, source = self.spaces[m.target], self.spaces[m.source]
@@ -55,16 +52,12 @@ class Presheaf:
                 rmap = {v: v for v in target}
             else:
                 raise StructuralError(f"presheaf lacks a restriction along {name!r}")
-            key = (id(rmap), id(target), id(source))
-            if key not in valid:
-                for v in target:
-                    if v not in rmap:
-                        raise StructuralError(
-                            f"restriction along {name!r} undefined on value {v!r}")
-                    if rmap[v] not in source:
-                        raise StructuralError(
-                            f"restriction along {name!r} leaves the value space at {m.source!r}")
-                valid.add(key)
+            for v in target:
+                if v not in rmap:
+                    raise StructuralError(f"restriction along {name!r} undefined on value {v!r}")
+                if rmap[v] not in source:
+                    raise StructuralError(
+                        f"restriction along {name!r} leaves the value space at {m.source!r}")
             self.restrictions[name] = rmap
         self._check_functorial()
 

@@ -16,15 +16,15 @@ What depends only on the category is built once per category:
 identity flags, at construction, and the isomorphism set, on first use.  A
 level restriction filters its parent's table and keeps its parent's
 isomorphisms.  The full level is the category itself, so the structural
-site and the full tau_P level share them.  The singleton builders read each
-object's arrows in off that table, the site constructor checks each
-object's members against it, and the verifier reads each case from it, not
-from a method call per case.  It resolves each pullback inline by the rule
+site and the full tau_P level share them.  The singleton builders ask
+about each arrow once, in name order, the site constructor checks each
+object's members against that table, and the verifier reads each case from
+it, not from a method call per case.  It resolves each pullback inline by the rule
 of `FiniteCategory.pullback_legs` (both arrows end at the object, so the
 cospan needs no check) and appends one row per case to the report.  tau_P
-reads P of each object once, on first use, for all its levels, and
-`verify_filtered` keeps one P memo per object and per product for levels
-that share a measure and their objects' events.
+reads P of each object once, on first use, for all its levels, and the
+verifier keeps one P memo per object and per product for the site it
+verifies.
 """
 from __future__ import annotations
 
@@ -75,20 +75,15 @@ class GrothendieckSite:
 def _singleton_site(category: FiniteCategory, admit, label: str,
                     measure: ProbabilityMeasure | None = None) -> GrothendieckSite:
     """One generating family per admitted morphism, isomorphisms always in.
-    admit(name, source, target) is asked about every other arrow.  Should it
-    raise, it is asked again in name order, so the first arrow that it cannot
-    decide names the error, whatever order the objects come in."""
-    isomorphisms = category.isomorphisms
-    try:
-        families = {obj: [(name,) for name, source, identity in arrows.values()
-                          if identity or name in isomorphisms or admit(name, source, obj)]
-                    for obj, arrows in category.arrows_in.items()}
-    except Exception:
-        for name in sorted(category.morphisms):
-            m = category.morphisms[name]
-            if name not in isomorphisms:
-                admit(name, m.source, m.target)
-        raise
+    admit(name, source, target) is asked once about every other arrow, in
+    name order, so the first arrow that it cannot decide names the error, and
+    each object's families come in name order, as `arrows_in` files them."""
+    isomorphisms, morphisms = category.isomorphisms, category.morphisms
+    families = {obj: [] for obj in category.objects}
+    for name in sorted(morphisms):
+        m = morphisms[name]
+        if name in isomorphisms or admit(name, m.source, m.target):
+            families[m.target].append((name,))
     return GrothendieckSite(category, families, label, measure)
 
 
@@ -169,11 +164,10 @@ def verify_grothendieck(site: GrothendieckSite) -> Report:
     return report
 
 
-def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = "",
-                      mass: dict | None = None, products: dict | None = None):
+def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = ""):
     """`verify_grothendieck`'s records for site, appended to report's rows in
-    order, each instance prefixed with prefix.  mass and products are the P
-    memos (below), given when sites that share them are verified in turn."""
+    order, each instance prefixed with prefix.  The P memos (below) live for
+    this one site."""
     cat = site.category
     valid = site.valid
     into = cat.arrows_in
@@ -196,8 +190,7 @@ def _add_site_records(report: Report, site: GrothendieckSite, prefix: str = "",
         # P and its text per object; per (cover source, gamma) pair the
         # product's P, whether it is <= P(gamma), and the chain's tail: each
         # computed on first use
-        if mass is None:
-            mass, products = {}, {}
+        mass, products = {}, {}
 
         def weigh(obj):
             p = P(cat.event(obj))
@@ -272,15 +265,8 @@ def verify_filtered(levels: dict[FramedPoint, GrothendieckSite]) -> Report:
     each level's records are added under the prefix "level <point>: "."""
     report = Report()
     pairs = [(p, levels[p]) for p in sorted(levels)]
-    # the levels share their P memos when they weigh with one measure and
-    # give each object one event, as the restrictions of one category do
-    events = {}
-    shared = len({id(site.measure) for _, site in pairs}) == 1 and all(
-        events.setdefault(obj, ev) is ev
-        for _, site in pairs for obj, ev in site.category.objects.items())
-    mass, products = ({}, {}) if shared else (None, None)
     for p, site in pairs:
-        _add_site_records(report, site, f"level {p!r}: ", mass, products)
+        _add_site_records(report, site, f"level {p!r}: ")
     append = report.rows.append
     for (earlier, s_site), (later, t_site) in zip(pairs, pairs[1:]):
         step = f" at {earlier!r}->{later!r}"

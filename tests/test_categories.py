@@ -147,7 +147,7 @@ def tables(cat):
             {n: (m.source, m.target) for n, m in cat.morphisms.items()},
             cat.identities, cat.composition,
             dict(cat.pullbacks),
-            {o: cat.morphisms_into(o) for o in cat.objects},
+            {o: list(cat.arrows_in[o]) for o in cat.objects},
             {o: cat.morphisms_from(o) for o in cat.objects})
 
 
@@ -288,7 +288,7 @@ def test_lookups_match_brute_force_scans(cat):
         assert cat.is_identity(name) == (name in cat.identities.values())
         assert cat.is_isomorphism(name) == scan_is_isomorphism(cat, name)
     for obj in cat.objects:
-        assert cat.morphisms_into(obj) == [
+        assert list(cat.arrows_in[obj]) == [
             n for n in sorted(cat.morphisms) if cat.morphisms[n].target == obj]
         assert cat.morphisms_from(obj) == [
             n for n in sorted(cat.morphisms) if cat.morphisms[n].source == obj]
@@ -502,7 +502,7 @@ def assert_restriction_answers_afresh(cat, objs):
     assert sub.isomorphisms == fresh.isomorphisms
     assert arrows_in(sub) == arrows_in(fresh)
     for obj in sub.objects:
-        into = sub.morphisms_into(obj)
+        into = list(sub.arrows_in[obj])
         assert [sub.pullback_legs(l, r) for l in into for r in into] == \
             [fresh.pullback_legs(l, r) for l in into for r in into]
     assert sub.check_axioms().records == fresh.check_axioms().records

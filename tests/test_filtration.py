@@ -163,6 +163,38 @@ def test_sigma_report_matches_saturation_oracle(family):
     assert frozenset(named.group(1).split(",")) - {""} in expected_missing
 
 
+# a ground set of 1-5 atoms and a family of its subsets
+GROUND_AND_FAMILY = hst.integers(1, 5).flatmap(lambda n: hst.tuples(
+    hst.just(frozenset("abcde"[:n])),
+    hst.sets(hst.frozensets(hst.sampled_from("abcde"[:n])), max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUND_AND_FAMILY)
+def test_the_sigma_gate_names_the_smallest_set_the_level_lacks(case):
+    """Of the empty set, the complements and the pairwise unions of the
+    level's sets, the gate names the one the level lacks that comes first
+    by size, then by its sorted atoms; and it passes a level that lacks none."""
+    ground, family = case
+    candidates = ({frozenset()} | {ground - s for s in family}
+                  | {s | t for s, t in itertools.combinations(family, 2)})
+    lacking = candidates - family
+    events = {"e_" + "".join(sorted(s)): discrete("e_" + "".join(sorted(s)), sorted(s), s,
+                                                  ground)
+              for s in family}
+    idx = FramedIndex([0])
+    F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
+    if not lacking:
+        F.require_sigma_levels(ground)
+        return
+    smallest = min(lacking, key=lambda s: (len(s), sorted(s)))
+    with pytest.raises(ModelError) as info:
+        F.require_sigma_levels(ground)
+    assert info.value.errors == [(
+        "filtration.levels[0]",
+        f"level (0,1) is not a sigma-algebra: it lacks {{{','.join(sorted(smallest))}}}")]
+
+
 @settings(max_examples=50)
 @given(hst.sets(hst.sets(hst.sampled_from("abcde"), max_size=5).map(frozenset),
                 max_size=5))

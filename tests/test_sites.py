@@ -134,6 +134,41 @@ def test_probability_excludes_measure_increasing_arrows():
     assert "down" not in site2.valid["small"]
 
 
+def test_the_first_arrow_in_name_order_names_a_build_error():
+    """tau_P asks P of both ends of each arrow; here the arrow into the
+    first object (b: C -> A) and the first arrow by name (a: B -> C) each
+    reach an end with no event, and the first arrow by name names it."""
+    ground = frozenset("x")
+    events = {"A": discrete("A", ["v"], ["x"], ground), "B": discrete("B", [], [], ground),
+              "C": discrete("C", ["w"], ["x"], ground)}
+    cat = FiniteCategory({"A": events["A"], "B": None, "C": None},
+                         [Morphism("a", "B", "C"), Morphism("b", "C", "A")])
+    idx = FramedIndex([0])
+    F = FilteredSigmaAlgebra(idx, events, {idx.points[0]: sorted(events)})
+    with pytest.raises(PreconditionError) as refused:
+        build_tau_P(F, ProbabilityMeasure({"x": 1.0}), cat)
+    assert str(refused.value) == "object 'B' carries no simplicial event"
+
+
+def test_levels_weighed_by_different_measures_each_verify_as_alone():
+    """Two levels of one category whose measures differ: each level's rows
+    are its own `verify_grothendieck` rows, prefixed, whatever the other
+    level weighed first."""
+    cat = fixtures.load_fixture("four_events").category
+    coverings = build_tau_structural(cat).coverings
+    early, late = FramedIndex([0, 1]).points
+    levels = {early: GrothendieckSite(cat, coverings, "uniform",
+                                      ProbabilityMeasure({"a": 0.5, "b": 0.5})),
+              late: GrothendieckSite(cat, coverings, "skewed",
+                                     ProbabilityMeasure({"a": 0.75, "b": 0.25}))}
+    expected = Report()
+    for p, site in levels.items():
+        expected.extend(verify_grothendieck(site), prefix=f"level {p!r}: ")
+    rows = [row for row in verify_filtered(levels).rows if row[0] != "level-monotone"]
+    assert rows == expected.rows
+    assert any("P=0.75" in row[3] for row in rows)
+
+
 def test_probability_chain_matches_filter_oracle():
     # every chain of inclusions of the power set, with its incomparable events
     site, P = power_set_site()
@@ -417,7 +452,7 @@ def referee_grothendieck(site):
                for obj in sorted(cat.objects)}
     for obj, covers in members.items():
         for mi, src in covers:
-            for g in cat.morphisms_into(obj):
+            for g in cat.arrows_in[obj]:
                 gamma = cat.morphisms[g].source
                 instance = f"({mi}, {g})"
                 sq = pullback(mi, g)
@@ -582,7 +617,7 @@ def test_verifiers_match_referee_with_one_declaration_dropped(case, kind, pick):
 
 def every_arrow_site(cat):
     """Every arrow into each object covers it, as a singleton family."""
-    return GrothendieckSite(cat, {obj: [(g,) for g in cat.morphisms_into(obj)]
+    return GrothendieckSite(cat, {obj: [(g,) for g in cat.arrows_in[obj]]
                                   for obj in cat.objects}, "every-arrow")
 
 
@@ -591,15 +626,15 @@ def paths_taken(cat):
     an isomorphism that is not an identity, and a base change resolved by a
     square declared the other way round."""
     taken = set()
-    if any(len(cat.morphisms_into(s)) > len(set(cat.morphisms[g].source
-                                                for g in cat.morphisms_into(s)))
+    if any(len(cat.arrows_in[s]) > len(set(cat.morphisms[g].source
+                                       for g in cat.arrows_in[s]))
            for s in cat.objects):
         taken.add("parallel")
     if any(not cat.is_identity(n) and cat.is_isomorphism(n) for n in cat.morphisms):
         taken.add("isomorphism")
     for obj in cat.objects:
-        for mi in cat.morphisms_into(obj):
-            for g in cat.morphisms_into(obj):
+        for mi in cat.arrows_in[obj]:
+            for g in cat.arrows_in[obj]:
                 if (not (cat.is_identity(mi) or cat.is_identity(g))
                         and (mi, g) not in cat.pullbacks and (g, mi) in cat.pullbacks):
                     taken.add("swapped")
