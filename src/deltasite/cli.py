@@ -4,8 +4,10 @@ Grammar: deltasite <command> [--model PATH] [flags] [--format {json,text}]
 [--seed N].  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
 model errors.  DELTASITE_SEED sets the default seed, read on every call;
 flags always win.  stochastic.simulate and stochastic.verify_ito judge the
-sampling commands on the report's params; only the commands that compute
-with NumPy import it.
+sampling commands on the report's params.  Those two and the cone check of
+check-sheaf set NumPy's float traps themselves, so a computation that leaves
+the float range raises there, and main maps it to exit 2; this module never
+imports NumPy.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 from . import sheaves, sites, tropical
 from .errors import ClosureError, DeltasiteError, ModelError
@@ -134,17 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 # `model` is None for the commands without --model.
 
 
-@contextmanager
-def _float_traps():
-    """NumPy's overflow, invalid operation and division by zero raise inside,
-    so a computation that leaves the float range is a bad parameter (exit 2
-    from main), not a report.  The handlers that compute with NumPy enter it;
-    the others never import NumPy."""
-    import numpy as np
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        yield
-
-
 def cmd_check_site(args, model: ModelDescription, report: Report):
     report.extend(model.category.check_axioms())
     if args.topology == "structural":
@@ -187,12 +177,10 @@ def cmd_check_sheaf(args, model: ModelDescription, report: Report):
         t0, t1 = float(F.index.base_times[0]), float(F.index.base_times[-1])
     else:
         t0, t1 = 0.0, 1.0
-    with _float_traps():
-        report.extend(sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
-                                                     n_paths=args.paths, seed=args.seed))
+    report.extend(sheaves.transversal_cone_check(args.sigma, args.kappa, t0, t1,
+                                                 n_paths=args.paths, seed=args.seed))
 
 
-@_float_traps()
 def cmd_sample(args, model, report: Report):
     """simulate and verify-ito: the verdict of that name in `stochastic`, on the params."""
     from . import stochastic

@@ -162,6 +162,7 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
     One `cone-containment` record: the fraction must reach the threshold,
     (2*Phi(kappa)-1) minus three binomial standard errors.  kappa <= 0 fails
     by construction (the cone has empty interior), all three values 0.0.
+    Draws out of the float range raise FloatingPointError (stochastic.float_traps).
     """
     t, t_prime = float(t), float(t_prime)
     if not t < t_prime:
@@ -173,12 +174,13 @@ def transversal_cone_check(sigma: float, kappa: float, t, t_prime,
     fraction = expected = threshold = 0.0
     if kappa > 0:
         # imported here, so that the gluing check and its commands never load NumPy
-        from .stochastic import normal_cdf, normal_samples
+        from .stochastic import float_traps, normal_cdf, normal_samples
         dt = t_prime - t
         half = kappa * sigma * math.sqrt(dt)
-        draws = normal_samples(seed, n_paths) * (sigma * math.sqrt(dt))
-        fraction = int((abs(draws) <= half).sum()) / n_paths
-        expected = 2.0 * normal_cdf(kappa) - 1.0
+        with float_traps():
+            draws = normal_samples(seed, n_paths) * (sigma * math.sqrt(dt))
+            fraction = int((abs(draws) <= half).sum()) / n_paths
+            expected = 2.0 * normal_cdf(kappa) - 1.0
         threshold = expected - 3.0 * math.sqrt(expected * (1.0 - expected) / n_paths)
     report = Report()
     report.add("cone-containment", f"kappa={kappa} on [{t},{t_prime}]",

@@ -46,7 +46,10 @@ Verdicts: simulate and verify_ito return the records of the commands of
 those names as a Report, from the commands' flag values, so their stream
 layout, seed bound and bands live here alone: verify_ito draws its pairs,
 quadratic variations and w2 path from seed, the Ito trend from seed + 1 and
-the log drift from seed + 2.  Bad parameters raise PreconditionError.
+the log drift from seed + 2.  Bad parameters raise PreconditionError.  Each
+verdict, and the cone check of `sheaves`, sets NumPy's float traps itself
+(float_traps) and restores the caller's, so a library call fails where its
+command exits 2: a computation that leaves the float range raises there.
 """
 from __future__ import annotations
 
@@ -71,6 +74,13 @@ SPLIT_VALUES = 1000
 SPLIT_BLOCK_VALUES = 1 << 14
 # (pid, executor) of the worker thread that process started (see _lane_worker)
 _WORKER = None
+
+
+def float_traps(**overrides) -> np.errstate:
+    """NumPy's float traps of the sampled verdicts, `overrides` aside: overflow,
+    an invalid operation and division by zero raise; underflow is ignored."""
+    return np.errstate(**dict(over="raise", invalid="raise", divide="raise", under="ignore")
+                       | overrides)
 
 
 def normal_cdf(x: float) -> float:
@@ -511,7 +521,7 @@ def simulate(alpha: float, sigma: float, x0: float, T: float, steps: int, paths:
     params = GBMParams(alpha, sigma, x0, T, steps, seed)
     report = Report()
     # an overflow shows up as a terminal value that is not positive and finite
-    with np.errstate(over="ignore", invalid="ignore"):
+    with float_traps(over="ignore", invalid="ignore"):
         if paths == 1:
             terminal = _positive_finite("terminal value X_T",
                                         float(simulate_gbm(params).values[-1]))
@@ -543,55 +553,55 @@ def verify_ito(alpha: float, sigma: float, x0: float, T: float, steps: int, path
     params = GBMParams(alpha, sigma, x0, T, max(1, steps // 10), seed + 2)
     pairs = min(paths, 100)
     report = Report()
+    with float_traps():
+        # One pass over the blocks of streams 0.. serves the product-rule pairs (2i, 2i+1),
+        # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
+        # a block that starts at an odd stream pairs its first row with the last one before.
+        part = Partition.uniform(T, steps)
+        worst, qvs = 0.0, np.empty(paths)
+        for streams, values in brownian_blocks(part, seed, range(max(paths, 2 * pairs))):
+            start = streams.start
+            paired = values[:max(0, 2 * pairs - start)]
+            if start % 2 and len(paired):
+                paired = np.concatenate((carried[None], paired))
+            carried = values[-1]
+            k = len(paired) // 2
+            x, y = (DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
+            xy = x.values * y.values
+            scale = np.maximum(np.abs(xy, out=xy).max(axis=1), 1.0)
+            worst = float(np.max(check_product_rule(x, y) / scale, initial=worst))
+            rows = values[:max(0, paths - start)]
+            qvs[start:start + len(rows)] = quadratic_variation(DiscretePath(part, rows))
+            if start == 0:
+                w0 = DiscretePath(part, values[0])
+        report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
 
-    # One pass over the blocks of streams 0.. serves the product-rule pairs (2i, 2i+1),
-    # the quadratic variation of the first `paths` streams and the w2 path (stream 0);
-    # a block that starts at an odd stream pairs its first row with the last one before.
-    part = Partition.uniform(T, steps)
-    worst, qvs = 0.0, np.empty(paths)
-    for streams, values in brownian_blocks(part, seed, range(max(paths, 2 * pairs))):
-        start = streams.start
-        paired = values[:max(0, 2 * pairs - start)]
-        if start % 2 and len(paired):
-            paired = np.concatenate((carried[None], paired))
-        carried = values[-1]
-        k = len(paired) // 2
-        x, y = (DiscretePath(part, 1.0 + paired[j:2 * k:2]) for j in (0, 1))
-        xy = x.values * y.values
-        scale = np.maximum(np.abs(xy, out=xy).max(axis=1), 1.0)
-        worst = float(np.max(check_product_rule(x, y) / scale, initial=worst))
-        rows = values[:max(0, paths - start)]
-        qvs[start:start + len(rows)] = quadratic_variation(DiscretePath(part, rows))
-        if start == 0:
-            w0 = DiscretePath(part, values[0])
-    report.add("product-rule", f"max relative residual {worst!r}", worst <= 1e-10)
+        # quadratic variation concentration
+        band = 3.0 * math.sqrt(2.0 / steps) * T
+        hits = int(np.count_nonzero(np.abs(qvs - T) <= band))
+        report.add("quadratic-variation",
+                   f"{hits}/{paths} paths within {band!r} of T", hits / paths >= 0.95)
 
-    # quadratic variation concentration
-    band = 3.0 * math.sqrt(2.0 / steps) * T
-    hits = int(np.count_nonzero(np.abs(qvs - T) <= band))
-    report.add("quadratic-variation",
-               f"{hits}/{paths} paths within {band!r} of T", hits / paths >= 0.95)
+        # Ito residual: quadratic case exact, cubic case shrinking with the mesh
+        exact = ito_residual("w2", w0, quadratic_term="increments")
+        scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
+        report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
+        # squared by the scalar pow, which NumPy's square differs from in the last bit
+        halving = ito_residual_halving("w3", T, steps, seed + 1, range(pairs))
+        squares = [[r ** 2 for r in residuals.tolist()] for residuals in halving]
+        if min(map(max, squares)) >= sys.float_info.min:
+            coarse, fine = (math.sqrt(math.fsum(mesh) / pairs) for mesh in squares)
+            ratio = coarse / fine
+            report.add("ito-w3-trend", f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
+        else:  # a mesh whose squares are all subnormal or 0 keeps too few bits for a ratio
+            report.add("ito-w3-trend", f"residuals underflow at T={T!r}", None)
 
-    # Ito residual: quadratic case exact, cubic case shrinking with the mesh
-    exact = ito_residual("w2", w0, quadratic_term="increments")
-    scale = max(float(np.max(np.abs(w0.values))) ** 2, 1.0)
-    report.add("ito-w2-exact", f"residual {exact!r}", exact <= 1e-10 * scale)
-    # squared by the scalar pow, which NumPy's square differs from in the last bit
-    squares = [[r ** 2 for r in residuals.tolist()]
-               for residuals in ito_residual_halving("w3", T, steps, seed + 1, range(pairs))]
-    if min(map(max, squares)) >= sys.float_info.min:
-        coarse, fine = (math.sqrt(math.fsum(mesh) / pairs) for mesh in squares)
-        ratio = coarse / fine
-        report.add("ito-w3-trend", f"RMS ratio per halving {ratio!r}", 1.15 <= ratio <= 1.85)
-    else:  # a mesh whose squares are all subnormal or 0 keeps too few bits for a ratio
-        report.add("ito-w3-trend", f"residuals underflow at T={T!r}", None)
-
-    # log drift of the simulated SDE
-    est = estimate_log_drift(gbm_terminal_log_rates(params, max(paths, 30)))
-    target, three_se = params.drift, 3 * est.stderr
-    # the rates are a rounding or two from the drift, so at sigma = 0, where
-    # the band has no width, the mean may miss it by a few ulps
-    slack = 32 * math.ulp(target)
-    report.add("log-drift", f"mean={est.mean!r} target={target!r} 3se={three_se!r}",
-               est.mean - three_se - slack <= target <= est.mean + three_se + slack)
+        # log drift of the simulated SDE
+        est = estimate_log_drift(gbm_terminal_log_rates(params, max(paths, 30)))
+        target, three_se = params.drift, 3 * est.stderr
+        # the rates are a rounding or two from the drift, so at sigma = 0, where
+        # the band has no width, the mean may miss it by a few ulps
+        slack = 32 * math.ulp(target)
+        report.add("log-drift", f"mean={est.mean!r} target={target!r} 3se={three_se!r}",
+                   est.mean - three_se - slack <= target <= est.mean + three_se + slack)
     return report

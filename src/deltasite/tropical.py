@@ -139,8 +139,6 @@ def compose(outer: GradedTensorSeries, inner: GradedTensorSeries) -> GradedTenso
 
 def log_inverse_series(order: int) -> GradedTensorSeries:
     """The true compositional inverse of exp: log(1 + X), coefficients
-    (-1)^(n+1) / n for n >= 1 (constant term 0), the negation of the literal
-    series, so that compose(log_inverse_series, exp_series) is the identity."""
-    if order < 1:
-        raise PreconditionError("order must be >= 1")
-    return GradedTensorSeries((0, *(Fraction((-1) ** (n + 1), n) for n in range(1, order + 1))))
+    (-1)^(n+1) / n for n >= 1 (constant term 0), paper_log_series negated
+    coefficientwise, so that compose(log_inverse_series, exp_series) is the identity."""
+    return GradedTensorSeries(tuple(-c for c in paper_log_series(order).coeffs))

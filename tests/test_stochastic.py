@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -12,12 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy.special import ndtri
 
-from deltasite import cli, fixtures, stochastic
-from deltasite.errors import PreconditionError
+from deltasite import cli, fixtures, sheaves, stochastic
+from deltasite.errors import DeltasiteError, PreconditionError
+from deltasite.reports import Report
 from deltasite.stochastic import (BLOCK_VALUES, SPLIT_BLOCK_VALUES, SPLIT_VALUES,
                                   DiscretePath, GBMParams,
                                   Partition, brownian_blocks, check_product_rule,
@@ -27,6 +29,9 @@ from deltasite.stochastic import (BLOCK_VALUES, SPLIT_BLOCK_VALUES, SPLIT_VALUES
                                   quadratic_variation, sample_brownian,
                                   sample_brownian_batch, simulate_gbm)
 from deltasite.stochastic import _ITO_CATALOG, _exact_sums
+
+from test_contract import FLOATS, run, sized
+from test_contract import SEEDS as EXTREME_SEEDS
 
 
 # -- partitions and sampling -----------------------------------------------------
@@ -638,8 +643,8 @@ def summands(draw):
     return a if rows else a[0]
 
 
-# cli.main runs every command with these floating-point traps
-TRAPS = {"plain": {}, "trapped": dict(over="raise", invalid="raise", divide="raise")}
+# the sampled verdicts reduce under stochastic.float_traps
+TRAPS = {"plain": contextlib.nullcontext, "trapped": stochastic.float_traps}
 
 
 def assert_sums_equal_fsum(a, trap):
@@ -648,11 +653,11 @@ def assert_sums_equal_fsum(a, trap):
     try:
         want = np.array([math.fsum(row) for row in np.atleast_2d(a).tolist()])
     except (ValueError, OverflowError) as error:
-        with np.errstate(**TRAPS[trap]), pytest.raises(type(error)) as exc:
+        with TRAPS[trap](), pytest.raises(type(error)) as exc:
             _exact_sums(a)
         assert str(exc.value) == str(error)
         return
-    with np.errstate(**TRAPS[trap]):
+    with TRAPS[trap]():
         assert _exact_sums(a).tobytes() == want.tobytes()
 
 
@@ -895,3 +900,99 @@ def test_verify_ito_runs_as_a_library_function(capsys):
     assert code == 0
     assert doc["rows"] == [[r["check"], r["instance"], r["status"], r["witness"]]
                            for r in records]
+
+
+# Each verdict sets NumPy's float traps itself, so a library call fails where
+# its command exits 2, whatever the caller's float state, and leaves that state
+# as it found it.  Under the traps of the verify-ito and cone verdicts:
+RAISE = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+# simulate reads an overflow off the terminal value instead, so only its
+# divisions by zero raise
+SIMULATE = {**RAISE, "over": "ignore", "invalid": "ignore"}
+# (verdict, its arguments, the command that runs it with the same values)
+OUT_OF_RANGE = {
+    "verify-ito": (stochastic.verify_ito, (0.1, 1e150, 1.0, 1e-300, 10, 30, 0),
+                   ["verify-ito", "--T", "1e-300", "--sigma", "1e150", "--paths", "30",
+                    "--steps", "10", "--seed", "0"]),
+    "cones": (lambda *args: sheaves.transversal_cone_check(*args, n_paths=100),
+              (1e308, 3.0, 0.0, 1.0),
+              ["check-sheaf", "--mode", "cones", "--sigma", "1e308", "--paths", "100",
+               "--model", fixtures.fixture_path("four_events"), "--seed", "0"]),
+}
+IN_RANGE = {
+    "simulate": (stochastic.simulate, (0.05, 0.2, 1.0, 1.0, 50, 40, 7), SIMULATE),
+    "simulate one path": (stochastic.simulate, (0.05, 0.2, 1.0, 1.0, 50, 1, 7), SIMULATE),
+    "verify-ito": (stochastic.verify_ito, (0.1, 0.2, 1.0, 1.0, 50, 30, 7), RAISE),
+    "cones": (sheaves.transversal_cone_check, (1.0, 3.0, 0.0, 1.0, 100, 7), RAISE),
+}
+CALLER_STATES = {"default": {}, "ignore": {"all": "ignore"}, "raise": {"all": "raise"},
+                 "mixed": {"over": "warn", "invalid": "ignore", "divide": "print",
+                           "under": "raise"}}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_a_verdict_out_of_range_raises_as_its_command_exits_2(name):
+    verdict, args, argv = OUT_OF_RANGE[name]
+    state = np.geterr()
+    with pytest.raises(FloatingPointError) as exc:
+        verdict(*args)
+    assert np.geterr() == state
+    assert run(argv) == (2, "", f"error: out of numeric range: {exc.value}\n")
+
+
+@pytest.mark.parametrize("caller", sorted(CALLER_STATES))
+@pytest.mark.parametrize("name", sorted(IN_RANGE) + [f"{n} out of range" for n in OUT_OF_RANGE])
+def test_a_verdict_sets_its_traps_and_restores_the_callers(monkeypatch, name, caller):
+    if name in IN_RANGE:
+        verdict, args, want = IN_RANGE[name]
+    else:
+        (verdict, args, _), want = OUT_OF_RANGE[name.split()[0]], RAISE
+    seen, blocks = [], stochastic.normal_blocks
+
+    def recorded(*args):
+        seen.append(np.geterr())
+        return blocks(*args)
+
+    monkeypatch.setattr(stochastic, "normal_blocks", recorded)
+    with np.errstate(**CALLER_STATES[caller]):
+        state = np.geterr()
+        try:
+            verdict(*args)
+        except FloatingPointError:
+            assert name not in IN_RANGE
+        assert np.geterr() == state
+    assert seen and all(traps == want for traps in seen), seen
+
+
+# the examples: verify-ito calls that leave the float range, so the command
+# exits 2, where a verdict that left the traps to its caller returned a report
+# (some green, with `inf` figures)
+@settings(max_examples=200, deadline=None)
+@given(argv=hst.tuples(hst.sampled_from(("simulate", "verify-ito")), sized(),
+                       hst.fixed_dictionaries({"seed": EXTREME_SEEDS}, optional={
+                           flag: FLOATS for flag in ("alpha", "sigma", "x0", "T")})).map(
+    lambda t: [t[0], *t[1], *(f"--{flag}={value!r}" for flag, value in t[2].items())]))
+@example(argv=["verify-ito", "--paths", 30, "--steps", 10, "--T=1e-300", "--sigma=1e+150",
+               "--seed=0"])
+@example(argv=["verify-ito", "--paths", 31, "--steps", 1, "--x0=3.0", "--T=1e-310",
+               "--seed=0"])
+@example(argv=["verify-ito", "--paths", 30, "--steps", 10, "--x0=3.0", "--seed=0",
+               "--alpha=1.7976931348623157e+308"])
+@example(argv=["verify-ito", "--paths", 2, "--steps", 2, "--T=1e+300", "--seed=0"])
+@example(argv=["verify-ito", "--paths", 3, "--steps", 1, "--alpha=0.2", "--sigma=1e-310",
+               "--x0=1.7976931348623157e+308", "--T=1e+300", "--seed=1"])
+def test_a_sampled_verdict_gives_the_outcome_of_its_command(argv):
+    code, out, err = run(argv)
+    params = vars(cli.build_parser().parse_args([str(arg) for arg in argv]))
+    name = params.pop("command")
+    del params["format"], params["run"]
+    verdict = getattr(stochastic, name.replace("-", "_"))
+    try:
+        report = verdict(**params)
+    except (DeltasiteError, FloatingPointError, OverflowError) as exc:
+        assert (code, out) == (2, ""), (argv, code)
+        assert err.startswith("error: ") and err.endswith(f"{(exc.args or [exc])[-1]}\n"), \
+            (argv, err, exc)
+        return
+    assert code == report.exit_code(), (argv, code, err)
+    assert out == Report(name, None, params, report.rows).render("text"), argv
