@@ -63,7 +63,9 @@ class FiniteCategory:
     constructor, the site verifier and the gluing check read it, and a
     restriction filters its parent's.  Everything else
     -- totality and associativity of composition, pullback squares
-    commuting -- is decided by `violations`.  A cospan (left, right) has at
+    commuting -- is decided by `violations`.  The squares are passed keyed
+    by cospan, {(left, right): (apex, to_left, to_right)}, as they are kept
+    and as the composition rules are passed, {(g, f): h}; so a cospan has at
     most one square.
     """
 
@@ -115,11 +117,11 @@ class FiniteCategory:
             self.composition.setdefault((self.identities[m.target], name), name)
             self.composition.setdefault((name, self.identities[m.source]), name)
 
-        # a square (left, right, apex, to_left, to_right), filed as its legs under
-        # (left, right): left and right share a target, each leg runs from the
-        # apex (an object) to the source of its side, and no other has the pair
-        self.pullbacks: dict[tuple[str, str], tuple[str, str, str]] = {}
-        for left, right, apex, to_left, to_right in pullbacks or ():
+        # a square (left, right) -> (apex, to_left, to_right): left and right
+        # share a target, and each leg runs from the apex (an object) to the
+        # source of its side
+        self.pullbacks: dict[tuple[str, str], tuple[str, str, str]] = dict(pullbacks or {})
+        for (left, right), (apex, to_left, to_right) in self.pullbacks.items():
             try:
                 (l_src, l_tgt), (r_src, r_tgt) = ends[left], ends[right]
             except KeyError:
@@ -133,9 +135,6 @@ class FiniteCategory:
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_left!r}")
             if ends.get(to_right) != (apex, r_src):
                 raise StructuralError(f"pullback of ({left!r}, {right!r}): bad leg {to_right!r}")
-            if (left, right) in self.pullbacks:
-                raise StructuralError(f"({left!r}, {right!r}) already has a pullback")
-            self.pullbacks[left, right] = (apex, to_left, to_right)
 
         # the index: the names out of each object, and from each object to
         # each, in sorted order; and `arrows_in`, the arrows into each object

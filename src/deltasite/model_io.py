@@ -10,9 +10,9 @@ two-space indent, rationals as strings), so fixtures round-trip byte for byte.
 The shape table is compiled once per process, at import, into one column
 check per node that covers every value at that node (all 7,448 pullback
 entries of a six-atom lattice in one pass), and only a column that fails is
-walked value by value to find each problem's path.  The composition rules are walked for
-repeated pairs only when some pair repeats, and the pullback entries only
-when the category refuses them.
+walked value by value to find each problem's path.  The composition rules
+and the pullback entries are both keyed by their pair, and one walk names
+every repeated pair, in either table, only when some pair of it repeats.
 """
 from __future__ import annotations
 
@@ -316,34 +316,29 @@ def parse_model(text: str) -> ModelDescription:
             errors.append((f"category.morphisms.{name}", f"unknown map {spec['map']!r}"))
         morphisms.append(Morphism(name, spec.get("source", ""), spec.get("target", ""), emap))
     # a pair has one composite and one pullback, so a second entry for it is
-    # refused rather than left to replace the first.  The rules are walked for
-    # repeats only if there are fewer composites than rules, and the squares
-    # only if the category is refused (it refuses a repeated pair too).  The
-    # category reads the squares lazily, so each row's tuple is freed once filed
-    triples = cat_spec.get("composition", [])
+    # refused rather than left to replace the first.  Both tables are keyed by
+    # their pair, and one walk names every repeat, in either table, only when
+    # the table has fewer keys than entries
+    triples, squares = cat_spec.get("composition", []), cat_spec.get("pullbacks", [])
+    cospan = itemgetter("left", "right")
     composition = {(g, f): h for g, f, h in triples}
-    if len(composition) < len(triples):
-        seen = set()
-        for i, (g, f, h) in enumerate(triples):
-            if (g, f) in seen:
-                errors.append((f"category.composition[{i}]",
-                               f"({g!r}, {f!r}) already has a composite"))
-            seen.add((g, f))
-    squares = cat_spec.get("pullbacks", [])
-    category = problem = None
-    if not errors:
-        try:
-            category = FiniteCategory(objects, morphisms, composition,
-                                      map(itemgetter(*_SQUARE), squares))
-        except StructuralError as exc:
-            problem = ("category", str(exc))
-    if category is None:
-        seen = set()
-        for i, pair in enumerate(map(itemgetter("left", "right"), squares)):
-            if pair in seen:
-                errors.append((f"category.pullbacks[{i}]", f"{pair!r} already has a pullback"))
-            seen.add(pair)
-        raise ModelError(errors or [problem])
+    pullbacks = dict(zip(map(cospan, squares),
+                         map(itemgetter("apex", "to_left", "to_right"), squares)))
+    for section, rows, table, pair, what in (
+            ("composition", triples, composition, itemgetter(0, 1), "composite"),
+            ("pullbacks", squares, pullbacks, cospan, "pullback")):
+        if len(table) < len(rows):
+            seen = set()
+            for i, key in enumerate(map(pair, rows)):
+                if key in seen:
+                    errors.append((f"category.{section}[{i}]", f"{key!r} already has a {what}"))
+                seen.add(key)
+    if errors:
+        raise ModelError(errors)
+    try:
+        category = FiniteCategory(objects, morphisms, composition, pullbacks)
+    except StructuralError as exc:
+        raise ModelError([("category", str(exc))]) from None
 
     filtration = None
     if "filtration" in doc:

@@ -40,8 +40,7 @@ def test_check_axioms_flags_noncommuting_pullback():
                  Morphism("pa", "P", "A"), Morphism("pb", "P", "B"),
                  Morphism("u", "P", "C"), Morphism("v", "P", "C")]
     comp = {("f", "pa"): "u", ("g", "pb"): "v"}  # legs disagree
-    cat = FiniteCategory(objs, morphisms, comp,
-                         [("f", "g", "P", "pa", "pb")])
+    cat = FiniteCategory(objs, morphisms, comp, {("f", "g"): ("P", "pa", "pb")})
     assert any("does not commute" in v for v in violations(cat))
 
 
@@ -51,8 +50,7 @@ def test_check_axioms_flags_a_square_missing_a_composite_in_a_thin_category():
     objs = {o: None for o in "PABC"}
     morphisms = [Morphism("f", "A", "C"), Morphism("g", "B", "C"),
                  Morphism("pa", "P", "A"), Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
-    cat = FiniteCategory(objs, morphisms, {("f", "pa"): "u"},
-                         [("f", "g", "P", "pa", "pb")])
+    cat = FiniteCategory(objs, morphisms, {("f", "pa"): "u"}, {("f", "g"): ("P", "pa", "pb")})
     assert violations(cat) == ["composition undefined for (g, pb)",
                                "declared pullback square (f, g) does not commute"]
 
@@ -67,8 +65,7 @@ def square_category():
                  Morphism("h", "D", "C"), Morphism("pa", "P", "A"),
                  Morphism("pb", "P", "B"), Morphism("u", "P", "C")]
     comp = {("f", "pa"): "u", ("g", "pb"): "u"}
-    return FiniteCategory(objs, morphisms, comp,
-                          [("f", "g", "P", "pa", "pb")])
+    return FiniteCategory(objs, morphisms, comp, {("f", "g"): ("P", "pa", "pb")})
 
 
 @pytest.mark.parametrize("left, right, expected", [
@@ -118,19 +115,6 @@ def test_constructor_rejects_bad_references():
         FiniteCategory({"A": None}, [Morphism("f", "A", "Z")])
     with pytest.raises(StructuralError):
         FiniteCategory({"A": None}, [], {("f", "g"): "h"})
-
-
-def test_constructor_refuses_a_second_square_for_one_cospan():
-    """A repeat would silently replace the first square; the swapped pair
-    (g, f) is another cospan and may have its own."""
-    cat = square_category()
-    morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
-    first = ("f", "g", "P", "pa", "pb")
-    swapped = ("g", "f", "P", "pb", "pa")
-    assert len(FiniteCategory(cat.objects, morphisms, cat.composition,
-                              [first, swapped]).pullbacks) == 2
-    with pytest.raises(StructuralError, match=r"^\('f', 'g'\) already has a pullback$"):
-        FiniteCategory(cat.objects, morphisms, cat.composition, [first, swapped, first])
 
 
 def test_full_subcategory_restricts_tables():
@@ -232,11 +216,10 @@ def small_categories(draw):
         to_right = fitting(apex, ends_of[right][0])
         if (ends_of[left][1] == ends_of[right][1] and to_left and to_right
                 and (left, right) not in pullbacks):
-            pullbacks[left, right] = (left, right, apex, draw(hst.sampled_from(to_left)),
+            pullbacks[left, right] = (apex, draw(hst.sampled_from(to_left)),
                                       draw(hst.sampled_from(to_right)))
     return FiniteCategory({o: None for o in objs},
-                          [Morphism(name, s, t) for name, s, t in arrows],
-                          comp, pullbacks.values())
+                          [Morphism(name, s, t) for name, s, t in arrows], comp, pullbacks)
 
 
 def scan_check_axioms(cat):
@@ -354,8 +337,7 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
             return f"composition rule ({g!r}, {f!r}) is not composable"
         if known[h].source != known[f].source or known[h].target != known[g].target:
             return f"composite {h!r} has wrong endpoints for ({g!r}, {f!r})"
-    paired = set()
-    for l, r, apex, to_left, to_right in pullbacks:
+    for (l, r), (apex, to_left, to_right) in pullbacks.items():
         for name in (l, r):
             if name not in known:
                 return f"pullback square references unknown morphism {name!r}"
@@ -368,9 +350,6 @@ def reference_construction_error(objects, morphisms, composition, pullbacks):
             lm = known.get(leg)
             if lm is None or lm.source != apex or lm.target != want:
                 return f"pullback of ({l!r}, {r!r}): bad leg {leg!r}"
-        if (l, r) in paired:
-            return f"{(l, r)!r} already has a pullback"
-        paired.add((l, r))
     return None
 
 
@@ -383,8 +362,7 @@ def lattice4():
 
 
 DEFECTS = ("unknown name", "not composable", "wrong composite endpoints", "targets differ",
-           "apex not an object", "bad leg", "repeated square", "unknown object",
-           "event map mismatch")
+           "apex not an object", "bad leg", "unknown object", "event map mismatch")
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,21 +429,17 @@ def test_construction_errors_match_a_row_by_row_reference(defects, data):
                 squares[i] = (left, other(lambda s, t: t != ends[left][1]), *sq[2:])
             elif defect == "apex not an object":
                 squares[i] = (left, right, "ghost", *sq[3:])
-            elif defect == "repeated square":
-                # another row's square, kept as it is, in place of this one
-                j = data.draw(hst.sampled_from([j for j in range(len(squares)) if j != i]))
-                touched.add((id(squares), j))
-                squares[i] = squares[j]
             else:
                 k = data.draw(hst.sampled_from((3, 4)))
                 side = ends[left if k == 3 else right][0]
                 squares[i] = (*sq[:k], other(lambda s, t: s != apex and t == side,
                                              lambda s, t: s == apex and t != side), *sq[k + 1:])
     composition = {(g, f): h for g, f, h in rules}
-    expected = reference_construction_error(cat.objects, morphisms, composition, squares)
+    pullbacks = {(l, r): tuple(legs) for l, r, *legs in squares}
+    expected = reference_construction_error(cat.objects, morphisms, composition, pullbacks)
     assert expected is not None
     with pytest.raises(StructuralError) as err:
-        FiniteCategory(cat.objects, morphisms, composition, squares)
+        FiniteCategory(cat.objects, morphisms, composition, pullbacks)
     assert str(err.value) == expected
 
 
@@ -496,8 +470,7 @@ def assert_restriction_answers_afresh(cat, objs):
     assert sub.pullbacks == squares
     fresh = FiniteCategory(sub.objects,
                            [m for n, m in sub.morphisms.items() if not sub.is_identity(n)],
-                           sub.composition,
-                           [(l, r, *legs) for (l, r), legs in sub.pullbacks.items()])
+                           sub.composition, sub.pullbacks)
     assert tables(sub) == tables(fresh)
     assert sub.isomorphisms == fresh.isomorphisms
     assert arrows_in(sub) == arrows_in(fresh)

@@ -1,21 +1,21 @@
 """The command-line contract: what every run may and may not write.
 
-Five kinds of check live here.  The module boundary check reads the
-source: no module of the package imports or uses a private name of another.
-The model error checks feed malformed model files to the model commands,
-each of which must exit 2 with one `error: <path>: ` line and no traceback.
-The output checks pin what the reports promise: the model commands load no
-NumPy, a JSON report is canonical JSON, `series` at its order bound is exact
-and one past it is refused, and the sampled reductions of two paths at full
-size equal `math.fsum`.  The scale checks run the power-set lattice on six
-atoms: it round-trips byte for byte and passes every record, and one bad
-leg, one repeated square or one dropped composite among its thousands of
-rows is named exactly.  The generative check draws the argv of the commands
-that take no model (and of the cone check, on a bundled model), with float
-flags at the extremes of the float range and seeds at the ends of theirs:
-each run exits 0, 1 or 2; an exit 2 writes nothing to stdout and one error
-line to stderr; an exit 0 or 1 writes a report where no figure is `nan` or
-`inf`.
+Five kinds of check live here.  The module boundary check reads the source:
+no module of the package imports or uses a private name of another.  The
+model error checks feed malformed model files to the model commands, each of
+which must exit 2 with one `error: <path>: ` line and no traceback.  The
+output checks pin what the reports promise: the model commands load no
+NumPy, a JSON report is canonical JSON, a CRLF copy of a model reports as
+its LF file, `series` at its order bound is exact and one past it is
+refused, and the sampled reductions of two paths at full size equal
+`math.fsum`.  The scale checks run the power-set lattice on six atoms: it
+round-trips byte for byte and passes every record, and one bad leg, one
+repeated square or one dropped composite among its thousands of rows is
+named exactly.  The generative check draws the argv of the commands that
+take no model (and of the cone check, on a bundled model), with float flags
+at the extremes of the float range and seeds at the ends of theirs: each run
+exits 0, 1 or 2; an exit 2 writes nothing to stdout and one error line to
+stderr; an exit 0 or 1 writes a report where no figure is `nan` or `inf`.
 """
 import ast
 import io
@@ -142,6 +142,37 @@ def test_a_level_that_is_not_sigma_closed_is_named(tmp_path):
         assert_model_error(command, path, "error: filtration.levels[1]")
 
 
+def test_a_second_square_for_one_cospan_is_refused_by_the_parser(tmp_path):
+    """A repeat would silently replace the first square, so the parser names
+    its entry; the swapped pair is another cospan and may have its own."""
+    doc = four_events()
+    squares = doc["category"]["pullbacks"]
+    first = squares[1]
+    squares.append({**first, "left": first["right"], "right": first["left"],
+                    "to_left": first["to_right"], "to_right": first["to_left"]})
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-site", "--topology", "structural", "--model", path])[0] == 0
+    squares.append(dict(first))
+    path.write_text(json.dumps(doc))
+    assert run(["check-site", "--topology", "structural", "--model", path]) == (
+        2, "", "error: category.pullbacks[9]: ('i:e_a>e_ab', 'i:e_b>e_ab') "
+               "already has a pullback\n")
+
+
+def test_a_repeated_composite_and_square_are_both_named_composition_first(tmp_path):
+    doc = four_events()
+    category = doc["category"]
+    category["pullbacks"].append(dict(category["pullbacks"][4]))
+    category["composition"].append(list(category["composition"][0]))
+    path = tmp_path / "repeats.json"
+    path.write_text(json.dumps(doc))
+    g, f, _ = category["composition"][0]
+    assert run(["check-roofs", "--model", path]) == (2, "", (
+        f"error: category.composition[2]: {(g, f)!r} already has a composite\n"
+        "error: category.pullbacks[8]: ('i:empty>e_ab', 'i:e_a>e_ab') already has a pullback\n"))
+
+
 # -- what the reports promise ------------------------------------------------------------
 
 def test_model_commands_load_neither_numpy_nor_scipy():
@@ -172,6 +203,23 @@ def test_a_json_report_is_canonical_json(command, name, code):
     got, out, _ = run([*command, "--format", "json", "--model", fixtures.fixture_path(name)])
     assert got == code
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+MODEL_COMMANDS = (("check-site", "--topology", "operadic"),
+                  ("check-site", "--topology", "probability"),
+                  ("check-site", "--topology", "structural"),
+                  ("check-roofs",), ("check-sheaf", "--mode", "gluing"))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+def test_a_crlf_copy_of_a_model_reports_as_its_lf_file(name, tmp_path):
+    # the model is read with universal newlines and hashed after that
+    # translation, so the reports agree byte for byte, `model_hash` included
+    crlf = tmp_path / f"{name}.json"
+    crlf.write_bytes(fixtures.fixture_text(name).replace("\n", "\r\n").encode("utf-8"))
+    for command, form in itertools.product(MODEL_COMMANDS, ("json", "text")):
+        argv = [*command, "--format", form, "--model"]
+        assert run([*argv, crlf]) == run([*argv, fixtures.fixture_path(name)]), (command, form)
 
 
 def test_series_at_the_order_bound_is_exact_and_one_past_it_is_refused():
@@ -307,10 +355,12 @@ NOT_A_NUMBER = re.compile(r"(?<![A-Za-z])(nan|inf)(?![A-Za-z])", re.IGNORECASE)
 
 
 def flags(**strategies):
-    """argv of the named flags, each drawn or left out."""
-    return hst.tuples(*(hst.one_of(hst.none(), s.map(lambda v, k=k: (f"--{k}", v)))
+    """argv of the named flags, each drawn or left out, each one `--flag=value`
+    token: argparse reads a separate `-1e+300` or `-5e-324` as an option,
+    since its negative-number pattern has no exponent."""
+    return hst.tuples(*(hst.one_of(hst.none(), s.map(lambda v, k=k: f"--{k}={v}"))
                         for k, s in strategies.items())).map(
-        lambda pairs: [part for pair in pairs if pair for part in pair])
+        lambda tokens: [token for token in tokens if token])
 
 
 @hst.composite
@@ -330,11 +380,11 @@ CONES = hst.tuples(flags(kappa=FLOATS, sigma=FLOATS),
     lambda t: ["check-sheaf", "--mode", "cones", "--model",
                fixtures.fixture_path("four_events"), "--paths", t[1], *t[0]])
 TROPICAL = hst.tuples(FLOATS, FLOATS, hst.booleans()).map(
-    lambda t: ["tropicalize", "--alpha", t[0], "--sigma", t[1]]
+    lambda t: ["tropicalize", f"--alpha={t[0]}", f"--sigma={t[1]}"]
     + ["--with-markers"] * t[2])
 SERIES = hst.tuples(hst.sampled_from(("exp", "log", "paper-log")),
                     hst.sampled_from((-1, 0, 1, 2, 100, 101))).map(
-    lambda t: ["series", "--op", t[0], "--order", t[1]])
+    lambda t: ["series", "--op", t[0], f"--order={t[1]}"])
 ARGV = hst.tuples(hst.one_of(SAMPLED, CONES, TROPICAL, SERIES),
                   flags(seed=SEEDS, format=FORMATS)).map(lambda t: t[0] + t[1])
 
@@ -342,6 +392,9 @@ ARGV = hst.tuples(hst.one_of(SAMPLED, CONES, TROPICAL, SERIES),
 def assert_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
+    # every flag is drawn within its type, so argparse refuses only the
+    # order past the bound of `series`, and writes its usage then
+    assert ("usage:" in err) == ("--order=101" in argv), (argv, err)
     if code == 2:
         assert out == "", argv
         lines = err.splitlines()
@@ -351,7 +404,7 @@ def assert_contract(argv):
         assert lines[-1].startswith(("error: ", "deltasite ")), (argv, err)
         return
     assert err == "", (argv, err)
-    text = out if "json" not in argv else json.dumps(json.loads(out)["records"])
+    text = out if "--format=json" not in argv else json.dumps(json.loads(out)["records"])
     assert not NOT_A_NUMBER.search(text), (argv, out)
 
 

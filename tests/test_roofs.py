@@ -81,8 +81,7 @@ def test_missing_composite_raises_before_base_functorial_can_fail():
     composition = {key: h for key, h in cat.composition.items()
                    if key != ("i:e_a>e_ab", "i:empty>e_a")}
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
-    unclosed = FiniteCategory(cat.objects, morphisms, composition,
-                              [(l, r, *legs) for (l, r), legs in cat.pullbacks.items()])
+    unclosed = FiniteCategory(cat.objects, morphisms, composition, cat.pullbacks)
     with pytest.raises(ClosureError) as exc:
         verify_roof_category(RoofCategory(unclosed))
     assert str(exc.value) == ("fragment is not composition closed: "

@@ -105,7 +105,7 @@ def test_two_member_family_is_named_by_its_members_and_target():
     # sections that disagree on W no longer have to agree
     cat = site.category
     morphisms = [m for name, m in cat.morphisms.items() if not cat.is_identity(name)]
-    squares = [(l, r, *legs) for (l, r), legs in cat.pullbacks.items() if {l, r} != {"f1", "f2"}]
+    squares = {(l, r): legs for (l, r), legs in cat.pullbacks.items() if {l, r} != {"f1", "f2"}}
     gap = GrothendieckSite(FiniteCategory(cat.objects, morphisms, cat.composition, squares),
                            site.coverings, "overlap-gap")
     report = check_sheaf_condition(constant_presheaf(gap, (0, 1)))
@@ -167,8 +167,8 @@ def three_cover_site():
         w = f"W{i}{j}"
         arrows += [(f"a{i}{j}", w, f"V{i}"), (f"b{i}{j}", w, f"V{j}"), (f"h{i}{j}", w, "U")]
         composition[f"f{i}", f"a{i}{j}"] = composition[f"f{j}", f"b{i}{j}"] = f"h{i}{j}"
-    pullbacks = [("f1", "f2", "W12", "a12", "b12"), ("f3", "f1", "W13", "b13", "a13"),
-                 ("f1", "f1", "V1", "id:V1", "id:V1")]
+    pullbacks = {("f1", "f2"): ("W12", "a12", "b12"), ("f3", "f1"): ("W13", "b13", "a13"),
+                 ("f1", "f1"): ("V1", "id:V1", "id:V1")}
     cat = FiniteCategory(objects, [Morphism(*a) for a in arrows], composition, pullbacks)
     coverings = {"U": [("f1", "f2", "f3"), ("f3", "f1"), ("f2", "f3")],
                  "V1": [("a12", "a13")], "V2": [("id:V2",)], "W12": [("id:W12",)]}
