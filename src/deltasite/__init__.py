@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # (PEP 562), so that importing the package for the model checks does not.
 _STOCHASTIC = ("DiscretePath", "GBMParams", "Partition", "check_product_rule",
                "estimate_log_drift", "ito_residual", "quadratic_variation",
-               "sample_brownian", "simulate_gbm")
+               "sample_brownian")
 
 
 def __getattr__(name):
@@ -46,7 +46,7 @@ __all__ = [
     "estimate_log_drift", "exp_series", "fiber_product", "is_monomorphism",
     "ito_residual", "load_model", "log_inverse_series", "paper_log_series",
     "parse_model", "quadratic_variation", "sample_brownian", "serialize_model",
-    "simulate_gbm", "transversal_cone_check", "trop_max",
-    "tropicalize_log_sde", "verify_filtered", "verify_grothendieck",
+    "transversal_cone_check", "trop_max", "tropicalize_log_sde",
+    "verify_filtered", "verify_grothendieck",
     "verify_roof_category", "__version__",
 ]

@@ -1,15 +1,18 @@
 """Discrete Brownian paths on partitions, the delta operator, and the
 verdicts of the sampling commands.
 
-Sampling is reproducible across platforms: a counter-based Philox generator
-supplies raw 64-bit words, which become uniforms in (0,1) via
-(raw >> 11) * 2^-53 + 2^-54 and normals via the exact quantile function
-(scipy's ndtri).  Stream i of seed s starts at Philox counter [0, 0, i, 0]
-under key [s mod 2^64, s >> 64], and batches of streams are drawn in
-bounded blocks, so per-path results never depend on batch layout.
+Sampling is reproducible given the NumPy and SciPy builds: a counter-based
+Philox generator supplies raw 64-bit words, which become uniforms in (0,1)
+via (raw >> 11) * 2^-53 + 2^-54 and normals via scipy's ndtri, within 3 ulp
+of the correctly rounded quantile (tests/quantile_pins.json).  Stream i of seed
+s starts at Philox counter [0, 0, i, 0] under key [s mod 2^64, s >> 64], and
+batches of streams are drawn in bounded blocks, so per-path results never
+depend on batch layout.
 
-Every reduction over sampled values is the correctly rounded sum, equal to
-math.fsum bit for bit, so no report depends on summation order.  It is
+Every sum over sampled values is the correctly rounded sum, equal to
+math.fsum bit for bit, so it does not depend on summation order; the
+averages (estimate_log_drift's mean and standard error, simulate's means)
+are NumPy's mean and std, the exceptions.  It is
 computed in whole-array passes by error-free extraction (_exact_sums), with
 math.fsum itself for short arrays and for rows that are not finite, sum to
 zero or span an extreme exponent range.  A reduction takes a DiscretePath
@@ -259,16 +262,16 @@ class GBMParams:
             raise PreconditionError("x0 must be > 0")
         if self.n < 1 or self.T <= 0:
             raise PreconditionError("need n >= 1 and T > 0")
-        # sigma*sigma is inf where sigma ** 2 would raise OverflowError
-        drift = self.alpha - 0.5 * self.sigma * self.sigma
-        if not math.isfinite(drift * self.T):
+        if not math.isfinite(self.drift * self.T):
             raise PreconditionError(f"drift (alpha - sigma^2/2) times T is not finite: "
-                                    f"{drift * self.T!r}")
+                                    f"{self.drift * self.T!r}")
 
     @property
     def drift(self) -> float:
-        """The log drift alpha - sigma^2/2."""
-        return self.alpha - 0.5 * self.sigma ** 2
+        """The log drift alpha - sigma^2/2 by products: 0.5 * sigma is exact, so
+        sigma^2/2 is correctly rounded (libm's pow is not), and past the float
+        range it is inf, not an OverflowError."""
+        return self.alpha - 0.5 * self.sigma * self.sigma
 
 
 def sample_brownian(T: float, n: int, seed: int = 0, stream: int = 0) -> DiscretePath:
@@ -467,20 +470,10 @@ def ito_residual_halving(f: str, T: float, n: int, seed: int, streams):
     return np.concatenate(coarse), np.concatenate(fine)
 
 
-def simulate_gbm(p: GBMParams, stream: int = 0) -> DiscretePath:
-    """Geometric Brownian motion by the exact lognormal scheme:
-    X(t_i) = x0 * exp((alpha - sigma^2/2) t_i + sigma W(t_i)).
-
-    No discretization bias: the log-drift of the simulated path is exactly
-    alpha - sigma^2/2 in expectation at any step count.
-    """
-    w = sample_brownian(p.T, p.n, p.seed, stream)
-    values = p.x0 * np.exp(p.drift * w.partition.times + p.sigma * w.values)
-    return DiscretePath(w.partition, values)
-
-
 def gbm_terminal_log_rates(p: GBMParams, n_paths: int) -> np.ndarray:
-    """log(X_T / x0) / T for n_paths independent streams of one seed."""
+    """log(X_T / x0) / T for n_paths independent streams of one seed, by the
+    exact lognormal scheme X_T = x0 exp((alpha - sigma^2/2) T + sigma W_T)
+    with W_T the exactly summed path: no discretization bias at any n."""
     sq = Partition.uniform(p.T, p.n).deltas
     np.sqrt(sq, out=sq)
     w_T = np.empty(n_paths)
@@ -517,20 +510,20 @@ def _positive_finite(label: str, value: float) -> float:
 def simulate(alpha: float, sigma: float, x0: float, T: float, steps: int, paths: int,
              seed: int) -> Report:
     """`deltasite simulate`: X_T and its log rate for one path; for more, the
-    mean X_T and the log drift (its mean and, from 30 paths, its standard error)."""
+    mean X_T and the log drift (its mean and, from 30 paths, its standard error).
+    Each path's figures are those of its exactly summed W_T, whatever --paths."""
     params = GBMParams(alpha, sigma, x0, T, steps, seed)
     report = Report()
     # an overflow shows up as a terminal value that is not positive and finite
     with float_traps(over="ignore", invalid="ignore"):
+        rates = gbm_terminal_log_rates(params, paths)
+        terminals = x0 * np.exp(rates * T)
         if paths == 1:
-            terminal = _positive_finite("terminal value X_T",
-                                        float(simulate_gbm(params).values[-1]))
+            terminal = _positive_finite("terminal value X_T", float(terminals[0]))
             report.add("terminal-value", f"X_T={terminal!r}", None)
-            report.add("log-rate", f"{math.log(terminal / x0) / T!r}", None)
+            report.add("log-rate", f"{float(rates[0])!r}", None)
         else:
-            rates = gbm_terminal_log_rates(params, paths)
-            terminal_mean = _positive_finite(
-                "mean terminal value", float(np.mean(x0 * np.exp(rates * T))))
+            terminal_mean = _positive_finite("mean terminal value", float(np.mean(terminals)))
             report.add("mean-terminal", f"{terminal_mean!r}", None)
             figures = (asdict(estimate_log_drift(rates)) if paths >= 30
                        else {"mean": float(np.mean(rates))})

@@ -173,6 +173,26 @@ def test_a_repeated_composite_and_square_are_both_named_composition_first(tmp_pa
         "error: category.pullbacks[8]: ('i:empty>e_ab', 'i:e_a>e_ab') already has a pullback\n"))
 
 
+def test_every_repeat_is_named_not_only_the_first(tmp_path):
+    """Three entries for one pair name the second and the third, and a
+    repeat of another pair in the same table is named too."""
+    doc = four_events()
+    category = doc["category"]
+    squares, triples = category["pullbacks"], category["composition"]
+    squares += [dict(squares[4]), dict(squares[4]), dict(squares[1])]
+    triples += [list(triples[0]), list(triples[0])]
+    path = tmp_path / "repeats.json"
+    path.write_text(json.dumps(doc))
+    composite = "('i:e_a>e_ab', 'i:empty>e_a') already has a composite"
+    square = "('i:empty>e_ab', 'i:e_a>e_ab') already has a pullback"
+    assert run(["check-site", "--topology", "structural", "--model", path]) == (2, "", (
+        f"error: category.composition[2]: {composite}\n"
+        f"error: category.composition[3]: {composite}\n"
+        f"error: category.pullbacks[8]: {square}\n"
+        f"error: category.pullbacks[9]: {square}\n"
+        "error: category.pullbacks[10]: ('i:e_a>e_ab', 'i:e_b>e_ab') already has a pullback\n"))
+
+
 # -- what the reports promise ------------------------------------------------------------
 
 def test_model_commands_load_neither_numpy_nor_scipy():

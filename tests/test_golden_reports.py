@@ -28,7 +28,12 @@ one model where an identity shares its hom-set) while every identity arrow
 still carried an identity event map, so the table guards that reports stay byte
 for byte the same.  The sampling entries are also rebuilt from
 `stochastic.simulate` and `stochastic.verify_ito` called directly, which
-must give the same bytes.
+must give the same bytes.  Two entries were rewritten on purpose: those of
+`simulate --paths 1 --alpha 0.1 --sigma 0.2 --seed 0`, when one path came to
+report X_T and its log rate from its exactly summed W_T, as every batch does,
+instead of from the exp of its cumsum path; X_T moved from
+1.4025467247674686 to 1.4025467247674688 and the log rate from
+0.3382896732019942 to 0.3382896732019943.
 """
 import hashlib
 import io

@@ -27,7 +27,7 @@ from deltasite.stochastic import (BLOCK_VALUES, SPLIT_BLOCK_VALUES, SPLIT_VALUES
                                   ito_residual, ito_residual_halving,
                                   normal_blocks, normal_samples,
                                   quadratic_variation, sample_brownian,
-                                  sample_brownian_batch, simulate_gbm)
+                                  sample_brownian_batch)
 from deltasite.stochastic import _ITO_CATALOG, _exact_sums
 
 from test_contract import FLOATS, run, sized
@@ -549,10 +549,8 @@ def test_ito_rejects_unknown_function_and_mode():
 # -- geometric Brownian motion -----------------------------------------------------------
 
 def test_gbm_sigma_zero_is_exact_exponential():
-    p = GBMParams(alpha=0.1, sigma=0.0, x0=1.0, T=1.0, n=100, seed=0)
-    path = simulate_gbm(p)
-    assert path.values[-1] == math.exp(0.1)
-    assert path.values[0] == 1.0
+    rows = stochastic.simulate(0.1, 0.0, 1.0, 1.0, 100, 1, 0).rows
+    assert [row[1] for row in rows] == [f"X_T={math.exp(0.1)!r}", "0.1"]
 
 
 def test_gbm_parameter_validation():
@@ -560,6 +558,27 @@ def test_gbm_parameter_validation():
         GBMParams(0.1, -0.1, 1.0, 1.0, 10)
     with pytest.raises(PreconditionError):
         GBMParams(0.1, 0.1, 0.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("steps", (1, 10, 100, 1000))
+def test_one_path_reads_the_exactly_summed_terminal(steps):
+    # one path's figures are those of stream 0 of a batch of any size; 656
+    # streams of 100 steps make two blocks
+    for seed in range(50):
+        rows = stochastic.simulate(0.1, 0.2, 1.0, 1.0, steps, 1, seed).rows
+        for k in (1, 2, 7, 656) if steps == 100 and seed < 5 else (1, 2, 7):
+            r = gbm_terminal_log_rates(GBMParams(0.1, 0.2, 1.0, 1.0, steps, seed), k)[0]
+            want = [f"X_T={float(1.0 * np.exp(r * 1.0))!r}", f"{float(r)!r}"]
+            assert [row[1] for row in rows] == want, (steps, seed, k)
+
+
+def test_drift_squares_sigma_correctly_rounded():
+    # libm's pow gives 2.759 ** 2 one ulp off 2.759 * 2.759
+    assert GBMParams(0.1, 2.759, 1.0, 1.0, 10).drift == 0.1 - 0.5 * (2.759 * 2.759)
+    report = stochastic.verify_ito(0.1, 2.759, 1.0, 1.0, 100, 30, 0)
+    assert " target=-3.7060405 " in {row[0]: row[1] for row in report.rows}["log-drift"]
+    # sigma^2 leaves the float range where sigma^2 / 2 does not: no OverflowError
+    assert GBMParams(0.1, 1.5e154, 1.0, 1.0, 10).drift == 0.1 - float(Fraction(1.5e154)**2 / 2)
 
 
 def test_gbm_log_drift_monte_carlo():
@@ -602,8 +621,8 @@ def test_estimate_log_drift_needs_thirty_paths():
 
 def test_gbm_paths_bit_identical_replay():
     p = GBMParams(alpha=0.05, sigma=0.3, x0=1.0, T=1.0, n=64, seed=77)
-    a, b = simulate_gbm(p), simulate_gbm(p)
-    assert np.array_equal(a.values, b.values)
+    a, b = gbm_terminal_log_rates(p, 1), gbm_terminal_log_rates(p, 1)
+    assert a.tobytes() == b.tobytes()
     rates_a = gbm_terminal_log_rates(p, 40)
     rates_b = gbm_terminal_log_rates(p, 40)
     assert np.array_equal(rates_a, rates_b)
